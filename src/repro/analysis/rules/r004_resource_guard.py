@@ -3,7 +3,7 @@
 PR 2 made init/close chains exception-safe (the suite runs under
 ``-W error::ResourceWarning``); this rule keeps new call sites honest.
 An acquisition — ``open(...)``, a pager/device/index/engine constructor,
-``resolve_executor(...)`` — must be one of:
+``resolve_executor(...)``, ``open_engine(...)`` — must be one of:
 
 * the context expression of a ``with`` (directly or via
   ``contextlib.closing``),
@@ -38,7 +38,7 @@ _ACQUIRER_NAMES = frozenset({
     "FaultInjectingPageDevice",
     "SWSTIndex", "ShardedEngine", "WorkerEngine", "MV3RTree",
     "AsyncEngine",
-    "resolve_executor",
+    "resolve_executor", "open_engine",
 })
 _ACQUIRER_SUFFIX = "Executor"
 _STACK_METHODS = frozenset({"enter_context", "callback", "push", "closing"})
@@ -51,7 +51,7 @@ def _is_acquisition(call: ast.Call) -> bool:
         return False
     if name in _ACQUIRER_NAMES or name.endswith(_ACQUIRER_SUFFIX):
         return True
-    # Classmethod constructors: SWSTIndex.open(...), ShardedEngine.open(...)
+    # Classmethod constructors: SWSTIndex.open(...), WorkerEngine.open(...)
     if name == "open" and isinstance(call.func, ast.Attribute):
         root = chain_root(call.func.value)
         return root is not None and root.id in _ACQUIRER_NAMES

@@ -1,8 +1,8 @@
 """R005 — executor task callables must not mutate closed-over state.
 
-The scatter-gather fan-out (PR 3) hands callables to
-``executor.map``/``submit``; with the threaded executor those run
-concurrently against live shards, so a task that *writes* something it
+The in-process shard backend hands callables to
+``executor.map``/``submit`` (query fan-out and op-batch application);
+with the threaded executor those run concurrently against live shards, so a task that *writes* something it
 closed over (an accumulator list, an engine attribute) is a data race
 the serial executor will never show.  Tasks must return their results
 and let the caller merge — reading closed-over state is fine.

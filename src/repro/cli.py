@@ -33,7 +33,7 @@ from .core.records import Rect
 from .datagen.gstd import GSTDConfig, GSTDGenerator, Report
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .engine import ShardedEngine, WorkerEngine
+    from .engine import Coordinator
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -52,8 +52,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
                              "(index path becomes a directory; default 1)")
     parser.add_argument("--executor", default="thread",
                         help="scatter-gather executor for --shards > 1: "
-                             "serial | thread[:N] | process[:N] "
-                             "(default thread)")
+                             "serial | thread[:N] (default thread)")
     parser.add_argument("--workers", action="store_true",
                         help="with --shards > 1: run each shard in a "
                              "long-lived worker process behind a "
@@ -70,18 +69,16 @@ def _config_from(args: argparse.Namespace) -> SWSTConfig:
 
 @contextlib.contextmanager
 def _open_index(args: argparse.Namespace, config: SWSTConfig, *,
-                build: bool
-                ) -> "Iterator[SWSTIndex | ShardedEngine | WorkerEngine]":
+                build: bool) -> "Iterator[SWSTIndex | Coordinator]":
     """Open (or create) the index named on the command line.
 
     ``--shards N`` with N > 1 selects the sharded engine, whose on-disk
     form is a directory of per-shard page files; otherwise the classic
-    single page file.  ``--workers`` upgrades the sharded engine to the
-    warm-worker form: one long-lived process per shard behind a
+    single page file.  ``--workers`` runs the engine's shards as warm
+    worker processes: one long-lived process per shard behind a
     write-ahead log, so every acknowledged batch is durable without a
-    full ``save()``.  A context manager so the resolved executor (which
-    may own a process pool) is torn down alongside the index even when
-    the command body raises.
+    full ``save()``.  A context manager so everything the engine owns
+    is torn down alongside it even when the command body raises.
     """
     if config.n_shards == 1:
         if build:
@@ -94,7 +91,7 @@ def _open_index(args: argparse.Namespace, config: SWSTConfig, *,
     import random
     import time
 
-    from .engine import RetryPolicy, ShardedEngine, resolve_executor
+    from .engine import RetryPolicy, open_engine
 
     # Unlike the engine's deterministic in-process default, the CLI
     # wires real backoff: transient device errors get retried with
@@ -102,47 +99,22 @@ def _open_index(args: argparse.Namespace, config: SWSTConfig, *,
     # clock-free; the seams are injected here, at the edge).
     retry = RetryPolicy(jitter=0.1, sleep=time.sleep,
                         rng=random.Random(0).random)
-    if getattr(args, "workers", False):
-        from .engine import WorkerEngine
-
-        engine = (WorkerEngine(config, args.index, retry_policy=retry)
-                  if build
-                  else WorkerEngine.open(args.index, config,
-                                         retry_policy=retry))
-        with engine:
-            yield engine
-        return
-    with contextlib.ExitStack() as stack:
-        executor = resolve_executor(args.executor)
-        stack.callback(executor.close)
-        engine = (ShardedEngine(config, args.index, executor=executor,
-                                retry_policy=retry)
-                  if build
-                  else ShardedEngine.open(args.index, config,
-                                          executor=executor,
-                                          retry_policy=retry))
-        stack.enter_context(engine)
+    with open_engine(args.index, config, create=build,
+                     workers=getattr(args, "workers", False),
+                     executor=args.executor, retry_policy=retry) as engine:
         yield engine
 
 
-def _page_count(index: "SWSTIndex | ShardedEngine | WorkerEngine") -> int:
+def _page_count(index: "SWSTIndex | Coordinator") -> int:
     if isinstance(index, SWSTIndex):
         return index.pager.page_count()
-    shards = getattr(index, "shards", None)
-    if shards is not None:
-        return sum(shard.pager.page_count() for shard in shards)
-    # Warm-worker engine: the shards live in other processes; size the
-    # committed page files directly (cmd_build saves before printing).
+    # The shards may live in other processes; size the committed page
+    # files directly (cmd_build saves before printing).
     import os
 
-    from .engine.engine import _shard_file_name
-
-    return sum(
-        os.path.getsize(os.path.join(index.directory, _shard_file_name(sid)))
-        // index.config.page_size
-        for sid in range(index.config.n_shards)
-        if os.path.exists(os.path.join(index.directory, _shard_file_name(sid)))
-    )
+    return sum(os.path.getsize(index.shard_path(sid))
+               // index.config.page_size
+               for sid in range(index.config.n_shards))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

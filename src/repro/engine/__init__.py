@@ -2,28 +2,35 @@
 
 The engine layer scales the single-file SWST index out to a pool of
 independent shards: :class:`GridShardMap` assigns every spatial grid cell
-to exactly one shard, :class:`ShardedEngine` routes inserts, fans queries
-out over an :class:`Executor` worker pool, merges the per-shard results
-and statistics, and coordinates the sliding-window drop epoch across the
-pool.  Persistence is a two-phase epoch commit (``save()`` is atomic for
-the whole directory); query fan-out is resilient (:class:`RetryPolicy`,
-per-shard :class:`CircuitBreaker`, degraded :class:`PartialResult`
-mode).  :class:`WorkerEngine` keeps the same API but runs every shard
-in a long-lived worker *process* fed through a per-shard write-ahead
-log, so acknowledged writes survive worker crashes (the supervisor
-restarts the worker and replays the WAL tail).  See
-``docs/internals.md`` (engine layer, failure model, warm workers) for
-the design.
+to exactly one shard, and one :class:`Coordinator` routes inserts, fans
+queries out, merges the per-shard results and statistics, and
+coordinates the sliding-window drop epoch across the pool.  Persistence
+is a two-phase epoch commit (``save()`` is atomic for the whole
+directory); query fan-out is resilient (:class:`RetryPolicy`, per-shard
+:class:`CircuitBreaker`, degraded :class:`PartialResult` mode).  Where
+the shards run is the coordinator's backend: :class:`ShardedEngine`
+keeps them in-process (work fans out over an :class:`Executor`),
+:class:`WorkerEngine` runs every shard in a long-lived worker *process*
+fed through a per-shard write-ahead log, so acknowledged writes survive
+worker crashes (the supervisor restarts the worker and replays the WAL
+tail).  :func:`open_engine` picks between them.  See
+``docs/internals.md`` (engine layer, failure model) for the design.
 """
 
-from .engine import PartialResult, ShardedEngine, load_manifest
+from __future__ import annotations
+
+import os
+
+from ..core.config import SWSTConfig
+from .engine import (Coordinator, PartialResult, ShardBackend, ShardedEngine,
+                     load_manifest)
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ReshardError,
                      ReshardInProgressError, ShardFailure, ShardOpenError,
                      ShardQueryError, TaskTimeoutError, WalCorruptError,
                      WalError, WorkerCrashError, WorkerRecoveryError)
-from .executor import (Executor, ProcessExecutor, SerialExecutor,
-                       ThreadedExecutor, resolve_executor)
+from .executor import (Executor, SerialExecutor, ThreadedExecutor,
+                       resolve_executor)
 from .reshard import GenerationBuild, ReshardReport, reshard
 from .retry import CircuitBreaker, RetryPolicy
 from .scrub import DirectoryScrubReport, scrub_directory
@@ -32,9 +39,36 @@ from .wal import (WalReport, WalScan, WalWriter, read_wal, replay,
                   wal_file_name)
 from .worker import WorkerEngine, WorkerPool
 
+
+def open_engine(path: str | os.PathLike[str], config: SWSTConfig, *,
+                create: bool = False, workers: bool = False,
+                executor: str = "thread",
+                retry_policy: RetryPolicy | None = None) -> Coordinator:
+    """Open (or, with ``create``, build) the engine directory ``path``.
+
+    The one place that turns deployment choices into an engine:
+    ``workers`` selects warm worker processes behind write-ahead logs
+    (:class:`WorkerEngine`), otherwise the shards run in-process
+    (:class:`ShardedEngine`) with scatter-gather over the ``executor``
+    spec (``serial`` | ``thread[:N]``), which the engine owns.  Either
+    way the result is a :class:`Coordinator`; close it (or use it as a
+    context manager) to release everything.
+    """
+    if workers:
+        if create:
+            return WorkerEngine(config, path, retry_policy=retry_policy)
+        return WorkerEngine.open(path, config, retry_policy=retry_policy)
+    if create:
+        return ShardedEngine(config, path, executor=executor,
+                             retry_policy=retry_policy)
+    return ShardedEngine.open(path, config, executor=executor,
+                              retry_policy=retry_policy)
+
+
 __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
+    "Coordinator",
     "DirectoryScrubReport",
     "EngineCloseError",
     "EngineClosedError",
@@ -44,12 +78,12 @@ __all__ = [
     "GenerationBuild",
     "GridShardMap",
     "PartialResult",
-    "ProcessExecutor",
     "ReshardError",
     "ReshardInProgressError",
     "ReshardReport",
     "RetryPolicy",
     "SerialExecutor",
+    "ShardBackend",
     "ShardFailure",
     "ShardOpenError",
     "ShardQueryError",
@@ -66,6 +100,7 @@ __all__ = [
     "WorkerPool",
     "WorkerRecoveryError",
     "load_manifest",
+    "open_engine",
     "read_wal",
     "replay",
     "reshard",

@@ -1,31 +1,29 @@
-"""Sharded scatter-gather engine over independent SWST index shards.
+"""Sharded scatter-gather engine: one coordinator over a shard backend.
 
-:class:`ShardedEngine` partitions the spatial grid's cell space across
+The engine partitions the spatial grid's cell space across
 ``config.n_shards`` independent :class:`~repro.core.index.SWSTIndex`
-instances — each with its own page file, pager, buffer pool and
+shards — each with its own page file, pager, buffer pool and
 decoded-node cache — using the deterministic
-:class:`~repro.engine.sharding.GridShardMap`.  Because the SWST layers
-share nothing between spatial cells, a shard holds exactly the B+ trees
-and memos of the cells it owns, and:
+:class:`~repro.engine.sharding.GridShardMap`.  The SWST layers share
+nothing between spatial cells, so sharding needs exactly one piece of
+cross-shard logic — the current-entry protocol (finalise an object's
+previous ``ND`` entry wherever it lives, then insert the new one) —
+plus lockstep slides and a merge.  A single-shard engine degenerates to
+byte-identical behaviour (entries, results, logical node accesses) of a
+plain ``SWSTIndex`` fed the same stream.
 
-* every insert routes to exactly one shard (the owner of the report's
-  cell),
-* every range query fans out only to the shards owning cells that
-  overlap the query rectangle, scatter-gather over a pluggable
-  :class:`~repro.engine.executor.Executor`, merging per-shard
-  :class:`~repro.core.results.QueryResult`/``QueryStats``,
-* the sliding window is *coordinated*: the engine advances every
-  shard's clock in lockstep, so the wholesale tree-drop epoch (stream
-  time crossing a multiple of ``Wmax``) fires consistently across the
-  pool.
-
-The engine owns the cross-shard part of the current-entry protocol: an
-object's consecutive reports may land in cells owned by different
-shards, in which case the previous shard finalises the old current
-entry while the new shard receives the fresh one.  A single-shard
-engine degenerates to byte-identical behaviour — same entries, same
-query results, same logical node-access counts — as a plain
-``SWSTIndex`` fed the same stream.
+:class:`Coordinator` owns everything that does not depend on *where* a
+shard runs: routing, validation, ``extend`` chunking and ``Wmax``-epoch
+run splitting, the current-entry mirror and the cross-shard planning
+(in the :mod:`~repro.engine.wal` op vocabulary), the engine-level plan
+cache, every query and its merge, and the skeleton of ``save()``.  It
+reaches the shards through the narrow :class:`ShardBackend` protocol,
+which has exactly two implementations: :class:`InProcessBackend` (live
+``SWSTIndex`` objects, work fanned out over an
+:class:`~repro.engine.executor.Executor`; :class:`ShardedEngine` is the
+coordinator over it) and :class:`~repro.engine.worker.WorkerBackend`
+(one warm worker process per shard behind a write-ahead log;
+:class:`~repro.engine.worker.WorkerEngine`).
 
 On disk an engine is a *directory*::
 
@@ -41,42 +39,28 @@ On disk an engine is a *directory*::
                            # at the directory root)
 
 **Two-phase epoch commit.**  ``save()`` makes the whole directory one
-atomic unit: it first durably writes a PREPARE marker recording the next
-epoch and the exact header generation each shard will reach when its
-commit lands, then commits every shard, then atomically flips the
-manifest to the new epoch and removes the marker (every step fsyncs the
-file and the containing directory).  ``open()`` after a crash
-classifies the directory deterministically from the marker: if no shard
-committed the new epoch it *rolls back* (the old snapshot is intact);
-if every shard committed it *rolls forward* (finishing the manifest
-flip); if the crash landed between shard commits — the one window the
-in-place storage layer cannot undo — it restores the committed shards
-from the previous epoch's copy-on-write snapshot (``snapshots/<E>/``,
-written at the end of the save that committed epoch ``E``, while the
-shard files are provably clean) and rolls the whole directory back;
-only when no snapshot exists (``snapshots=False`` engines, or
-pre-snapshot directories) does it raise a typed
-:class:`~repro.engine.errors.EpochTornError` naming both shard groups
-instead of silently serving a mixed snapshot.  Format-1 manifests (no
-epoch) still open; their first ``save()`` upgrades them.
+atomic unit: PREPARE marker, shard commits, manifest FLIP, marker
+cleanup (see :meth:`Coordinator.save`).  What ``open()`` does with a
+leftover marker is per backend: in-process shards roll back, roll
+forward, or restore the previous epoch's copy-on-write snapshot
+(:meth:`InProcessBackend.recover`); worker shards always roll forward from
+their WALs.  Format-1 manifests (no epoch) still open; their first
+``save()`` upgrades them.
 
 **Generations.**  ``repro.engine.reshard`` rewrites a saved directory
-to a different shard count by streaming the entries into a fresh set of
-shard files built side-by-side under ``gen-<G>/`` and atomically
-flipping the manifest to the new generation; ``generation`` in the
-manifest names the subdirectory the live shard files inhabit
-(generation 0 is the directory root).
+to a different shard count side-by-side under ``gen-<G>/`` and flips
+the manifest atomically; ``generation`` in the manifest names the
+subdirectory the live shard files inhabit (0 is the directory root).
 
-**Resilient fan-out.**  Read-only query fan-out wraps each per-shard
-task in the engine's :class:`~repro.engine.retry.RetryPolicy`
-(transient ``OSError``/worker-death retries with exponential backoff
-over injected seams) and per-shard
-:class:`~repro.engine.retry.CircuitBreaker` accounting.  ``strict=True``
-(default) raises a typed :class:`~repro.engine.errors.ShardQueryError`
-naming the first failed shard; ``strict=False`` degrades gracefully,
-returning a :class:`PartialResult` carrying the surviving shards' merged
-entries plus a typed :class:`~repro.engine.errors.ShardFailure` per
-failed shard, with ``stats.degraded`` set.
+**Resilient fan-out.**  Read-only fan-out runs under the engine's
+:class:`~repro.engine.retry.RetryPolicy` and per-shard
+:class:`~repro.engine.retry.CircuitBreaker` accounting, applied by the
+backend (what counts as a shard failure differs between a page device
+and a worker process).  ``strict=True`` (default) raises a typed
+:class:`~repro.engine.errors.ShardQueryError` naming the first failed
+shard; ``strict=False`` returns a :class:`PartialResult` with the
+surviving shards' entries plus one typed
+:class:`~repro.engine.errors.ShardFailure` per failed shard.
 """
 
 from __future__ import annotations
@@ -85,7 +69,7 @@ import contextlib
 import dataclasses
 import json
 import os
-from typing import Any, Callable, Iterable, Iterator
+from typing import (Any, Callable, Iterable, Iterator, Protocol, TypeVar)
 
 from ..core.config import SWSTConfig
 from ..core.grid import SpatialGrid
@@ -102,10 +86,11 @@ from ..storage.stats import IOStats
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ShardFailure,
                      ShardOpenError, ShardQueryError, TaskTimeoutError)
-from .executor import (Executor, ThreadedExecutor, discard_worker_shard,
-                       open_worker_shard)
+from .executor import Executor, ThreadedExecutor, resolve_executor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
+from .wal import (NONE_ARG, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
+                  OP_RETAIN, Op, apply_op)
 
 _MANIFEST_NAME = "engine.json"
 _PREPARE_NAME = "engine.prepare.json"
@@ -113,12 +98,14 @@ _MANIFEST_FORMAT = 2
 
 #: Per-shard failures a degraded fan-out absorbs into ``ShardFailure``
 #: records: storage-layer corruption/IO, raw OS errors, and the engine's
-#: own typed errors (timeouts, open circuit breakers).
-_SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
+#: own typed errors (timeouts, open circuit breakers, dead workers).
+SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
 
 
 _SNAPSHOTS_DIR = "snapshots"
 _GEN_DIR_PREFIX = "gen-"
+
+_E = TypeVar("_E", bound="Coordinator")
 
 
 def _shard_file_name(shard_id: int) -> str:
@@ -130,6 +117,15 @@ def generation_dir(directory: str, generation: int) -> str:
     if generation == 0:
         return directory
     return os.path.join(directory, f"{_GEN_DIR_PREFIX}{generation:03d}")
+
+
+def shard_file_path(directory: str | None, generation: int,
+                    shard_id: int) -> str:
+    """Page-file path of one shard (``":memory:"`` without a directory)."""
+    if directory is None:
+        return MEMORY
+    return os.path.join(generation_dir(directory, generation),
+                        _shard_file_name(shard_id))
 
 
 def snapshot_dir(directory: str, epoch: int) -> str:
@@ -155,9 +151,9 @@ def probe_prepare_state(
     Probes each shard's committed header generation passively (no open,
     no commit) and splits the ids into ``committed`` (the shard reached
     the generation the marker said its save would produce) and
-    ``pending`` (it did not, or the file is unreadable).  Shared by
-    :meth:`ShardedEngine._recover_epoch` and the warm-worker engine's
-    marker resolution, so both recoveries classify identically.
+    ``pending`` (it did not, or the file is unreadable).  Shared by both
+    backends' marker resolution, so both recoveries classify
+    identically.
     """
     observed = [probe_committed_generation(path) for path in shard_paths]
     committed = [sid for sid, gen in enumerate(observed)
@@ -210,6 +206,47 @@ def load_manifest(manifest_path: str) -> dict[str, Any]:
                       f"format {fmt!r}")
 
 
+def load_checked_manifest(directory: str, n_shards: int) -> dict[str, Any]:
+    """Load ``directory``'s manifest, refusing a shard-count mismatch."""
+    manifest = load_manifest(os.path.join(directory, _MANIFEST_NAME))
+    if manifest["n_shards"] != n_shards:
+        raise EngineError(
+            f"directory {directory!r} holds {manifest['n_shards']} "
+            f"shards but config.n_shards is {n_shards}")
+    return manifest
+
+
+def _fresh_manifest(n_shards: int) -> dict[str, Any]:
+    return {"format": _MANIFEST_FORMAT, "n_shards": n_shards, "epoch": 0,
+            "shards": [0] * n_shards, "generation": 0}
+
+
+def prepare_directory(directory: str, n_shards: int, fops: FileOps,
+                      opener: str) -> dict[str, Any]:
+    """Create (or adopt) an engine directory for a constructor.
+
+    Returns the manifest the new engine starts from: the existing one
+    when the directory was saved before, else a freshly written epoch-0
+    manifest.  An interrupted save is refused — constructors build on
+    committed state; ``<opener>.open()`` is what recovers.
+    """
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise EngineError(f"engine path {directory!r} exists and is "
+                          f"not a directory")
+    os.makedirs(directory, exist_ok=True)
+    if os.path.exists(os.path.join(directory, _PREPARE_NAME)):
+        raise EngineError(
+            f"directory {directory!r} holds an interrupted save "
+            f"(marker {_PREPARE_NAME}); recover it with "
+            f"{opener}.open() first")
+    manifest_path = os.path.join(directory, _MANIFEST_NAME)
+    if os.path.exists(manifest_path):
+        return load_checked_manifest(directory, n_shards)
+    manifest = _fresh_manifest(n_shards)
+    write_json_atomic(fops, directory, manifest_path, manifest)
+    return manifest
+
+
 def _load_prepare(prepare_path: str) -> dict[str, Any] | None:
     """Read the PREPARE marker; ``None`` if absent, typed error if torn.
 
@@ -239,50 +276,57 @@ def _load_prepare(prepare_path: str) -> dict[str, Any] | None:
     return record
 
 
-def _guarded_call(policy: RetryPolicy,
-                  fn: Callable[[], Any]) -> tuple[str, Any]:
-    """Run ``fn`` under ``policy``; return ``("ok", result)`` or
-    ``("err", exception)``.
+def load_pending_prepare(directory: str, manifest: dict[str, Any],
+                         fops: FileOps) -> dict[str, Any] | None:
+    """The marker of an unresolved save, or ``None`` if there is none.
 
-    Outcome tuples keep executor task callables free of shared-state
-    mutation (invariant R005): the engine folds outcomes into circuit
-    breaker state on the gathering side, never inside the task.
+    Handles the two cases that need no shard probing — no marker, and a
+    marker whose epoch the manifest already reached (the flip landed,
+    only the cleanup was lost: finish it) — and refuses markers that
+    cannot belong to this manifest.  What remains is a save interrupted
+    between PREPARE and FLIP, which each backend resolves its own way.
     """
-    try:
-        return ("ok", policy.call(fn))
-    except _SHARD_FAILURE_ERRORS as exc:
-        return ("err", exc)
+    prepare_path = os.path.join(directory, _PREPARE_NAME)
+    prepare = _load_prepare(prepare_path)
+    if prepare is None:
+        return None
+    if prepare["n_shards"] != manifest["n_shards"]:
+        raise EngineError(
+            f"save marker in {directory!r} records "
+            f"{prepare['n_shards']} shards but the manifest holds "
+            f"{manifest['n_shards']}")
+    epoch: int = manifest["epoch"]
+    if prepare["epoch"] == epoch:
+        drop_prepare(directory, fops)
+        return None
+    if prepare["epoch"] != epoch + 1:
+        raise EngineError(
+            f"save marker epoch {prepare['epoch']} is inconsistent "
+            f"with manifest epoch {epoch} in {directory!r} "
+            f"(external tampering?)")
+    return prepare
 
 
-def _remote_query_task(
-        task: tuple[str, SWSTConfig, str, tuple[Any, ...], RetryPolicy, int]
-) -> tuple[str, Any]:
-    """Out-of-process task: open one saved shard and run one method.
+def drop_prepare(directory: str, fops: FileOps) -> None:
+    """Durably remove the save marker (last step of every resolution)."""
+    fops.unlink(os.path.join(directory, _PREPARE_NAME))
+    fops.fsync_dir(directory)
 
-    Used by remote (process-pool) executors, which cannot reach the
-    parent's live shard objects.  The shard is opened read-only in
-    practice (query methods never mutate, so the pager commits nothing)
-    through the worker-local handle cache keyed on the engine's save
-    epoch — repeated queries against an unchanged directory reuse the
-    open shard instead of re-parsing the catalog and warming the buffer
-    pool from scratch.  A failed attempt discards the cached handle, so
-    retries (which run *inside* the worker — a transient fault does not
-    cost a round trip through the pool) start from a fresh open.
-    """
-    path, config, method, args, policy, epoch = task
 
-    def open_shard() -> SWSTIndex:
-        return SWSTIndex.open(path, config)
-
-    def attempt() -> Any:
-        shard = open_worker_shard(path, epoch, open_shard)
-        try:
-            return getattr(shard, method)(*args)
-        except BaseException:
-            discard_worker_shard(path)
-            raise
-
-    return _guarded_call(policy, attempt)
+def roll_manifest_forward(directory: str, manifest: dict[str, Any],
+                          prepare: dict[str, Any],
+                          observed: list[int | None],
+                          fops: FileOps) -> dict[str, Any]:
+    """Finish a save whose flip was lost: rewrite the manifest at the
+    marker's epoch with the observed shard generations, drop the marker."""
+    rolled = {"format": _MANIFEST_FORMAT, "n_shards": manifest["n_shards"],
+              "epoch": prepare["epoch"],
+              "shards": [gen if gen is not None else 0 for gen in observed],
+              "generation": manifest["generation"]}
+    write_json_atomic(fops, directory,
+                      os.path.join(directory, _MANIFEST_NAME), rolled)
+    drop_prepare(directory, fops)
+    return rolled
 
 
 @dataclasses.dataclass
@@ -302,111 +346,649 @@ class PartialResult(QueryResult):
         return not self.failures
 
 
-class ShardedEngine:
-    """Scatter-gather front end over ``config.n_shards`` SWST shards.
+# -- the shard seam ----------------------------------------------------------
 
-    Args:
-        config: index parameters; ``config.n_shards`` fixes the shard
-            count (the default config is a single shard).
-        path: shard directory, or ``":memory:"`` (default) for an
-            all-in-memory engine (each shard on its own memory device).
-        executor: worker pool for scatter-gather; defaults to a
-            :class:`~repro.engine.executor.ThreadedExecutor` sized to
-            the shard count.  A caller-supplied executor is *borrowed*
-            (``close()`` leaves it running); the default one is owned
-            and shut down with the engine.
-        retry_policy: per-shard retry policy for read-only query
-            fan-out; defaults to ``RetryPolicy()`` (3 deterministic
-            immediate attempts).  Pass ``RetryPolicy(attempts=1)`` to
-            disable retries.
-        breaker_factory: builds one circuit breaker per shard;
-            defaults to :class:`~repro.engine.retry.CircuitBreaker`
-            with its deterministic attempt-counting clock.  Pass
-            ``None`` to disable breakers entirely.
-        task_timeout: per-task deadline (seconds) for query fan-out, or
-            ``None`` (default) for no deadline.  Timeouts are typed
-            (:class:`~repro.engine.errors.TaskTimeoutError`) and never
-            retried — an abandoned worker may still hold its shard.
-        file_ops: durable filesystem seam for the manifest protocol;
-            tests substitute a fault-injecting implementation.
-        snapshots: when True (default), every ``save()`` first CoW-copies
-            the shard files into ``snapshots/<epoch>/`` so a save torn
-            between in-place shard commits rolls back on ``open()``
-            instead of raising :class:`EpochTornError`.  ``False``
-            restores the pre-snapshot protocol (and its torn window).
 
-    The engine exposes the full ``SWSTIndex`` query surface
-    (``query_timeslice``, ``query_interval``, ``count_interval``,
-    ``query_knn``, ``density_grid``, ``object_history``,
-    ``forget_object``, ``set_retention``) plus the ingestion API
-    (``insert``, ``report``, ``extend``, ``close_object``, ``delete``,
-    ``advance_time``).  It is not itself thread-safe for concurrent
-    callers; internal parallelism only ever touches disjoint shards.
+def read_shard(shard: SWSTIndex, kind: str, payload: Any = None) -> Any:
+    """Answer one read request against a live shard.
+
+    The shard-side half of :meth:`ShardBackend.read` and
+    :meth:`ShardBackend.query`: the in-process backend calls it
+    directly, a worker process calls it for every request that is not a
+    mutation or a commit step — one vocabulary, wherever the shard
+    runs.
+    """
+    if kind == "query":
+        method, args = payload
+        return getattr(shard, method)(*args)
+    if kind == "state":
+        return {"now": shard.now, "current": shard.current_objects()}
+    if kind == "scan":
+        return list(shard.scan())
+    if kind == "len":
+        return len(shard)
+    if kind == "stats":
+        return shard.stats.snapshot()
+    if kind == "gen_info":
+        return (shard.pager.generation, shard.pager.session_marked)
+    raise ValueError(f"unknown shard request {kind!r}")
+
+
+class ShardBackend(Protocol):
+    """Where the shards run: everything the coordinator asks of them.
+
+    Attributes:
+        breakers: per-shard circuit breakers (``None`` when disabled);
+            the backend decides what counts as a shard failure.
+        epoch_commit: False when ``save()`` has nothing to make atomic
+            (memory-backed or legacy v1 shard files).
+        needs_resync: set by the backend whenever the coordinator's
+            mirror can no longer be trusted — a dispatch failed
+            part-way, a recovered shard came back ahead of the engine
+            clock, a commit was aborted.  The coordinator calls
+            :meth:`resync` before its next operation.
     """
 
-    def __init__(self, config: SWSTConfig | None = None,
-                 path: str = MEMORY,
-                 executor: Executor | None = None, *,
+    breakers: list[CircuitBreaker | None]
+    needs_resync: bool
+
+    @property
+    def epoch_commit(self) -> bool: ...  # pragma: no cover - protocol
+
+    def apply(self, ops: dict[int, list[Op]],
+              runs: dict[int, list[ReportLike]],
+              advance_to: int | None) -> dict[int, list[Any]]:
+        """Apply one planned mutation; returns per-op results by shard.
+
+        Per shard, in order: its ``ops``, an advance to ``advance_to``
+        (every shard ends there, touched or not), its report run.
+        Never retried.  A failure before any shard was touched leaves
+        ``needs_resync`` unset; any later failure sets it.
+        """
+        ...  # pragma: no cover - protocol
+
+    def query(self, shard_ids: list[int], method: str,
+              args: tuple[Any, ...]
+              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Scatter one read-only index method over ``shard_ids`` under
+        the retry policy and breakers: ``(shard_id, result)`` successes
+        in shard order, one typed failure per shard that cannot answer."""
+        ...  # pragma: no cover - protocol
+
+    def read(self, kind: str, payload: Any = None) -> list[Any]:
+        """One strict :func:`read_shard` round over every shard."""
+        ...  # pragma: no cover - protocol
+
+    def resync(self) -> list[dict[str, Any]]:
+        """Settle every shard (restart dead workers, collect in-flight
+        acknowledgements), clear ``needs_resync``, return the
+        ``"state"`` reads."""
+        ...  # pragma: no cover - protocol
+
+    def commit(self) -> list[int]:
+        """Save every shard; returns the committed header generations."""
+        ...  # pragma: no cover - protocol
+
+    def abort_commit(self) -> dict[str, Any] | None:
+        """A step of the epoch commit failed with the process alive:
+        make the directory continuable.  Returns the manifest to adopt
+        if the backend resolved the marker itself."""
+        ...  # pragma: no cover - protocol
+
+    def after_flip(self, epoch: int) -> None:
+        """Post-commit hook, once the manifest names ``epoch``."""
+        ...  # pragma: no cover - protocol
+
+    def close(self) -> list[BaseException]:
+        """Release every shard; returns (never raises) what went wrong."""
+        ...  # pragma: no cover - protocol
+
+
+def _guarded_call(policy: RetryPolicy,
+                  fn: Callable[[], Any]) -> tuple[str, Any]:
+    """Run ``fn`` under ``policy``; return ``("ok", result)`` or
+    ``("err", exception)``.
+
+    Outcome tuples keep executor task callables free of shared-state
+    mutation (invariant R005): the backend folds outcomes into circuit
+    breaker state on the gathering side, never inside the task.
+    """
+    try:
+        return ("ok", policy.call(fn))
+    except SHARD_FAILURE_ERRORS as exc:
+        return ("err", exc)
+
+
+class InProcessBackend:
+    """Shards as live :class:`SWSTIndex` objects in this process.
+
+    Op batches are applied directly — the same
+    :func:`~repro.engine.wal.apply_op` a WAL replay runs, with no
+    encoding in between — and per-shard work fans out over the
+    executor.  Recovery is snapshot based (see :meth:`recover`).  The
+    seams are :class:`ShardedEngine`'s, documented there; ``directory``
+    is ``None`` for memory devices and ``generation`` names the
+    manifest generation whose shard files are served.
+    """
+
+    def __init__(self, config: SWSTConfig, directory: str | None,
+                 generation: int = 0, *,
+                 executor: Executor | str | None = None,
                  retry_policy: RetryPolicy | None = None,
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
                  task_timeout: float | None = None,
                  file_ops: FileOps | None = None,
                  snapshots: bool = True) -> None:
-        self.config = config if config is not None else SWSTConfig()
-        self._init_common(executor, retry_policy, breaker_factory,
-                          task_timeout, file_ops)
-        self._snapshots = snapshots
-        self._dir: str | None = None
-        if os.fspath(path) != MEMORY:
-            self._dir = os.fspath(path)
-            self._prepare_directory()
-        self._shards: list[SWSTIndex] = []
+        self.config = config
+        self.directory = directory
+        self.generation = generation
+        #: The ``executor`` argument as given — what a reopen passes on.
+        self.executor_arg = executor
+        self.owns_executor = executor is None or isinstance(executor, str)
+        self.executor: Executor
+        if executor is None:
+            self.executor = ThreadedExecutor(max_workers=config.n_shards)
+        elif isinstance(executor, str):
+            self.executor = resolve_executor(executor)
+        else:
+            self.executor = executor
+        self.retry_policy = retry_policy if retry_policy is not None \
+            else RetryPolicy()
+        self.breakers: list[CircuitBreaker | None] = [
+            breaker_factory() if breaker_factory is not None else None
+            for _ in range(config.n_shards)]
+        self.task_timeout = task_timeout
+        self.fops: FileOps = file_ops if file_ops is not None \
+            else DURABLE_FILE_OPS
+        self.snapshots = snapshots
+        self.shards: list[SWSTIndex] = []
+        self.needs_resync = False
+
+    @classmethod
+    def create(cls, config: SWSTConfig, directory: str | None,
+               manifest: dict[str, Any], **seams: Any) -> "InProcessBackend":
+        """Fresh (or re-adopted) shard files under ``manifest``."""
+        backend = cls(config, directory, manifest["generation"], **seams)
         try:
-            for shard_id in range(self.n_shards):
-                self._shards.append(
-                    SWSTIndex(self.config, self.shard_path(shard_id)))
-            if self._dir is not None and self._snapshots \
-                    and all(shard.pager.format_version == 2
-                            for shard in self._shards):
-                self._ensure_snapshot()
+            for shard_id in range(config.n_shards):
+                backend.shards.append(
+                    SWSTIndex(config, backend.shard_path(shard_id)))
+            backend._ensure_snapshot(manifest["epoch"])
         except BaseException:
-            self._abandon()
+            backend.close()
+            raise
+        return backend
+
+    @classmethod
+    def recover(cls, directory: str, config: SWSTConfig, **seams: Any
+                ) -> tuple["InProcessBackend", dict[str, Any]]:
+        """Re-open a saved shard directory, recovering it as one unit.
+
+        Returns the backend and the manifest it recovered to.  A
+        leftover PREPARE marker (crashed save) is resolved *before* any
+        shard opens: the marker's expected generations are compared
+        against each shard's committed header generation — probed
+        passively, without opening (opening itself commits a header) —
+        and the directory rolls back, rolls forward, restores the
+        committed shards from the epoch's CoW snapshot (mixed commits
+        with a complete ``snapshots/<epoch>/``), or raises a typed
+        :class:`EpochTornError`.  Then each shard runs the storage
+        layer's full recovery-on-open; the first shard that fails raises
+        :class:`ShardOpenError` naming it.  Under a format-2 manifest
+        the shards must agree on one clock and sit at or above their
+        recorded generations — disagreement means the directory mixes
+        snapshots and is refused with a typed error rather than
+        heuristically resynchronised.  Format-1 directories keep the
+        legacy behaviour (newest-shard clock resync).
+        """
+        backend = cls(config, directory, **seams)
+        try:
+            manifest = load_checked_manifest(directory, config.n_shards)
+            backend.generation = manifest["generation"]
+            # Marker recovery runs for *both* formats: a crashed save
+            # from a legacy directory leaves a marker next to a still-
+            # format-1 manifest (the flip is what upgrades it).
+            manifest = backend._recover_epoch(manifest)
+            if manifest["format"] >= 2:
+                backend._open_shards_v2(manifest)
+                backend._ensure_snapshot(manifest["epoch"])
+            else:
+                backend._open_shards_legacy()
+        except BaseException:
+            backend.close()
+            raise
+        return backend, manifest
+
+    def shard_path(self, shard_id: int) -> str:
+        return shard_file_path(self.directory, self.generation, shard_id)
+
+    @property
+    def epoch_commit(self) -> bool:
+        return self.directory is not None \
+            and all(shard.pager.format_version == 2
+                    for shard in self.shards)
+
+    # -- the protocol ----------------------------------------------------------
+
+    def apply(self, ops: dict[int, list[Op]],
+              runs: dict[int, list[ReportLike]],
+              advance_to: int | None) -> dict[int, list[Any]]:
+        shards = self.shards
+        targets = set(ops) | set(runs)
+        if advance_to is not None:
+            targets.update(sid for sid, shard in enumerate(shards)
+                           if shard.now < advance_to)
+
+        def task(sid: int) -> list[Any]:
+            shard = shards[sid]
+            results = [apply_op(shard, op, args)
+                       for op, args in ops.get(sid, ())]
+            if advance_to is not None:
+                shard.advance_time(advance_to)
+            run = runs.get(sid)
+            if run:
+                shard._ingest_run_reports(run)
+            return results
+
+        # Ingestion mutates, so it never retries and ignores the breaker
+        # state: a half-applied batch must surface, not be papered over.
+        order = sorted(targets)
+        try:
+            return dict(zip(order, self.executor.map(task, order),
+                            strict=True))
+        except BaseException:
+            self.needs_resync = True
             raise
 
-    def _init_common(self, executor: Executor | None,
-                     retry_policy: RetryPolicy | None,
-                     breaker_factory: Callable[[], CircuitBreaker] | None,
-                     task_timeout: float | None,
-                     file_ops: FileOps | None) -> None:
-        self.grid = SpatialGrid(self.config.space, self.config.x_partitions,
-                                self.config.y_partitions)
-        self.shard_map = GridShardMap(self.config.x_partitions,
-                                      self.config.y_partitions,
-                                      self.config.n_shards)
-        if executor is None:
-            self._executor: Executor = ThreadedExecutor(
-                max_workers=self.config.n_shards)
-            self._owns_executor = True
-        else:
-            self._executor = executor
-            self._owns_executor = False
-        self._retry_policy = retry_policy if retry_policy is not None \
-            else RetryPolicy()
-        self._breakers: list[CircuitBreaker | None] = [
-            breaker_factory() if breaker_factory is not None else None
-            for _ in range(self.config.n_shards)]
-        self._task_timeout = task_timeout
-        self._fops: FileOps = file_ops if file_ops is not None \
-            else DURABLE_FILE_OPS
-        self._home: dict[int, int] = {}
-        self._plans = PlanCache(self.config.plan_cache_size)
+    def query(self, shard_ids: list[int], method: str,
+              args: tuple[Any, ...]
+              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Every dispatched task runs under the retry policy; outcomes
+        are folded into the per-shard circuit breakers here on the
+        gathering side (executor callables never mutate shared state).
+        Shards whose breaker is open are failed up front (typed
+        :class:`CircuitOpenError`, no dispatch)."""
+        dispatch: list[int] = []
+        failures: list[ShardFailure] = []
+        for sid in shard_ids:
+            breaker = self.breakers[sid]
+            if breaker is not None and not breaker.allow():
+                failures.append(ShardFailure(
+                    sid, self.shard_path(sid), CircuitOpenError(sid)))
+            else:
+                dispatch.append(sid)
+        if not dispatch:
+            return [], failures
+        policy = self.retry_policy
+        shards = self.shards
+
+        def task(sid: int) -> tuple[str, Any]:
+            return _guarded_call(
+                policy, lambda: getattr(shards[sid], method)(*args))
+
+        try:
+            outcomes = self.executor.map(task, dispatch,
+                                         timeout=self.task_timeout)
+        except TaskTimeoutError as exc:
+            # The whole gather is abandoned: the timed-out task may
+            # still be running, and tasks after it were never collected.
+            # Timeouts are not retried (the worker may still hold the
+            # shard) and only the overrunning shard's breaker records a
+            # failure — its siblings were merely collateral.
+            timed_sid = dispatch[exc.item_index]
+            breaker = self.breakers[timed_sid]
+            if breaker is not None:
+                breaker.record_failure()
+            for sid in dispatch:
+                error: EngineError = exc if sid == timed_sid else \
+                    EngineError(f"fan-out abandoned after shard "
+                                f"{timed_sid} exceeded its deadline")
+                failures.append(ShardFailure(
+                    sid, self.shard_path(sid), error))
+            return [], failures
+        successes: list[tuple[int, Any]] = []
+        for sid, (tag, value) in zip(dispatch, outcomes, strict=True):
+            breaker = self.breakers[sid]
+            if tag == "ok":
+                if breaker is not None:
+                    breaker.record_success()
+                successes.append((sid, value))
+            else:
+                if breaker is not None:
+                    breaker.record_failure()
+                failures.append(ShardFailure(
+                    sid, self.shard_path(sid), value))
+        return successes, failures
+
+    def read(self, kind: str, payload: Any = None) -> list[Any]:
+        return [read_shard(shard, kind, payload) for shard in self.shards]
+
+    def resync(self) -> list[dict[str, Any]]:
+        self.needs_resync = False
+        return self.read("state")
+
+    def commit(self) -> list[int]:
+        for shard in self.shards:
+            shard.save()
+        return [shard.pager.generation for shard in self.shards]
+
+    def abort_commit(self) -> None:
+        """Nothing to do: the process is alive, so calling ``save()``
+        again simply completes the epoch (``open()`` recovers a crash)."""
+        return None
+
+    def after_flip(self, epoch: int) -> None:
+        """CoW-copy the just-committed shard files, prune older epochs.
+
+        The snapshot runs *after* the commit, while every page file is
+        provably clean — a pre-save copy could capture uncommitted
+        pages the buffer pool evicted over the committed state during
+        normal mutation, and restoring such a copy reproduces the
+        corruption instead of undoing it.  A crash in here at worst
+        loses the new epoch's snapshot, which ``open()`` rewrites.
+        """
+        if self.snapshots:
+            self.write_epoch_snapshot(epoch)
+            self._prune_snapshots(keep_epoch=epoch)
+
+    def close(self) -> list[BaseException]:
+        """Close every shard and (if owned) the executor.
+
+        Every resource is closed even if an earlier one fails.
+        """
+        closers = [shard.close for shard in self.shards]
+        if self.owns_executor:
+            closers.append(self.executor.close)
+        errors: list[BaseException] = []
+        for close in closers:
+            try:
+                close()
+            except BaseException as exc:
+                errors.append(exc)
+        return errors
+
+    # -- epoch snapshots -------------------------------------------------------
+
+    def _snapshot_root(self) -> str:
+        assert self.directory is not None
+        return os.path.join(self.directory, _SNAPSHOTS_DIR)
+
+    def _ensure_snapshot(self, epoch: int) -> None:
+        """Write ``snapshots/<epoch>/`` when absent or incomplete.
+
+        Runs at construction and after every successful ``open()`` —
+        the two other moments (besides a completed save) when every
+        shard file is provably clean-committed.  Covers directories
+        saved before snapshots existed, a crash between the manifest
+        flip and the snapshot step, and a freshly resharded or
+        rolled-forward directory.  Copies are atomic, so presence of
+        all ``n_shards`` files means the snapshot is whole.
+        """
+        if not (self.snapshots and self.epoch_commit):
+            return
+        assert self.directory is not None
+        snap = snapshot_dir(self.directory, epoch)
+        if all(os.path.exists(os.path.join(snap, _shard_file_name(sid)))
+               for sid in range(self.config.n_shards)):
+            return
+        self.write_epoch_snapshot(epoch)
+
+    def write_epoch_snapshot(self, epoch: int) -> None:
+        """CoW-copy every shard file into ``snapshots/<epoch>/``.
+
+        Only runs while every page file is clean-committed (right
+        after a save, at open, at construction), so the copies freeze
+        exactly the committed state of ``epoch``.  A later save torn
+        between in-place shard commits — or a mid-session crash that
+        left uncommitted evicted pages over a committed file — restores
+        every shard from here (:meth:`_restore_snapshot`) instead of
+        raising :class:`EpochTornError` or refusing to open.
+        """
+        assert self.directory is not None
+        fops = self.fops
+        snap_root = self._snapshot_root()
+        snap = snapshot_dir(self.directory, epoch)
+        fops.mkdir(snap_root)
+        fops.mkdir(snap)
+        for shard_id in range(self.config.n_shards):
+            fops.copy_file(self.shard_path(shard_id),
+                           os.path.join(snap, _shard_file_name(shard_id)))
+        fops.fsync_dir(snap)
+        fops.fsync_dir(snap_root)
+        fops.fsync_dir(self.directory)
+
+    def _prune_snapshots(self, keep_epoch: int) -> None:
+        """Drop snapshot directories of epochs older than ``keep_epoch``.
+
+        Runs after the flip committed, so a crash anywhere in here costs
+        only disk space — stale directories are re-pruned by the next
+        save.
+        """
+        snap_root = self._snapshot_root()
+        try:
+            names = sorted(os.listdir(snap_root))
+        except OSError:
+            return
+        fops = self.fops
+        pruned = False
+        for name in names:
+            if not name.isdigit() or int(name) >= keep_epoch:
+                continue
+            stale = os.path.join(snap_root, name)
+            for file_name in sorted(os.listdir(stale)):
+                fops.unlink(os.path.join(stale, file_name))
+            fops.rmdir(stale)
+            pruned = True
+        if pruned:
+            fops.fsync_dir(snap_root)
+
+    # -- recovery on open ------------------------------------------------------
+
+    def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
+        """Resolve a leftover PREPARE marker; returns the manifest to use.
+
+        Classification against the marker's expected generations:
+
+        * no shard reached its expected generation: nothing committed,
+          the old snapshot is intact — **roll back** (drop the marker).
+        * every shard reached it: the save fully committed, only the
+          flip was lost — **roll forward** (rewrite the manifest).
+        * anything in between: the in-place storage layer cannot undo a
+          committed shard, so the directory mixes epochs.  When the
+          save left a complete CoW snapshot of the old epoch, the
+          committed shards are **restored** from it and the whole
+          directory rolls back; otherwise raise
+          :class:`EpochTornError`.
+        """
+        assert self.directory is not None
+        prepare = load_pending_prepare(self.directory, manifest, self.fops)
+        if prepare is None:
+            return manifest
+        n_shards = self.config.n_shards
+        observed, committed, pending = probe_prepare_state(
+            prepare, [self.shard_path(sid) for sid in range(n_shards)])
+        if len(committed) == n_shards:
+            return roll_manifest_forward(self.directory, manifest, prepare,
+                                         observed, self.fops)
+        # Even with no shard committed, the crashed save's write window
+        # may have evicted uncommitted pages over the committed snapshot
+        # in place (the storage layer's sweep refuses such a file);
+        # restoring from the epoch snapshot — when one exists — makes
+        # the rollback exact regardless.
+        if not self._restore_snapshot(manifest["epoch"]) and committed:
+            raise EpochTornError(prepare["epoch"], committed, pending)
+        drop_prepare(self.directory, self.fops)
+        return manifest
+
+    def _restore_snapshot(self, epoch: int) -> bool:
+        """Roll every shard back to its ``snapshots/<epoch>/`` copy.
+
+        Returns False (directory untouched) unless the snapshot holds a
+        copy for *every* shard — a partial restore would just move the
+        tear.  All shards are restored, not only the ones that committed
+        the interrupted epoch: a shard that never committed may still
+        have had uncommitted pages evicted over its committed state in
+        place, which the storage layer's recovery sweep refuses to open.
+        Each restore is an atomic durable copy, so a crash mid-restore
+        re-enters recovery and converges.
+        """
+        assert self.directory is not None
+        snap = snapshot_dir(self.directory, epoch)
+        sources = {sid: os.path.join(snap, _shard_file_name(sid))
+                   for sid in range(self.config.n_shards)}
+        if not all(os.path.exists(source) for source in sources.values()):
+            return False
+        for sid, source in sources.items():
+            self.fops.copy_file(source, self.shard_path(sid))
+        self.fops.fsync_dir(generation_dir(self.directory, self.generation))
+        return True
+
+    def _open_shard_files(self) -> None:
+        """Open every shard file; on failure close what was opened."""
+        opened: list[SWSTIndex] = []
+        try:
+            for shard_id in range(self.config.n_shards):
+                shard_path = self.shard_path(shard_id)
+                try:
+                    opened.append(SWSTIndex.open(shard_path, self.config))
+                except Exception as exc:
+                    raise ShardOpenError(shard_id, shard_path,
+                                         exc) from exc
+        except BaseException:
+            for shard in opened:
+                with contextlib.suppress(StorageError, OSError):
+                    shard.close()
+            raise
+        self.shards.extend(opened)
+
+    def _open_shards_v2(self, manifest: dict[str, Any]) -> None:
+        """Open every shard and verify it sits at the manifest epoch.
+
+        A shard that refuses to open — typically a mid-session crash
+        after the buffer pool evicted uncommitted pages over the
+        committed state in place, which the storage layer's recovery
+        sweep rejects — is retried once after restoring *every* shard
+        from the committed epoch's CoW snapshot.  The snapshot was
+        written while the files were clean, so the retry reopens the
+        exact last-saved state; without a usable snapshot the original
+        :class:`ShardOpenError` propagates.
+        """
+        try:
+            self._open_shard_files()
+        except ShardOpenError:
+            if not self.snapshots \
+                    or not self._restore_snapshot(manifest["epoch"]):
+                raise
+            self._open_shard_files()
+        gens: list[int] = manifest["shards"]
+        for shard_id, shard in enumerate(self.shards):
+            if shard.pager.format_version == 2 \
+                    and shard.pager.generation < gens[shard_id]:
+                raise EngineError(
+                    f"shard {shard_id} is behind the manifest: committed "
+                    f"generation {shard.pager.generation} < recorded "
+                    f"{gens[shard_id]} (page file replaced or restored "
+                    f"from an older backup?)")
+        clocks = {shard.now for shard in self.shards}
+        if len(clocks) > 1:
+            raise EngineError(
+                f"shard clocks disagree under manifest epoch "
+                f"{manifest['epoch']}: {sorted(clocks)}; the directory "
+                f"mixes snapshots (restore from backup)")
+
+    def _open_shards_legacy(self) -> None:
+        """Format-1 open: per-shard recovery plus heuristic clock resync.
+
+        A crash between the old per-shard saves can leave a lagging
+        shard, whose pending window drops then fire here.  The first
+        ``save()`` upgrades the directory to the epoch protocol.
+        """
+        self._open_shard_files()
+        clock = max(shard.now for shard in self.shards)
+        for shard in self.shards:
+            shard.advance_time(clock)
+
+
+# -- the coordinator ---------------------------------------------------------
+
+
+class Coordinator:
+    """Scatter-gather front end over ``config.n_shards`` SWST shards.
+
+    Everything backend-independent lives here; the two public engines
+    (:class:`ShardedEngine`, :class:`~repro.engine.worker.WorkerEngine`)
+    only decide how the backend is built.  The surface is the full
+    ``SWSTIndex`` one — queries (``query_timeslice``,
+    ``query_interval[_many]``, ``count_interval``, ``query_knn``,
+    ``density_grid``, ``object_history``) and ingestion (``insert``,
+    ``report``, ``extend``, ``close_object``, ``delete``,
+    ``forget_object``, ``set_retention``, ``advance_time``).  Not
+    thread-safe for concurrent callers; internal parallelism only ever
+    touches disjoint shards.
+
+    The coordinator never looks inside a shard.  To route the
+    current-entry protocol it keeps a *mirror* of the live current
+    entries, written through as mutations are planned and rebuilt from
+    the shards' own tables whenever the backend reports that a dispatch
+    may not have landed (``needs_resync``).
+
+    Args:
+        config: index parameters; ``config.n_shards`` fixes the shard
+            count.
+        backend: the (already built or recovered) shards.
+        directory: shard directory, ``None`` for an in-memory engine.
+        manifest: what the backend was built from or recovered to
+            (epoch and generation are adopted from it).
+        file_ops: durable filesystem seam for the manifest protocol.
+        snapshots: whether this directory keeps CoW epoch snapshots (a
+            reshard of it follows the same policy).
+    """
+
+    def __init__(self, config: SWSTConfig, backend: ShardBackend,
+                 directory: str | None, manifest: dict[str, Any],
+                 file_ops: FileOps, snapshots: bool = True) -> None:
+        self.config = config
+        self.grid = SpatialGrid(config.space, config.x_partitions,
+                                config.y_partitions)
+        self.shard_map = GridShardMap(config.x_partitions,
+                                      config.y_partitions, config.n_shards)
+        self.snapshots = snapshots
+        self._backend = backend
+        self._dir = directory
+        self._fops = file_ops
+        self._epoch: int = manifest["epoch"]
+        self._generation: int = manifest["generation"]
+        self._plans = PlanCache(config.plan_cache_size)
+        #: oid -> (home shard, x, y, s) mirror of live current entries.
+        self._cur: dict[int, tuple[int, int, int, int]] = {}
         self._clock = 0
-        self._epoch = 0
-        self._generation = 0
-        self._snapshots = True
-        self._mutated = False
         self._closed = False
+        try:
+            self._resync()
+        except BaseException:
+            # Best effort: a shard whose close fails must not mask the
+            # original init/open error.
+            self._closed = True
+            backend.close()
+            raise
+
+    @classmethod
+    def _adopt(cls: type[_E], *args: Any, **kwargs: Any) -> _E:
+        """Alternate-constructor plumbing: a ``cls`` instance around an
+        existing backend, bypassing ``cls.__init__`` (which builds one)."""
+        engine = cls.__new__(cls)
+        Coordinator.__init__(engine, *args, **kwargs)
+        return engine
+
+    def reopen(self, n_shards: int) -> "Coordinator":
+        """Open this engine's directory again at ``n_shards`` shards.
+
+        Same engine kind, retry policy and seams — what an online
+        reshard swaps in once the generation flip has landed.  The
+        caller still owns (and closes) ``self``.
+        """
+        raise NotImplementedError
 
     # -- directory layout -----------------------------------------------------
 
@@ -420,6 +1002,11 @@ class ShardedEngine:
         return self._dir
 
     @property
+    def file_ops(self) -> FileOps:
+        """The durable filesystem seam this engine writes through."""
+        return self._fops
+
+    @property
     def epoch(self) -> int:
         """Manifest epoch of the last whole-directory save (0 = never)."""
         return self._epoch
@@ -431,69 +1018,7 @@ class ShardedEngine:
 
     def shard_path(self, shard_id: int) -> str:
         """Page-file path of one shard (``":memory:"`` when memory-backed)."""
-        if self._dir is None:
-            return MEMORY
-        return os.path.join(generation_dir(self._dir, self._generation),
-                            _shard_file_name(shard_id))
-
-    def _manifest_path(self) -> str:
-        assert self._dir is not None
-        return os.path.join(self._dir, _MANIFEST_NAME)
-
-    def _prepare_path(self) -> str:
-        assert self._dir is not None
-        return os.path.join(self._dir, _PREPARE_NAME)
-
-    def _prepare_directory(self) -> None:
-        assert self._dir is not None
-        if os.path.exists(self._dir) and not os.path.isdir(self._dir):
-            raise EngineError(f"engine path {self._dir!r} exists and is "
-                              f"not a directory")
-        os.makedirs(self._dir, exist_ok=True)
-        if os.path.exists(self._prepare_path()):
-            raise EngineError(
-                f"directory {self._dir!r} holds an interrupted save "
-                f"(marker {_PREPARE_NAME}); recover it with "
-                f"ShardedEngine.open() first")
-        manifest_path = self._manifest_path()
-        if os.path.exists(manifest_path):
-            manifest = load_manifest(manifest_path)
-            if manifest["n_shards"] != self.n_shards:
-                raise EngineError(
-                    f"directory {self._dir!r} holds {manifest['n_shards']} "
-                    f"shards but config.n_shards is {self.n_shards}")
-            self._epoch = manifest["epoch"]
-            self._generation = manifest["generation"]
-            return
-        self._write_json_atomic(
-            manifest_path,
-            {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-             "epoch": 0, "shards": [0] * self.n_shards, "generation": 0})
-
-    def _write_json_atomic(self, path: str, blob: dict[str, Any]) -> None:
-        """Durable atomic JSON write: temp + fsync, rename, dir fsync."""
-        assert self._dir is not None
-        write_json_atomic(self._fops, self._dir, path, blob)
-
-    def _abandon(self) -> None:
-        """Close whatever was built so far after a failed init/open.
-
-        Idempotent: the shard-opening helpers abandon on their own
-        failures and the outer ``open()``/``__init__`` guard abandons
-        again on the way out.
-        """
-        if getattr(self, "_abandoned", False):
-            return
-        self._abandoned = True
-        self._closed = True
-        for shard in getattr(self, "_shards", []):
-            # Best-effort: a shard whose close fails (its device already
-            # torn down) must not mask the original init/open error.
-            with contextlib.suppress(StorageError, OSError, ValueError):
-                shard.close()
-        if self._owns_executor:
-            with contextlib.suppress(OSError, RuntimeError):
-                self._executor.close()
+        return shard_file_path(self._dir, self._generation, shard_id)
 
     # -- properties ------------------------------------------------------------
 
@@ -504,17 +1029,20 @@ class ShardedEngine:
 
     def __len__(self) -> int:
         """Physically stored entries across every shard."""
-        return sum(len(shard) for shard in self._shards)
-
-    @property
-    def shards(self) -> tuple[SWSTIndex, ...]:
-        """The shard indexes, in shard-id order (diagnostics/tests)."""
-        return tuple(self._shards)
+        self._check_open()
+        total: int = sum(self._backend.read("len"))
+        return total
 
     @property
     def breakers(self) -> tuple[CircuitBreaker | None, ...]:
         """Per-shard circuit breakers, in shard-id order (diagnostics)."""
-        return tuple(self._breakers)
+        return tuple(self._backend.breakers)
+
+    def shard_stats(self) -> list[IOStats]:
+        """Per-shard IO counter snapshots, in shard-id order."""
+        self._check_open()
+        stats: list[IOStats] = self._backend.read("stats")
+        return stats
 
     @property
     def stats(self) -> IOStats:
@@ -525,29 +1053,27 @@ class ShardedEngine:
         the engine drops into harness code written for a single index.
         """
         total = IOStats()
-        for shard in self._shards:
-            snap = shard.stats.snapshot()
+        for snap in self.shard_stats():
             for name in vars(snap):
-                setattr(total, name, getattr(total, name) + getattr(snap,
-                                                                    name))
+                setattr(total, name,
+                        getattr(total, name) + getattr(snap, name))
         return total
-
-    def shard_stats(self) -> list[IOStats]:
-        """Per-shard IO counter snapshots, in shard-id order."""
-        return [shard.stats.snapshot() for shard in self._shards]
 
     def node_count(self) -> int:
         """Total B+ tree pages across every shard."""
-        return sum(shard.node_count() for shard in self._shards)
+        self._check_open()
+        total: int = sum(self._backend.read("query", ("node_count", ())))
+        return total
 
     def current_objects(self) -> dict[int, tuple[int, int, int]]:
         """Merged current-entry table: oid -> (x, y, s)."""
+        self._check_open()
         merged: dict[int, tuple[int, int, int]] = {}
-        for shard in self._shards:
-            merged.update(shard.current_objects())
+        for state in self._backend.read("state"):
+            merged.update(state["current"])
         return merged
 
-    # -- routing helpers -------------------------------------------------------
+    # -- routing and the current-entry mirror ----------------------------------
 
     def _shard_id_of(self, x: int, y: int) -> int:
         cx, cy = self.grid.cell_of(x, y)
@@ -562,124 +1088,92 @@ class ShardedEngine:
                 break
         return sorted(ids)
 
-    def _live_home(self, oid: int) -> int | None:
-        """Shard currently holding ``oid``'s current entry, if any.
+    def _live_cur(self, oid: int,
+                  at: int) -> tuple[int, int, int, int] | None:
+        """The mirror's current entry for ``oid`` if still live at ``at``.
 
-        The home map is maintained eagerly on routing but window drops
-        remove current entries shard-side; stale homes are reaped here.
+        Applies the same liveness rule the shards' window drop does (an
+        entry whose start window has been dropped by the time the clock
+        reaches ``at`` is gone), so the mirror never routes a
+        finalisation at a record the shard already discarded.
         """
-        home = self._home.get(oid)
-        if home is None:
+        cur = self._cur.get(oid)
+        if cur is not None and cur[3] // self.config.w_max \
+                < at // self.config.w_max - 1:
             return None
-        if oid not in self._shards[home]._current:
-            del self._home[oid]
-            return None
-        return home
+        return cur
 
-    # -- resilient fan-out -----------------------------------------------------
+    def _plan_current(self, ops: dict[int, list[Op]], oid: int, x: int,
+                      y: int, s: int, dest: int) -> None:
+        """Plan one current insert: the cross-shard current-entry protocol.
 
-    def _dispatchable(self, shard_ids: list[int]
-                      ) -> tuple[list[int], list[ShardFailure]]:
-        """Split ``shard_ids`` by circuit breaker state.
-
-        Shards whose breaker is open are failed up front (typed
-        :class:`CircuitOpenError`, no dispatch); the rest are returned
-        for fan-out.
+        Mirrors the single-index protocol exactly.  The destination
+        shard's own ``insert`` finalises a previous current entry *it*
+        holds; when the previous entry lives on another shard, that
+        shard gets the finalisation first — a close at the new report's
+        time, or, for a re-report at the same timestamp (a position
+        correction), a delete of the entry being replaced.
         """
-        dispatch: list[int] = []
-        failures: list[ShardFailure] = []
-        for sid in shard_ids:
-            breaker = self._breakers[sid]
-            if breaker is not None and not breaker.allow():
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), CircuitOpenError(sid)))
-            else:
-                dispatch.append(sid)
-        return dispatch, failures
+        cur = self._live_cur(oid, s)
+        if cur is not None and cur[0] != dest:
+            home, px, py, ps = cur
+            ops.setdefault(home, []).append(
+                (OP_DELETE, (oid, px, py, ps, NONE_ARG)) if ps == s
+                else (OP_CLOSE, (oid, s)))
+        ops.setdefault(dest, []).append(
+            (OP_INSERT, (oid, x, y, s, NONE_ARG)))
+        self._cur[oid] = (dest, x, y, s)
 
-    def _fan_out_query(self, shard_ids: list[int], method: str,
-                       args: tuple[Any, ...]
-                       ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
-        """Scatter one read-only method over ``shard_ids`` resiliently.
+    def _dispatch(self, ops: dict[int, list[Op]],
+                  runs: dict[int, list[ReportLike]] | None = None,
+                  advance_to: int | None = None) -> dict[int, list[Any]]:
+        """Hand one planned mutation to the backend, then move the clock.
 
-        Every dispatched task runs under the engine's retry policy;
-        outcomes are folded into the per-shard circuit breakers here on
-        the gathering side (executor callables never mutate shared
-        state).  Returns ``(successes, failures)`` where ``successes``
-        is ``(shard_id, result)`` pairs in ``shard_ids`` order and
-        ``failures`` is one typed :class:`ShardFailure` per shard that
-        was skipped (open breaker), exhausted its retries, or was
-        abandoned by a fan-out deadline.
+        The engine clock follows the dispatch whenever any shard may
+        have seen it (success, or a failure the backend flagged for
+        resync); a dispatch refused before anything was sent leaves the
+        clock alone, so the caller can simply retry.
         """
-        dispatch, failures = self._dispatchable(shard_ids)
-        if not dispatch:
-            return [], failures
-        policy = self._retry_policy
-        if getattr(self._executor, "remote", False):
-            if self._dir is None:
-                raise EngineError(
-                    "a remote (process) executor needs a disk-backed "
-                    "engine; this one is in-memory")
-            if self._mutated:
-                raise EngineError(
-                    "a remote (process) executor reopens shards from "
-                    "disk; call save() after mutating the engine")
-            config = dataclasses.replace(self.config, device_factory=None)
-            tasks = [(self.shard_path(sid), config, method, args, policy,
-                      self._epoch)
-                     for sid in dispatch]
-
-            def run() -> list[tuple[str, Any]]:
-                return self._executor.map(_remote_query_task, tasks,
-                                          timeout=self._task_timeout)
-        else:
-            shards = self._shards
-
-            def local_task(sid: int) -> tuple[str, Any]:
-                return _guarded_call(
-                    policy, lambda: getattr(shards[sid], method)(*args))
-
-            def run() -> list[tuple[str, Any]]:
-                return self._executor.map(local_task, dispatch,
-                                          timeout=self._task_timeout)
+        sent = False
         try:
-            outcomes = run()
-        except TaskTimeoutError as exc:
-            # The whole gather is abandoned: the timed-out task may
-            # still be running, and tasks after it were never collected.
-            # Timeouts are not retried (the worker may still hold the
-            # shard) and only the overrunning shard's breaker records a
-            # failure — its siblings were merely collateral.
-            timed_sid = dispatch[exc.item_index]
-            breaker = self._breakers[timed_sid]
-            if breaker is not None:
-                breaker.record_failure()
-            for sid in dispatch:
-                error: EngineError = exc if sid == timed_sid else \
-                    EngineError(f"fan-out abandoned after shard "
-                                f"{timed_sid} exceeded its deadline")
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), error))
-            return [], failures
-        successes: list[tuple[int, Any]] = []
-        for sid, (tag, value) in zip(dispatch, outcomes):
-            breaker = self._breakers[sid]
-            if tag == "ok":
-                if breaker is not None:
-                    breaker.record_success()
-                successes.append((sid, value))
-            else:
-                if breaker is not None:
-                    breaker.record_failure()
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), value))
-        return successes, failures
+            results = self._backend.apply(ops, runs or {}, advance_to)
+            sent = True
+            return results
+        finally:
+            if advance_to is not None and advance_to > self._clock \
+                    and (sent or self._backend.needs_resync):
+                # Queriable period changed: no engine-level plan
+                # survives a slide (entries are clock-fenced besides,
+                # see PlanCache).
+                self._plans.invalidate()
+                self._clock = advance_to
 
-    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
-        """Strict mode: surface the first shard failure as a typed error."""
-        failure = failures[0]
-        raise ShardQueryError(failure.shard_id, failure.path,
-                              failure.error) from failure.error
+    def _resync(self) -> None:
+        """Re-derive the mirror and clock from the shards themselves.
+
+        Runs at construction/open and after any mutation dispatch that
+        may not have landed everywhere.  Straggler clocks are realigned
+        through a regular (for workers: logged) advance.
+        """
+        states = self._backend.resync()
+        clock = max(self._clock, *(state["now"] for state in states))
+        if clock != self._clock:
+            self._plans.invalidate()
+            self._clock = clock
+        self._cur.clear()
+        for shard_id, state in enumerate(states):
+            for oid, (x, y, s) in state["current"].items():
+                other = self._cur.get(oid)
+                if other is None or other[3] < s:
+                    self._cur[oid] = (shard_id, x, y, s)
+        if any(state["now"] < clock for state in states):
+            self._backend.apply({}, {}, clock)
+
+    def _settled(self) -> None:
+        """Resync first if the last dispatch may not have landed."""
+        self._check_open()
+        if self._backend.needs_resync:
+            self._resync()
 
     # -- insertion and updates -------------------------------------------------
 
@@ -691,7 +1185,7 @@ class ShardedEngine:
         live current entry per object — with routing and the cross-shard
         current protocol handled by the engine.
         """
-        self._check_open()
+        self._settled()
         if not self.config.space.contains(x, y):
             raise ValueError(f"location ({x}, {y}) outside the spatial "
                              f"domain {self.config.space}")
@@ -700,41 +1194,17 @@ class ShardedEngine:
                              f"time {self._clock}")
         if d is not None and d < 1:
             raise ValueError(f"duration must be >= 1, got {d}")
-        self.advance_time(s)
+        dest = self._shard_id_of(x, y)
+        ops: dict[int, list[Op]] = {}
         if d is not None:
-            self._shards[self._shard_id_of(x, y)].insert(oid, x, y, s, d)
-            return
-        self._route_report(oid, x, y, s)
+            ops[dest] = [(OP_INSERT, (oid, x, y, s, d))]
+        else:
+            self._plan_current(ops, oid, x, y, s, dest)
+        self._dispatch(ops, advance_to=s)
 
     def report(self, oid: int, x: int, y: int, t: int) -> None:
         """Position report of a moving object (alias of a current insert)."""
         self.insert(oid, x, y, t, None)
-
-    def _route_report(self, oid: int, x: int, y: int, s: int) -> None:
-        """Current-entry protocol across shards, clock already advanced.
-
-        Mirrors the single-index protocol exactly: a re-report at the
-        same timestamp replaces the current entry (position correction);
-        otherwise the previous current entry — wherever it lives — is
-        finalised with its real duration before the new one is inserted
-        into the destination shard.
-        """
-        self._mutated = True
-        home = self._live_home(oid)
-        dest_id = self._shard_id_of(x, y)
-        dest = self._shards[dest_id]
-        if home is not None:
-            home_shard = self._shards[home]
-            px, py, ps = home_shard._current[oid]
-            if ps == s:
-                home_shard._physical_delete(Entry(oid, px, py, ps, None))
-                del home_shard._current[oid]
-            else:
-                del home_shard._current[oid]
-                home_shard._finalize_current(oid, (px, py, ps), end=s)
-        dest._physical_insert(Entry(oid, x, y, s, None))
-        dest._current[oid] = (x, y, s)
-        self._home[oid] = dest_id
 
     def extend(self, reports: Iterable[ReportLike],
                batch_size: int = 1024) -> int:
@@ -744,15 +1214,14 @@ class ShardedEngine:
         validated, split into ``Wmax``-epoch runs (window drops only
         fire at epoch boundaries), and every run is partitioned by
         destination shard.  Objects whose reports stay within one shard
-        are ingested per shard — in parallel on the engine's executor —
-        through the same cell-grouped batch path as
-        :meth:`SWSTIndex.extend`; objects whose current entry hops
-        between shards take the serial cross-shard protocol first
-        (reports of distinct objects commute within a run).
+        ride one cell-grouped batch per shard (the same path as
+        :meth:`SWSTIndex.extend`); objects whose current entry hops
+        between shards take the cross-shard protocol.  One backend
+        dispatch per run: every shard applies its share in parallel.
 
         Returns the number of reports ingested.
         """
-        self._check_open()
+        self._settled()
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         count = 0
@@ -786,91 +1255,101 @@ class ShardedEngine:
         return len(batch)
 
     def _ingest_run(self, run: list[ReportLike]) -> None:
-        """One epoch run: serial cross-shard reports, then parallel rest."""
-        self.advance_time(run[-1].t)
-        self._mutated = True
-        # An object is shard-local when its live home (if any) and every
-        # destination cell of its reports in this run agree on one shard.
+        """One epoch run as per-shard work: cross-shard ops, local runs.
+
+        An object is shard-local when its live home (if any) and every
+        destination cell of its reports in this run agree on one shard;
+        local reports ride the shard's batched run.  The rest take the
+        decomposed cross-shard protocol in stream order — the backend
+        applies those ops *before* the advance, so each op's internal
+        clock bump is monotone (reports of distinct objects commute
+        within a run).
+        """
+        t_max = run[-1].t
+        dests = [self._shard_id_of(report.x, report.y) for report in run]
         touched: dict[int, set[int]] = {}
-        for report in run:
-            touched.setdefault(report.oid, set()).add(
-                self._shard_id_of(report.x, report.y))
+        for report, dest in zip(run, dests, strict=True):
+            touched.setdefault(report.oid, set()).add(dest)
         cross_shard: set[int] = set()
-        for oid, dests in touched.items():
-            home = self._live_home(oid)
-            if home is not None:
-                dests = dests | {home}
-            if len(dests) > 1:
+        for oid, shard_ids in touched.items():
+            cur = self._live_cur(oid, t_max)
+            if len(shard_ids) > 1 \
+                    or (cur is not None and cur[0] not in shard_ids):
                 cross_shard.add(oid)
-        per_shard: dict[int, list[ReportLike]] = {}
-        for report in run:
+        ops: dict[int, list[Op]] = {}
+        runs: dict[int, list[ReportLike]] = {}
+        for report, dest in zip(run, dests, strict=True):
             if report.oid in cross_shard:
-                self._route_report(report.oid, report.x, report.y, report.t)
+                self._plan_current(ops, report.oid, report.x, report.y,
+                                   report.t, dest)
             else:
-                sid = self._shard_id_of(report.x, report.y)
-                per_shard.setdefault(sid, []).append(report)
-                self._home[report.oid] = sid
-        if not per_shard:
-            return
-        # Every shard clock already sits at the run maximum, so the
-        # per-shard dispatch skips the advance and goes straight to the
-        # cell-grouped ingest body.  Ingestion mutates, so it never
-        # retries and ignores the breaker state: a half-applied batch
-        # must surface, not be papered over.
-        items = sorted(per_shard.items())
-        if len(items) == 1 or getattr(self._executor, "remote", False):
-            for sid, sub_run in items:
-                self._shards[sid]._ingest_run_reports(sub_run)
-            return
-        self._executor.map(
-            lambda item: self._shards[item[0]]._ingest_run_reports(item[1]),
-            items)
+                runs.setdefault(dest, []).append(report)
+                self._cur[report.oid] = (dest, report.x, report.y,
+                                         report.t)
+        self._dispatch(ops, runs, advance_to=t_max)
 
     def close_object(self, oid: int, t: int) -> bool:
         """Finalise an object's current entry at end time ``t``."""
-        self._check_open()
-        self.advance_time(t)
-        home = self._live_home(oid)
-        if home is None:
+        self._settled()
+        if t < self._clock:
+            raise ValueError(f"clock cannot move backwards "
+                             f"({t} < {self._clock})")
+        cur = self._live_cur(oid, t)
+        if cur is None:
+            self._dispatch({}, advance_to=t)
             return False
-        # Let the shard validate first: a rejected close must not drop
-        # the engine's home-map entry for a still-live current record.
-        closed = self._shards[home].close_object(oid, t)
-        self._mutated = True
-        self._home.pop(oid, None)
+        if t <= cur[3]:
+            # Fail validation before anything is planned, exactly as
+            # the shard itself would refuse — the mirror entry stays.
+            raise ValueError(f"object {oid} cannot be finalised at {t} "
+                             f"<= its current start {cur[3]}")
+        home = cur[0]
+        del self._cur[oid]
+        results = self._dispatch({home: [(OP_CLOSE, (oid, t))]},
+                                 advance_to=t)
+        closed: bool = results[home][0]
         return closed
 
     def delete(self, oid: int, x: int, y: int, s: int,
                d: int | None = None) -> bool:
         """Delete one specific entry from the shard owning its cell."""
-        self._check_open()
+        self._settled()
         sid = self._shard_id_of(x, y)
-        if not self._shards[sid].delete(oid, x, y, s, d):
-            return False
-        self._mutated = True
-        if d is None and self._home.get(oid) == sid \
-                and oid not in self._shards[sid]._current:
-            del self._home[oid]
-        return True
+        results = self._dispatch(
+            {sid: [(OP_DELETE,
+                    (oid, x, y, s, NONE_ARG if d is None else d))]})
+        deleted: bool = results[sid][0]
+        if deleted and d is None and self._cur.get(oid) == (sid, x, y, s):
+            del self._cur[oid]
+        return deleted
 
     def set_retention(self, oid: int, retention: int | None) -> None:
         """Per-object retention override, applied to every shard."""
-        self._check_open()
-        self._mutated = True
-        for shard in self._shards:
-            shard.set_retention(oid, retention)
+        self._settled()
+        if retention is not None \
+                and not 1 <= retention <= self.config.window:
+            raise ValueError(
+                f"retention must be in [1, W={self.config.window}], "
+                f"got {retention}")
+        arg = NONE_ARG if retention is None else retention
+        self._dispatch({sid: [(OP_RETAIN, (oid, arg))]
+                        for sid in range(self.n_shards)})
 
     def retention_of(self, oid: int) -> int:
         """The object's retention time (defaults to the window size)."""
         self._check_open()
-        return self._shards[0].retention_of(oid)
+        retention: int = self._backend.read(
+            "query", ("retention_of", (oid,)))[0]
+        return retention
 
     def forget_object(self, oid: int) -> int:
         """Delete every queriable entry of one object across all shards."""
-        self._check_open()
-        self._mutated = True
-        deleted = sum(shard.forget_object(oid) for shard in self._shards)
-        self._home.pop(oid, None)
+        self._settled()
+        results = self._dispatch({sid: [(OP_FORGET, (oid,))]
+                                  for sid in range(self.n_shards)})
+        self._cur.pop(oid, None)
+        deleted: int = sum(shard_results[0]
+                           for shard_results in results.values())
         return deleted
 
     # -- coordinated sliding window --------------------------------------------
@@ -883,21 +1362,12 @@ class ShardedEngine:
         consistently across the pool — a query fanning out immediately
         afterwards sees the same window boundary on every shard.
         """
-        self._check_open()
+        self._settled()
         if now < self._clock:
             raise ValueError(f"clock cannot move backwards "
                              f"({now} < {self._clock})")
-        if now == self._clock and all(shard.now == now
-                                      for shard in self._shards):
-            return
-        self._mutated = True
-        if now != self._clock:
-            # Queriable period changed: no engine-level plan survives a
-            # slide (entries are clock-fenced besides, see PlanCache).
-            self._plans.invalidate()
-        for shard in self._shards:
-            shard.advance_time(now)
-        self._clock = now
+        if now > self._clock:
+            self._dispatch({}, advance_to=now)
 
     # -- queries ---------------------------------------------------------------
 
@@ -911,10 +1381,9 @@ class ShardedEngine:
         it, and fans out only the per-cell search.  The same immutable
         plan object is shipped to every shard task, including *retried*
         tasks: a retry re-enters ``_query_area_planned`` with the
-        original plan instead of re-deriving it (and, on the process
-        path, instead of re-running the whole public query), so retries
-        cannot skew the classification work or double-derive state.
-        Returns ``None`` when no s-partition column qualifies.
+        original plan instead of re-deriving it, so retries cannot skew
+        the classification work or double-derive state.  Returns
+        ``None`` when no s-partition column qualifies.
         """
         entry = self._plans.lookup(t_lo, t_hi, window, self._clock)
         if entry is not None:
@@ -928,6 +1397,56 @@ class ShardedEngine:
                                 t_hi, window)
         self._plans.store(plan, t_lo, t_hi, window)
         return plan
+
+    def _fan_out(self, shard_ids: list[int], method: str,
+                 args: tuple[Any, ...], strict: bool
+                 ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """One resilient backend query; strict mode raises here."""
+        successes, failures = self._backend.query(shard_ids, method, args)
+        if failures and strict:
+            self._raise_shard_failure(failures)
+        return successes, failures
+
+    def _planned(self, shard_ids: list[int], t_lo: int, t_hi: int,
+                 window: int | None, stats: QueryStats, method: str,
+                 subject: Any, strict: bool
+                 ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Plan once, fan ``method(subject, plan)`` out; nothing to do
+        (``[], []``) when no shard or no s-partition column qualifies.
+
+        One plan for the whole fan-out — local threads, worker
+        processes and retried tasks all evaluate the same frozen object
+        (it is picklable).
+        """
+        if not shard_ids:
+            return [], []
+        plan = self._plan_for(t_lo, t_hi, window, stats)
+        if plan is None:
+            return [], []
+        return self._fan_out(shard_ids, method, (subject, plan), strict)
+
+    @staticmethod
+    def _degrade(result: QueryResult, failures: list[ShardFailure]) -> None:
+        """Record the shards a ``strict=False`` result is missing."""
+        if failures:
+            assert isinstance(result, PartialResult)
+            result.failures.extend(failures)
+            result.stats.degraded = True
+
+    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
+        """Strict mode: surface the first shard failure as a typed error."""
+        failure = failures[0]
+        raise ShardQueryError(failure.shard_id, failure.path,
+                              failure.error) from failure.error
+
+    def _check_interval(self, t_lo: int, t_hi: int | None,
+                        window: int | None) -> None:
+        """Validate a query's temporal arguments against a settled clock
+        (the plan derived next must be for the clock the shards hold)."""
+        self._settled()
+        if t_hi is not None and t_hi < t_lo:
+            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
+        self.config.queriable_period(self._clock, window)  # validate window
 
     def query_timeslice(self, area: Rect, t: int,
                         window: int | None = None, *,
@@ -945,31 +1464,14 @@ class ShardedEngine:
         :class:`PartialResult` covering the surviving shards, with the
         failures listed and ``stats.degraded`` set.
         """
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)  # validate window
+        self._check_interval(t_lo, t_hi, window)
         merged = QueryResult() if strict else PartialResult()
-        shard_ids = self._shards_for_area(area)
-        if not shard_ids:
-            return merged
-        # One plan for the whole fan-out — local threads, process
-        # workers and retried tasks all evaluate the same frozen object
-        # (it is picklable, so the process path no longer re-derives
-        # classification on every attempt).
-        plan = self._plan_for(t_lo, t_hi, window, merged.stats)
-        if plan is None:
-            return merged
-        successes, failures = self._fan_out_query(
-            shard_ids, "_query_area_planned", (area, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
+        successes, failures = self._planned(
+            self._shards_for_area(area), t_lo, t_hi, window, merged.stats,
+            "_query_area_planned", area, strict)
         for _, result in successes:
             merged.merge(result)
-        if failures:
-            assert isinstance(merged, PartialResult)
-            merged.failures.extend(failures)
-            merged.stats.degraded = True
+        self._degrade(merged, failures)
         return merged
 
     def query_interval_many(self, areas: Iterable[Rect], t_lo: int,
@@ -987,11 +1489,14 @@ class ShardedEngine:
         :class:`PartialResult` objects; a failed shard is attributed to
         exactly the rectangles whose area it overlaps (other rectangles
         stay complete).
+
+        Node accesses of shared descents belong to the batch, not to a
+        rectangle: they are reported once, on the batch ``stats``.  A
+        batch of exactly one rectangle has nothing to share, so that
+        rectangle's result carries the figure too (the paper's metric
+        then reaches a coalescing front end's single-query clients).
         """
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)  # validate window
+        self._check_interval(t_lo, t_hi, window)
         areas = list(areas)
         results: list[QueryResult] = [
             QueryResult() if strict else PartialResult() for _ in areas]
@@ -999,32 +1504,21 @@ class ShardedEngine:
         if not areas:
             return batch
         rect_shards = [self._shards_for_area(area) for area in areas]
-        shard_ids = sorted({sid for sids in rect_shards for sid in sids})
-        if not shard_ids:
-            return batch
-        plan = self._plan_for(t_lo, t_hi, window, batch.stats)
-        if plan is None:
-            return batch
-        successes, failures = self._fan_out_query(
-            shard_ids, "_query_area_planned_many", (areas, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
+        successes, failures = self._planned(
+            sorted({sid for sids in rect_shards for sid in sids}), t_lo,
+            t_hi, window, batch.stats, "_query_area_planned_many", areas,
+            strict)
         for _, shard_batch in successes:
             for result, shard_result in zip(results, shard_batch.results,
                                             strict=True):
                 result.merge(shard_result)
             batch.stats.merge(shard_batch.stats)
-        if failures:
-            for idx, sids in enumerate(rect_shards):
-                overlapping = [failure for failure in failures
-                               if failure.shard_id in sids]
-                if not overlapping:
-                    continue
-                result = results[idx]
-                assert isinstance(result, PartialResult)
-                result.failures.extend(overlapping)
-                result.stats.degraded = True
-            batch.stats.degraded = True
+        if len(results) == 1:
+            results[0].stats.node_accesses = batch.stats.node_accesses
+        for result, sids in zip(results, rect_shards, strict=True):
+            self._degrade(result, [failure for failure in failures
+                                   if failure.shard_id in sids])
+        batch.stats.degraded = bool(failures)
         return batch
 
     def count_interval(self, area: Rect, t_lo: int, t_hi: int,
@@ -1036,27 +1530,16 @@ class ShardedEngine:
         count (``stats.degraded`` is set); callers needing the per-shard
         failure details should use :meth:`query_interval`.
         """
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)  # validate window
+        self._check_interval(t_lo, t_hi, window)
         total = 0
         stats = QueryStats()
-        shard_ids = self._shards_for_area(area)
-        if not shard_ids:
-            return total, stats
-        plan = self._plan_for(t_lo, t_hi, window, stats)
-        if plan is None:
-            return total, stats
-        successes, failures = self._fan_out_query(
-            shard_ids, "_count_area_planned", (area, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
+        successes, failures = self._planned(
+            self._shards_for_area(area), t_lo, t_hi, window, stats,
+            "_count_area_planned", area, strict)
         for _, (count, shard_stats) in successes:
             total += count
             stats.merge(shard_stats)
-        if failures:
-            stats.degraded = True
+        stats.degraded = bool(failures)
         return total, stats
 
     def query_knn(self, x: int, y: int, k: int, t_lo: int,
@@ -1065,21 +1548,16 @@ class ShardedEngine:
                   strict: bool = True) -> QueryResult:
         """K nearest entries: every shard returns its local top-k, the
         engine keeps the global k best (ties by object id and start)."""
-        self._check_open()
+        self._check_interval(t_lo, t_hi, window)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if not self.config.space.contains(x, y):
             raise ValueError(f"query point ({x}, {y}) outside the domain")
-        if t_hi is not None and t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)  # validate window
         merged = QueryResult() if strict else PartialResult()
         candidates: list[tuple[tuple[int, int, int], Entry]] = []
-        shard_ids = list(range(self.n_shards))
-        successes, failures = self._fan_out_query(
-            shard_ids, "query_knn", (x, y, k, t_lo, t_hi, window))
-        if failures and strict:
-            self._raise_shard_failure(failures)
+        successes, failures = self._fan_out(
+            list(range(self.n_shards)), "query_knn",
+            (x, y, k, t_lo, t_hi, window), strict)
         for _, result in successes:
             merged.stats.merge(result.stats)
             for entry in result.entries:
@@ -1087,17 +1565,13 @@ class ShardedEngine:
                 candidates.append(((dist2, entry.oid, entry.s), entry))
         candidates.sort(key=lambda item: item[0])
         merged.entries.extend(entry for _, entry in candidates[:k])
-        if failures:
-            assert isinstance(merged, PartialResult)
-            merged.failures.extend(failures)
-            merged.stats.degraded = True
+        self._degrade(merged, failures)
         return merged
 
     def density_grid(self, area: Rect, t: int,
                      window: int | None = None) -> dict[tuple[int, int],
                                                         int]:
         """Distinct objects per grid cell valid at time ``t``."""
-        self._check_open()
         result = self.query_timeslice(area, t, window)
         density: dict[tuple[int, int], set[int]] = {}
         for entry in result:
@@ -1112,7 +1586,7 @@ class ShardedEngine:
                        t_hi: int | None = None,
                        window: int | None = None) -> list[Entry]:
         """The object's trajectory within the (logical) window."""
-        self._check_open()
+        self._settled()
         q_lo, q_hi = self.config.queriable_period(self._clock, window)
         t_lo = q_lo if t_lo is None else t_lo
         t_hi = q_hi if t_hi is None else t_hi
@@ -1125,30 +1599,32 @@ class ShardedEngine:
     def scan(self) -> Iterator[Entry]:
         """Yield every physically stored entry (diagnostics/tests only)."""
         self._check_open()
-        for shard in self._shards:
-            yield from shard.scan()
+        for entries in self._backend.read("scan"):
+            yield from entries
 
     def check_integrity(self) -> None:
         """Per-shard invariants plus the engine's own placement invariants."""
-        self._check_open()
-        for shard_id, shard in enumerate(self._shards):
-            shard.check_integrity()
-            if shard.now != self._clock:
+        self._settled()
+        self._backend.read("query", ("check_integrity", ()))
+        states = self._backend.read("state")
+        for shard_id, (state, entries) in enumerate(
+                zip(states, self._backend.read("scan"), strict=True)):
+            if state["now"] != self._clock:
                 raise AssertionError(
-                    f"shard {shard_id} clock {shard.now} != engine clock "
-                    f"{self._clock}")
-            for (cx, cy), trees in shard._trees.items():
-                if any(tree is not None for tree in trees) \
-                        and self.shard_map.shard_of_cell(cx, cy) != shard_id:
+                    f"shard {shard_id} clock {state['now']} != engine "
+                    f"clock {self._clock}")
+            for entry in entries:
+                owner = self._shard_id_of(entry.x, entry.y)
+                if owner != shard_id:
                     raise AssertionError(
-                        f"cell ({cx}, {cy}) stored in shard {shard_id}, "
-                        f"owned by shard "
-                        f"{self.shard_map.shard_of_cell(cx, cy)}")
-            for oid in shard._current:
-                if self._home.get(oid) != shard_id:
+                        f"entry {entry} stored in shard {shard_id}, its "
+                        f"cell is owned by shard {owner}")
+            for oid in state["current"]:
+                home = self._cur.get(oid, (None,))[0]
+                if home != shard_id:
                     raise AssertionError(
                         f"object {oid} current in shard {shard_id} but "
-                        f"home map says {self._home.get(oid)}")
+                        f"the engine's mirror says {home}")
 
     # -- persistence -----------------------------------------------------------
 
@@ -1159,385 +1635,52 @@ class ShardedEngine:
 
         1. **PREPARE** — atomically write ``engine.prepare.json``
            recording the next epoch and the exact header generation each
-           shard's pager will reach when its commit lands (derived from
-           the storage layer's deterministic commit arithmetic: one
-           commit for the sync, plus one if this session's dirty mark is
-           still pending).
-        2. **COMMIT** — save every shard (catalog write + page flush +
-           header sync), in shard order.
+           shard's pager will reach when its commit lands (the storage
+           layer's commit arithmetic is deterministic: one commit for
+           the sync, plus one if this session's dirty mark is pending).
+        2. **COMMIT** — save every shard, in shard order.
         3. **FLIP** — atomically rewrite the manifest with the new epoch
            and the observed generations, then unlink the marker.
-        4. **SNAPSHOT** (``snapshots=True`` engines) — CoW-copy the
-           just-committed shard files into ``snapshots/<new epoch>/``
-           and prune older epochs' snapshots.
+        4. The backend's post-commit hook: CoW epoch snapshot
+           (in-process) or per-worker checkpoint (workers).
 
-        The snapshot runs *after* the commit, while every page file is
-        provably clean — a pre-save copy could capture uncommitted
-        pages the buffer pool evicted over the committed state during
-        normal mutation, and restoring such a copy reproduces the
-        corruption instead of undoing it.  A crash anywhere in the
-        protocol leaves a directory that ``open()`` classifies
-        deterministically from the marker: roll back (no shard
-        committed), roll forward (all did), or — for the middle window
-        of mixed in-place commits — restore every shard from the
-        previous epoch's snapshot and roll back.  Without a snapshot
-        that middle is unrecoverable and raises a typed
-        :class:`EpochTornError`.  A crash after the flip at worst loses
-        the new epoch's snapshot, which ``open()`` rewrites.
-
+        A crash in steps 1-3 leaves a directory that ``open()``
+        classifies deterministically from the marker (the backend's
+        recovery).  A *failure* with the process still alive hands the
+        directory back to the backend (``abort_commit``) and re-raises.
         Memory-backed engines and legacy v1 shard files skip the
-        protocol and save each shard directly (no generations to
-        record).
+        protocol and save each shard directly.
         """
-        self._check_open()
-        if self._dir is None \
-                or any(shard.pager.format_version != 2
-                       for shard in self._shards):
-            for shard in self._shards:
-                shard.save()
-            self._mutated = False
+        self._settled()
+        backend = self._backend
+        if not backend.epoch_commit:
+            backend.commit()
             return
+        assert self._dir is not None
         next_epoch = self._epoch + 1
-        expected = [shard.pager.generation
-                    + (1 if shard.pager.session_marked else 2)
-                    for shard in self._shards]
-        self._write_json_atomic(
-            self._prepare_path(),
-            {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
-             "n_shards": self.n_shards, "expected": expected})
-        for shard in self._shards:
-            shard.save()
-        gens = [shard.pager.generation for shard in self._shards]
-        self._write_json_atomic(
-            self._manifest_path(),
-            {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-             "epoch": next_epoch, "shards": gens,
-             "generation": self._generation})
-        self._fops.unlink(self._prepare_path())
-        assert self._dir is not None
-        self._fops.fsync_dir(self._dir)
+        try:
+            expected = [generation + (1 if marked else 2)
+                        for generation, marked in backend.read("gen_info")]
+            write_json_atomic(
+                self._fops, self._dir,
+                os.path.join(self._dir, _PREPARE_NAME),
+                {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
+                 "n_shards": self.n_shards, "expected": expected})
+            gens = backend.commit()
+            write_json_atomic(
+                self._fops, self._dir,
+                os.path.join(self._dir, _MANIFEST_NAME),
+                {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
+                 "epoch": next_epoch, "shards": gens,
+                 "generation": self._generation})
+            drop_prepare(self._dir, self._fops)
+        except BaseException:
+            manifest = backend.abort_commit()
+            if manifest is not None:
+                self._epoch = manifest["epoch"]
+            raise
         self._epoch = next_epoch
-        self._mutated = False
-        if self._snapshots:
-            self._write_epoch_snapshot()
-            self._prune_snapshots(keep_epoch=next_epoch)
-
-    def _snapshot_root(self) -> str:
-        assert self._dir is not None
-        return os.path.join(self._dir, _SNAPSHOTS_DIR)
-
-    def _ensure_snapshot(self) -> None:
-        """Write ``snapshots/<epoch>/`` when absent or incomplete.
-
-        Runs at construction and after every successful ``open()`` —
-        the two other moments (besides a completed save) when every
-        shard file is provably clean-committed.  Covers directories
-        saved before snapshots existed, a crash between the manifest
-        flip and the snapshot step, and a freshly resharded or
-        rolled-forward directory.  Copies are atomic, so presence of
-        all ``n_shards`` files means the snapshot is whole.
-        """
-        assert self._dir is not None
-        snap = snapshot_dir(self._dir, self._epoch)
-        if all(os.path.exists(os.path.join(snap, _shard_file_name(sid)))
-               for sid in range(self.n_shards)):
-            return
-        self._write_epoch_snapshot()
-
-    def _write_epoch_snapshot(self) -> None:
-        """CoW-copy every shard file into ``snapshots/<epoch>/``.
-
-        Only runs while every page file is clean-committed (right
-        after a save, at open, at construction), so the copies freeze
-        exactly the committed state of ``self._epoch``.  A later save
-        torn between in-place shard commits — or a mid-session crash
-        that left uncommitted evicted pages over a committed file —
-        restores every shard from here (:meth:`_restore_snapshot`)
-        instead of raising :class:`EpochTornError` or refusing to
-        open.
-        """
-        assert self._dir is not None
-        fops = self._fops
-        snap_root = self._snapshot_root()
-        snap = snapshot_dir(self._dir, self._epoch)
-        fops.mkdir(snap_root)
-        fops.mkdir(snap)
-        for shard_id in range(self.n_shards):
-            fops.copy_file(self.shard_path(shard_id),
-                           os.path.join(snap, _shard_file_name(shard_id)))
-        fops.fsync_dir(snap)
-        fops.fsync_dir(snap_root)
-        fops.fsync_dir(self._dir)
-
-    def _prune_snapshots(self, keep_epoch: int) -> None:
-        """Drop snapshot directories of epochs older than ``keep_epoch``.
-
-        Runs after the flip committed, so a crash anywhere in here costs
-        only disk space — stale directories are re-pruned by the next
-        save.
-        """
-        snap_root = self._snapshot_root()
-        try:
-            names = sorted(os.listdir(snap_root))
-        except OSError:
-            return
-        fops = self._fops
-        pruned = False
-        for name in names:
-            if not name.isdigit() or int(name) >= keep_epoch:
-                continue
-            stale = os.path.join(snap_root, name)
-            for file_name in sorted(os.listdir(stale)):
-                fops.unlink(os.path.join(stale, file_name))
-            fops.rmdir(stale)
-            pruned = True
-        if pruned:
-            fops.fsync_dir(snap_root)
-
-    @classmethod
-    def open(cls, path: str, config: SWSTConfig,
-             executor: Executor | None = None, *,
-             retry_policy: RetryPolicy | None = None,
-             breaker_factory: Callable[[], CircuitBreaker] | None
-             = CircuitBreaker,
-             task_timeout: float | None = None,
-             file_ops: FileOps | None = None,
-             snapshots: bool = True) -> "ShardedEngine":
-        """Re-open a saved shard directory, recovering it as one unit.
-
-        A leftover PREPARE marker (crashed save) is resolved *before*
-        any shard opens: the marker's expected generations are compared
-        against each shard's committed header generation — probed
-        passively, without opening (opening itself commits a header) —
-        and the directory rolls back, rolls forward, restores the
-        committed shards from the epoch's CoW snapshot (mixed commits
-        with a complete ``snapshots/<epoch>/``), or raises a typed
-        :class:`EpochTornError`.  Then each shard runs the storage
-        layer's full recovery-on-open; the first shard that fails raises
-        :class:`ShardOpenError` naming it.  Under a format-2 manifest
-        the shards must agree on one clock and sit at or above their
-        recorded generations — disagreement means the directory mixes
-        snapshots and is refused with a typed error rather than
-        heuristically resynchronised.  Format-1 directories keep the
-        legacy behaviour (newest-shard clock resync).
-        """
-        engine = cls.__new__(cls)
-        engine.config = config
-        engine._init_common(executor, retry_policy, breaker_factory,
-                            task_timeout, file_ops)
-        engine._snapshots = snapshots
-        engine._dir = os.fspath(path)
-        engine._shards = []
-        try:
-            manifest = load_manifest(
-                os.path.join(engine._dir, _MANIFEST_NAME))
-            if manifest["n_shards"] != config.n_shards:
-                raise EngineError(
-                    f"directory {engine._dir!r} holds "
-                    f"{manifest['n_shards']} shards but config.n_shards "
-                    f"is {config.n_shards}")
-            engine._generation = manifest["generation"]
-            # Marker recovery runs for *both* formats: a crashed save
-            # from a legacy directory leaves a marker next to a still-
-            # format-1 manifest (the flip is what upgrades it).
-            manifest = engine._recover_epoch(manifest)
-            if manifest["format"] >= 2:
-                engine._open_shards_v2(manifest)
-                if snapshots and all(shard.pager.format_version == 2
-                                     for shard in engine._shards):
-                    engine._ensure_snapshot()
-            else:
-                engine._open_shards_legacy()
-        except BaseException:
-            engine._abandon()
-            raise
-        return engine
-
-    def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
-        """Resolve a leftover PREPARE marker; returns the manifest to use.
-
-        Classification against the marker's expected generations:
-
-        * marker epoch == manifest epoch: the flip landed, only the
-          marker cleanup was lost — finish it.
-        * no shard reached its expected generation: nothing committed,
-          the old snapshot is intact — **roll back** (drop the marker).
-        * every shard reached it: the save fully committed, only the
-          flip was lost — **roll forward** (rewrite the manifest).
-        * anything in between: the in-place storage layer cannot undo a
-          committed shard, so the directory mixes epochs.  When the
-          save left a complete CoW snapshot of the old epoch, the
-          committed shards are **restored** from it and the whole
-          directory rolls back; otherwise raise
-          :class:`EpochTornError`.
-        """
-        prepare = _load_prepare(self._prepare_path())
-        if prepare is None:
-            return manifest
-        if prepare["n_shards"] != self.n_shards:
-            raise EngineError(
-                f"save marker in {self._dir!r} records "
-                f"{prepare['n_shards']} shards but the manifest holds "
-                f"{self.n_shards}")
-        epoch: int = manifest["epoch"]
-        if prepare["epoch"] == epoch:
-            self._fops.unlink(self._prepare_path())
-            assert self._dir is not None
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        if prepare["epoch"] != epoch + 1:
-            raise EngineError(
-                f"save marker epoch {prepare['epoch']} is inconsistent "
-                f"with manifest epoch {epoch} in {self._dir!r} "
-                f"(external tampering?)")
-        observed, committed, pending = probe_prepare_state(
-            prepare, [self.shard_path(sid) for sid in range(self.n_shards)])
-        assert self._dir is not None
-        if len(committed) == self.n_shards:
-            gens = [gen if gen is not None else 0 for gen in observed]
-            rolled = {"format": _MANIFEST_FORMAT,
-                      "n_shards": self.n_shards,
-                      "epoch": prepare["epoch"], "shards": gens,
-                      "generation": self._generation}
-            self._write_json_atomic(self._manifest_path(), rolled)
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return rolled
-        if not committed:
-            # Even with no shard committed, the crashed save's write
-            # window may have evicted uncommitted pages over the
-            # committed snapshot in place (the storage layer's sweep
-            # refuses such a file); restoring from the epoch snapshot —
-            # when one exists — makes the rollback exact regardless.
-            self._restore_snapshot(epoch)
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        if self._restore_snapshot(epoch):
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            return manifest
-        raise EpochTornError(prepare["epoch"], committed, pending)
-
-    def _restore_snapshot(self, epoch: int) -> bool:
-        """Roll every shard back to its ``snapshots/<epoch>/`` copy.
-
-        Returns False (directory untouched) unless the snapshot holds a
-        copy for *every* shard — a partial restore would just move the
-        tear.  All shards are restored, not only the ones that committed
-        the interrupted epoch: a shard that never committed may still
-        have had uncommitted pages evicted over its committed state in
-        place, which the storage layer's recovery sweep refuses to open.
-        Each restore is an atomic durable copy, so a crash mid-restore
-        re-enters recovery and converges.
-        """
-        assert self._dir is not None
-        snap = snapshot_dir(self._dir, epoch)
-        sources = {sid: os.path.join(snap, _shard_file_name(sid))
-                   for sid in range(self.n_shards)}
-        if not all(os.path.exists(source) for source in sources.values()):
-            return False
-        fops = self._fops
-        for sid, source in sources.items():
-            fops.copy_file(source, self.shard_path(sid))
-        fops.fsync_dir(generation_dir(self._dir, self._generation))
-        return True
-
-    def _open_shard_files(self) -> None:
-        """Open every shard file; on failure close what was opened."""
-        opened: list[SWSTIndex] = []
-        try:
-            for shard_id in range(self.n_shards):
-                shard_path = self.shard_path(shard_id)
-                try:
-                    opened.append(SWSTIndex.open(shard_path, self.config))
-                except Exception as exc:
-                    raise ShardOpenError(shard_id, shard_path,
-                                         exc) from exc
-        except BaseException:
-            for shard in opened:
-                with contextlib.suppress(StorageError, OSError):
-                    shard.close()
-            raise
-        self._shards.extend(opened)
-
-    def _open_shards_v2(self, manifest: dict[str, Any]) -> None:
-        """Open every shard and verify it sits at the manifest epoch.
-
-        A shard that refuses to open — typically a mid-session crash
-        after the buffer pool evicted uncommitted pages over the
-        committed state in place, which the storage layer's recovery
-        sweep rejects — is retried once after restoring *every* shard
-        from the committed epoch's CoW snapshot.  The snapshot was
-        written while the files were clean, so the retry reopens the
-        exact last-saved state; without a usable snapshot the original
-        :class:`ShardOpenError` propagates.
-        """
-        try:
-            try:
-                self._open_shard_files()
-            except ShardOpenError:
-                if not self._snapshots \
-                        or not self._restore_snapshot(manifest["epoch"]):
-                    raise
-                self._open_shard_files()
-        except BaseException:
-            self._abandon()
-            raise
-        gens: list[int] = manifest["shards"]
-        for shard_id, shard in enumerate(self._shards):
-            if shard.pager.format_version == 2 \
-                    and shard.pager.generation < gens[shard_id]:
-                raise EngineError(
-                    f"shard {shard_id} is behind the manifest: committed "
-                    f"generation {shard.pager.generation} < recorded "
-                    f"{gens[shard_id]} (page file replaced or restored "
-                    f"from an older backup?)")
-        clocks = {shard.now for shard in self._shards}
-        if len(clocks) > 1:
-            raise EngineError(
-                f"shard clocks disagree under manifest epoch "
-                f"{manifest['epoch']}: {sorted(clocks)}; the directory "
-                f"mixes snapshots (restore from backup)")
-        self._clock = self._shards[0].now
-        self._epoch = manifest["epoch"]
-        self._mutated = False
-        self._rebuild_home()
-
-    def _open_shards_legacy(self) -> None:
-        """Format-1 open: per-shard recovery plus heuristic clock resync.
-
-        A crash between the old per-shard saves can leave a lagging
-        shard, whose pending window drops then fire here.  The first
-        ``save()`` upgrades the directory to the epoch protocol.
-        """
-        try:
-            for shard_id in range(self.n_shards):
-                shard_path = self.shard_path(shard_id)
-                try:
-                    self._shards.append(
-                        SWSTIndex.open(shard_path, self.config))
-                except Exception as exc:
-                    raise ShardOpenError(shard_id, shard_path, exc) from exc
-        except BaseException:
-            self._abandon()
-            raise
-        self._clock = max(shard.now for shard in self._shards)
-        lagging = any(shard.now != self._clock for shard in self._shards)
-        for shard in self._shards:
-            shard.advance_time(self._clock)
-        self._mutated = lagging
-        self._epoch = 0
-        self._rebuild_home()
-
-    def _rebuild_home(self) -> None:
-        """Rebuild the oid -> home-shard map from shard current tables."""
-        for shard_id, shard in enumerate(self._shards):
-            for oid, (_, _, s) in shard.current_objects().items():
-                other = self._home.get(oid)
-                if other is None or \
-                        self._shards[other]._current[oid][2] < s:
-                    self._home[oid] = shard_id
+        backend.after_flip(next_epoch)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1546,7 +1689,7 @@ class ShardedEngine:
             raise EngineClosedError("engine is closed")
 
     def close(self) -> None:
-        """Close every shard and (if owned) the executor.
+        """Release every shard (and whatever else the backend owns).
 
         Every resource is closed even if an earlier one fails.  A single
         failure re-raises as itself; several raise an
@@ -1556,24 +1699,109 @@ class ShardedEngine:
         if self._closed:
             return
         self._closed = True
-        errors: list[BaseException] = []
-        for shard in self._shards:
-            try:
-                shard.close()
-            except BaseException as exc:
-                errors.append(exc)
-        if self._owns_executor:
-            try:
-                self._executor.close()
-            except BaseException as exc:
-                errors.append(exc)
+        errors = self._backend.close()
         if len(errors) == 1:
             raise errors[0]
         if errors:
             raise EngineCloseError(errors) from errors[0]
 
-    def __enter__(self) -> "ShardedEngine":
+    def __enter__(self: _E) -> _E:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+class ShardedEngine(Coordinator):
+    """The coordinator over in-process shards (:class:`InProcessBackend`).
+
+    Args:
+        config: index parameters; ``config.n_shards`` fixes the shard
+            count (the default config is a single shard).
+        path: shard directory, or ``":memory:"`` (default) for an
+            all-in-memory engine (each shard on its own memory device).
+        executor: worker pool for scatter-gather.  A caller-supplied
+            :class:`~repro.engine.executor.Executor` is *borrowed*
+            (``close()`` leaves it running); a spec string (``serial``
+            | ``thread[:N]``) or the default — a
+            :class:`~repro.engine.executor.ThreadedExecutor` sized to
+            the shard count — is owned and shut down with the engine.
+        retry_policy: per-shard retry policy for read-only query
+            fan-out; defaults to ``RetryPolicy()`` (3 deterministic
+            immediate attempts).  Pass ``RetryPolicy(attempts=1)`` to
+            disable retries.
+        breaker_factory: builds one circuit breaker per shard;
+            defaults to :class:`~repro.engine.retry.CircuitBreaker`
+            with its deterministic attempt-counting clock.  Pass
+            ``None`` to disable breakers entirely.
+        task_timeout: per-task deadline (seconds) for query fan-out, or
+            ``None`` (default) for no deadline.  Timeouts are typed
+            (:class:`~repro.engine.errors.TaskTimeoutError`) and never
+            retried — an abandoned worker may still hold its shard.
+        file_ops: durable filesystem seam for the manifest protocol;
+            tests substitute a fault-injecting implementation.
+        snapshots: when True (default), every ``save()`` ends by
+            CoW-copying the shard files into ``snapshots/<epoch>/`` so
+            a later save torn between in-place shard commits rolls back
+            on ``open()`` instead of raising :class:`EpochTornError`.
+            ``False`` restores the pre-snapshot protocol (and its torn
+            window).
+    """
+
+    _backend: InProcessBackend
+
+    def __init__(self, config: SWSTConfig | None = None,
+                 path: str | os.PathLike[str] = MEMORY,
+                 executor: Executor | str | None = None, *,
+                 retry_policy: RetryPolicy | None = None,
+                 breaker_factory: Callable[[], CircuitBreaker] | None
+                 = CircuitBreaker,
+                 task_timeout: float | None = None,
+                 file_ops: FileOps | None = None,
+                 snapshots: bool = True) -> None:
+        config = config if config is not None else SWSTConfig()
+        fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
+        directory = None if os.fspath(path) == MEMORY else os.fspath(path)
+        manifest = _fresh_manifest(config.n_shards) if directory is None \
+            else prepare_directory(directory, config.n_shards, fops,
+                                   "ShardedEngine")
+        backend = InProcessBackend.create(
+            config, directory, manifest, executor=executor,
+            retry_policy=retry_policy, breaker_factory=breaker_factory,
+            task_timeout=task_timeout, file_ops=fops, snapshots=snapshots)
+        super().__init__(config, backend, directory, manifest, fops,
+                         snapshots)
+
+    @classmethod
+    def open(cls, path: str | os.PathLike[str], config: SWSTConfig,
+             executor: Executor | str | None = None, *,
+             retry_policy: RetryPolicy | None = None,
+             breaker_factory: Callable[[], CircuitBreaker] | None
+             = CircuitBreaker,
+             task_timeout: float | None = None,
+             file_ops: FileOps | None = None,
+             snapshots: bool = True) -> "ShardedEngine":
+        """Re-open a saved shard directory, recovering it as one unit
+        (see :meth:`InProcessBackend.recover` for the rules)."""
+        fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
+        backend, manifest = InProcessBackend.recover(
+            os.fspath(path), config, executor=executor,
+            retry_policy=retry_policy, breaker_factory=breaker_factory,
+            task_timeout=task_timeout, file_ops=fops, snapshots=snapshots)
+        return cls._adopt(config, backend, os.fspath(path), manifest, fops,
+                          snapshots)
+
+    def reopen(self, n_shards: int) -> "ShardedEngine":
+        assert self._dir is not None
+        backend = self._backend
+        return ShardedEngine.open(
+            self._dir, dataclasses.replace(self.config, n_shards=n_shards),
+            executor=backend.executor_arg,
+            retry_policy=backend.retry_policy,
+            task_timeout=backend.task_timeout, file_ops=self._fops,
+            snapshots=self.snapshots)
+
+    @property
+    def shards(self) -> tuple[SWSTIndex, ...]:
+        """The shard indexes, in shard-id order (diagnostics/tests)."""
+        return tuple(self._backend.shards)

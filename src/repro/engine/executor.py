@@ -10,24 +10,15 @@ deadline) plus ``close`` — so the execution strategy is pluggable:
   The shard hot path is buffer-pool IO plus C-level ``struct``/``zlib``
   work, and shards share no mutable state, so threads overlap shard IO
   and, on free-threaded builds, shard CPU as well.
-* :class:`ProcessExecutor` runs tasks on a process pool for true CPU
-  parallelism under the GIL.  Processes cannot see the parent's live
-  shard objects, so the engine only accepts it for *read-only* fan-out
-  against a saved shard directory: each task opens its shard from disk
-  inside the worker (see ``ShardedEngine``'s ``remote`` handling),
-  through the worker-local handle cache below so a repeated-query
-  workload pays the open once per (shard, save epoch) instead of once
-  per query.  A broken pool (worker killed mid-task) is discarded so
-  the next ``map`` starts a fresh one — paired with the engine's
-  :class:`~repro.engine.retry.RetryPolicy` this makes worker death a
-  transient, retryable fault.
 
-All three preserve input order in their results and propagate the first
-raised exception.
+Both preserve input order in their results and propagate the first
+raised exception.  Multi-process execution is not an executor: shards
+that should run in their own processes are served by the warm worker
+pool (:mod:`repro.engine.worker`), which keeps them writable.
 
 Per-task deadlines: ``map(fn, items, timeout=...)`` bounds how long the
-caller waits for each task.  Pool executors enforce it when *gathering*
-(``future.result(timeout)``) and convert an overrun into a typed
+caller waits for each task.  The thread pool enforces it when *gathering*
+(``future.result(timeout)``) and converts an overrun into a typed
 :class:`~repro.engine.errors.TaskTimeoutError` naming the input index.
 The task itself is not preempted — an abandoned worker may still hold
 its shard, which is why the engine treats timeouts as non-retryable.
@@ -38,101 +29,19 @@ working unchanged).
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import os
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Protocol,
                     Sequence, runtime_checkable)
 
-from ..storage.errors import StorageError
 from .errors import TaskTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from concurrent.futures import (Future, ProcessPoolExecutor,
-                                    ThreadPoolExecutor)
-
-
-# -- worker-local shard handle cache ------------------------------------------
-#
-# Remote (process-pool) query tasks cannot see the parent's live shards,
-# so historically every task reopened its shard from disk — catalog
-# parse, buffer pool from cold — which dwarfs the per-query cost on a
-# repeated-dashboard workload.  Queries are read-only and the engine
-# refuses remote fan-out over unsaved mutations, so a worker may keep
-# the handle open and reuse it for as long as the directory's save
-# *epoch* is unchanged: the engine stamps each task with its manifest
-# epoch, and an epoch bump (a new save rewrote the shard files in
-# place) closes the stale handle and reopens.  The cache is per worker
-# process; handles are closed at worker exit.
-
-_WORKER_SHARD_CAP = 32
-
-#: path -> (save epoch, open shard handle).  Worker-process-local.
-_worker_shards: dict[str, tuple[int, Any]] = {}
-_worker_cleanup_registered = False
-
-
-def _close_handle(handle: Any) -> None:
-    with contextlib.suppress(OSError, StorageError, ValueError):
-        handle.close()
-
-
-def _close_worker_shards() -> None:
-    while _worker_shards:
-        _, (_, handle) = _worker_shards.popitem()
-        _close_handle(handle)
-
-
-def open_worker_shard(path: str, epoch: int,
-                      opener: Callable[[], Any]) -> Any:
-    """Per-process memoised shard open for remote read-only tasks.
-
-    Returns the cached handle for ``path`` if it was opened at the same
-    save ``epoch``; otherwise closes any stale handle, opens a fresh one
-    via ``opener`` and caches it.  The cache is bounded: at
-    ``_WORKER_SHARD_CAP`` entries it is cleared wholesale (directories
-    come and go in tests; steady-state serving uses one directory).
-    """
-    global _worker_cleanup_registered
-    cached = _worker_shards.get(path)
-    if cached is not None:
-        if cached[0] == epoch:
-            return cached[1]
-        del _worker_shards[path]
-        _close_handle(cached[1])
-    handle = opener()
-    if len(_worker_shards) >= _WORKER_SHARD_CAP:
-        _close_worker_shards()
-    _worker_shards[path] = (epoch, handle)
-    if not _worker_cleanup_registered:
-        _worker_cleanup_registered = True
-        atexit.register(_close_worker_shards)
-    return handle
-
-
-def discard_worker_shard(path: str) -> None:
-    """Drop (and close) ``path``'s cached handle, if any.
-
-    Called by the remote task wrapper when an attempt fails: the retry
-    then starts from a fresh open instead of reusing a handle whose
-    device may be mid-failure.
-    """
-    cached = _worker_shards.pop(path, None)
-    if cached is not None:
-        _close_handle(cached[1])
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 
 @runtime_checkable
 class Executor(Protocol):
-    """Minimal worker-pool protocol used by the engine.
-
-    Attributes:
-        remote: True if tasks run outside the engine's process (the
-            engine then ships picklable task descriptors instead of
-            closures over live shards).
-    """
-
-    remote: bool
+    """Minimal worker-pool protocol used by the engine."""
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
             timeout: float | None = None) -> list[Any]:
@@ -187,8 +96,6 @@ class SerialExecutor:
     is accepted for protocol compatibility and ignored.
     """
 
-    remote = False
-
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
             timeout: float | None = None) -> list[Any]:
         return [fn(item) for item in items]
@@ -216,8 +123,6 @@ class ThreadedExecutor:
     maps run inline — unless a deadline is set, which forces the pool so
     the deadline is enforceable.
     """
-
-    remote = False
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = max_workers
@@ -252,99 +157,11 @@ class ThreadedExecutor:
             self._pool = None
 
 
-class ProcessExecutor:
-    """Process-pool executor for read-only scatter-gather.
-
-    Tasks and their results must be picklable; the engine pairs this
-    executor with module-level task functions that reopen shards from
-    disk, so it is only valid against a saved, unmodified engine.
-
-    If the pool breaks (a worker process dies, every pending task fails
-    with ``BrokenExecutor``), the broken pool is discarded so the *next*
-    ``map`` call transparently builds a fresh one.  The failed call
-    still raises — recovery is the caller's retry policy's job.
-
-    A per-task deadline overrun *abandons* futures instead of breaking
-    the pool: the timed-out task (and any task submitted after it that
-    cannot be cancelled) keeps running on a pool process with nobody
-    waiting for its result.  Each abandoned future occupies one worker
-    slot, so a run of timeouts can quietly starve the pool down to zero
-    usable workers while every later ``map`` still *looks* healthy.
-    The executor therefore counts abandonments (``abandoned_futures``)
-    and, once they could plausibly cover every worker slot, recycles
-    the pool — old processes are left to finish detached and the next
-    ``map`` starts fresh (``pool_recycles`` counts these).
-
-    Attributes:
-        abandoned_futures: tasks abandoned to deadline overruns in the
-            *current* pool (an upper bound: a straggler finishing after
-            its abandonment is not un-counted).
-        pool_recycles: pools discarded because abandonment reached the
-            worker count.
-    """
-
-    remote = True
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self._max_workers = max_workers
-        self._pool: ProcessPoolExecutor | None = None
-        self.abandoned_futures = 0
-        self.pool_recycles = 0
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-        return self._pool
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
-            timeout: float | None = None) -> list[Any]:
-        from concurrent.futures import BrokenExecutor
-
-        work: Sequence[Any] = list(items)
-        if not work:
-            return []
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in work]
-        try:
-            return _gather(futures, timeout)
-        except BrokenExecutor:
-            # The pool is dead; drop it so the next map self-heals.
-            pool.shutdown(wait=False)
-            self._pool = None
-            self.abandoned_futures = 0
-            raise
-        except TaskTimeoutError:
-            # Whatever cannot be cancelled is abandoned on a worker.
-            for future in futures:
-                if not future.cancel() and not future.done():
-                    self.abandoned_futures += 1
-            workers = self._max_workers or os.cpu_count() or 1
-            if self.abandoned_futures >= workers:
-                # Every worker slot may be wedged behind an abandoned
-                # task; recycle so the next map gets live processes.
-                pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
-                self.abandoned_futures = 0
-                self.pool_recycles += 1
-            raise
-
-    def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
-        return self._ensure_pool().submit(fn)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-def resolve_executor(spec: str) -> SerialExecutor | ThreadedExecutor | \
-        ProcessExecutor:
+def resolve_executor(spec: str) -> SerialExecutor | ThreadedExecutor:
     """Build an executor from a CLI-style spec.
 
-    Accepted forms: ``serial``, ``thread``, ``thread:N``, ``process``,
-    ``process:N`` (N = worker count).
+    Accepted forms: ``serial``, ``thread``, ``thread:N`` (N = worker
+    count).
     """
     kind, _, arg = spec.partition(":")
     workers = int(arg) if arg else None
@@ -356,7 +173,5 @@ def resolve_executor(spec: str) -> SerialExecutor | ThreadedExecutor | \
         return SerialExecutor()
     if kind == "thread":
         return ThreadedExecutor(max_workers=workers)
-    if kind == "process":
-        return ProcessExecutor(max_workers=workers)
     raise ValueError(f"unknown executor spec {spec!r} "
-                     f"(expected serial | thread[:N] | process[:N])")
+                     f"(expected serial | thread[:N])")

@@ -1,8 +1,7 @@
 """Generation-flip resharding of a saved engine directory.
 
-``reshard(directory, new_n_shards, config)`` rewrites a saved
-:class:`~repro.engine.engine.ShardedEngine` directory to a different
-shard count without ever modifying the live generation: the new shard
+``reshard(directory, new_n_shards, config)`` rewrites a saved engine
+directory to a different shard count without ever modifying the live generation: the new shard
 files are built side-by-side under ``gen-<G+1>/`` (see
 :func:`~repro.engine.engine.generation_dir`) and the directory switches
 over in a single atomic manifest write.  Until that write lands the
@@ -58,11 +57,10 @@ from ..core.index import SWSTIndex
 from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
-                     _SNAPSHOTS_DIR, ShardedEngine, _shard_file_name,
-                     generation_dir, load_manifest, write_json_atomic)
+                     _SNAPSHOTS_DIR, InProcessBackend, ShardedEngine,
+                     _shard_file_name, generation_dir, load_manifest,
+                     write_json_atomic)
 from .errors import ReshardError
-from .executor import Executor
-from .retry import CircuitBreaker
 from .sharding import GridShardMap
 from .wal import base_file_name, read_wal, wal_file_name
 
@@ -129,18 +127,19 @@ class GenerationBuild:
     scrub recognises.
     """
 
-    def __init__(self, directory: str, new_n_shards: int,
+    def __init__(self, directory: str | None, new_n_shards: int,
                  config: SWSTConfig, *,
-                 executor: Executor | None = None,
                  file_ops: FileOps | None = None,
                  snapshots: bool = True) -> None:
         if new_n_shards < 1:
             raise ValueError(f"new_n_shards must be >= 1, "
                              f"got {new_n_shards}")
+        if directory is None:
+            raise ReshardError("only disk-backed engines can reshard; "
+                               "this engine has no directory")
         self._dir = os.fspath(directory)
         self._fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self._executor = executor
         self._snapshots = snapshots
         manifest = load_manifest(os.path.join(self._dir, _MANIFEST_NAME))
         if manifest["format"] < _MANIFEST_FORMAT or manifest["epoch"] < 1:
@@ -166,6 +165,7 @@ class GenerationBuild:
         self._sources: list[SWSTIndex] = []
         self._source_paths: list[str] = []
         self._staged = False
+        self._backend: InProcessBackend | None = None
         self._engine: ShardedEngine | None = None
         self._entries = 0
         self._currents = 0
@@ -256,10 +256,19 @@ class GenerationBuild:
             raise ReshardError(
                 f"shard clocks disagree in {self._dir!r}: "
                 f"{sorted(clocks)}; the directory mixes snapshots")
-        self._engine = self._new_engine()
-        self._engine.advance_time(self._sources[0].now)
-        self._stream_entries()
-        self._carry_over_state()
+        # Bulk-load the new shards directly — historical entries start
+        # below the clock, which the public mutation API rightly
+        # refuses — and only then put the coordinator on top: its
+        # mirror and clock are derived from the loaded shards.
+        manifest = {"epoch": self._epoch,
+                    "generation": self._new_generation}
+        self._backend = InProcessBackend.create(
+            self._new_config, self._dir, manifest, executor="serial",
+            file_ops=fops, snapshots=False)
+        self._load_shards(self._backend.shards)
+        self._engine = ShardedEngine._adopt(
+            self._new_config, self._backend, self._dir, manifest, fops,
+            snapshots=False)
         for source in self._sources:
             source.close()
         self._sources.clear()
@@ -283,50 +292,30 @@ class GenerationBuild:
         if cleared:
             fops.fsync_dir(self._gen_dir)
 
-    def _new_engine(self) -> ShardedEngine:
-        """Fresh empty engine over the new generation's shard files."""
-        engine = ShardedEngine.__new__(ShardedEngine)
-        engine.config = self._new_config
-        engine._init_common(self._executor, None, CircuitBreaker, None,
-                            self._fops)
-        engine._snapshots = self._snapshots
-        engine._dir = self._dir
-        engine._generation = self._new_generation
-        engine._epoch = self._epoch
-        engine._shards = []
-        try:
-            for shard_id in range(self._new_config.n_shards):
-                engine._shards.append(
-                    SWSTIndex(self._new_config,
-                              engine.shard_path(shard_id)))
-        except BaseException:
-            engine._abandon()
-            raise
-        return engine
+    def _load_shards(self, shards: list[SWSTIndex]) -> None:
+        """Stream every physical entry through the new shard map; the
+        clock, current-entry table and retentions follow the data."""
+        shard_map = GridShardMap(self._new_config.x_partitions,
+                                 self._new_config.y_partitions,
+                                 self._new_config.n_shards)
+        grid = shards[0].grid
 
-    def _stream_entries(self) -> None:
-        """Route every physical entry through the new shard map."""
-        engine = self.engine
-        shards = engine._shards
-        for source in self._sources:
-            for entry in source.scan():
-                shards[engine._shard_id_of(entry.x,
-                                           entry.y)]._physical_insert(entry)
-                self._entries += 1
+        def owner(x: int, y: int) -> SWSTIndex:
+            return shards[shard_map.shard_of_cell(*grid.cell_of(x, y))]
 
-    def _carry_over_state(self) -> None:
-        """Current-entry table, home map and retentions follow the data."""
-        engine = self.engine
+        for shard in shards:
+            shard.advance_time(self._sources[0].now)
         retentions: dict[int, int] = {}
         currents: dict[int, tuple[int, int, int]] = {}
         for source in self._sources:
+            for entry in source.scan():
+                owner(entry.x, entry.y)._physical_insert(entry)
+                self._entries += 1
             retentions.update(source._retentions)
             currents.update(source.current_objects())
         for oid, (x, y, s) in currents.items():
-            shard_id = engine._shard_id_of(x, y)
-            engine._shards[shard_id]._current[oid] = (x, y, s)
-            engine._home[oid] = shard_id
-        for shard in engine._shards:
+            owner(x, y)._current[oid] = (x, y, s)
+        for shard in shards:
             shard._retentions.update(retentions)
         self._currents = len(currents)
 
@@ -342,10 +331,10 @@ class GenerationBuild:
         manifest survived, not against a count that may not match it.
         """
         engine = self.engine
+        backend = self._backend
+        assert backend is not None
         fops = self._fops
-        for shard in engine._shards:
-            shard.save()
-        gens = [shard.pager.generation for shard in engine._shards]
+        gens = backend.commit()
         fops.fsync_dir(self._gen_dir)
         write_json_atomic(
             fops, self._dir, os.path.join(self._dir, _MANIFEST_NAME),
@@ -353,14 +342,12 @@ class GenerationBuild:
              "n_shards": self._new_config.n_shards,
              "epoch": self._epoch + 1, "shards": gens,
              "generation": self._new_generation})
-        engine._epoch = self._epoch + 1
-        engine._mutated = False
         self._committed = True
         if self._snapshots:
             # The new shard files are clean (just saved): snapshot them
             # so the next save's torn window — or a mid-session crash —
             # stays recoverable without waiting for another save.
-            engine._write_epoch_snapshot()
+            backend.write_epoch_snapshot(self._epoch + 1)
         self._cleanup_old_generation()
         fops.fsync_dir(self._dir)
         old_map = GridShardMap(self._old_config.x_partitions,
@@ -369,7 +356,7 @@ class GenerationBuild:
             directory=self._dir,
             old_n_shards=self._old_n,
             new_n_shards=self._new_config.n_shards,
-            epoch=engine._epoch,
+            epoch=self._epoch + 1,
             generation=self._new_generation,
             entries=self._entries,
             currents=self._currents,
@@ -415,16 +402,12 @@ class GenerationBuild:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Close the built engine (offline callers; online ones adopt it)."""
+        """Close the built engine (the flipped directory is reopened by
+        whoever serves it next)."""
         if self._engine is not None:
             engine, self._engine = self._engine, None
+            self._backend = None
             engine.close()
-
-    def detach_engine(self) -> ShardedEngine:
-        """Hand the built engine to the caller (it owns closing it now)."""
-        engine = self.engine
-        self._engine = None
-        return engine
 
     def abort(self) -> None:
         """Release every handle after a failure; never raises.
@@ -438,13 +421,12 @@ class GenerationBuild:
             with contextlib.suppress(StorageError, OSError, ValueError):
                 source.close()
         self._sources.clear()
-        if self._engine is not None:
-            engine, self._engine = self._engine, None
-            engine._abandon()
+        if self._backend is not None:
+            backend, self._backend, self._engine = self._backend, None, None
+            backend.close()
 
 
 def reshard(directory: str, new_n_shards: int, config: SWSTConfig, *,
-            executor: Executor | None = None,
             file_ops: FileOps | None = None,
             snapshots: bool = True) -> ReshardReport:
     """Offline reshard: build, flip and clean up in one call.
@@ -455,8 +437,7 @@ def reshard(directory: str, new_n_shards: int, config: SWSTConfig, *,
     failure the directory still opens as the old generation.
     """
     build = GenerationBuild(directory, new_n_shards, config,
-                            executor=executor, file_ops=file_ops,
-                            snapshots=snapshots)
+                            file_ops=file_ops, snapshots=snapshots)
     try:
         build.build()
         report = build.commit()

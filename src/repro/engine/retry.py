@@ -1,7 +1,7 @@
 """Retry and circuit-breaker policies for resilient shard fan-out.
 
 Query fan-out crosses a real failure boundary: a shard's page device can
-hit a transient ``OSError``, a process-pool worker can die mid-task, a
+hit a transient ``OSError``, a worker process can die mid-task, a
 network filesystem can stall.  The engine wraps per-shard query tasks in
 two small, composable policies:
 
@@ -20,7 +20,7 @@ two small, composable policies:
   tick), so breaker behaviour is reproducible in tests.
 
 Neither class knows anything about shards or executors; the engine owns
-the wiring (see ``ShardedEngine._fan_out_query``).
+the wiring (see ``ShardBackend.query``).
 """
 
 from __future__ import annotations
@@ -28,16 +28,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable
 
-#: Error classes retried by default: transient device/OS failures and
-#: dead worker-pool processes.  Corruption signals (``ChecksumError``,
-#: ``TornWriteError``) are deliberately *not* retryable — re-reading a
-#: bad page cannot un-rot it.
-_DEFAULT_RETRYABLE: tuple[type[BaseException], ...]
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from concurrent.futures import BrokenExecutor
-    _DEFAULT_RETRYABLE = (OSError, BrokenExecutor)
-except ImportError:  # pragma: no cover - defensive
-    _DEFAULT_RETRYABLE = (OSError,)
+#: Error classes retried by default: transient device/OS failures (the
+#: worker backend adds dead worker processes).  Corruption signals
+#: (``ChecksumError``, ``TornWriteError``) are deliberately *not*
+#: retryable — re-reading a bad page cannot un-rot it.
+_DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (OSError,)
 
 
 def _no_sleep(_delay: float) -> None:

@@ -142,7 +142,7 @@ def _classify_marker(path: str, shard_dir: str, manifest: dict | None,
                      problems: list[str], notes: list[str]) -> None:
     """Classify a leftover PREPARE marker the way ``open()`` would.
 
-    Mirrors :meth:`ShardedEngine._recover_epoch` without writing
+    Mirrors :meth:`InProcessBackend._recover_epoch` without writing
     anything: a marker that rolls back, rolls forward, or restores from
     a complete ``snapshots/<epoch>/`` copy set is a *note* (recovery is
     deterministic), while a torn save with no usable snapshot is a

@@ -51,7 +51,9 @@ import dataclasses
 import os
 import struct
 import zlib
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+from ..core.records import ReportLike
 
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .errors import WalCorruptError
@@ -82,6 +84,9 @@ OP_RUN = 7        #: (t_max, oid1, x1, y1, t1, ...) -> batched report run
 
 _KNOWN_OPS = frozenset({OP_ADVANCE, OP_INSERT, OP_CLOSE, OP_DELETE,
                         OP_RETAIN, OP_FORGET, OP_RUN})
+
+#: One mutation in the op vocabulary: ``(op code, integer arguments)``.
+Op = tuple[int, tuple[int, ...]]
 
 
 def wal_file_name(shard_id: int) -> str:
@@ -205,40 +210,53 @@ def read_wal(path: str) -> WalScan:
                    valid_bytes=offset, total_bytes=len(blob))
 
 
-def apply_record(shard: "SWSTIndex", record: WalRecord) -> None:
-    """Apply one logged op to ``shard``.
+def run_op(t_max: int, reports: Iterable[ReportLike]) -> Op:
+    """Encode one shard-local report run as a single :data:`OP_RUN`."""
+    return (OP_RUN, (t_max, *(arg for report in reports
+                              for arg in (report.oid, report.x, report.y,
+                                          report.t))))
 
-    Total for records logged by the engine: argument validation happened
-    against the engine's mirror before the record was written, and
-    replay starts from the same base snapshot the log was written
-    against, so each call is replayed into exactly the state it
-    originally saw.
+
+def apply_op(shard: "SWSTIndex", op: int, args: Sequence[int]) -> Any:
+    """Apply one op to ``shard``; returns the index method's result.
+
+    The single definition of what each op code means: WAL replay, a
+    worker acknowledging a live batch and the in-process backend all
+    come through here, so "replay equals direct apply" is structural.
+    Total for ops planned by the engine: argument validation happened
+    against the engine's mirror before the op was built, and replay
+    starts from the same base snapshot the log was written against, so
+    each call is replayed into exactly the state it originally saw.
     """
-    op, args = record.op, record.args
+    if op == OP_CLOSE:
+        return shard.close_object(args[0], args[1])
+    if op == OP_DELETE:
+        oid, x, y, s, d = args
+        return shard.delete(oid, x, y, s, None if d == NONE_ARG else d)
+    if op == OP_FORGET:
+        return shard.forget_object(args[0])
     if op == OP_ADVANCE:
         shard.advance_time(args[0])
     elif op == OP_INSERT:
         oid, x, y, s, d = args
         shard.insert(oid, x, y, s, None if d == NONE_ARG else d)
-    elif op == OP_CLOSE:
-        shard.close_object(args[0], args[1])
-    elif op == OP_DELETE:
-        oid, x, y, s, d = args
-        shard.delete(oid, x, y, s, None if d == NONE_ARG else d)
     elif op == OP_RETAIN:
         oid, retention = args
         shard.set_retention(oid,
                             None if retention == NONE_ARG else retention)
-    elif op == OP_FORGET:
-        shard.forget_object(args[0])
     elif op == OP_RUN:
-        t_max = args[0]
-        reports = [WalReport(*args[base:base + 4])
-                   for base in range(1, len(args), 4)]
-        shard.advance_time(t_max)
-        shard._ingest_run_reports(reports)
+        shard.advance_time(args[0])
+        shard._ingest_run_reports(
+            [WalReport(*args[base:base + 4])
+             for base in range(1, len(args), 4)])
     else:  # pragma: no cover - read_wal rejects unknown ops
         raise WalCorruptError("<record>", f"unknown op {op}")
+    return None
+
+
+def apply_record(shard: "SWSTIndex", record: WalRecord) -> None:
+    """Replay one logged record into ``shard``."""
+    apply_op(shard, record.op, record.args)
 
 
 def replay(shard: "SWSTIndex", records: Iterable[WalRecord]) -> int:

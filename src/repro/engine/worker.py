@@ -1,22 +1,22 @@
 """Warm worker pool: per-shard processes, WAL durability, supervision.
 
-:class:`WorkerEngine` is the writable counterpart of a
-:class:`~repro.engine.engine.ShardedEngine` driven by a process
-executor.  Instead of read-only fan-out over saved shards, it runs one
-long-lived **worker process per shard** (shard -> worker affinity) that
-holds its shard's :class:`~repro.core.index.SWSTIndex` open read-write
-across tasks.  The coordinator never touches shard internals; it routes
-operations, mirrors just enough state to validate and route
-(the current-entry table and the clock), and ships each shard a batch
-of :mod:`~repro.engine.wal` ops.
+:class:`WorkerEngine` is the engine
+:class:`~repro.engine.engine.Coordinator` over a
+:class:`WorkerBackend`: one long-lived **worker process per shard**
+(shard -> worker affinity) that holds its shard's
+:class:`~repro.core.index.SWSTIndex` open read-write across tasks.  The
+coordinator never touches shard internals; it routes operations,
+mirrors just enough state to validate and route (the current-entry
+table and the clock), and ships each shard a batch of
+:mod:`~repro.engine.wal` ops.
 
 **Durability.**  A worker acknowledges a mutation batch only after the
 ops are appended to the shard's write-ahead log and fsynced (one fsync
 per batch — group commit) *and* applied to the in-memory index.  The
 page file itself is only made consistent at epoch commits
-(:meth:`WorkerEngine.save`, the same two-phase PREPARE/FLIP protocol as
-``ShardedEngine``); between commits the WAL is the durable record.  A
-worker therefore *always* shuts its shard down with
+(``WorkerEngine.save()``, the coordinator's two-phase PREPARE/FLIP
+protocol); between commits the WAL is the durable record.  A worker
+therefore *always* shuts its shard down with
 :meth:`~repro.core.index.SWSTIndex.abort` — a graceful stop and a
 SIGKILL leave the same on-disk state, and restart recovery is one code
 path, not two.
@@ -34,7 +34,7 @@ path, not two.
    record; epoch ahead -> refuse (typed
    :class:`~repro.engine.errors.WalCorruptError`).
 
-**Supervision.**  The coordinator detects worker death three ways: the
+**Supervision.**  The backend detects worker death three ways: the
 pipe reports EOF (process exited or was SIGKILLed), a request overruns
 the ``heartbeat_timeout`` deadline (poison task — the worker is then
 killed), or a spawn reports a fatal error.  Dead workers are restarted
@@ -46,19 +46,21 @@ survives.  Queries retry across restarts; **mutations never retry**
 — re-submitting position reports is idempotent and converges, but the
 engine will not guess).  ``strict=False`` queries degrade to
 :class:`~repro.engine.engine.PartialResult` while a shard is
-mid-restart or its breaker is open.
+mid-restart or its breaker is open.  A worker whose coordinator dies
+sees EOF on its pipe and exits on its own.
 
-**Epoch commit.**  ``save()`` aligns every shard's clock, records each
-worker's expected header generation in the PREPARE marker, saves every
-shard (in-worker ``SWSTIndex.save``), flips the manifest, unlinks the
-marker, then checkpoints each worker (refresh base, reset WAL to the
-new epoch).  A failure anywhere kills every worker and runs the same
+**Epoch commit.**  The coordinator's ``save()`` records each worker's
+expected header generation in the PREPARE marker, saves every shard
+(in-worker ``SWSTIndex.save``), flips the manifest, unlinks the marker,
+then checkpoints each worker (refresh base, reset WAL to the new
+epoch).  A failure anywhere kills every worker and runs the same
 marker resolution ``open()`` uses, so no worker can keep acknowledging
-into a stale-epoch WAL.  Unlike ``ShardedEngine``, a crash *between*
-shard commits is recoverable: pending shards' WALs are rebased to the
-new epoch (their acknowledged tails replay over their old base), so
-``EpochTornError`` cannot happen here — the WAL upgrades the two-phase
-commit from "atomic or typed refusal" to "always roll forward".
+into a stale-epoch WAL.  Unlike the in-process backend, a crash
+*between* shard commits is recoverable without snapshots: pending
+shards' WALs are rebased to the new epoch (their acknowledged tails
+replay over their old base), so ``EpochTornError`` cannot happen here —
+the WAL upgrades the two-phase commit from "atomic or typed refusal" to
+"always roll forward".
 """
 
 from __future__ import annotations
@@ -68,39 +70,34 @@ import dataclasses
 import multiprocessing
 import os
 import signal
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from ..core.config import SWSTConfig
-from ..core.grid import SpatialGrid
 from ..core.index import SWSTIndex
-from ..core.overlap import classify_interval
-from ..core.plan import PlanCache, QueryPlan, build_query_plan
-from ..core.records import Entry, Rect, ReportLike
-from ..core.results import MultiQueryResult, QueryResult, QueryStats
+# Re-exported for harnesses that instrument plan derivation per engine
+# module; the coordinator itself derives plans in ``.engine``.
+from ..core.overlap import classify_interval as classify_interval
+from ..core.plan import build_query_plan as build_query_plan
+from ..core.records import ReportLike
 from ..storage.errors import NoCatalogError, StorageError
 from ..storage.fault import FaultInjectingFileOps
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
-from ..storage.stats import IOStats
-from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
-                     PartialResult, _load_prepare, _shard_file_name,
-                     generation_dir, load_manifest, probe_prepare_state,
-                     write_json_atomic)
-from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
-                     EngineError, ShardFailure, ShardQueryError,
+from .engine import (_MANIFEST_NAME, SHARD_FAILURE_ERRORS, Coordinator,
+                     _shard_file_name, drop_prepare, generation_dir,
+                     load_checked_manifest, load_manifest,
+                     load_pending_prepare, prepare_directory,
+                     probe_prepare_state, read_shard, roll_manifest_forward,
+                     shard_file_path)
+from .errors import (CircuitOpenError, EngineError, ShardFailure,
                      WalCorruptError, WorkerCrashError, WorkerRecoveryError)
 from .retry import CircuitBreaker, RetryPolicy
-from .sharding import GridShardMap
-from .wal import (OP_ADVANCE, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
-                  OP_RETAIN, OP_RUN, NONE_ARG, WalWriter, apply_record,
-                  base_file_name, read_wal, rebase_wal, wal_file_name,
-                  WalRecord)
+from .wal import (OP_ADVANCE, Op, WalWriter, apply_op, apply_record,
+                  base_file_name, read_wal, rebase_wal, run_op,
+                  wal_file_name)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.connection import Connection
     from multiprocessing.context import BaseContext
-
-#: Failures a degraded query fan-out absorbs into ``ShardFailure``.
-_SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
 
 #: Per-op errors a worker survives (reported, connection stays up).
 _RECOVERABLE_OP_ERRORS = (ValueError, KeyError, AssertionError)
@@ -241,8 +238,7 @@ def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
     return shard, writer, replayed
 
 
-def _apply_batch(shard: SWSTIndex, writer: WalWriter,
-                 batch: list[tuple[int, tuple[int, ...]]],
+def _apply_batch(shard: SWSTIndex, writer: WalWriter, batch: list[Op],
                  spec: dict[str, Any], batch_index: int) -> list[Any]:
     """Log, group-commit, then apply one mutation batch.
 
@@ -252,27 +248,14 @@ def _apply_batch(shard: SWSTIndex, writer: WalWriter,
     """
     if spec.get("hang_at_apply") == batch_index:
         signal.pause()  # poison task: never answers
-    records = [WalRecord(writer.log(op, args), op, tuple(args))
-               for op, args in batch]
+    for op, args in batch:
+        writer.log(op, args)
     if spec.get("kill_before_commit") == batch_index:
         _die()
     writer.commit()
     if spec.get("kill_after_commit") == batch_index:
         _die()
-    results: list[Any] = []
-    for record in records:
-        if record.op == OP_CLOSE:
-            results.append(shard.close_object(record.args[0],
-                                              record.args[1]))
-        elif record.op == OP_DELETE:
-            oid, x, y, s, d = record.args
-            results.append(shard.delete(
-                oid, x, y, s, None if d == NONE_ARG else d))
-        elif record.op == OP_FORGET:
-            results.append(shard.forget_object(record.args[0]))
-        else:
-            apply_record(shard, record)
-            results.append(None)
+    results = [apply_op(shard, op, args) for op, args in batch]
     if spec.get("kill_after_apply") == batch_index:
         _die()
     return results
@@ -289,10 +272,27 @@ def _checkpoint(shard_id: int, directory: str, fops: FileOps,
     return WalWriter.reset(wal_path, fops, epoch=epoch)
 
 
+def _exit_fatal(conn: "Connection", exc: BaseException) -> NoReturn:
+    """Report ``exc`` to the coordinator (best effort) and die."""
+    with contextlib.suppress(OSError, ValueError):
+        conn.send(("fatal", (type(exc).__name__, str(exc))))
+    os._exit(3)
+
+
 def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
                  conn: "Connection", spec: dict[str, Any] | None,
-                 generation: int = 0) -> None:
-    """Entry point of one warm worker process."""
+                 generation: int = 0,
+                 inherited: Sequence["Connection"] = ()) -> None:
+    """Entry point of one warm worker process.
+
+    ``inherited`` are the coordinator-side pipe ends a forked child
+    carries along (its own and its earlier siblings'): they are closed
+    first thing, so that the coordinator's death — however abrupt —
+    reaches this worker as EOF on ``conn`` instead of being masked by
+    the worker's own copy of the other end.
+    """
+    for parent_end in inherited:
+        parent_end.close()
     spec = spec or {}
     fops = _worker_fops(spec)
     try:
@@ -300,9 +300,7 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
                                                  config, fops, spec,
                                                  generation)
     except BaseException as exc:
-        with contextlib.suppress(OSError, ValueError):
-            conn.send(("fatal", (type(exc).__name__, str(exc))))
-        os._exit(3)
+        _exit_fatal(conn, exc)
     if spec.get("kill_at_ready"):
         _die()
     conn.send(("ready", {"now": shard.now,
@@ -323,21 +321,6 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
                 batches_seen += 1
                 value: Any = (_apply_batch(shard, writer, payload, spec,
                                            batches_seen), writer.next_seq)
-            elif kind == "query":
-                method, args = payload
-                value = getattr(shard, method)(*args)
-            elif kind == "resync":
-                value = {"now": shard.now,
-                         "current": shard.current_objects()}
-            elif kind == "scan":
-                value = list(shard.scan())
-            elif kind == "len":
-                value = len(shard)
-            elif kind == "stats":
-                value = shard.stats.snapshot()
-            elif kind == "gen_info":
-                value = (shard.pager.generation,
-                         shard.pager.session_marked)
             elif kind == "save":
                 if spec.get("kill_at_save"):
                     _die()
@@ -357,7 +340,7 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
                 conn.close()
                 os._exit(0)
             else:
-                raise ValueError(f"unknown worker request {kind!r}")
+                value = read_shard(shard, kind, payload)
         except _RECOVERABLE_OP_ERRORS as exc:
             conn.send(("err", (type(exc).__name__, str(exc))))
             continue
@@ -365,9 +348,7 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
             # Anything else (storage corruption, injected IO faults) is
             # fatal: the WAL/page state may be half-written, so the only
             # safe continuation is a restart-and-replay.
-            with contextlib.suppress(OSError, ValueError):
-                conn.send(("fatal", (type(exc).__name__, str(exc))))
-            os._exit(3)
+            _exit_fatal(conn, exc)
         conn.send(("ok", value))
 
 
@@ -430,9 +411,6 @@ class WorkerPool:
         handle = self._handles.get(shard_id)
         return handle is not None and handle.process.is_alive()
 
-    def live_shards(self) -> list[int]:
-        return sorted(sid for sid in self._handles if self.alive(sid))
-
     def spawn(self, shard_id: int) -> dict[str, Any]:
         """Start (or restart) one worker; returns its ready info.
 
@@ -447,12 +425,16 @@ class WorkerPool:
             del self.fault_specs[shard_id]
         # The pipe is created immediately before the fork and the child
         # end closed right after, so no later-forked sibling inherits
-        # it — EOF on the parent end then reliably signals death.
+        # it — EOF on the parent end then reliably signals death.  The
+        # other direction needs the child's help: it is handed every
+        # parent end it inherits and closes them before serving.
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [parent_conn,
+                     *(handle.conn for handle in self._handles.values())]
         process = self._ctx.Process(
             target=_worker_main,
             args=(shard_id, self.directory, self.config, child_conn, spec,
-                  self.generation),
+                  self.generation, inherited),
             daemon=True, name=f"swst-shard-{shard_id}")
         process.start()
         child_conn.close()
@@ -461,14 +443,14 @@ class WorkerPool:
         self.spawn_counts[shard_id] += 1
         tag, value = self._recv(shard_id, handle)
         if tag == "fatal":
-            self._reap(shard_id)
+            self._discard(shard_id)
             name, detail = value
             if name in ("WorkerRecoveryError", "WalCorruptError"):
                 raise WorkerRecoveryError(shard_id, f"{name}: {detail}")
             raise WorkerCrashError(shard_id,
                                    f"failed to start: {name}: {detail}")
         if tag != "ready":
-            self._reap(shard_id)
+            self._discard(shard_id)
             raise WorkerCrashError(shard_id,
                                    f"unexpected handshake {tag!r}")
         info: dict[str, Any] = value
@@ -499,7 +481,7 @@ class WorkerPool:
         if tag == "err":
             name, detail = value
             raise _ERR_TYPES.get(name, EngineError)(detail)
-        self._reap(shard_id)
+        self._discard(shard_id)
         name, detail = value
         raise WorkerCrashError(shard_id, f"fatal: {name}: {detail}")
 
@@ -551,7 +533,7 @@ class WorkerPool:
                 handle.process.kill()
                 handle.process.join(5.0)
             exitcode = handle.process.exitcode
-        self._reap(shard_id)
+        self._discard(shard_id)
         return WorkerCrashError(shard_id,
                                 f"worker died (exit code {exitcode}): "
                                 f"{detail}")
@@ -564,7 +546,7 @@ class WorkerPool:
         if handle.process.is_alive():
             handle.process.kill()
         handle.process.join(5.0)
-        self._reap(shard_id)
+        self._discard(shard_id)
 
     def kill_all(self) -> None:
         for shard_id in list(self._handles):
@@ -586,7 +568,7 @@ class WorkerPool:
         if handle.process.is_alive():
             handle.process.kill()
             handle.process.join(5.0)
-        self._reap(shard_id)
+        self._discard(shard_id)
 
     def stop_all(self) -> list[BaseException]:
         errors: list[BaseException] = []
@@ -597,9 +579,6 @@ class WorkerPool:
                 errors.append(exc)
         return errors
 
-    def _reap(self, shard_id: int) -> None:
-        self._discard(shard_id)
-
     def _discard(self, shard_id: int) -> None:
         handle = self._handles.pop(shard_id, None)
         if handle is not None:
@@ -607,26 +586,22 @@ class WorkerPool:
                 handle.conn.close()
 
 
-class WorkerEngine:
-    """Sharded engine served by a supervised warm worker pool.
+class WorkerBackend:
+    """Shards as supervised warm worker processes behind per-shard WALs.
 
-    Mirrors the :class:`~repro.engine.engine.ShardedEngine` surface —
-    ingestion (``insert``/``report``/``extend``/``close_object``/
-    ``delete``/``set_retention``/``forget_object``/``advance_time``),
-    queries (``query_timeslice``/``query_interval``/
-    ``query_interval_many``/``count_interval``/``query_knn``/
-    ``density_grid``/``object_history``), persistence (``save``/
-    ``open``) and introspection — but every shard lives in its own
-    process and every acknowledged mutation is WAL-durable.  A saved
-    directory is interchangeable with ``ShardedEngine``'s (same
-    manifest, same page files; the ``.wal``/``.pages.base`` files are
-    additive).
-
-    Always disk-backed: the WAL discipline has no meaning in memory.
+    The :class:`~repro.engine.engine.ShardBackend` over a
+    :class:`WorkerPool`: op batches travel the pipes (pipelined send,
+    then collect — one WAL group commit per shard per dispatch), dead
+    workers restart under the retry policy with a per-shard breaker
+    gating the attempts, and a dispatch whose acknowledgement a crash
+    swallowed is re-delivered seq-exactly.  Recovery rolls forward from
+    the WALs (:meth:`heal`), never from snapshots.  The seams are
+    :class:`WorkerEngine`'s, documented there.
     """
 
-    def __init__(self, config: SWSTConfig | None = None,
-                 path: str | None = None, *,
+    epoch_commit = True
+
+    def __init__(self, config: SWSTConfig, directory: str, *,
                  retry_policy: RetryPolicy | None = None,
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
@@ -634,136 +609,54 @@ class WorkerEngine:
                  file_ops: FileOps | None = None,
                  fault_specs: dict[int, dict[str, Any]] | None = None
                  ) -> None:
-        if path is None:
-            raise EngineError("a warm-worker engine is always disk-backed; "
-                              "pass a directory path")
-        self.config = config if config is not None else SWSTConfig()
-        self._dir = os.fspath(path)
-        self._init_common(retry_policy, breaker_factory, heartbeat_timeout,
-                          file_ops, fault_specs)
-        self._prepare_directory()
-        try:
-            for shard_id in range(self.n_shards):
-                self._ensure(shard_id)
-            self._resync()
-        except BaseException:
-            self._abandon()
-            raise
-
-    def _init_common(self, retry_policy: RetryPolicy | None,
-                     breaker_factory: Callable[[], CircuitBreaker] | None,
-                     heartbeat_timeout: float | None,
-                     file_ops: FileOps | None,
-                     fault_specs: dict[int, dict[str, Any]] | None) -> None:
-        self.grid = SpatialGrid(self.config.space, self.config.x_partitions,
-                                self.config.y_partitions)
-        self.shard_map = GridShardMap(self.config.x_partitions,
-                                      self.config.y_partitions,
-                                      self.config.n_shards)
-        self._retry_policy = retry_policy if retry_policy is not None \
+        self.config = config
+        self.directory = directory
+        self.retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
-        self._breakers: list[CircuitBreaker | None] = [
+        #: The same policy, also retrying across worker deaths (each
+        #: retry restarts the worker and replays its WAL first).
+        self._restart_policy = dataclasses.replace(
+            self.retry_policy,
+            retryable=(*self.retry_policy.retryable, WorkerCrashError))
+        self.breakers: list[CircuitBreaker | None] = [
             breaker_factory() if breaker_factory is not None else None
-            for _ in range(self.config.n_shards)]
-        self._fops: FileOps = file_ops if file_ops is not None \
+            for _ in range(config.n_shards)]
+        self.fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self.pool = WorkerPool(self._dir, self.config,
+        self.pool = WorkerPool(directory, config,
                                heartbeat_timeout=heartbeat_timeout,
                                fault_specs=fault_specs)
-        self._plans = PlanCache(self.config.plan_cache_size)
-        #: oid -> (home shard, x, y, s) mirror of live current entries.
-        self._cur: dict[int, tuple[int, int, int, int]] = {}
-        self._shard_clocks = [0] * self.config.n_shards
+        #: The lockstep clock every worker should sit at: what a
+        #: restarted worker is caught up to (or found ahead of).
+        self.clock = 0
+        self._shard_clocks = [0] * config.n_shards
         #: Per-shard expected WAL cursor (mirrors the worker's
         #: ``writer.next_seq`` after the last acknowledged request).
-        self._next_seq = [0] * self.config.n_shards
+        self._next_seq = [0] * config.n_shards
         #: sid -> (seq cursor before the send, op batch) for a dispatch
         #: whose acknowledgement was lost to a worker crash.  Compared
         #: against the restarted worker's replayed cursor to re-deliver
         #: exactly the records that never became durable.
-        self._inflight: dict[int,
-                             tuple[int,
-                                   list[tuple[int, tuple[int, ...]]]]] = {}
-        self._clock = 0
-        self._epoch = 0
-        self._generation = 0
-        self._needs_resync = False
-        self._closed = False
-
-    # -- directory ------------------------------------------------------------
+        self._inflight: dict[int, tuple[int, list[Op]]] = {}
+        self.needs_resync = False
 
     @property
     def n_shards(self) -> int:
         return self.config.n_shards
 
-    @property
-    def directory(self) -> str:
-        return self._dir
-
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
-    @property
-    def generation(self) -> int:
-        """Manifest generation the live shard files inhabit (0 = root)."""
-        return self._generation
-
-    @property
-    def breakers(self) -> tuple[CircuitBreaker | None, ...]:
-        return tuple(self._breakers)
-
-    def _set_generation(self, generation: int) -> None:
-        """Adopt the manifest generation (before any worker spawns)."""
-        self._generation = generation
-        self.pool.generation = generation
+    def start(self, manifest: dict[str, Any]) -> None:
+        """Spawn every worker against ``manifest``'s generation."""
+        self.pool.generation = manifest["generation"]
+        try:
+            for shard_id in range(self.n_shards):
+                self._ensure(shard_id)
+        except BaseException:
+            self.pool.kill_all()
+            raise
 
     def shard_path(self, shard_id: int) -> str:
-        return os.path.join(generation_dir(self._dir, self._generation),
-                            _shard_file_name(shard_id))
-
-    def wal_path(self, shard_id: int) -> str:
-        return os.path.join(generation_dir(self._dir, self._generation),
-                            wal_file_name(shard_id))
-
-    def _manifest_path(self) -> str:
-        return os.path.join(self._dir, _MANIFEST_NAME)
-
-    def _prepare_path(self) -> str:
-        return os.path.join(self._dir, _PREPARE_NAME)
-
-    def _prepare_directory(self) -> None:
-        if os.path.exists(self._dir) and not os.path.isdir(self._dir):
-            raise EngineError(f"engine path {self._dir!r} exists and is "
-                              f"not a directory")
-        os.makedirs(self._dir, exist_ok=True)
-        if os.path.exists(self._prepare_path()):
-            raise EngineError(
-                f"directory {self._dir!r} holds an interrupted save "
-                f"(marker {_PREPARE_NAME}); recover it with "
-                f"WorkerEngine.open() first")
-        manifest_path = self._manifest_path()
-        if os.path.exists(manifest_path):
-            manifest = load_manifest(manifest_path)
-            if manifest["n_shards"] != self.n_shards:
-                raise EngineError(
-                    f"directory {self._dir!r} holds {manifest['n_shards']} "
-                    f"shards but config.n_shards is {self.n_shards}")
-            self._epoch = manifest["epoch"]
-            self._set_generation(manifest["generation"])
-            return
-        write_json_atomic(
-            self._fops, self._dir, manifest_path,
-            {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-             "epoch": 0, "shards": [0] * self.n_shards, "generation": 0})
-
-    def _abandon(self) -> None:
-        if getattr(self, "_abandoned", False):
-            return
-        self._abandoned = True
-        self._closed = True
-        with contextlib.suppress(OSError, RuntimeError):
-            self.pool.kill_all()
+        return shard_file_path(self.directory, self.pool.generation,
+                               shard_id)
 
     # -- supervision ----------------------------------------------------------
 
@@ -778,15 +671,12 @@ class WorkerEngine:
         """
         if self.pool.alive(shard_id):
             return
-        breaker = self._breakers[shard_id]
+        breaker = self.breakers[shard_id]
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError(shard_id)
-        policy = dataclasses.replace(
-            self._retry_policy,
-            retryable=tuple(self._retry_policy.retryable)
-            + (WorkerCrashError,))
         try:
-            info = policy.call(lambda: self.pool.spawn(shard_id))
+            info = self._restart_policy.call(
+                lambda: self.pool.spawn(shard_id))
         except BaseException:
             if breaker is not None:
                 breaker.record_failure()
@@ -805,14 +695,11 @@ class WorkerEngine:
         converges on precisely the state the no-crash run would have
         reached (sub-batch order is preserved, nothing double-applies).
 
-        The coordinator's mirror is deliberately NOT rebuilt from the
-        worker here: the mirror is write-through and may legitimately
-        run *ahead* of the worker by exactly the ops a caller is about
-        to dispatch (``_ingest_run`` updates it while building the
-        batch).  Folding the worker's older current-table back in would
-        erase those updates and mis-route the stream's next cross-shard
-        finalisation.  Wholesale rebuilds happen only in ``_resync``,
-        where every in-flight batch has been settled first.
+        The coordinator's mirror is deliberately NOT touched here: it
+        is write-through and may legitimately run *ahead* of the worker
+        by exactly the ops a caller is about to dispatch.  Wholesale
+        rebuilds happen only in :meth:`resync`, where every in-flight
+        batch has been settled first.
         """
         self._next_seq[shard_id] = info["next_seq"]
         worker_now: int = info["now"]
@@ -829,31 +716,123 @@ class WorkerEngine:
                 _, next_seq = self.pool.request(shard_id, "apply", suffix)
                 del self._inflight[shard_id]
                 self._next_seq[shard_id] = next_seq
-                state = self.pool.request(shard_id, "resync")
+                state = self.pool.request(shard_id, "state")
                 worker_now = state["now"]
         self._shard_clocks[shard_id] = worker_now
-        if worker_now > self._clock:
+        if worker_now > self.clock:
             # The worker replayed acknowledged-but-unreported ops from
-            # an in-flight batch; siblings must catch up before the
-            # next fan-out sees a mixed window boundary.
-            self._clock = worker_now
-            self._plans.invalidate()
-            self._needs_resync = True
-        elif worker_now < self._clock:
+            # an in-flight batch; siblings (and the coordinator) must
+            # catch up before the next fan-out sees a mixed window
+            # boundary.
+            self.clock = worker_now
+            self.needs_resync = True
+        elif worker_now < self.clock:
             _, next_seq = self.pool.request(
-                shard_id, "apply", [(OP_ADVANCE, (self._clock,))])
+                shard_id, "apply", [(OP_ADVANCE, (self.clock,))])
             self._next_seq[shard_id] = next_seq
-            self._shard_clocks[shard_id] = self._clock
+            self._shard_clocks[shard_id] = self.clock
 
-    def _resync(self) -> None:
-        """Re-derive the mirror and clock from every worker.
+    # -- the protocol ----------------------------------------------------------
 
-        Runs after any failed mutation dispatch (the coordinator can no
-        longer know which shards applied their sub-batches) and on
-        ``open()``.  Restarts dead workers, refetches every current
-        table, and realigns straggler clocks with *logged* advances.
+    def apply(self, ops: dict[int, list[Op]],
+              runs: dict[int, list[ReportLike]],
+              advance_to: int | None) -> dict[int, list[Any]]:
+        """Ship op batches to their shards; one group commit per shard.
+
+        Mutations are never retried: on a worker crash the batch's
+        acknowledgement state is unknown, so the backend marks itself
+        for resynchronisation and raises the typed error.  (The
+        workload can safely re-submit position reports — replay of a
+        half-applied report stream converges because a re-report at the
+        same timestamp is a position correction, not a new entry.)
         """
-        self._needs_resync = False
+        batches = {sid: list(shard_ops) for sid, shard_ops in ops.items()}
+        for sid, run in runs.items():
+            assert advance_to is not None
+            batches.setdefault(sid, []).append(run_op(advance_to, run))
+        if advance_to is not None:
+            for sid in range(self.n_shards):
+                if self._shard_clocks[sid] < advance_to:
+                    batches.setdefault(sid, [])
+        targets = sorted(batches)
+        # Restart dead targets *before* moving the lockstep clock: a
+        # restart's catch-up advance realigns the worker to the
+        # pre-batch clock, and the batch's own ops (which may reference
+        # times below ``advance_to``) then apply on top of it in order.
+        for sid in targets:
+            self._ensure(sid)
+        if advance_to is not None:
+            self.clock = max(self.clock, advance_to)
+            for sid in targets:
+                batches[sid].append((OP_ADVANCE, (advance_to,)))
+        try:
+            for sid in targets:
+                self._inflight[sid] = (self._next_seq[sid], batches[sid])
+                self.pool.send(sid, "apply", batches[sid])
+            results: dict[int, list[Any]] = {}
+            for sid in targets:
+                results[sid], self._next_seq[sid] = self.pool.collect(sid)
+                del self._inflight[sid]
+                if advance_to is not None:
+                    self._shard_clocks[sid] = advance_to
+        except BaseException:
+            self.needs_resync = True
+            raise
+        return results
+
+    def query(self, shard_ids: list[int], method: str,
+              args: tuple[Any, ...]
+              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+        """Round one pipelines the requests over every reachable worker;
+        shards whose worker crashed mid-round are retried serially
+        under the retry policy (each retry restarts the worker and
+        replays its WAL first).  Shards that cannot come back — open
+        breaker, terminal recovery failure, retries exhausted — become
+        typed :class:`ShardFailure` records."""
+        successes: list[tuple[int, Any]] = []
+        failures: list[ShardFailure] = []
+        retriable: list[tuple[int, BaseException]] = []
+        payload = (method, args)
+        sent: list[int] = []
+        for sid in shard_ids:
+            try:
+                self._ensure(sid)
+                self.pool.send(sid, "query", payload)
+                sent.append(sid)
+            except WorkerCrashError as exc:
+                retriable.append((sid, exc))
+            except SHARD_FAILURE_ERRORS as exc:
+                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
+        for sid in sent:
+            try:
+                successes.append((sid, self.pool.collect(sid)))
+            except WorkerCrashError as exc:
+                retriable.append((sid, exc))
+            except SHARD_FAILURE_ERRORS as exc:
+                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
+        for sid, first_error in retriable:
+            def attempt(sid: int = sid) -> Any:
+                self._ensure(sid)
+                return self.pool.request(sid, "query", payload)
+
+            try:
+                successes.append((sid, self._restart_policy.call(attempt)))
+            except SHARD_FAILURE_ERRORS as exc:
+                exc.__context__ = first_error
+                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
+        successes.sort(key=lambda item: item[0])
+        return successes, failures
+
+    def read(self, kind: str, payload: Any = None) -> list[Any]:
+        answers: list[Any] = []
+        for sid in range(self.n_shards):
+            self._ensure(sid)
+            answers.append(self.pool.request(sid, kind, payload))
+        return answers
+
+    def resync(self) -> list[dict[str, Any]]:
+        """Restart dead workers, settle in-flight batches, fetch states."""
+        self.needs_resync = False
         try:
             for shard_id in range(self.n_shards):
                 # Settle a sent-but-uncollected batch on a still-live
@@ -864,755 +843,137 @@ class WorkerEngine:
                         and self.pool.alive(shard_id) \
                         and self.pool.pending(shard_id):
                     try:
-                        _, next_seq = self.pool.collect(shard_id)
-                        self._next_seq[shard_id] = next_seq
+                        _, self._next_seq[shard_id] = \
+                            self.pool.collect(shard_id)
                         del self._inflight[shard_id]
                     except WorkerCrashError:
                         pass  # dead after all; _ensure redelivers
                 self._ensure(shard_id)
             for shard_id in range(self.n_shards):
-                self.pool.send(shard_id, "resync")
+                self.pool.send(shard_id, "state")
             states = [self.pool.collect(shard_id)
                       for shard_id in range(self.n_shards)]
-            self._clock = max(self._clock,
-                              *(state["now"] for state in states))
-            self._cur.clear()
-            for shard_id, state in enumerate(states):
-                self._shard_clocks[shard_id] = state["now"]
-                for oid, (x, y, s) in state["current"].items():
-                    other = self._cur.get(oid)
-                    if other is None or other[3] < s:
-                        self._cur[oid] = (shard_id, x, y, s)
-            stragglers = [sid for sid in range(self.n_shards)
-                          if self._shard_clocks[sid] < self._clock]
-            for sid in stragglers:
-                self.pool.send(sid, "apply", [(OP_ADVANCE, (self._clock,))])
-            for sid in stragglers:
-                _, next_seq = self.pool.collect(sid)
-                self._next_seq[sid] = next_seq
-                self._shard_clocks[sid] = self._clock
         except BaseException:
-            self._needs_resync = True
+            self.needs_resync = True
             raise
+        self._shard_clocks = [state["now"] for state in states]
+        self.clock = max(self.clock, *self._shard_clocks)
+        return states
 
-    def _settled(self) -> None:
-        """Resync if the last mutation dispatch ended in a crash."""
-        if self._needs_resync:
-            self._resync()
+    def commit(self) -> list[int]:
+        return [self.pool.request(sid, "save")
+                for sid in range(self.n_shards)]
 
-    # -- mirror ---------------------------------------------------------------
+    def abort_commit(self) -> dict[str, Any]:
+        """Kill every worker and resolve the marker exactly as ``open()``
+        would — a worker must never keep acknowledging writes into a WAL
+        of a superseded epoch."""
+        self.pool.kill_all()
+        manifest = self.heal()
+        self.needs_resync = True
+        return manifest
 
-    def _live_cur(self, oid: int) -> tuple[int, int, int, int] | None:
-        """The mirror's current entry for ``oid`` if still in-window.
-
-        Applies the same liveness rule the shards' window drop does
-        (an entry whose start window has been dropped is gone), so the
-        mirror never routes a finalisation at a record the shard
-        already discarded.
-        """
-        cur = self._cur.get(oid)
-        if cur is None:
-            return None
-        w_max = self.config.w_max
-        if cur[3] // w_max < self._clock // w_max - 1:
-            del self._cur[oid]
-            return None
-        return cur
-
-    def _shard_id_of(self, x: int, y: int) -> int:
-        cx, cy = self.grid.cell_of(x, y)
-        return self.shard_map.shard_of_cell(cx, cy)
-
-    def _shards_for_area(self, area: Rect) -> list[int]:
-        ids: set[int] = set()
-        for cell in self.grid.overlapping_cells(area):
-            ids.add(self.shard_map.shard_of_cell(cell.cx, cell.cy))
-            if len(ids) == self.n_shards:
-                break
-        return sorted(ids)
-
-    # -- mutation dispatch -----------------------------------------------------
-
-    def _dispatch(self, batches: dict[int, list[tuple[int,
-                                                      tuple[int, ...]]]],
-                  advance_to: int | None = None) -> dict[int, list[Any]]:
-        """Ship op batches to their shards; one group commit per shard.
-
-        Mutations are never retried: on a worker crash the batch's
-        acknowledgement state is unknown, so the coordinator marks
-        itself for resynchronisation and raises the typed error.  (The
-        workload can safely re-submit position reports — replay of a
-        half-applied report stream converges because a re-report at the
-        same timestamp is a position correction, not a new entry.)
-        """
-        if advance_to is not None:
-            for sid in range(self.n_shards):
-                if self._shard_clocks[sid] < advance_to \
-                        and not batches.get(sid):
-                    batches.setdefault(sid, [])
-        targets = sorted(batches)
-        # Restart dead targets *before* moving the engine clock: a
-        # restart's catch-up advance realigns the worker to the
-        # pre-batch clock, and the batch's own ops (which may reference
-        # times below ``advance_to``) then apply on top of it in order.
-        for sid in targets:
-            self._ensure(sid)
-        if advance_to is not None:
-            if advance_to > self._clock:
-                self._plans.invalidate()
-                self._clock = advance_to
-            for sid in targets:
-                batches[sid].append((OP_ADVANCE, (advance_to,)))
-        try:
-            for sid in targets:
-                self._inflight[sid] = (self._next_seq[sid], batches[sid])
-                self.pool.send(sid, "apply", batches[sid])
-            results = {}
-            for sid in targets:
-                ops_results, next_seq = self.pool.collect(sid)
-                del self._inflight[sid]
-                self._next_seq[sid] = next_seq
-                results[sid] = ops_results
-                if advance_to is not None:
-                    self._shard_clocks[sid] = advance_to
-        except BaseException:
-            self._needs_resync = True
-            raise
-        return results
-
-    # -- ingestion -------------------------------------------------------------
-
-    def insert(self, oid: int, x: int, y: int, s: int,
-               d: int | None = None) -> None:
-        """Insert an entry; ``d=None`` inserts a *current* entry."""
-        self._check_open()
-        self._settled()
-        if not self.config.space.contains(x, y):
-            raise ValueError(f"location ({x}, {y}) outside the spatial "
-                             f"domain {self.config.space}")
-        if s < self._clock:
-            raise ValueError(f"out-of-order start timestamp {s} < current "
-                             f"time {self._clock}")
-        if d is not None and d < 1:
-            raise ValueError(f"duration must be >= 1, got {d}")
-        batches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        dest = self._shard_id_of(x, y)
-        if d is not None:
-            batches[dest] = [(OP_INSERT, (oid, x, y, s, d))]
-            self._dispatch(batches, advance_to=s)
-            return
-        # Pre-advance the mirror clock so liveness matches the shards'
-        # post-advance view before the routing decision is made.
-        probe_clock = max(self._clock, s)
-        cur = self._cur.get(oid)
-        if cur is not None and \
-                cur[3] // self.config.w_max \
-                < probe_clock // self.config.w_max - 1:
-            del self._cur[oid]
-            cur = None
-        if cur is not None and cur[0] != dest:
-            home, px, py, ps = cur
-            if ps == s:
-                batches[home] = [(OP_DELETE, (oid, px, py, ps, NONE_ARG))]
-            else:
-                batches[home] = [(OP_CLOSE, (oid, s))]
-        batches.setdefault(dest, []).append(
-            (OP_INSERT, (oid, x, y, s, NONE_ARG)))
-        self._cur[oid] = (dest, x, y, s)
-        self._dispatch(batches, advance_to=s)
-
-    def report(self, oid: int, x: int, y: int, t: int) -> None:
-        """Position report of a moving object (alias of a current insert)."""
-        self.insert(oid, x, y, t, None)
-
-    def extend(self, reports: Iterable[ReportLike],
-               batch_size: int = 1024) -> int:
-        """Batched ingestion: one WAL group commit per shard per run."""
-        self._check_open()
-        self._settled()
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        count = 0
-        batch: list[ReportLike] = []
-        for report in reports:
-            batch.append(report)
-            if len(batch) >= batch_size:
-                count += self._extend_batch(batch)
-                batch.clear()
-        if batch:
-            count += self._extend_batch(batch)
-        return count
-
-    def _extend_batch(self, batch: list[ReportLike]) -> int:
-        clock = self._clock
-        for report in batch:
-            if not self.config.space.contains(report.x, report.y):
-                raise ValueError(f"location ({report.x}, {report.y}) outside "
-                                 f"the spatial domain {self.config.space}")
-            if report.t < clock:
-                raise ValueError(f"out-of-order start timestamp {report.t} "
-                                 f"< current time {clock}")
-            clock = report.t
-        w_max = self.config.w_max
-        start = 0
-        for idx in range(1, len(batch) + 1):
-            if idx == len(batch) \
-                    or batch[idx].t // w_max != batch[start].t // w_max:
-                self._ingest_run(batch[start:idx])
-                start = idx
-        return len(batch)
-
-    def _ingest_run(self, run: list[ReportLike]) -> None:
-        """One epoch run as per-shard op batches.
-
-        Mirrors ``ShardedEngine._ingest_run``: objects hopping between
-        shards take the decomposed cross-shard protocol (in stream
-        order, *before* the advance so each op's internal clock bump is
-        monotone), the rest ride one batched :data:`OP_RUN` per shard
-        after the advance.
-        """
-        t_max = run[-1].t
-        w_max = self.config.w_max
-        touched: dict[int, set[int]] = {}
-        for report in run:
-            touched.setdefault(report.oid, set()).add(
-                self._shard_id_of(report.x, report.y))
-        cross_shard: set[int] = set()
-        for oid, dests in touched.items():
-            cur = self._live_cur(oid)
-            if cur is not None:
-                dests = dests | {cur[0]}
-            if len(dests) > 1:
-                cross_shard.add(oid)
-        batches: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        per_shard: dict[int, list[ReportLike]] = {}
-        for report in run:
-            oid, x, y, t = report.oid, report.x, report.y, report.t
-            dest = self._shard_id_of(x, y)
-            if oid in cross_shard:
-                cur = self._cur.get(oid)
-                if cur is not None \
-                        and cur[3] // w_max < t // w_max - 1:
-                    cur = None
-                if cur is not None and cur[0] != dest:
-                    home, px, py, ps = cur
-                    if ps == t:
-                        batches.setdefault(home, []).append(
-                            (OP_DELETE, (oid, px, py, ps, NONE_ARG)))
-                    else:
-                        batches.setdefault(home, []).append(
-                            (OP_CLOSE, (oid, t)))
-                batches.setdefault(dest, []).append(
-                    (OP_INSERT, (oid, x, y, t, NONE_ARG)))
-            else:
-                per_shard.setdefault(dest, []).append(report)
-            self._cur[oid] = (dest, x, y, t)
-        runs = {sid: [(OP_RUN,
-                       (t_max, *(arg for report in sub_run
-                                 for arg in (report.oid, report.x,
-                                             report.y, report.t))))]
-                for sid, sub_run in per_shard.items()}
-        for sid, ops in runs.items():
-            batches.setdefault(sid, []).extend(ops)
-        self._dispatch(batches, advance_to=t_max)
-
-    def close_object(self, oid: int, t: int) -> bool:
-        """Finalise an object's current entry at end time ``t``."""
-        self._check_open()
-        self._settled()
-        if t < self._clock:
-            raise ValueError(f"clock cannot move backwards "
-                             f"({t} < {self._clock})")
-        probe_clock = max(self._clock, t)
-        cur = self._cur.get(oid)
-        if cur is not None and \
-                cur[3] // self.config.w_max \
-                < probe_clock // self.config.w_max - 1:
-            del self._cur[oid]
-            cur = None
-        if cur is None:
-            self._dispatch({}, advance_to=t)
-            return False
-        if t <= cur[3]:
-            # Let validation fail before anything is logged, exactly as
-            # the shard itself would refuse — the mirror entry stays.
-            raise ValueError(f"object {oid} cannot be finalised at {t} "
-                             f"<= its current start {cur[3]}")
-        home = cur[0]
-        del self._cur[oid]
-        results = self._dispatch({home: [(OP_CLOSE, (oid, t))]},
-                                 advance_to=t)
-        closed: bool = results[home][0]
-        return closed
-
-    def delete(self, oid: int, x: int, y: int, s: int,
-               d: int | None = None) -> bool:
-        """Delete one specific entry from the shard owning its cell."""
-        self._check_open()
-        self._settled()
-        sid = self._shard_id_of(x, y)
-        results = self._dispatch(
-            {sid: [(OP_DELETE,
-                    (oid, x, y, s, NONE_ARG if d is None else d))]})
-        deleted: bool = results[sid][0]
-        if deleted and d is None and self._cur.get(oid) == (sid, x, y, s):
-            del self._cur[oid]
-        return deleted
-
-    def set_retention(self, oid: int, retention: int | None) -> None:
-        """Per-object retention override, applied to every shard."""
-        self._check_open()
-        self._settled()
-        if retention is not None \
-                and not 1 <= retention <= self.config.window:
-            raise ValueError(
-                f"retention must be in [1, W={self.config.window}], "
-                f"got {retention}")
-        arg = NONE_ARG if retention is None else retention
-        self._dispatch({sid: [(OP_RETAIN, (oid, arg))]
-                        for sid in range(self.n_shards)})
-
-    def retention_of(self, oid: int) -> int:
-        """The object's retention time (defaults to the window size)."""
-        self._check_open()
-        self._ensure(0)
-        result: int = self.pool.request(0, "query", ("retention_of", (oid,)))
-        return result
-
-    def forget_object(self, oid: int) -> int:
-        """Delete every queriable entry of one object across all shards."""
-        self._check_open()
-        self._settled()
-        results = self._dispatch({sid: [(OP_FORGET, (oid,))]
-                                  for sid in range(self.n_shards)})
-        self._cur.pop(oid, None)
-        return sum(results[sid][0] for sid in results)
-
-    def advance_time(self, now: int) -> None:
-        """Advance every shard's clock in lockstep (WAL-logged)."""
-        self._check_open()
-        self._settled()
-        if now < self._clock:
-            raise ValueError(f"clock cannot move backwards "
-                             f"({now} < {self._clock})")
-        if now == self._clock \
-                and all(clock == now for clock in self._shard_clocks):
-            return
-        self._dispatch({}, advance_to=now)
-
-    # -- properties ------------------------------------------------------------
-
-    @property
-    def now(self) -> int:
-        return self._clock
-
-    def __len__(self) -> int:
-        self._check_open()
-        total = 0
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            total += self.pool.request(sid, "len")
-        return total
-
-    @property
-    def stats(self) -> IOStats:
-        """Aggregate IO counters across every worker (a fresh snapshot)."""
-        self._check_open()
-        total = IOStats()
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            snap = self.pool.request(sid, "stats")
-            for name in vars(snap):
-                setattr(total, name,
-                        getattr(total, name) + getattr(snap, name))
-        return total
-
-    def node_count(self) -> int:
-        self._check_open()
-        total = 0
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            total += self.pool.request(sid, "query", ("node_count", ()))
-        return total
-
-    def current_objects(self) -> dict[int, tuple[int, int, int]]:
-        """Merged current-entry table: oid -> (x, y, s)."""
-        self._check_open()
-        merged: dict[int, tuple[int, int, int]] = {}
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            state = self.pool.request(sid, "resync")
-            merged.update(state["current"])
-        return merged
-
-    def scan(self) -> Iterator[Entry]:
-        """Yield every physically stored entry (diagnostics/tests only)."""
-        self._check_open()
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            yield from self.pool.request(sid, "scan")
-
-    def check_integrity(self) -> None:
-        """Per-shard invariants plus clock agreement across workers."""
-        self._check_open()
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-            self.pool.request(sid, "query", ("check_integrity", ()))
-        clocks = {self.pool.request(sid, "resync")["now"]
-                  for sid in range(self.n_shards)}
-        if clocks != {self._clock}:
-            raise AssertionError(
-                f"worker clocks {sorted(clocks)} disagree with the "
-                f"engine clock {self._clock}")
-
-    # -- queries ---------------------------------------------------------------
-
-    def _plan_for(self, t_lo: int, t_hi: int, window: int | None,
-                  stats: QueryStats) -> QueryPlan | None:
-        entry = self._plans.lookup(t_lo, t_hi, window, self._clock)
-        if entry is not None:
-            stats.plan_cache_hits += 1
-            return entry.plan
-        columns = classify_interval(self.config, self._clock, t_lo, t_hi,
-                                    window)
-        if not columns:
-            return None
-        plan = build_query_plan(self.config, self._clock, columns, t_lo,
-                                t_hi, window)
-        self._plans.store(plan, t_lo, t_hi, window)
-        return plan
-
-    def _fan_out_query(self, shard_ids: list[int], method: str,
-                       args: tuple[Any, ...]
-                       ) -> tuple[list[tuple[int, Any]],
-                                  list[ShardFailure]]:
-        """Scatter one read-only method over the workers, resiliently.
-
-        Round one pipelines the requests over every reachable worker;
-        shards whose worker crashed mid-round are retried serially
-        under the engine's retry policy (each retry restarts the worker
-        and replays its WAL first).  Shards that cannot come back —
-        open breaker, terminal recovery failure, retries exhausted —
-        become typed :class:`ShardFailure` records.
-        """
-        self._settled()
-        successes: list[tuple[int, Any]] = []
-        failures: list[ShardFailure] = []
-        retriable: list[tuple[int, BaseException]] = []
-        sent: list[int] = []
-        for sid in shard_ids:
-            try:
-                self._ensure(sid)
-                self.pool.send(sid, "query", (method, args))
-                sent.append(sid)
-            except WorkerCrashError as exc:
-                retriable.append((sid, exc))
-            except _SHARD_FAILURE_ERRORS as exc:
-                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
-        for sid in sent:
-            try:
-                successes.append((sid, self.pool.collect(sid)))
-            except WorkerCrashError as exc:
-                retriable.append((sid, exc))
-            except _SHARD_FAILURE_ERRORS as exc:
-                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
-        policy = self._retry_policy
-        for sid, first_error in retriable:
-            def attempt(sid: int = sid) -> Any:
-                self._ensure(sid)
-                return self.pool.request(sid, "query", (method, args))
-
-            try:
-                retry_policy = dataclasses.replace(
-                    policy, retryable=tuple(policy.retryable)
-                    + (WorkerCrashError,))
-                successes.append((sid, retry_policy.call(attempt)))
-            except _SHARD_FAILURE_ERRORS as exc:
-                exc.__context__ = first_error
-                failures.append(ShardFailure(sid, self.shard_path(sid), exc))
-        successes.sort(key=lambda item: item[0])
-        return successes, failures
-
-    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
-        failure = failures[0]
-        raise ShardQueryError(failure.shard_id, failure.path,
-                              failure.error) from failure.error
-
-    def query_timeslice(self, area: Rect, t: int,
-                        window: int | None = None, *,
-                        strict: bool = True) -> QueryResult:
-        return self.query_interval(area, t, t, window, strict=strict)
-
-    def query_interval(self, area: Rect, t_lo: int, t_hi: int,
-                       window: int | None = None, *,
-                       strict: bool = True) -> QueryResult:
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)
-        merged = QueryResult() if strict else PartialResult()
-        shard_ids = self._shards_for_area(area)
-        if not shard_ids:
-            return merged
-        plan = self._plan_for(t_lo, t_hi, window, merged.stats)
-        if plan is None:
-            return merged
-        successes, failures = self._fan_out_query(
-            shard_ids, "_query_area_planned", (area, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
-        for _, result in successes:
-            merged.merge(result)
-        if failures:
-            assert isinstance(merged, PartialResult)
-            merged.failures.extend(failures)
-            merged.stats.degraded = True
-        return merged
-
-    def query_interval_many(self, areas: Iterable[Rect], t_lo: int,
-                            t_hi: int, window: int | None = None, *,
-                            strict: bool = True) -> MultiQueryResult:
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)
-        areas = list(areas)
-        results: list[QueryResult] = [
-            QueryResult() if strict else PartialResult() for _ in areas]
-        batch = MultiQueryResult(results=results)
-        if not areas:
-            return batch
-        rect_shards = [self._shards_for_area(area) for area in areas]
-        shard_ids = sorted({sid for sids in rect_shards for sid in sids})
-        if not shard_ids:
-            return batch
-        plan = self._plan_for(t_lo, t_hi, window, batch.stats)
-        if plan is None:
-            return batch
-        successes, failures = self._fan_out_query(
-            shard_ids, "_query_area_planned_many", (areas, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
-        for _, shard_batch in successes:
-            for result, shard_result in zip(results, shard_batch.results,
-                                            strict=True):
-                result.merge(shard_result)
-            batch.stats.merge(shard_batch.stats)
-        if failures:
-            for idx, sids in enumerate(rect_shards):
-                overlapping = [failure for failure in failures
-                               if failure.shard_id in sids]
-                if not overlapping:
-                    continue
-                result = results[idx]
-                assert isinstance(result, PartialResult)
-                result.failures.extend(overlapping)
-                result.stats.degraded = True
-            batch.stats.degraded = True
-        return batch
-
-    def count_interval(self, area: Rect, t_lo: int, t_hi: int,
-                       window: int | None = None, *,
-                       strict: bool = True) -> tuple[int, QueryStats]:
-        self._check_open()
-        if t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)
-        total = 0
-        stats = QueryStats()
-        shard_ids = self._shards_for_area(area)
-        if not shard_ids:
-            return total, stats
-        plan = self._plan_for(t_lo, t_hi, window, stats)
-        if plan is None:
-            return total, stats
-        successes, failures = self._fan_out_query(
-            shard_ids, "_count_area_planned", (area, plan))
-        if failures and strict:
-            self._raise_shard_failure(failures)
-        for _, (count, shard_stats) in successes:
-            total += count
-            stats.merge(shard_stats)
-        if failures:
-            stats.degraded = True
-        return total, stats
-
-    def query_knn(self, x: int, y: int, k: int, t_lo: int,
-                  t_hi: int | None = None,
-                  window: int | None = None, *,
-                  strict: bool = True) -> QueryResult:
-        self._check_open()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if not self.config.space.contains(x, y):
-            raise ValueError(f"query point ({x}, {y}) outside the domain")
-        if t_hi is not None and t_hi < t_lo:
-            raise ValueError(f"empty query interval [{t_lo}, {t_hi}]")
-        self.config.queriable_period(self._clock, window)
-        merged = QueryResult() if strict else PartialResult()
-        candidates: list[tuple[tuple[int, int, int], Entry]] = []
-        shard_ids = list(range(self.n_shards))
-        successes, failures = self._fan_out_query(
-            shard_ids, "query_knn", (x, y, k, t_lo, t_hi, window))
-        if failures and strict:
-            self._raise_shard_failure(failures)
-        for _, result in successes:
-            merged.stats.merge(result.stats)
-            for entry in result.entries:
-                dist2 = (entry.x - x) ** 2 + (entry.y - y) ** 2
-                candidates.append(((dist2, entry.oid, entry.s), entry))
-        candidates.sort(key=lambda item: item[0])
-        merged.entries.extend(entry for _, entry in candidates[:k])
-        if failures:
-            assert isinstance(merged, PartialResult)
-            merged.failures.extend(failures)
-            merged.stats.degraded = True
-        return merged
-
-    def density_grid(self, area: Rect, t: int,
-                     window: int | None = None) -> dict[tuple[int, int],
-                                                        int]:
-        self._check_open()
-        result = self.query_timeslice(area, t, window)
-        density: dict[tuple[int, int], set[int]] = {}
-        for entry in result:
-            cell = self.grid.cell_of(entry.x, entry.y)
-            density.setdefault(cell, set()).add(entry.oid)
-        counts = {cell: len(oids) for cell, oids in density.items()}
-        for cell_overlap in self.grid.overlapping_cells(area):
-            counts.setdefault((cell_overlap.cx, cell_overlap.cy), 0)
-        return counts
-
-    def object_history(self, oid: int, t_lo: int | None = None,
-                       t_hi: int | None = None,
-                       window: int | None = None) -> list[Entry]:
-        self._check_open()
-        q_lo, q_hi = self.config.queriable_period(self._clock, window)
-        t_lo = q_lo if t_lo is None else t_lo
-        t_hi = q_hi if t_hi is None else t_hi
-        result = self.query_interval(self.config.space, t_lo, t_hi, window)
-        return sorted((e for e in result if e.oid == oid),
-                      key=lambda e: e.s)
-
-    # -- persistence -----------------------------------------------------------
-
-    def save(self) -> None:
-        """Two-phase epoch commit across the worker pool.
-
-        Same marker protocol as ``ShardedEngine.save`` with two
-        additions: the shard commits run *inside* the workers, and a
-        per-shard **checkpoint** (base refresh + WAL reset to the new
-        epoch) follows the manifest flip.  Any failure up to and
-        including the flip kills every worker and resolves the marker
-        exactly as ``open()`` would — a worker must never keep
-        acknowledging writes into a WAL of a superseded epoch.
-        """
-        self._check_open()
-        self._settled()
-        # Lockstep clocks first so the committed shards agree (and the
-        # directory stays openable by ShardedEngine).
-        self.advance_time(self._clock)
-        for sid in range(self.n_shards):
-            self._ensure(sid)
-        next_epoch = self._epoch + 1
-        try:
-            expected = []
-            for sid in range(self.n_shards):
-                generation, marked = self.pool.request(sid, "gen_info")
-                expected.append(generation + (1 if marked else 2))
-            write_json_atomic(
-                self._fops, self._dir, self._prepare_path(),
-                {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
-                 "n_shards": self.n_shards, "expected": expected})
-            gens = []
-            for sid in range(self.n_shards):
-                gens.append(self.pool.request(sid, "save"))
-            write_json_atomic(
-                self._fops, self._dir, self._manifest_path(),
-                {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-                 "epoch": next_epoch, "shards": gens,
-                 "generation": self._generation})
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-        except BaseException:
-            self.pool.kill_all()
-            self._heal()
-            self._needs_resync = True
-            raise
-        self._epoch = next_epoch
+    def after_flip(self, epoch: int) -> None:
+        """Checkpoint each worker: refresh base, reset WAL to ``epoch``."""
         for sid in range(self.n_shards):
             try:
                 self._next_seq[sid] = self.pool.request(
-                    sid, "checkpoint", next_epoch)
+                    sid, "checkpoint", epoch)
             except WorkerCrashError:
                 # The worker died before checkpointing: its WAL is now
                 # one epoch stale and will be reset on respawn; nothing
                 # acknowledged is at risk (the epoch commit holds it).
-                self._needs_resync = True
+                self.needs_resync = True
 
-    def _heal(self) -> dict[str, Any]:
+    def close(self) -> list[BaseException]:
+        """Graceful stop: shards abort, WALs stay (nothing is lost —
+        every acknowledged op is in the WALs and ``open()`` replays
+        them)."""
+        return self.pool.stop_all()
+
+    # -- recovery --------------------------------------------------------------
+
+    def heal(self) -> dict[str, Any]:
         """Resolve a leftover PREPARE marker (open-time and post-failure).
 
-        Like ``ShardedEngine._recover_epoch``, with the WAL upgrade: a
+        Like the in-process backend's recovery, with the WAL upgrade: a
         *partially* committed epoch rolls forward instead of raising
         ``EpochTornError`` — pending shards' WALs are rebased to the
         new epoch so their acknowledged tails replay over their old
         base snapshots, while committed shards' stale WALs are simply
-        reset by their workers on respawn.
+        reset by their workers on respawn.  Returns the manifest the
+        directory resolved to.
         """
-        manifest = load_manifest(self._manifest_path())
-        if manifest["n_shards"] != self.n_shards:
-            raise EngineError(
-                f"directory {self._dir!r} holds {manifest['n_shards']} "
-                f"shards but config.n_shards is {self.n_shards}")
-        self._set_generation(manifest["generation"])
-        prepare = _load_prepare(self._prepare_path())
+        manifest = load_checked_manifest(self.directory, self.n_shards)
+        self.pool.generation = manifest["generation"]
+        prepare = load_pending_prepare(self.directory, manifest, self.fops)
         if prepare is None:
-            self._epoch = manifest["epoch"]
             return manifest
-        if prepare["n_shards"] != self.n_shards:
-            raise EngineError(
-                f"save marker in {self._dir!r} records "
-                f"{prepare['n_shards']} shards but the manifest holds "
-                f"{self.n_shards}")
-        epoch: int = manifest["epoch"]
-        if prepare["epoch"] == epoch:
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            self._epoch = epoch
-            return manifest
-        if prepare["epoch"] != epoch + 1:
-            raise EngineError(
-                f"save marker epoch {prepare['epoch']} is inconsistent "
-                f"with manifest epoch {epoch} in {self._dir!r} "
-                f"(external tampering?)")
         observed, committed, pending = probe_prepare_state(
             prepare, [self.shard_path(sid) for sid in range(self.n_shards)])
         if not committed:
             # Roll back: no shard committed; the old snapshot is intact
-            # and — unlike the executor engine — every acknowledged op
-            # since the last epoch still lives in the shards' WALs.
-            self._fops.unlink(self._prepare_path())
-            self._fops.fsync_dir(self._dir)
-            self._epoch = epoch
+            # and every acknowledged op since the last epoch still lives
+            # in the shards' WALs.
+            drop_prepare(self.directory, self.fops)
             return manifest
         # Roll forward: rebase the pending shards' logs onto the new
         # epoch (idempotent, atomic per shard), then flip the manifest.
+        gen_dir = generation_dir(self.directory, self.pool.generation)
         for sid in pending:
-            rebase_wal(self.wal_path(sid), self._fops, prepare["epoch"])
-        gens = [gen if gen is not None else 0 for gen in observed]
-        rolled = {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
-                  "epoch": prepare["epoch"], "shards": gens,
-                  "generation": self._generation}
-        write_json_atomic(self._fops, self._dir, self._manifest_path(),
-                          rolled)
-        self._fops.unlink(self._prepare_path())
-        self._fops.fsync_dir(self._dir)
-        self._epoch = prepare["epoch"]
-        return rolled
+            rebase_wal(os.path.join(gen_dir, wal_file_name(sid)),
+                       self.fops, prepare["epoch"])
+        return roll_manifest_forward(self.directory, manifest, prepare,
+                                     observed, self.fops)
+
+
+class WorkerEngine(Coordinator):
+    """The coordinator over warm worker processes (:class:`WorkerBackend`).
+
+    Same surface as :class:`~repro.engine.engine.ShardedEngine` — it
+    *is* the same coordinator — but every shard lives in its own
+    process and every acknowledged mutation is WAL-durable.  A saved
+    directory is interchangeable with ``ShardedEngine``'s (same
+    manifest, same page files; the ``.wal``/``.pages.base`` files are
+    additive).
+
+    Always disk-backed: the WAL discipline has no meaning in memory.
+    ``retry_policy`` bounds worker restart attempts (and query retries
+    across restarts), one ``breaker_factory`` breaker per shard gates
+    them; ``heartbeat_timeout``/``fault_specs`` are the
+    :class:`WorkerPool`'s; ``file_ops`` is the manifest protocol's
+    durable filesystem seam.
+    """
+
+    _backend: WorkerBackend
+
+    def __init__(self, config: SWSTConfig | None = None,
+                 path: str | os.PathLike[str] | None = None, *,
+                 retry_policy: RetryPolicy | None = None,
+                 breaker_factory: Callable[[], CircuitBreaker] | None
+                 = CircuitBreaker,
+                 heartbeat_timeout: float | None = None,
+                 file_ops: FileOps | None = None,
+                 fault_specs: dict[int, dict[str, Any]] | None = None
+                 ) -> None:
+        if path is None:
+            raise EngineError("a warm-worker engine is always disk-backed; "
+                              "pass a directory path")
+        config = config if config is not None else SWSTConfig()
+        fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
+        directory = os.fspath(path)
+        manifest = prepare_directory(directory, config.n_shards, fops,
+                                     "WorkerEngine")
+        backend = WorkerBackend(
+            config, directory, retry_policy=retry_policy,
+            breaker_factory=breaker_factory,
+            heartbeat_timeout=heartbeat_timeout, file_ops=fops,
+            fault_specs=fault_specs)
+        backend.start(manifest)
+        super().__init__(config, backend, directory, manifest, fops)
 
     @classmethod
-    def open(cls, path: str, config: SWSTConfig, *,
+    def open(cls, path: str | os.PathLike[str], config: SWSTConfig, *,
              retry_policy: RetryPolicy | None = None,
              breaker_factory: Callable[[], CircuitBreaker] | None
              = CircuitBreaker,
@@ -1627,45 +988,26 @@ class WorkerEngine:
         spawned, each replaying its WAL tail, and the coordinator
         resynchronises its mirror from the recovered workers.
         """
-        engine = cls.__new__(cls)
-        engine.config = config
-        engine._dir = os.fspath(path)
-        engine._init_common(retry_policy, breaker_factory,
-                            heartbeat_timeout, file_ops, fault_specs)
-        try:
-            engine._heal()
-            for shard_id in range(config.n_shards):
-                engine._ensure(shard_id)
-            engine._resync()
-        except BaseException:
-            engine._abandon()
-            raise
-        return engine
+        fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
+        directory = os.fspath(path)
+        backend = WorkerBackend(
+            config, directory, retry_policy=retry_policy,
+            breaker_factory=breaker_factory,
+            heartbeat_timeout=heartbeat_timeout, file_ops=fops,
+            fault_specs=fault_specs)
+        manifest = backend.heal()
+        backend.start(manifest)
+        return cls._adopt(config, backend, directory, manifest, fops)
 
-    # -- lifecycle -------------------------------------------------------------
+    def reopen(self, n_shards: int) -> "WorkerEngine":
+        assert self._dir is not None
+        return WorkerEngine.open(
+            self._dir, dataclasses.replace(self.config, n_shards=n_shards),
+            retry_policy=self._backend.retry_policy,
+            heartbeat_timeout=self.pool.heartbeat_timeout,
+            file_ops=self._fops)
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-
-    def close(self) -> None:
-        """Stop every worker (graceful; shards abort, WALs stay).
-
-        An unsaved engine loses nothing: every acknowledged op is in
-        the WALs, and ``open()`` replays them.  Errors are aggregated
-        exactly like ``ShardedEngine.close``.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        errors = self.pool.stop_all()
-        if len(errors) == 1:
-            raise errors[0]
-        if errors:
-            raise EngineCloseError(errors) from errors[0]
-
-    def __enter__(self) -> "WorkerEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    @property
+    def pool(self) -> WorkerPool:
+        """The supervised worker pool (diagnostics and fault scripts)."""
+        return self._backend.pool

@@ -33,7 +33,7 @@ from .errors import (BadRequest, DeadlineExceeded, Overloaded,
                      ServeClosedError, ServeError)
 from .gate import SlideGate
 from .http import HttpServer
-from .main import ServeOptions, build_engine, run, serve
+from .main import ServeOptions, run, serve
 from .stats import ServeStats
 from .wire import Request, Response, WireReport
 
@@ -54,7 +54,6 @@ __all__ = [
     "ServeStats",
     "SlideGate",
     "WireReport",
-    "build_engine",
     "run",
     "serve",
 ]

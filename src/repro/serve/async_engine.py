@@ -1,7 +1,7 @@
 """Asyncio facade over the sharded engine: the serving data plane.
 
 :class:`AsyncEngine` bridges the blocking engine API
-(:class:`~repro.engine.ShardedEngine` / ``WorkerEngine``) into
+(:class:`~repro.engine.Coordinator`, in-process or warm-worker) into
 ``asyncio`` through the engine layer's :class:`~repro.engine.Executor`
 seam (``submit`` + ``asyncio.wrap_future``), with the concurrency
 contract the stack below actually supports:
@@ -31,16 +31,16 @@ executor (if owned) but leaves the engine to its owner (the server's
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import threading
 from typing import Any, Callable, Iterable, TypeVar
 
+from ..core.config import SWSTConfig
 from ..core.records import Rect, ReportLike
 from ..core.results import MultiQueryResult, QueryResult, QueryStats
-from ..engine.errors import ReshardError, ReshardInProgressError
+from ..engine.engine import Coordinator
+from ..engine.errors import ReshardInProgressError
 from ..engine.executor import Executor, ThreadedExecutor
 from ..engine.reshard import GenerationBuild, ReshardReport
-from ..engine.worker import WorkerEngine
 from .errors import ServeClosedError
 from .gate import SlideGate
 from .stats import ServeStats
@@ -49,17 +49,15 @@ T = TypeVar("T")
 
 
 class AsyncEngine:
-    """Async facade over one sharded (or warm-worker) engine.
+    """Async facade over one engine (in-process or warm-worker).
 
     Args:
-        engine: the engine to serve; must expose the ``ShardedEngine``
-            query/ingest surface (``strict=`` keywords included).  The
-            facade *borrows* it — the caller owns open/close.
+        engine: the engine to serve.  The facade *borrows* it — the
+            caller owns open/close.
         executor: pool the blocking calls run on, via the Executor
             seam's ``submit``.  Defaults to an owned
             :class:`~repro.engine.ThreadedExecutor` with
-            ``max_workers`` threads; remote (process) executors are
-            rejected — they cannot see the live engine.
+            ``max_workers`` threads.
         max_workers: size of the owned default pool.  More than one
             thread only helps overlap a detached straggler (a call
             whose waiter gave up on its deadline) with the next call;
@@ -67,13 +65,9 @@ class AsyncEngine:
         stats: shared serving counters; a fresh block if omitted.
     """
 
-    def __init__(self, engine: Any, *, executor: Executor | None = None,
-                 max_workers: int = 2,
+    def __init__(self, engine: Coordinator, *,
+                 executor: Executor | None = None, max_workers: int = 2,
                  stats: ServeStats | None = None) -> None:
-        if executor is not None and getattr(executor, "remote", False):
-            raise ValueError("AsyncEngine needs an in-process executor; "
-                             "remote (process) pools cannot reach the "
-                             "live engine")
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._engine = engine
@@ -101,7 +95,7 @@ class AsyncEngine:
     # -- introspection ---------------------------------------------------------
 
     @property
-    def engine(self) -> Any:
+    def engine(self) -> Coordinator:
         """The wrapped engine (borrowed, not owned)."""
         return self._engine
 
@@ -121,7 +115,7 @@ class AsyncEngine:
         return int(self._engine.now)
 
     @property
-    def config(self) -> Any:
+    def config(self) -> SWSTConfig:
         return self._engine.config
 
     def _check_open(self) -> None:
@@ -282,16 +276,11 @@ class AsyncEngine:
             raise ReshardInProgressError(
                 "a reshard is already in flight; retry after it "
                 "completes")
-        directory = getattr(self._engine, "_dir", None)
-        if directory is None:
-            raise ReshardError(
-                "only disk-backed engines can reshard; this engine has "
-                "no directory")
         self._resharding = True
         try:
             async with self._gate.write():
                 build = await self._run(
-                    lambda: self._freeze_reshard(directory, new_n_shards))
+                    lambda: self._freeze_reshard(new_n_shards))
             try:
                 await asyncio.wrap_future(self._executor.submit(build.build))
                 async with self._gate.write():
@@ -309,21 +298,13 @@ class AsyncEngine:
         self._stats.reshards += 1
         return report
 
-    def _freeze_reshard(self, directory: str,
-                        new_n_shards: int) -> GenerationBuild:
+    def _freeze_reshard(self, new_n_shards: int) -> GenerationBuild:
         """Phase 1 body (pool thread, exclusive): checkpoint + stage."""
         engine = self._engine
         engine.save()
-        executor = None
-        if not isinstance(engine, WorkerEngine) \
-                and not getattr(engine, "_owns_executor", True):
-            # The new generation can share a caller-owned executor; an
-            # engine-owned one dies with the old engine at the swap.
-            executor = engine._executor
         build = GenerationBuild(
-            directory, new_n_shards, engine.config, executor=executor,
-            file_ops=engine._fops,
-            snapshots=getattr(engine, "_snapshots", True))
+            engine.directory, new_n_shards, engine.config,
+            file_ops=engine.file_ops, snapshots=engine.snapshots)
         build.stage()
         self._journal = []
         return build
@@ -335,19 +316,12 @@ class AsyncEngine:
         for name, args in journal or ():
             getattr(target, name)(*args)
         report = build.commit()
+        # The build's engine only carried the data across; what serves
+        # the new generation is the old engine's kind (in-process or
+        # worker pool), reopened around the new shard layout.
+        build.close()
         old = self._engine
-        if isinstance(old, WorkerEngine):
-            # The worker engine's process pool must be respawned around
-            # the new shard layout; the build's in-process engine only
-            # carried the data.
-            build.close()
-            self._engine = WorkerEngine.open(
-                report.directory,
-                dataclasses.replace(old.config,
-                                    n_shards=report.new_n_shards),
-                retry_policy=old._retry_policy, file_ops=old._fops)
-        else:
-            self._engine = build.detach_engine()
+        self._engine = old.reopen(report.new_n_shards)
         self._owns_engine = True
         # If the old engine was borrowed, its owner (the server's exit
         # stack) still calls close() at shutdown — close is idempotent —

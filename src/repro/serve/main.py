@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import signal
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable
+from typing import Awaitable, Callable
 
 from ..core.config import SWSTConfig
-from ..engine import (RetryPolicy, ShardedEngine, WorkerEngine,
-                      resolve_executor)
+from ..engine import RetryPolicy, open_engine
 from .app import ServeApp
 from .async_engine import AsyncEngine
 from .coalesce import Timer
@@ -74,37 +74,6 @@ class ServeOptions:
     pool_workers: int = 2
 
 
-def build_engine(options: ServeOptions,
-                 stack: contextlib.ExitStack) -> Any:
-    """Open (or create) the engine named by ``options`` onto ``stack``.
-
-    Mirrors the CLI's ``_open_index`` resource discipline: the resolved
-    executor's ``close`` is registered before the engine might fail to
-    open, and the engine itself is entered as a context so a later
-    startup failure closes it.
-    """
-    if options.workers:
-        engine: Any = (
-            WorkerEngine(options.config, options.index,
-                         retry_policy=options.retry_policy)
-            if options.create
-            else WorkerEngine.open(options.index, options.config,
-                                   retry_policy=options.retry_policy))
-        stack.enter_context(engine)
-        return engine
-    executor = resolve_executor(options.executor)
-    stack.callback(executor.close)
-    engine = (
-        ShardedEngine(options.config, options.index, executor=executor,
-                      retry_policy=options.retry_policy)
-        if options.create
-        else ShardedEngine.open(options.index, options.config,
-                                executor=executor,
-                                retry_policy=options.retry_policy))
-    stack.enter_context(engine)
-    return engine
-
-
 async def serve(options: ServeOptions, *,
                 ready: Callable[[HttpServer, ServeApp],
                                 Awaitable[None] | None] | None = None,
@@ -125,7 +94,10 @@ async def serve(options: ServeOptions, *,
     if shutdown is None:
         shutdown = asyncio.Event()
     with contextlib.ExitStack() as stack:
-        engine = build_engine(options, stack)
+        engine = stack.enter_context(open_engine(
+            options.index, options.config, create=options.create,
+            workers=options.workers, executor=options.executor,
+            retry_policy=options.retry_policy))
         facade = AsyncEngine(engine, max_workers=options.pool_workers)
         stack.callback(facade.close)
         app = ServeApp(facade, capacity=options.capacity,
@@ -156,9 +128,19 @@ async def serve(options: ServeOptions, *,
 
 
 def run(options: ServeOptions) -> int:
-    """Blocking entry point for the CLI: serve until interrupted."""
-    try:
-        asyncio.run(serve(options))
-    except KeyboardInterrupt:
-        return 0
+    """Blocking entry point for the CLI: serve until SIGTERM/SIGINT.
+
+    Both signals set the ``shutdown`` event, so the server leaves
+    through the same ``ExitStack`` unwinding as any other exit — the
+    listener closes, in-flight work drains, worker processes are
+    stopped — instead of dying with its children still running.
+    """
+    async def main() -> None:
+        shutdown = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(signum, shutdown.set)
+        await serve(options, shutdown=shutdown)
+
+    asyncio.run(main())
     return 0

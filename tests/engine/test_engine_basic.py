@@ -63,28 +63,6 @@ class TestRouting:
 
 
 class TestCrossShardCurrents:
-    def test_object_moving_between_shards_is_finalised(self, engine):
-        (x1, y1), (x2, y2) = cells_in_different_shards(engine)
-        engine.report(7, x1, y1, 10)
-        first_home = engine._home[7]
-        engine.report(7, x2, y2, 25)
-        assert engine._home[7] != first_home
-        assert engine.current_objects() == {7: (x2, y2, 25)}
-        entries = {(e.x, e.y, e.s, e.d)
-                   for e in engine.query_interval(engine.config.space, 0, 30)}
-        assert entries == {(x1, y1, 10, 15), (x2, y2, 25, None)}
-        engine.check_integrity()
-
-    def test_same_timestamp_rereport_is_position_correction(self, engine):
-        (x1, y1), (x2, y2) = cells_in_different_shards(engine)
-        engine.report(7, x1, y1, 10)
-        engine.report(7, x2, y2, 10)
-        entries = [(e.x, e.y, e.s, e.d)
-                   for e in engine.query_interval(engine.config.space, 0, 30)]
-        assert entries == [(x2, y2, 10, None)]
-        assert len(engine) == 1
-        engine.check_integrity()
-
     def test_extend_routes_cross_shard_objects(self, engine):
         (x1, y1), (x2, y2) = cells_in_different_shards(engine)
 
@@ -107,15 +85,6 @@ class TestCrossShardCurrents:
         entries = [(e.x, e.y, e.s, e.d)
                    for e in engine.query_interval(engine.config.space, 0, 40)]
         assert entries == [(x2, y2, 10, 20)]
-
-    def test_rejected_close_keeps_home_map_entry(self, engine):
-        (x1, y1), _ = cells_in_different_shards(engine)
-        engine.report(7, x1, y1, 10)
-        with pytest.raises(ValueError):
-            engine.close_object(7, 10)
-        assert engine.current_objects() == {7: (x1, y1, 10)}
-        engine.check_integrity()
-        assert engine.close_object(7, 30) is True
 
     def test_delete_routed_by_cell(self, engine):
         engine.insert(1, 5, 5, 0, 10)
@@ -206,10 +175,11 @@ class TestLifecycle:
 
     def test_owned_executor_closed_with_engine(self):
         eng = ShardedEngine(make_config())
-        assert isinstance(eng._executor, ThreadedExecutor)
+        executor = eng._backend.executor
+        assert isinstance(executor, ThreadedExecutor)
         eng.extend([])
         eng.close()
-        assert eng._executor._pool is None
+        assert executor._pool is None
 
     def test_borrowed_executor_left_running(self):
         ex = ThreadedExecutor(max_workers=2)
@@ -220,15 +190,6 @@ class TestLifecycle:
             assert ex._pool is not None
         finally:
             ex.close()
-
-    def test_stats_aggregate_supports_snapshot_diff(self, engine):
-        before = engine.stats.snapshot()
-        engine.insert(1, 5, 5, 0, 10)
-        delta = engine.stats.diff(before)
-        assert delta.node_accesses > 0
-        per_shard = engine.shard_stats()
-        assert sum(s.node_accesses for s in per_shard) == \
-            engine.stats.node_accesses
 
     def test_memory_engine_has_no_directory(self, engine):
         assert engine.directory is None

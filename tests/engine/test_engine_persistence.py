@@ -1,7 +1,6 @@
 """ShardedEngine persistence: directory layout, save/open roundtrip,
-manifest validation, remote (process) executor discipline."""
+manifest validation."""
 
-import dataclasses
 import json
 import os
 import random
@@ -9,8 +8,7 @@ import random
 import pytest
 
 from repro.core import Rect, SWSTConfig
-from repro.engine import (EngineError, ProcessExecutor, SerialExecutor,
-                          ShardedEngine)
+from repro.engine import EngineError, SerialExecutor, ShardedEngine
 
 
 def make_config(n_shards=3, **overrides):
@@ -101,17 +99,17 @@ class TestRoundtrip:
             assert result.entries
             assert all(entry_key(e) in stored for e in result)
 
-    def test_home_map_rebuilt_on_open(self, tmp_path):
+    def test_current_mirror_rebuilt_on_open(self, tmp_path):
         config = make_config()
         path = tmp_path / "index.d"
         with ShardedEngine(config, path, executor=SerialExecutor()) as eng:
             eng.report(1, 5, 5, 0)
             eng.report(1, 95, 95, 10)
             eng.save()
-            expected_home = dict(eng._home)
+            expected_mirror = dict(eng._cur)
         with ShardedEngine.open(path, config,
                                 executor=SerialExecutor()) as eng:
-            assert eng._home == expected_home
+            assert eng._cur == expected_mirror
             # The reopened engine can keep running the current protocol.
             eng.report(1, 50, 50, 20)
             assert eng.current_objects() == {1: (50, 50, 20)}
@@ -131,72 +129,3 @@ class TestRoundtrip:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="manifest"):
             ShardedEngine.open(tmp_path / "nothing.d", make_config())
-
-
-class TestRemoteExecutor:
-    def test_process_executor_queries_saved_engine(self, tmp_path):
-        config = make_config(n_shards=2)
-        path = tmp_path / "index.d"
-        reports = random_reports(150)
-        with ShardedEngine(config, path, executor=SerialExecutor()) as eng:
-            eng.extend(reports)
-            eng.save()
-            expected = sorted(
-                entry_key(e)
-                for e in eng.query_interval(config.space, 0, eng.now + 1))
-            now = eng.now
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            with ShardedEngine.open(path, config, executor=executor) as eng:
-                result = eng.query_interval(config.space, 0, now + 1)
-                assert sorted(entry_key(e) for e in result) == expected
-        finally:
-            executor.close()
-
-    def test_remote_executor_refuses_unsaved_mutations(self, tmp_path):
-        config = make_config(n_shards=2)
-        path = tmp_path / "index.d"
-        with ShardedEngine(config, path, executor=SerialExecutor()) as eng:
-            eng.extend(random_reports(50))
-            eng.save()
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            with ShardedEngine.open(path, config, executor=executor) as eng:
-                eng.report(1, 5, 5, eng.now + 1)
-                with pytest.raises(EngineError, match="save"):
-                    eng.query_interval(config.space, 0, eng.now)
-                eng.save()
-                eng.query_interval(config.space, 0, eng.now)
-        finally:
-            executor.close()
-
-    def test_remote_executor_requires_disk_engine(self):
-        executor = ProcessExecutor()
-        try:
-            with ShardedEngine(make_config(n_shards=2),
-                               executor=executor) as eng:
-                with pytest.raises(EngineError, match="disk"):
-                    eng.query_interval(eng.config.space, 0, 1)
-        finally:
-            executor.close()
-
-    def test_unpicklable_device_factory_is_stripped(self, tmp_path):
-        # A device_factory is often a closure (unpicklable).  The engine
-        # strips it from the config it ships to worker processes, so a
-        # remote query works even when the local engine uses one.
-        from repro.storage import FilePageDevice
-
-        clean = make_config(n_shards=2)
-        config = dataclasses.replace(
-            clean, device_factory=lambda path, size: FilePageDevice(path,
-                                                                    size))
-        path = tmp_path / "index.d"
-        with ShardedEngine(clean, path, executor=SerialExecutor()) as eng:
-            eng.extend(random_reports(40))
-            eng.save()
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            with ShardedEngine.open(path, config, executor=executor) as eng:
-                eng.query_interval(clean.space, 0, eng.now + 1)
-        finally:
-            executor.close()

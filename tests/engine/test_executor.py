@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.engine import (Executor, ProcessExecutor, SerialExecutor,
-                          TaskTimeoutError, ThreadedExecutor,
-                          resolve_executor)
+from repro.engine import (Executor, SerialExecutor, TaskTimeoutError,
+                          ThreadedExecutor, resolve_executor)
 
 
 class TestSerialExecutor:
@@ -18,9 +17,6 @@ class TestSerialExecutor:
         with pytest.raises(ZeroDivisionError):
             ex.map(lambda n: 1 // n, [1, 0, 2])
         ex.close()
-
-    def test_is_local(self):
-        assert SerialExecutor.remote is False
 
 
 class TestThreadedExecutor:
@@ -58,7 +54,6 @@ class TestThreadedExecutor:
     def test_satisfies_protocol(self):
         assert isinstance(ThreadedExecutor(), Executor)
         assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(ProcessExecutor(), Executor)
 
 
 class TestResolveExecutor:
@@ -70,14 +65,13 @@ class TestResolveExecutor:
         assert isinstance(ex, ThreadedExecutor)
         assert ex._max_workers == 3
 
-    def test_process(self):
-        ex = resolve_executor("process")
-        assert isinstance(ex, ProcessExecutor)
-        assert ex.remote is True
-
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             resolve_executor("fiber")
+        # The process lane is gone: multi-process shards are the warm
+        # worker pool's job, not an executor's.
+        with pytest.raises(ValueError):
+            resolve_executor("process")
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
@@ -121,43 +115,3 @@ class TestPerTaskDeadlines:
         ex = SerialExecutor()
         assert ex.map(_sleepy, [0.05], timeout=0.001) == [0.05]
         ex.close()
-
-    def test_process_timeout_is_typed(self):
-        ex = ProcessExecutor(max_workers=2)
-        try:
-            with pytest.raises(TaskTimeoutError) as excinfo:
-                ex.map(_sleepy, [5.0], timeout=0.2)
-            assert excinfo.value.item_index == 0
-        finally:
-            ex.close()
-
-
-class TestAbandonedFutureRecycle:
-    def test_timeout_counts_abandoned_futures(self):
-        ex = ProcessExecutor(max_workers=2)
-        try:
-            with pytest.raises(TaskTimeoutError):
-                ex.map(_sleepy, [1.0], timeout=0.05)
-            # One task keeps running detached; the pool survives
-            # because a single abandonment cannot wedge both workers.
-            assert ex.abandoned_futures == 1
-            assert ex.pool_recycles == 0
-            assert ex._pool is not None
-        finally:
-            ex.close()
-
-    def test_recycle_when_abandonment_covers_every_worker(self):
-        ex = ProcessExecutor(max_workers=1)
-        try:
-            with pytest.raises(TaskTimeoutError):
-                ex.map(_sleepy, [1.0], timeout=0.05)
-            # The only worker slot may be wedged: the pool is recycled
-            # and the counters reset for the replacement.
-            assert ex.pool_recycles == 1
-            assert ex.abandoned_futures == 0
-            assert ex._pool is None
-            # The next map self-heals on a fresh pool with a live
-            # worker, not the one stuck behind the abandoned task.
-            assert ex.map(_sleepy, [0.0], timeout=30.0) == [0.0]
-        finally:
-            ex.close()

@@ -1,7 +1,7 @@
 """Engine-side query planning: one plan per fan-out (S2 — retried shard
 tasks reuse the original plan, with no stats double-count), the engine
 plan cache's epoch fence (S1), the batched multi-rectangle scatter-gather
-equivalence oracle (S4), and plan picklability for the process path."""
+equivalence oracle (S4), and plan picklability for the worker pipes."""
 
 import contextlib
 import dataclasses
@@ -265,98 +265,8 @@ class TestDegradedManyAttribution:
             close_quietly(eng)
 
 
-class _Handle:
-    def __init__(self, log):
-        self.log = log
-        self.closed = False
-
-    def close(self):
-        self.closed = True
-
-
-class TestWorkerShardCache:
-    """The worker-local handle cache behind the remote query path."""
-
-    def make_opener(self, opened):
-        def opener():
-            handle = _Handle(opened)
-            opened.append(handle)
-            return handle
-        return opener
-
-    def test_same_epoch_reuses_the_handle(self, tmp_path):
-        from repro.engine.executor import open_worker_shard
-
-        opened = []
-        path = str(tmp_path / "a")
-        first = open_worker_shard(path, 3, self.make_opener(opened))
-        second = open_worker_shard(path, 3, self.make_opener(opened))
-        assert first is second
-        assert len(opened) == 1
-        assert not first.closed
-
-    def test_epoch_bump_closes_and_reopens(self, tmp_path):
-        from repro.engine.executor import open_worker_shard
-
-        opened = []
-        path = str(tmp_path / "b")
-        stale = open_worker_shard(path, 1, self.make_opener(opened))
-        fresh = open_worker_shard(path, 2, self.make_opener(opened))
-        assert fresh is not stale
-        assert stale.closed
-        assert not fresh.closed
-        assert len(opened) == 2
-
-    def test_discard_closes_and_forces_reopen(self, tmp_path):
-        from repro.engine.executor import (discard_worker_shard,
-                                           open_worker_shard)
-
-        opened = []
-        path = str(tmp_path / "c")
-        first = open_worker_shard(path, 1, self.make_opener(opened))
-        discard_worker_shard(path)
-        assert first.closed
-        second = open_worker_shard(path, 1, self.make_opener(opened))
-        assert second is not first
-        assert len(opened) == 2
-        discard_worker_shard(path)  # idempotent on a missing entry
-        discard_worker_shard(path)
-
-
-class TestProcessExecutorWarmWorkers:
-    def test_repeated_remote_queries_stay_correct(self, saved_dir):
-        """Workers reuse their shard handles across queries (same save
-        epoch) and reopen after a save bumps it — results identical to
-        the serial oracle throughout."""
-        from repro.engine import ProcessExecutor
-
-        cfg = make_config()
-        with ShardedEngine.open(saved_dir, cfg,
-                                executor=SerialExecutor()) as eng:
-            q_lo, q_hi = eng.config.queriable_period(eng.now)
-            oracle = sorted(entry_key(e) for e in eng.query_interval(
-                eng.config.space, q_lo, q_hi))
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            with ShardedEngine.open(saved_dir, cfg,
-                                    executor=executor) as eng:
-                for _ in range(3):  # warm-handle reuse
-                    result = eng.query_interval(eng.config.space,
-                                                q_lo, q_hi)
-                    assert sorted(map(entry_key, result.entries)) == \
-                        oracle
-                eng.report(990, 50, 50, eng.now)
-                eng.save()  # epoch bump: workers must reopen
-                after = eng.query_interval(eng.config.space, q_lo,
-                                           eng.now)
-                assert (990, 50, 50, eng.now, -1) in \
-                    [entry_key(e) for e in after.entries]
-        finally:
-            executor.close()
-
-
 class TestPlanPicklability:
-    """The process-executor path ships the frozen plan to workers."""
+    """Warm workers receive the frozen plan over their pipes."""
 
     def test_round_trip(self):
         cfg = make_config()

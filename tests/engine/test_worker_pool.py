@@ -136,7 +136,7 @@ class TestCircuitBreaker:
             # fails fast without a spawn attempt.
             spawns = eng.pool.spawn_counts[2]
             with pytest.raises(CircuitOpenError):
-                eng._ensure(2)
+                eng._backend._ensure(2)
             assert eng.pool.spawn_counts[2] == spawns
         finally:
             eng.pool.fault_specs.clear()

@@ -5,7 +5,8 @@ import asyncio
 import pytest
 
 from repro.core import Rect, SWSTConfig
-from repro.engine import ProcessExecutor, SerialExecutor, ShardedEngine
+from repro.engine import (SerialExecutor, ShardedEngine,
+                          ThreadedExecutor)
 from repro.serve import AsyncEngine, ServeClosedError
 
 
@@ -24,11 +25,20 @@ def engine():
         yield eng
 
 
-def test_rejects_remote_executor():
-    pool = ProcessExecutor(max_workers=1)
+def test_borrows_caller_supplied_executor(engine):
+    pool = ThreadedExecutor(max_workers=1)
     try:
-        with pytest.raises(ValueError, match="remote"):
-            AsyncEngine(object(), executor=pool)
+        async def main():
+            facade = AsyncEngine(engine, executor=pool)
+            try:
+                await facade.report(1, 10, 20, 0)
+                return await facade.query_interval(Rect(0, 0, 99, 99), 0, 0)
+            finally:
+                facade.close()
+
+        assert [e.oid for e in asyncio.run(main()).entries] == [1]
+        # Closing the facade left the borrowed pool running.
+        assert pool.submit(lambda: 7).result(timeout=10) == 7
     finally:
         pool.close()
 

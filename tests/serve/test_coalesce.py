@@ -198,6 +198,39 @@ def test_identical_rects_collapse_to_one_evaluation(loaded_engine):
             loaded_engine.query_interval(area, 0, 5).entries
 
 
+def test_node_accesses_reach_the_client(loaded_engine):
+    """The paper's metric survives coalescing (regression: every wire
+    response used to report ``node_accesses: 0``).  A flush that
+    evaluated exactly one distinct rectangle has no shared descents, so
+    that rectangle's result carries the call's node accesses — equal to
+    the scalar call's; a multi-rectangle flush cannot attribute shared
+    descents, keeps per-rect 0 and exposes the batch figure once."""
+    from repro.serve.wire import result_json
+
+    tile = Rect(10, 10, 60, 60)
+    t_lo, t_hi = loaded_engine.config.queriable_period(loaded_engine.now)
+    scalar = loaded_engine.query_interval(tile, t_lo,
+                                          t_hi).stats.node_accesses
+    assert scalar > 0
+
+    (alone,), _ = gather_coalesced(loaded_engine, [tile], t_lo, t_hi)
+    assert alone.stats.node_accesses == scalar
+    assert result_json(alone)["stats"]["node_accesses"] == scalar
+
+    # Identical concurrent requests collapse to one distinct rectangle.
+    collapsed, stats = gather_coalesced(loaded_engine, [tile] * 3, t_lo,
+                                        t_hi)
+    assert stats.collapsed_requests == 2
+    assert [r.stats.node_accesses for r in collapsed] == [scalar] * 3
+
+    other = Rect(0, 0, 5, 5)
+    mixed, _ = gather_coalesced(loaded_engine, [tile, other], t_lo, t_hi)
+    assert [r.stats.node_accesses for r in mixed] == [0, 0]
+    batch = loaded_engine.query_interval_many([tile, other], t_lo, t_hi)
+    assert batch.stats.node_accesses >= scalar
+    assert [r.stats.node_accesses for r in batch.results] == [0, 0]
+
+
 def test_engine_failure_reaches_every_waiter(loaded_engine):
     stats = ServeStats()
     facade = AsyncEngine(loaded_engine, stats=stats)

@@ -1,7 +1,11 @@
 """CLI: generate -> build -> query round trip, bench figure selection."""
 
+import contextlib
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -252,3 +256,70 @@ class TestModuleEntry:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "generate" in proc.stdout
+
+
+def _group_members(pgid):
+    """Live (non-zombie) pids of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                raw = handle.read()
+        except OSError:
+            continue
+        fields = raw[raw.rindex(")") + 2:].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestServeWorkersDoNotOutliveTheServer:
+    """``repro serve --workers`` must take its worker processes with it,
+    however it ends (regression: SIGTERM used to orphan every worker)."""
+
+    N_SHARDS = 2
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             *filter(None, [env.get("PYTHONPATH")])])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve",
+             str(tmp_path / "fleet.d"), "--create", "--workers",
+             "--shards", str(self.N_SHARDS), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            start_new_session=True)
+        try:
+            # The port line is printed once the engine (and with it
+            # every worker) is up.
+            for raw in proc.stdout:
+                if raw.startswith(b"serving "):
+                    break
+            assert len(_group_members(proc.pid)) == 1 + self.N_SHARDS
+            yield proc
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            proc.stdout.close()
+
+    def _wait_group_empty(self, pgid, seconds=5.0):
+        deadline = time.monotonic() + seconds
+        while _group_members(pgid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return _group_members(pgid)
+
+    def test_sigterm_is_a_clean_shutdown(self, server):
+        os.kill(server.pid, signal.SIGTERM)
+        assert server.wait(timeout=30) == 0
+        assert self._wait_group_empty(server.pid) == []
+
+    def test_workers_exit_on_eof_when_the_server_is_killed(self, server):
+        os.kill(server.pid, signal.SIGKILL)
+        server.wait(timeout=30)
+        assert self._wait_group_empty(server.pid) == []
