@@ -16,6 +16,17 @@ reads are stalling on the build — exactly the regression the online
 protocol exists to prevent.  Absolute seconds/qps numbers are reported
 but never gated.
 
+The floor is 0.25, set from the minimum of seven runs on the tree that
+made temporal classification closed-form (0.33–0.54).  It used to be
+0.5 against readings of 1.0–1.4, and that ratio above 1 was an
+artefact: quiesced reads were bound by the old per-partition
+classifier (216–255 q/s), while reads beside the build are bound by
+GIL hand-offs with the build thread (265–299 q/s) whatever a read
+costs.  The closed form tripled the denominator (467–873 q/s quiesced)
+and left the numerator where it was (230–372 q/s), so the *ratio* fell
+while availability in absolute terms did not.  Reads that really stall
+on the build drive the ratio towards 0, which 0.25 still catches.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/gate_reshard_regression.py
@@ -37,7 +48,7 @@ from bench_reshard import RESULT_PATH, run_reshard_bench  # noqa: E402
 GATED = ("speedup_vs_rebuild",)
 
 #: Online reads must keep at least this fraction of quiesced throughput.
-AVAILABILITY_FLOOR = 0.5
+AVAILABILITY_FLOOR = 0.25
 
 
 def check_regression(committed: dict, fresh: dict,

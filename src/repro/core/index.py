@@ -685,8 +685,8 @@ class SWSTIndex:
 
         Serves a cached plan when one was compiled for the same
         ``(t_lo, t_hi, window)`` at the current clock (counted in
-        ``stats.plan_cache_hits``); otherwise runs the classification
-        sweep, compiles and caches a fresh plan.  Returns ``None`` when
+        ``stats.plan_cache_hits``); otherwise classifies the interval,
+        compiles and caches a fresh plan.  Returns ``None`` when
         no s-partition column qualifies — the query result is empty
         without touching any cell.
         """
@@ -871,21 +871,25 @@ class SWSTIndex:
 
         Returns ``(ranges, columns_examined)``; the caller owns the
         statistics accounting so cached replays stay byte-identical.
+        Every column counts as examined, but only those the memo's
+        occupied-column bitmap admits pay the per-d-partition MBR sweep.
         """
         dp = self.config.dp
         use_memo = self.config.use_memo
+        occupied = memo.occupied_columns
         overlaps = memo.overlaps
         z_lo, z_hi = self.codec.rect_z(clipped)
         column_range_z = self.codec.column_range_z
         ranges: list[tuple[int, int]] = []
-        examined = 0
         for column in columns:
-            examined += 1
+            s_part = column.s_part
             if use_memo:
+                if not occupied >> s_part & 1:
+                    continue
                 n_min = -1
                 n_max = -1
                 for n in range(column.d_first, dp):
-                    if overlaps(column.s_part, n, clipped):
+                    if overlaps(s_part, n, clipped):
                         if n_min < 0:
                             n_min = n
                         n_max = n
@@ -894,9 +898,8 @@ class SWSTIndex:
             else:
                 # Fig. 11 ablation: search the whole overlapping band.
                 n_min, n_max = column.d_first, dp - 1
-            ranges.append(column_range_z(column.s_part, n_min, n_max,
-                                         z_lo, z_hi))
-        return tuple(ranges), examined
+            ranges.append(column_range_z(s_part, n_min, n_max, z_lo, z_hi))
+        return tuple(ranges), len(columns)
 
     def _refine(self, hits: list[tuple[int, bytes]], plan: QueryPlan,
                 spatial_full: bool, area: Rect, stats: QueryStats,

@@ -16,6 +16,14 @@ temporal cell), which is behaviour-identical and lighter when data is
 skewed.  On deletion the count is decremented and the MBR is cleared when
 the cell empties; a partially emptied MBR is not shrunk (conservative: the
 memo may under-prune, never over-prune).
+
+On top of the per-cell table the memo keeps one *occupied-column bitmap*
+(a single ``int``, bit ``m`` = "s-partition ``m`` has held an entry since
+its tree was last dropped"), so step (b) skips a column that holds nothing
+without probing its ``Dp`` temporal cells.  ``add`` sets the bit and only
+``reset_partitions`` (the wholesale drop) clears it; ``remove`` leaves it
+set rather than track per-column counts, so the bitmap is a superset of
+the occupied columns — again under-pruning, never over-pruning.
 """
 
 from __future__ import annotations
@@ -26,12 +34,13 @@ from .records import Rect
 class CellMemo:
     """isPresent memo for one spatial cell."""
 
-    __slots__ = ("_cells", "_generation")
+    __slots__ = ("_cells", "_generation", "_occupied")
 
     def __init__(self) -> None:
         # (s_part, d_part) -> [count, x_lo, y_lo, x_hi, y_hi]
         self._cells: dict[tuple[int, int], list[int]] = {}
         self._generation = 0
+        self._occupied = 0
 
     @property
     def generation(self) -> int:
@@ -43,12 +52,19 @@ class CellMemo:
         """
         return self._generation
 
+    @property
+    def occupied_columns(self) -> int:
+        """Bitmap of s-partitions that may hold entries (bit ``m`` set); a
+        conservative superset — ``remove`` never clears a bit."""
+        return self._occupied
+
     def add(self, s_part: int, d_part: int, x: int, y: int) -> None:
         """Record one entry at ``(x, y)`` in temporal cell (s_part, d_part)."""
         self._generation += 1
         cell = self._cells.get((s_part, d_part))
         if cell is None:
             self._cells[(s_part, d_part)] = [1, x, y, x, y]
+            self._occupied |= 1 << s_part
             return
         cell[0] += 1
         if x < cell[1]:
@@ -96,6 +112,8 @@ class CellMemo:
         Called when the corresponding B+ tree is dropped at a window
         boundary.
         """
+        if s_hi > s_lo:
+            self._occupied &= ~(((1 << (s_hi - s_lo)) - 1) << s_lo)
         stale = [key for key in self._cells if s_lo <= key[0] < s_hi]
         if stale:
             self._generation += 1

@@ -6,13 +6,30 @@ entries, the contiguous band of overlapping d-partitions and the sub-band
 whose cells overlap *fully* — entries in fully overlapping cells are
 guaranteed to qualify and skip the refinement step.
 
-The classification is *exact*: instead of transliterating the paper's
-continuous-time inequalities we invert the integer partition formulas
-(:meth:`SWSTConfig.s_cell_bounds` / :meth:`d_cell_bounds`) and derive the
-full/partial conditions from first principles.  The property-based test
-suite checks both that the result agrees with brute-force enumeration of
-representable ``(s, d)`` pairs and that it matches the paper's merge
-algorithm (``repro.core.merge``) away from window edges.
+The classification is *exact* and costs O(1) integer arithmetic per column,
+as Theorems 1–3 promise: instead of transliterating the paper's
+continuous-time inequalities (or walking the d-partitions) it inverts the
+integer partition formulas of :class:`SWSTConfig` in closed form.  Since
+``d_partition(d) = ⌊(d - 1)·Dp / ND⌋``, partition ``n`` holds the durations
+``[D1(n), D2(n))`` with ``D1(n) = ⌈n·ND / Dp⌉ + 1`` and ``D2(n) = D1(n + 1)``.
+For a column with physical starts ``[s1, s2)``, qualifying starts
+``[a_lo, a_hi]``:
+
+* the *first overlapping* partition is the smallest ``n`` whose latest end
+  passes ``t_lo``: ``a_hi + D2(n) - 1 > t_lo  ⇔  (n + 1)·ND > gap·Dp`` with
+  ``gap = t_lo - a_hi``, so ``n = ⌊gap·Dp / ND⌋`` (0 when ``gap <= 0``),
+  capped at ``Dp - 1`` because the top partition hosts current entries
+  (d = ∞), which always reach past ``t_lo``;
+* the *first full* partition is the smallest ``n`` whose earliest end
+  passes ``t_lo``: ``s1 + D1(n) > t_lo  ⇔  n·ND > gap·Dp`` with
+  ``gap = t_lo - s1 - 1``, so ``n = ⌊gap·Dp / ND⌋ + 1`` (0 when
+  ``gap < 0``), capped at ``Dp`` (no full cell).  ``s1 <= a_hi`` and
+  ``Dp < ND`` make it never smaller than the first overlapping partition.
+
+The test suite checks the result against brute-force enumeration of
+representable ``(s, d)`` pairs, against the per-partition loops this closed
+form replaced, and against the paper's merge algorithm
+(``repro.core.merge``).
 
 An entry ``(s, d)`` qualifies for interval query ``[tl, th]`` under queriable
 period ``[q_lo, q_hi]`` iff::
@@ -28,14 +45,13 @@ never be classified full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import SWSTConfig
 
 
-@dataclass(frozen=True)
-class ColumnOverlap:
-    """Overlap classification of one s-partition column.
+class ColumnOverlap(NamedTuple):
+    """Overlap classification of one s-partition column (immutable).
 
     Attributes:
         s_part: modulo-space s-partition index in ``[0, 2·Sp)``.
@@ -84,18 +100,34 @@ def classify_interval(config: SWSTConfig, now: int, t_lo: int, t_hi: int,
     s_hi_eff = min(q_hi, t_hi)
     if s_hi_eff < q_lo:
         return []
-    cycle_len = 2 * config.w_max
+    w_max, sp, dp, nd = config.w_max, config.sp, config.dp, config.nd
+    cycle_len = 2 * w_max
     columns: list[ColumnOverlap] = []
-    first_cycle = q_lo // cycle_len
-    last_cycle = s_hi_eff // cycle_len
-    for cycle in range(first_cycle, last_cycle + 1):
+    for cycle in range(q_lo // cycle_len, s_hi_eff // cycle_len + 1):
         base = cycle * cycle_len
         m_lo = _s_part_at(config, max(q_lo - base, 0))
         m_hi = _s_part_at(config, min(s_hi_eff - base, cycle_len - 1))
+        # Column m holds the starts [S1(m), S1(m + 1)) of this cycle, with
+        # S1(m) = ⌈m·Wmax / Sp⌉ (SWSTConfig.s_cell_bounds).
+        s2 = base - (-(m_lo * w_max) // sp)
         for m in range(m_lo, m_hi + 1):
-            column = _classify_column(config, base, m, q_lo, s_hi_eff, t_lo)
-            if column is not None:
-                columns.append(column)
+            s1 = s2                 # smallest physical start in the column
+            s2 = base - (-((m + 1) * w_max) // sp)   # exclusive upper bound
+            a_lo = max(s1, q_lo)    # clipped qualifying start bounds
+            a_hi = min(s2 - 1, s_hi_eff)
+            if a_lo > a_hi:
+                continue
+            gap = t_lo - a_hi
+            d_first = 0 if gap <= 0 else min(gap * dp // nd, dp - 1)
+            # A column can only contain full cells when every physically
+            # present start is both queriable (s1 >= q_lo) and within the
+            # query's start bound (s2 - 1 <= s_hi_eff).
+            d_full = dp
+            if s1 >= q_lo and s2 - 1 <= s_hi_eff:
+                gap = t_lo - s1 - 1
+                d_full = 0 if gap < 0 else min(gap * dp // nd + 1, dp)
+            columns.append(ColumnOverlap(m, 0 if m < sp else 1, a_lo, a_hi,
+                                         d_first, d_full))
     return columns
 
 
@@ -108,60 +140,3 @@ def classify_timeslice(config: SWSTConfig, now: int, t: int,
 def _s_part_at(config: SWSTConfig, s_mod: int) -> int:
     """s-partition index of a modulo-space start time (no re-reduction)."""
     return (s_mod * config.sp) // config.w_max
-
-
-def _classify_column(config: SWSTConfig, base: int, m: int, q_lo: int,
-                     s_hi_eff: int, t_lo: int) -> ColumnOverlap | None:
-    """Classify column ``m`` of the cycle starting at absolute time ``base``."""
-    s1_mod, s2_mod = config.s_cell_bounds(m)
-    s1 = base + s1_mod          # smallest physical start in the column
-    s2 = base + s2_mod          # exclusive upper bound of physical starts
-    a_lo = max(s1, q_lo)        # clipped qualifying start bounds
-    a_hi = min(s2 - 1, s_hi_eff)
-    if a_lo > a_hi:
-        return None
-    dp = config.dp
-    d_first = _first_overlapping_d(config, a_hi, t_lo)
-    if d_first >= dp:
-        return None
-    # A column can only contain full cells when every physically present
-    # start is both queriable (s1 >= q_lo) and within the query's start
-    # bound (s2 - 1 <= s_hi_eff).
-    d_full = (_first_full_d(config, s1, t_lo)
-              if s1 >= q_lo and s2 - 1 <= s_hi_eff else dp)
-    return ColumnOverlap(s_part=m, tree=0 if m < config.sp else 1,
-                         s_abs_lo=a_lo, s_abs_hi=a_hi,
-                         d_first=max(d_first, 0),
-                         d_full=max(d_full, d_first))
-
-
-def _first_overlapping_d(config: SWSTConfig, a_hi: int, t_lo: int) -> int:
-    """Smallest d-partition where some qualifying (s, d) pair can exist.
-
-    A cell (column, n) can contain a qualifying entry iff its latest
-    possible end exceeds ``t_lo``: ``a_hi + (D2(n) - 1) > t_lo``.  The top
-    d-partition additionally hosts current entries (d = ∞), which always
-    satisfy the end condition.
-    """
-    dp = config.dp
-    for n in range(dp):
-        if n == dp - 1:
-            return n  # current entries (d = ∞) always reach past t_lo
-        _, d2 = config.d_cell_bounds(n)
-        if a_hi + d2 - 1 > t_lo:
-            return n
-    return dp  # pragma: no cover - top partition always overlaps
-
-
-def _first_full_d(config: SWSTConfig, s1: int, t_lo: int) -> int:
-    """Smallest d-partition where *every* (s, d) pair qualifies.
-
-    Requires the earliest possible end to exceed ``t_lo``:
-    ``s1 + D1(n) > t_lo``.  Monotone in ``n`` because D1 grows with n.
-    """
-    dp = config.dp
-    for n in range(dp):
-        d1, _ = config.d_cell_bounds(n)
-        if s1 + d1 > t_lo:
-            return n
-    return dp

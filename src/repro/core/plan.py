@@ -5,9 +5,9 @@ on the spatial area: the temporal-cell classification (one
 :class:`~repro.core.overlap.ColumnOverlap` per qualifying s-partition
 column, split by B+ tree), the column lookup table used during
 refinement, and the effective temporal predicate bounds.  It is a pure
-function of ``(config, clock, t_lo, t_hi, window)`` — deriving it costs
-a full classification sweep, which repeated dashboard queries used to
-pay on every evaluation.
+function of ``(config, clock, t_lo, t_hi, window)``; deriving it costs
+one closed-form classification (:mod:`~repro.core.overlap`: O(1) integer
+arithmetic per column, at most ``2·Sp`` columns).
 
 :class:`QueryPlan` is a frozen dataclass and must be treated as
 **immutable after construction** (lint rule R007 enforces this across
@@ -26,7 +26,10 @@ served even if an invalidation hook is missed.  Mutations at an
 unchanged clock (inserts, deletes) cannot change the classification —
 but they do change the per-cell *isPresent* memos, so the memo-pruned
 key ranges cached alongside each plan carry the owning memo's
-generation counter and are recomputed on mismatch.
+generation counter and are recomputed on mismatch.  Only
+:class:`~repro.core.index.SWSTIndex`'s own query methods carry a
+:class:`PlanEntry`; the engine ships the bare plan to its shards, so the
+served path never memoises ranges.
 """
 
 from __future__ import annotations

@@ -72,3 +72,41 @@ def test_memo_overlap_never_false_negative(points, probe):
     area = Rect(x_lo, y_lo, x_hi, y_hi)
     if any(area.contains(x, y) for x, y in points):
         assert memo.overlaps(0, 0, area)
+
+
+def _occupied(memo: CellMemo) -> set[int]:
+    return {s for s in range(12) if any(memo.count(s, d) for d in range(4))}
+
+
+def _bits(memo: CellMemo) -> set[int]:
+    assert memo.occupied_columns >> 12 == 0
+    return {s for s in range(12) if memo.occupied_columns >> s & 1}
+
+
+@settings(max_examples=80, deadline=None)
+@given(operations)
+def test_occupied_bitmap_is_a_conservative_superset(ops):
+    """The occupied-column bitmap never misses a column that holds an
+    entry; ``remove`` may leave stale bits, ``reset_partitions`` (the
+    wholesale drop) clears exactly its range, and a reset of every
+    partition makes the bitmap exact again."""
+    memo = CellMemo()
+    assert memo.occupied_columns == 0
+    for op, s_part, d_part, x, y in ops:
+        if op == "add":
+            memo.add(s_part, d_part, x, y)
+        elif op == "remove":
+            if memo.count(s_part, d_part):
+                before = memo.occupied_columns
+                memo.remove(s_part, d_part)
+                assert memo.occupied_columns == before
+        else:
+            outside = {s for s in _bits(memo)
+                       if not s_part <= s < s_part + d_part}
+            memo.reset_partitions(s_part, s_part + d_part)
+            assert _bits(memo) == outside
+        assert _bits(memo) >= _occupied(memo)
+    memo.reset_partitions(0, 12)
+    assert memo.occupied_columns == 0 and memo.total_entries() == 0
+    memo.add(3, 1, 5, 5)
+    assert _bits(memo) == _occupied(memo) == {3}

@@ -8,13 +8,21 @@ the two live windows and checks the classifier's three promises:
 * *full soundness* — every pair in a cell classified full qualifies;
 * *none soundness* — no pair below ``d_first`` (or in an unreported
   column) qualifies.
+
+The classifier inverts the d-partition formula in closed form; the
+per-partition loops it replaced live on here as reference functions
+(:func:`reference_classify`) and must agree with it on random
+configurations and on every partition edge.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SWSTConfig, classify_interval, classify_timeslice
+from repro.core import (ColumnOverlap, SWSTConfig, classify_interval,
+                        classify_timeslice)
 
 CFG = SWSTConfig(window=40, slide=10, d_max=12, duration_interval=4)
 
@@ -126,3 +134,160 @@ class TestStructure:
             assert col.overlap_kind(col.d_full) == "full"
         if col.d_first < col.d_full:
             assert col.overlap_kind(col.d_first) == "partial"
+
+
+# -- the per-partition loops the closed form replaced ------------------------
+
+
+def _first_overlapping_d(config: SWSTConfig, a_hi: int, t_lo: int) -> int:
+    """Smallest d-partition whose latest possible end exceeds ``t_lo``
+    (``a_hi + D2(n) - 1 > t_lo``); the top partition hosts current
+    entries (d = ∞) and always overlaps."""
+    dp = config.dp
+    for n in range(dp):
+        if n == dp - 1:
+            return n
+        _, d2 = config.d_cell_bounds(n)
+        if a_hi + d2 - 1 > t_lo:
+            return n
+    raise AssertionError("unreachable: the top partition always overlaps")
+
+
+def _first_full_d(config: SWSTConfig, s1: int, t_lo: int) -> int:
+    """Smallest d-partition whose earliest possible end exceeds ``t_lo``
+    (``s1 + D1(n) > t_lo``), or ``Dp``."""
+    dp = config.dp
+    for n in range(dp):
+        d1, _ = config.d_cell_bounds(n)
+        if s1 + d1 > t_lo:
+            return n
+    return dp
+
+
+def reference_classify(config: SWSTConfig, now: int, t_lo: int, t_hi: int,
+                       window=None) -> list[ColumnOverlap]:
+    """``classify_interval`` as it was before the closed form: every
+    bound through ``s_cell_bounds`` / ``d_cell_bounds``, one loop over the
+    d-partitions per column and predicate."""
+    q_lo, q_hi = config.queriable_period(now, window)
+    s_hi_eff = min(q_hi, t_hi)
+    if s_hi_eff < q_lo:
+        return []
+    cycle_len = 2 * config.w_max
+    columns = []
+    for cycle in range(q_lo // cycle_len, s_hi_eff // cycle_len + 1):
+        base = cycle * cycle_len
+        m_lo = config.s_partition(max(q_lo, base))
+        m_hi = config.s_partition(min(s_hi_eff, base + cycle_len - 1))
+        for m in range(m_lo, m_hi + 1):
+            s1_mod, s2_mod = config.s_cell_bounds(m)
+            s1, s2 = base + s1_mod, base + s2_mod
+            a_lo, a_hi = max(s1, q_lo), min(s2 - 1, s_hi_eff)
+            if a_lo > a_hi:
+                continue
+            d_first = _first_overlapping_d(config, a_hi, t_lo)
+            d_full = (_first_full_d(config, s1, t_lo)
+                      if s1 >= q_lo and s2 - 1 <= s_hi_eff else config.dp)
+            columns.append(ColumnOverlap(
+                s_part=m, tree=0 if m < config.sp else 1, s_abs_lo=a_lo,
+                s_abs_hi=a_hi, d_first=d_first,
+                d_full=max(d_full, d_first)))
+    return columns
+
+
+@st.composite
+def configs(draw) -> SWSTConfig:
+    """Configurations that stress the floors and ceilings: ``L ∤ W``,
+    ``Dmax`` not a multiple of δ, ``Dp = 1`` (δ >= Dmax), explicit
+    ``s_partitions`` finer and coarser than the default."""
+    window = draw(st.integers(1, 120))
+    d_max = draw(st.integers(1, 90))
+    return SWSTConfig(
+        window=window, slide=draw(st.integers(1, window)), d_max=d_max,
+        duration_interval=draw(st.integers(1, d_max + 3)),
+        s_partitions=draw(st.none() | st.integers(1, 30)))
+
+
+#: Hand-picked corner configurations for the edge sweep.
+EDGE_CONFIGS = (
+    CFG,
+    SWSTConfig(window=37, slide=5, d_max=23, duration_interval=7),
+    SWSTConfig(window=30, slide=30, d_max=9, duration_interval=9),   # Dp 1
+    SWSTConfig(window=50, slide=7, d_max=10, duration_interval=1),
+    SWSTConfig(window=41, slide=6, d_max=17, duration_interval=4,
+               s_partitions=5),
+    SWSTConfig(window=24, slide=4, d_max=13, duration_interval=5,
+               s_partitions=19),
+)
+
+
+class TestClosedFormAgainstLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(config=configs(), now_cycles=st.floats(0, 7),
+           back=st.floats(0, 1.3), length=st.floats(0, 1.2),
+           window_share=st.none() | st.floats(0, 1))
+    def test_random_configs(self, config, now_cycles, back, length,
+                            window_share):
+        now = int(now_cycles * config.w_max)
+        t_lo = max(now - int(back * config.window), 0)
+        t_hi = t_lo + int(length * config.window)
+        window = (None if window_share is None
+                  else max(1, int(window_share * config.window)))
+        assert classify_interval(config, now, t_lo, t_hi, window) == \
+            reference_classify(config, now, t_lo, t_hi, window)
+
+    @pytest.mark.parametrize("config", EDGE_CONFIGS,
+                             ids=lambda c: f"W{c.window}L{c.slide}"
+                                           f"D{c.d_max}d{c.duration_interval}")
+    def test_every_partition_edge(self, config):
+        """``t_lo`` placed exactly on, one below and one above every
+        ``D1(n)`` / ``D2(n)`` edge of every column, ``t_hi`` on ``q_lo``,
+        ``s_hi_eff`` and the ``2·Wmax`` wrap."""
+        cycle_len = 2 * config.w_max
+        d_edges = {d for n in range(config.dp)
+                   for d in config.d_cell_bounds(n)}
+        for now in (config.w_max - 1, cycle_len - 1, cycle_len,
+                    3 * config.w_max + config.slide // 2, 2 * cycle_len + 1):
+            q_lo, _ = config.queriable_period(now)
+            wrap = now // cycle_len * cycle_len
+            t_his = {t for t in (now, now + 3, q_lo - 1, q_lo, q_lo + 1,
+                                 wrap - 1, wrap, wrap + 1) if t >= 0}
+            starts = {bound for column in reference_classify(config, now, 0,
+                                                              now)
+                      for bound in (column.s_abs_lo, column.s_abs_hi)}
+            t_los = {s + d + delta for s in starts for d in d_edges
+                     for delta in (-2, -1, 0, 1)} | t_his
+            for t_hi in t_his:
+                for t_lo in t_los:
+                    if 0 <= t_lo <= t_hi:
+                        assert classify_interval(config, now, t_lo, t_hi) \
+                            == reference_classify(config, now, t_lo, t_hi), \
+                            (now, t_lo, t_hi)
+
+
+def test_classification_cost_is_constant_per_column(monkeypatch):
+    """Count-based cost guard (no wall clock): on the Table-II deployment
+    the classifier never calls ``d_cell_bounds`` — no walk over the
+    d-partitions — and makes O(1) calls of any kind per column."""
+    config = SWSTConfig(window=20000, slide=100, d_max=2000,
+                        duration_interval=100)
+    d_cell_calls = []
+    original = SWSTConfig.d_cell_bounds
+    monkeypatch.setattr(
+        SWSTConfig, "d_cell_bounds",
+        lambda self, n: d_cell_calls.append(n) or original(self, n))
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(count_calls)
+    try:
+        columns = classify_interval(config, 100_000, 81_000, 98_000)
+    finally:
+        sys.setprofile(None)
+    assert len(columns) > 150
+    assert d_cell_calls == []
+    assert calls <= 12 * len(columns) + 40, (calls, len(columns))
