@@ -27,6 +27,15 @@ and left the numerator where it was (230–372 q/s), so the *ratio* fell
 while availability in absolute terms did not.  Reads that really stall
 on the build drive the ratio towards 0, which 0.25 still catches.
 
+``speedup_vs_rebuild`` was re-recorded 5.07 -> 3.77 when the ingest
+path stopped re-deriving each record's constants and key material (PR
+22).  The rebuild side of the ratio *is* that ingest path (1.92-2.07 s
+at the parent -> 1.41-1.61 s on the same machine); the reshard side
+streams entries through the generic ``_physical_insert`` plus file
+copies and saves and did not move (0.41-0.43 s -> 0.38-0.45 s).  Seven
+readings on the change: 3.26-4.22 (parent, same session: 4.71-4.94) —
+the alternative got cheaper, resharding did not get slower.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/gate_reshard_regression.py

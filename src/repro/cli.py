@@ -50,9 +50,12 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=1,
                         help="shard the index over N page files "
                              "(index path becomes a directory; default 1)")
-    parser.add_argument("--executor", default="thread",
-                        help="scatter-gather executor for --shards > 1: "
-                             "serial | thread[:N] (default thread)")
+    parser.add_argument("--executor", default="serial",
+                        help="executor for in-process --shards > 1: "
+                             "serial | thread[:N] (default serial; both "
+                             "run shard work inline — thread only adds "
+                             "the pool that per-task deadlines need, it "
+                             "is not a speed setting)")
     parser.add_argument("--workers", action="store_true",
                         help="with --shards > 1: run each shard in a "
                              "long-lived worker process behind a "

@@ -25,6 +25,7 @@ of Section III-B.2:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 from .records import Rect
@@ -128,30 +129,32 @@ class SWSTConfig:
                              f"{self.plan_cache_size}")
 
     # -- derived quantities --------------------------------------------------
+    # Once per config object: ``cached_property`` fills the instance dict
+    # directly (frozen stays frozen; eq / hash / repr only see fields).
 
-    @property
+    @cached_property
     def w_max(self) -> int:
         """Maximum actual window extent ``Wmax = W + L - 1``."""
         return self.window + self.slide - 1
 
-    @property
+    @cached_property
     def sp(self) -> int:
         """Number of s-partitions per window (``Sp``)."""
         if self.s_partitions is not None:
             return self.s_partitions
         return -(-self.w_max // self.slide)  # ceil
 
-    @property
+    @cached_property
     def dp(self) -> int:
         """Number of d-partitions (``Dp``)."""
         return -(-self.d_max // self.duration_interval)  # ceil
 
-    @property
+    @cached_property
     def nd(self) -> int:
         """Sentinel duration for current entries (``ND = Dmax + 1``)."""
         return self.d_max + 1
 
-    @property
+    @cached_property
     def zc_order(self) -> int:
         """Bits per spatial axis for the Z-curve (covers the domain)."""
         extent = max(self.space.x_hi, self.space.y_hi)
@@ -161,7 +164,8 @@ class SWSTConfig:
 
     def s_partition(self, s: int) -> int:
         """Modulo-space s-partition index in ``[0, 2·Sp)`` of start time s."""
-        return ((s % (2 * self.w_max)) * self.sp) // self.w_max
+        w_max = self.w_max
+        return ((s % (2 * w_max)) * self.sp) // w_max
 
     def d_partition(self, d: int) -> int:
         """d-partition index in ``[0, Dp)`` of duration ``d ∈ [1, ND]``."""

@@ -19,6 +19,7 @@ in-memory *isPresent* memo per spatial cell.  Supports:
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..btree.multisearch import hits_in_ranges, multi_range_search
@@ -33,7 +34,7 @@ from .keys import KeyCodec
 from .memo import CellMemo
 from .overlap import ColumnOverlap, classify_interval
 from .plan import PlanCache, PlanEntry, QueryPlan, build_query_plan
-from .records import RECORD_SIZE, Entry, Rect, ReportLike
+from .records import RECORD_SIZE, Entry, Rect, ReportLike, pack_record
 from .results import MultiQueryResult, QueryResult, QueryStats
 
 _CATALOG_HEADER = struct.Struct("<QQQI")       # clock, drop_epoch, size, n_cells
@@ -138,18 +139,7 @@ class SWSTIndex:
         if d is not None:
             self._physical_insert(Entry(oid, x, y, s, d))
             return
-        previous = self._current.get(oid)
-        if previous is not None:
-            if previous[2] == s:
-                # Re-report at the same timestamp: a position correction.
-                # Replace the current entry instead of closing it with a
-                # zero-length duration.
-                px, py, ps = previous
-                self._physical_delete(Entry(oid, px, py, ps, None))
-            else:
-                self._finalize_current(oid, previous, end=s)
-        self._physical_insert(Entry(oid, x, y, s, None))
-        self._current[oid] = (x, y, s)
+        self._ingest_report(oid, x, y, s, self.grid.cell_of(x, y))
 
     def report(self, oid: int, x: int, y: int, t: int) -> None:
         """Position report of a moving object (alias of a current insert)."""
@@ -224,27 +214,34 @@ class SWSTIndex:
         repeats: dict[int, int] = {}
         for report in run:
             repeats[report.oid] = repeats.get(report.oid, 0) + 1
+        cell_of = self.grid.cell_of
         singles = []
         for report in run:
-            if repeats[report.oid] > 1:
-                self._ingest_report(report)
+            oid, x, y = report.oid, report.x, report.y
+            cell = cell_of(x, y)
+            if repeats[oid] > 1:
+                self._ingest_report(oid, x, y, report.t, cell)
             else:
-                singles.append(report)
-        singles.sort(key=lambda r: self.grid.cell_of(r.x, r.y))
-        for report in singles:
-            self._ingest_report(report)
+                singles.append((cell, oid, x, y, report.t))
+        singles.sort(key=itemgetter(0))
+        for cell, oid, x, y, s in singles:
+            self._ingest_report(oid, x, y, s, cell)
 
-    def _ingest_report(self, report: ReportLike) -> None:
-        """The current-entry protocol of :meth:`insert`, clock already set."""
-        oid, x, y, s = report.oid, report.x, report.y, report.t
+    def _ingest_report(self, oid: int, x: int, y: int, s: int,
+                       cell: tuple[int, int]) -> None:
+        """The current-entry protocol, clock already at or past ``s``;
+        ``cell`` is the grid cell of ``(x, y)``."""
         previous = self._current.get(oid)
         if previous is not None:
             if previous[2] == s:
+                # Re-report at the same timestamp: a position correction.
+                # Replace the current entry instead of closing it with a
+                # zero-length duration.
                 px, py, ps = previous
                 self._physical_delete(Entry(oid, px, py, ps, None))
             else:
                 self._finalize_current(oid, previous, end=s)
-        self._physical_insert(Entry(oid, x, y, s, None))
+        self._insert_record(cell, oid, x, y, s, None)
         self._current[oid] = (x, y, s)
 
     def close_object(self, oid: int, t: int) -> bool:
@@ -266,17 +263,35 @@ class SWSTIndex:
 
     def _finalize_current(self, oid: int, previous: tuple[int, int, int],
                           end: int) -> None:
-        """Replace the ND-keyed record of ``oid`` with its real duration."""
+        """Replace the ND-keyed record of ``oid`` with its real duration:
+        same cell, tree, s-partition and Z bits, so the second key is the
+        first with its d-partition bits swapped."""
         px, py, ps = previous
+        config = self.config
         # The previous record is gone if its window has been dropped.
-        if ps // self.config.w_max < max(self._drop_epoch - 1, 0):
+        if ps // config.w_max < max(self._drop_epoch - 1, 0):
             return
         if end <= ps:
             raise ValueError(f"object {oid} cannot be finalised at {end} "
                              f"<= its current start {ps}")
         duration = end - ps
-        self._physical_delete(Entry(oid, px, py, ps, None))
-        self._physical_insert(Entry(oid, px, py, ps, duration))
+        cell = self.grid.cell_of(px, py)
+        trees = self._trees.get(cell)
+        tree = trees[config.tree_of(ps)] if trees else None
+        key = self.codec.encode(ps, config.nd, px, py)
+        if tree is None \
+                or not tree.delete(key, pack_record(oid, px, py, ps, None)):
+            raise KeyError(f"entry {Entry(oid, px, py, ps, None)} not found "
+                           f"in the index")
+        memo = self._memos[cell]
+        s_part, nd_part = self.codec.split(key)
+        memo.remove(s_part, nd_part)
+        self._size -= 1
+        d_part = config.d_partition(self._d_key(duration))
+        tree.insert(self.codec.with_d_partition(key, d_part),
+                    pack_record(oid, px, py, ps, duration))
+        memo.add(s_part, d_part, px, py)
+        self._size += 1
 
     def set_retention(self, oid: int, retention: int | None) -> None:
         """Give one object a shorter retention time than the window.
@@ -346,18 +361,21 @@ class SWSTIndex:
         return d
 
     def _physical_insert(self, entry: Entry) -> None:
-        cx, cy = self.grid.cell_of(entry.x, entry.y)
-        trees, memo = self._cell_state(cx, cy)
-        tree_idx = self.config.tree_of(entry.s)
+        self._insert_record(self.grid.cell_of(entry.x, entry.y), entry.oid,
+                            entry.x, entry.y, entry.s, entry.d)
+
+    def _insert_record(self, cell: tuple[int, int], oid: int, x: int, y: int,
+                       s: int, d: int | None) -> None:
+        """Store one record in ``cell``, the grid cell of ``(x, y)``."""
+        trees, memo = self._cell_state(*cell)
+        tree_idx = self.config.tree_of(s)
         tree = trees[tree_idx]
         if tree is None:
             tree = BPlusTree(self.pool, RECORD_SIZE)
             trees[tree_idx] = tree
-        d_key = self._d_key(entry.d)
-        key = self.codec.encode(entry.s, d_key, entry.x, entry.y)
-        tree.insert(key, entry.pack())
-        memo.add(self.config.s_partition(entry.s),
-                 self.config.d_partition(d_key), entry.x, entry.y)
+        key = self.codec.encode(s, self._d_key(d), x, y)
+        tree.insert(key, pack_record(oid, x, y, s, d))
+        memo.add(*self.codec.split(key), x, y)
         self._size += 1
 
     def _physical_delete(self, entry: Entry, missing_ok: bool = False) -> bool:

@@ -66,12 +66,23 @@ class KeyCodec:
             key = (key << self.z_bits) | zc_encode(x, y, self.zc_order)
         return key
 
+    def split(self, key: int) -> tuple[int, int]:
+        """``(s_part, d_part)`` of one key — its isPresent memo cell."""
+        rest = key >> self.z_bits
+        return rest >> self.d_bits, rest & ((1 << self.d_bits) - 1)
+
+    def with_d_partition(self, key: int, d_part: int) -> int:
+        """``key`` with its d-partition bits replaced by ``d_part``: where a
+        record moves when only its duration changes (same s-partition,
+        same Z bits — the finalise pair of a current entry)."""
+        z_bits = self.z_bits
+        old = (key >> z_bits) & ((1 << self.d_bits) - 1)
+        return key ^ ((old ^ d_part) << z_bits)
+
     def decode(self, key: int) -> DecodedKey:
         """Split a key back into its fields."""
         z_value = key & ((1 << self.z_bits) - 1) if self.z_bits else 0
-        rest = key >> self.z_bits
-        d_part = rest & ((1 << self.d_bits) - 1)
-        s_part = rest >> self.d_bits
+        s_part, d_part = self.split(key)
         return DecodedKey(s_part=s_part, d_part=d_part, z_value=z_value)
 
     # -- batched encode/decode ---------------------------------------------------

@@ -42,6 +42,11 @@ _RECORD = struct.Struct("<QIIQQ")  # oid, x, y, s, d
 RECORD_SIZE = _RECORD.size
 
 
+def pack_record(oid: int, x: int, y: int, s: int, d: int | None) -> bytes:
+    """The :data:`RECORD_SIZE`-byte payload of ``Entry(oid, x, y, s, d)``."""
+    return _RECORD.pack(oid, x, y, s, CURRENT_DURATION if d is None else d)
+
+
 @dataclass(frozen=True, slots=True)
 class Entry:
     """One spatio-temporal record.
@@ -81,8 +86,7 @@ class Entry:
 
     def pack(self) -> bytes:
         """Serialise to the fixed :data:`RECORD_SIZE`-byte payload."""
-        d_raw = CURRENT_DURATION if self.d is None else self.d
-        return _RECORD.pack(self.oid, self.x, self.y, self.s, d_raw)
+        return pack_record(self.oid, self.x, self.y, self.s, self.d)
 
     @classmethod
     def unpack(cls, raw: bytes) -> "Entry":

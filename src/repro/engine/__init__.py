@@ -9,7 +9,7 @@ is a two-phase epoch commit (``save()`` is atomic for the whole
 directory); query fan-out is resilient (:class:`RetryPolicy`, per-shard
 :class:`CircuitBreaker`, degraded :class:`PartialResult` mode).  Where
 the shards run is the coordinator's backend: :class:`ShardedEngine`
-keeps them in-process (work fans out over an :class:`Executor`),
+keeps them in-process (work runs inline through an :class:`Executor`),
 :class:`WorkerEngine` runs every shard in a long-lived worker *process*
 fed through a per-shard write-ahead log, so acknowledged writes survive
 worker crashes (the supervisor restarts the worker and replays the WAL
@@ -42,15 +42,15 @@ from .worker import WorkerEngine, WorkerPool
 
 def open_engine(path: str | os.PathLike[str], config: SWSTConfig, *,
                 create: bool = False, workers: bool = False,
-                executor: str = "thread",
+                executor: str = "serial",
                 retry_policy: RetryPolicy | None = None) -> Coordinator:
     """Open (or, with ``create``, build) the engine directory ``path``.
 
     The one place that turns deployment choices into an engine:
     ``workers`` selects warm worker processes behind write-ahead logs
     (:class:`WorkerEngine`), otherwise the shards run in-process
-    (:class:`ShardedEngine`) with scatter-gather over the ``executor``
-    spec (``serial`` | ``thread[:N]``), which the engine owns.  Either
+    (:class:`ShardedEngine`), inline behind the ``executor`` spec
+    (``serial`` | ``thread[:N]``), which the engine owns.  Either
     way the result is a :class:`Coordinator`; close it (or use it as a
     context manager) to release everything.
     """

@@ -86,7 +86,7 @@ from ..storage.stats import IOStats
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ShardFailure,
                      ShardOpenError, ShardQueryError, TaskTimeoutError)
-from .executor import Executor, ThreadedExecutor, resolve_executor
+from .executor import Executor, resolve_executor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
 from .wal import (NONE_ARG, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
@@ -464,8 +464,8 @@ class InProcessBackend:
 
     Op batches are applied directly — the same
     :func:`~repro.engine.wal.apply_op` a WAL replay runs, with no
-    encoding in between — and per-shard work fans out over the
-    executor.  Recovery is snapshot based (see :meth:`recover`).  The
+    encoding in between — and per-shard work goes through the
+    executor seam.  Recovery is snapshot based (see :meth:`recover`).  The
     seams are :class:`ShardedEngine`'s, documented there; ``directory``
     is ``None`` for memory devices and ``generation`` names the
     manifest generation whose shard files are served.
@@ -486,13 +486,12 @@ class InProcessBackend:
         #: The ``executor`` argument as given — what a reopen passes on.
         self.executor_arg = executor
         self.owns_executor = executor is None or isinstance(executor, str)
-        self.executor: Executor
         if executor is None:
-            self.executor = ThreadedExecutor(max_workers=config.n_shards)
-        elif isinstance(executor, str):
-            self.executor = resolve_executor(executor)
-        else:
-            self.executor = executor
+            # Inline unless a deadline has to be enforceable.
+            executor = "serial" if task_timeout is None \
+                else f"thread:{config.n_shards}"
+        self.executor: Executor = resolve_executor(executor) \
+            if isinstance(executor, str) else executor
         self.retry_policy = retry_policy if retry_policy is not None \
             else RetryPolicy()
         self.breakers: list[CircuitBreaker | None] = [
@@ -1161,13 +1160,24 @@ class Coordinator:
             self._plans.invalidate()
             self._clock = clock
         self._cur.clear()
+        repairs: dict[int, list[Op]] = {}
         for shard_id, state in enumerate(states):
             for oid, (x, y, s) in state["current"].items():
+                keep = (shard_id, x, y, s)
                 other = self._cur.get(oid)
-                if other is None or other[3] < s:
-                    self._cur[oid] = (shard_id, x, y, s)
-        if any(state["now"] < clock for state in states):
-            self._backend.apply({}, {}, clock)
+                if other is not None:
+                    # A hop whose dispatch stopped between its insert and
+                    # the finalisation at its home (shards apply in order,
+                    # so on equal timestamps the lower one's is newer):
+                    # finish it the way ``_plan_current`` planned it.
+                    keep, (home, px, py, ps) = \
+                        (other, keep) if other[3] >= s else (keep, other)
+                    repairs.setdefault(home, []).append(
+                        (OP_DELETE, (oid, px, py, ps, NONE_ARG))
+                        if ps == keep[3] else (OP_CLOSE, (oid, keep[3])))
+                self._cur[oid] = keep
+        if repairs or any(state["now"] < clock for state in states):
+            self._backend.apply(repairs, {}, clock)
 
     def _settled(self) -> None:
         """Resync first if the last dispatch may not have landed."""
@@ -1208,7 +1218,7 @@ class Coordinator:
 
     def extend(self, reports: Iterable[ReportLike],
                batch_size: int = 1024) -> int:
-        """Batched ingestion: split per shard and ingest in parallel.
+        """Batched ingestion: split per shard, one dispatch per run.
 
         Reports are consumed in chunks of ``batch_size``; each chunk is
         validated, split into ``Wmax``-epoch runs (window drops only
@@ -1217,7 +1227,7 @@ class Coordinator:
         ride one cell-grouped batch per shard (the same path as
         :meth:`SWSTIndex.extend`); objects whose current entry hops
         between shards take the cross-shard protocol.  One backend
-        dispatch per run: every shard applies its share in parallel.
+        dispatch per run: workers apply it in parallel, shards here in turn.
 
         Returns the number of reports ingested.
         """
@@ -1720,12 +1730,14 @@ class ShardedEngine(Coordinator):
             count (the default config is a single shard).
         path: shard directory, or ``":memory:"`` (default) for an
             all-in-memory engine (each shard on its own memory device).
-        executor: worker pool for scatter-gather.  A caller-supplied
+        executor: what runs per-shard work.  A caller-supplied
             :class:`~repro.engine.executor.Executor` is *borrowed*
             (``close()`` leaves it running); a spec string (``serial``
-            | ``thread[:N]``) or the default — a
+            | ``thread[:N]``) or the default — inline
+            (:class:`~repro.engine.executor.SerialExecutor`), or a
             :class:`~repro.engine.executor.ThreadedExecutor` sized to
-            the shard count — is owned and shut down with the engine.
+            the shard count when ``task_timeout`` needs enforcing — is
+            owned and shut down with the engine.
         retry_policy: per-shard retry policy for read-only query
             fan-out; defaults to ``RetryPolicy()`` (3 deterministic
             immediate attempts).  Pass ``RetryPolicy(attempts=1)`` to

@@ -1,20 +1,23 @@
-"""Worker-pool abstraction for per-shard scatter-gather.
+"""Executor seam for per-shard scatter-gather.
 
-The engine fans operations out over its shards through a minimal
-:class:`Executor` protocol — ``map`` (with an optional per-task
-deadline) plus ``close`` — so the execution strategy is pluggable:
+The engine runs per-shard work through a minimal :class:`Executor`
+protocol — ``map`` (with an optional per-task deadline), ``submit`` and
+``close``:
 
-* :class:`SerialExecutor` runs tasks inline (deterministic, zero
-  overhead; the right choice for tests and one-shard engines).
-* :class:`ThreadedExecutor` (the default) runs tasks on a thread pool.
-  The shard hot path is buffer-pool IO plus C-level ``struct``/``zlib``
-  work, and shards share no mutable state, so threads overlap shard IO
-  and, on free-threaded builds, shard CPU as well.
+* :class:`SerialExecutor` (the default) runs every task inline on the
+  calling thread.
+* :class:`ThreadedExecutor` runs ``map`` inline too, unless a per-task
+  deadline must be enforceable, and backs ``submit`` with a thread pool
+  (the asyncio serving bridge).  Shard work is Python bytecode: under
+  the GIL the pool ran shard tasks back to back and added a hand-off per
+  shard per batch (13-20% of ingest client time; the same build did
+  17.9k reports/s on one vCPU against 12.5k on two), so the pool exists
+  for deadlines and ``submit``, not for speed.
 
 Both preserve input order in their results and propagate the first
-raised exception.  Multi-process execution is not an executor: shards
-that should run in their own processes are served by the warm worker
-pool (:mod:`repro.engine.worker`), which keeps them writable.
+raised exception; inline, items after it never start.  Shards that
+should run in parallel are served by the warm worker pool
+(:mod:`repro.engine.worker`).
 
 Per-task deadlines: ``map(fn, items, timeout=...)`` bounds how long the
 caller waits for each task.  The thread pool enforces it when *gathering*
@@ -22,16 +25,13 @@ caller waits for each task.  The thread pool enforces it when *gathering*
 :class:`~repro.engine.errors.TaskTimeoutError` naming the input index.
 The task itself is not preempted — an abandoned worker may still hold
 its shard, which is why the engine treats timeouts as non-retryable.
-``SerialExecutor`` runs inline and cannot enforce a deadline; it ignores
-``timeout`` (documented, not an error, so one-shard engines keep
-working unchanged).
+``SerialExecutor`` cannot enforce a deadline and ignores ``timeout``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Protocol,
-                    Sequence, runtime_checkable)
+                    runtime_checkable)
 
 from .errors import TaskTimeoutError
 
@@ -58,7 +58,7 @@ class Executor(Protocol):
 
         The asynchronous serving facade bridges these futures into
         ``asyncio`` (``asyncio.wrap_future``), so blocking engine calls
-        ride the same pluggable pool as the scatter-gather fan-out.
+        ride the same pluggable seam as the per-shard fan-out.
         ``SerialExecutor`` runs the task inline and returns an
         already-resolved future (deterministic tests).
         """
@@ -67,26 +67,6 @@ class Executor(Protocol):
     def close(self) -> None:
         """Release pool resources; the executor is unusable afterwards."""
         ...  # pragma: no cover - protocol
-
-
-def _gather(futures: "Sequence[Future[Any]]",
-            timeout: float | None) -> list[Any]:
-    """Collect future results in submission order with per-task deadlines.
-
-    ``future.result()`` re-raises the task's exception; remaining futures
-    are awaited by the pool's ``shutdown(wait=True)`` on close.  A
-    deadline overrun is converted to :class:`TaskTimeoutError` carrying
-    the input index, so callers can map it back to a shard.
-    """
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
-    results = []
-    for index, future in enumerate(futures):
-        try:
-            results.append(future.result(timeout=timeout))
-        except FuturesTimeout:
-            raise TaskTimeoutError(index, timeout or 0.0) from None
-    return results
 
 
 class SerialExecutor:
@@ -116,12 +96,12 @@ class SerialExecutor:
 
 
 class ThreadedExecutor:
-    """Thread-pool executor (the engine default).
+    """Inline ``map``; a lazily created thread pool for deadlines and
+    ``submit``.
 
-    The pool is created lazily on first use, so an engine that only ever
-    touches one shard per operation never spawns a thread.  Single-item
-    maps run inline — unless a deadline is set, which forces the pool so
-    the deadline is enforceable.
+    ``map`` hands tasks to the pool only when ``timeout`` is set (waiting
+    on a future is the one way to bound a task); an engine that sets no
+    ``task_timeout`` never spawns a thread.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
@@ -132,21 +112,28 @@ class ThreadedExecutor:
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            workers = self._max_workers
-            if workers is None:
-                workers = min(32, (os.cpu_count() or 1) + 4)
             self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="swst-shard")
+                max_workers=self._max_workers,
+                thread_name_prefix="swst-shard")
         return self._pool
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
             timeout: float | None = None) -> list[Any]:
-        work: Sequence[Any] = list(items)
-        if len(work) <= 1 and timeout is None:
-            return [fn(item) for item in work]
+        if timeout is None:
+            return [fn(item) for item in items]
+        from concurrent.futures import TimeoutError as FuturesTimeout
+
         pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in work]
-        return _gather(futures, timeout)
+        futures = [pool.submit(fn, item) for item in items]
+        # ``result()`` re-raises the task's exception; futures not yet
+        # collected are awaited by ``shutdown(wait=True)`` on close.
+        results = []
+        for index, future in enumerate(futures):
+            try:
+                results.append(future.result(timeout=timeout))
+            except FuturesTimeout:
+                raise TaskTimeoutError(index, timeout) from None
+        return results
 
     def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
         return self._ensure_pool().submit(fn)

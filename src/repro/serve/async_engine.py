@@ -11,8 +11,8 @@ contract the stack below actually supports:
   cache, and circuit-breaker accounting are all unlocked), so every
   call through the facade holds one internal mutex.  Request-level
   concurrency comes from *coalescing* — many queries share one
-  ``query_interval_many`` call — and from the engine's own shard-level
-  fan-out inside that single call, not from racing engine calls.
+  ``query_interval_many`` call — not from racing engine calls (and not
+  from the in-process shard fan-out, which runs inline under the GIL).
 * **Reads share, mutations serialize.**  Read requests hold the read
   side of the :class:`~repro.serve.gate.SlideGate`, so any number can
   be in flight (admitted, queued, coalescing) between slides.

@@ -43,8 +43,8 @@ class ServeOptions:
         create: build a fresh directory instead of opening one.
         workers: run shards in warm worker processes (WAL-durable)
             instead of in-process.
-        executor: in-process scatter-gather executor spec
-            (``serial`` | ``thread[:N]``); ignored with ``workers``.
+        executor: in-process executor spec (``serial`` | ``thread[:N]``,
+            not a speed setting); ignored with ``workers``.
         host, port: bind address (port ``0`` = pick a free one).
         capacity: admission bound (concurrent data-plane requests).
         max_batch: coalescer flush threshold (``1`` disables).
@@ -61,7 +61,7 @@ class ServeOptions:
     config: SWSTConfig = field(default_factory=SWSTConfig)
     create: bool = False
     workers: bool = False
-    executor: str = "thread"
+    executor: str = "serial"
     host: str = "127.0.0.1"
     port: int = 0
     capacity: int = 64

@@ -174,18 +174,24 @@ class TestLifecycle:
         eng.close()  # idempotent
 
     def test_owned_executor_closed_with_engine(self):
-        eng = ShardedEngine(make_config())
+        # A deadline is what makes the default executor a pooled one.
+        eng = ShardedEngine(make_config(), task_timeout=30.0)
         executor = eng._backend.executor
         assert isinstance(executor, ThreadedExecutor)
-        eng.extend([])
+        eng.query_timeslice(eng.config.space, 0)
+        assert executor._pool is not None
         eng.close()
         assert executor._pool is None
+
+    def test_default_executor_is_inline(self):
+        with ShardedEngine(make_config()) as eng:
+            assert isinstance(eng._backend.executor, SerialExecutor)
 
     def test_borrowed_executor_left_running(self):
         ex = ThreadedExecutor(max_workers=2)
         try:
             eng = ShardedEngine(make_config(), executor=ex)
-            ex.map(lambda n: n, [1, 2])  # spin the pool up
+            ex.submit(lambda: None).result()  # spin the pool up
             eng.close()
             assert ex._pool is not None
         finally:

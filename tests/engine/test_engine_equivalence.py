@@ -204,6 +204,39 @@ def test_extend_equals_plain_index(backend, ops, n_shards):
             sorted_entries(plain.query_interval(CFG.space, 0, t + 1))
 
 
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(op_strategy, min_size=1, max_size=80),
+       queries=query_strategy,
+       n_shards=st.sampled_from([2, 4, 7]))
+def test_thread_and_serial_executors_are_indistinguishable(ops, queries,
+                                                           n_shards):
+    """``thread`` without a deadline *is* the inline lane: same entries in
+    the same tree order, same per-shard IO counters, and no pool built."""
+    config = make_config(n_shards)
+    reports, t = [], 0
+    for _, oid, x, y, gap, _ in ops:
+        t += gap
+        reports.append(R(oid, x, y, t))
+    observed = []
+    for spec in ("thread", "serial"):
+        with ShardedEngine(config, executor=spec) as engine:
+            end = apply_workload(engine, ops)
+            engine.extend([R(r.oid, r.x, r.y, r.t + end) for r in reports],
+                          batch_size=16)
+            answers = [sorted_entries(engine.query_interval(
+                Rect(x_lo, y_lo, x_lo + width, y_lo + height),
+                t_lo, t_lo + length, window))
+                for x_lo, y_lo, width, height, t_lo, length, window
+                in queries]
+            observed.append((
+                [[entry_key(e) for e in shard.scan()]
+                 for shard in engine.shards],
+                engine.shard_stats(), answers, engine.current_objects()))
+            assert getattr(engine._backend.executor, "_pool", None) is None
+    assert observed[0] == observed[1]
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCrossShardCurrentProtocol:
     """The one piece of cross-shard logic: finalise the previous current

@@ -1,5 +1,8 @@
 """Executor implementations: ordering, errors, lifecycle, spec parsing."""
 
+import threading
+from concurrent.futures import Future
+
 import pytest
 
 from repro.engine import (Executor, SerialExecutor, TaskTimeoutError,
@@ -36,6 +39,59 @@ class TestThreadedExecutor:
         finally:
             ex.close()
 
+    def test_map_without_deadline_runs_inline_without_pool(self):
+        ex = ThreadedExecutor(max_workers=2)
+        try:
+            idents = []
+
+            def task(n):
+                idents.append(threading.get_ident())
+                return n * 2
+
+            assert ex.map(task, iter([21, 4, 9])) == [42, 8, 18]
+            assert idents == [threading.get_ident()] * 3
+            assert ex._pool is None
+        finally:
+            ex.close()
+
+    def test_inline_map_stops_at_the_first_exception(self):
+        ex = ThreadedExecutor(max_workers=2)
+        try:
+            started = []
+
+            def task(n):
+                started.append(n)
+                if n == 1:
+                    raise ValueError("boom")
+                return n
+
+            with pytest.raises(ValueError, match="boom"):
+                ex.map(task, [0, 1, 2])
+            assert started == [0, 1]
+            assert ex._pool is None
+        finally:
+            ex.close()
+
+    def test_deadline_forces_the_pool(self):
+        ex = ThreadedExecutor(max_workers=2)
+        try:
+            idents = ex.map(lambda _n: threading.get_ident(), [0, 1],
+                            timeout=30.0)
+            assert ex._pool is not None
+            assert threading.get_ident() not in idents
+        finally:
+            ex.close()
+
+    def test_submit_returns_a_future_from_a_pool_thread(self):
+        ex = ThreadedExecutor(max_workers=1)
+        try:
+            future = ex.submit(threading.get_ident)
+            assert isinstance(future, Future)
+            assert future.result(timeout=30.0) != threading.get_ident()
+            assert ex._pool is not None
+        finally:
+            ex.close()
+
     def test_propagates_first_exception(self):
         ex = ThreadedExecutor(max_workers=2)
         try:
@@ -47,7 +103,7 @@ class TestThreadedExecutor:
 
     def test_close_is_idempotent(self):
         ex = ThreadedExecutor()
-        ex.map(lambda n: n, [1, 2])
+        ex.map(lambda n: n, [1, 2], timeout=30.0)
         ex.close()
         ex.close()
 
