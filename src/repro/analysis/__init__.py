@@ -21,14 +21,12 @@ Entry points:
 * ``repro lint`` — the same runner wired into the main CLI,
 * :func:`lint_paths` — programmatic API used by the test suite.
 
-Findings are compared against a committed baseline file
-(``lint-baseline.txt`` at the repository root) so deliberate legacy
-findings are pinned without blocking CI; any *new* finding fails the run.
+Any finding fails the run; a deliberate exception is an inline
+``# repro-lint: ignore[R00X]`` comment on the offending line.
 """
 
 from __future__ import annotations
 
-from .baseline import compare_to_baseline, load_baseline, write_baseline
 from .callgraph import ClassInfo, FunctionInfo, ProjectContext
 from .findings import Finding
 from .registry import Rule, all_rules, get_rule, register
@@ -43,13 +41,10 @@ __all__ = [
     "ProjectContext",
     "Rule",
     "all_rules",
-    "compare_to_baseline",
     "get_rule",
     "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",
-    "load_baseline",
     "register",
-    "write_baseline",
 ]

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 class Finding:
     """One rule violation.
 
-    Ordering is (path, line, col, rule_id) so reports and baseline files
-    are stable across runs regardless of rule registration order.
+    Ordering is (path, line, col, rule_id) so reports are stable across
+    runs regardless of rule registration order.
     """
 
     path: str
@@ -20,13 +20,13 @@ class Finding:
     message: str
 
     def render(self) -> str:
-        """The canonical one-line form, also used as the baseline key."""
+        """The canonical one-line form."""
         return f"{self.path}:{self.line}:{self.col}: " \
                f"{self.rule_id} {self.message}"
 
     @staticmethod
     def parse(text: str) -> "Finding":
-        """Invert :meth:`render` (used to read baseline files)."""
+        """Invert :meth:`render`."""
         location, _, rest = text.partition(": ")
         rule_id, _, message = rest.partition(" ")
         path, line, col = location.rsplit(":", 2)

@@ -1,22 +1,17 @@
-"""Output renderers for lint findings: text, GitHub annotations, SARIF.
+"""Output renderers for lint findings: text and GitHub annotations.
 
-``--format text`` is the classic one-line-per-finding report (also the
-baseline key format).  ``--format github`` emits workflow commands
-(``::error file=...``) that GitHub's runner turns into inline PR
-annotations.  ``--format sarif`` emits a minimal SARIF 2.1.0 log that
-code-scanning uploads understand; only the fields consumers actually
-read are populated (rule metadata, message, one physical location).
+``--format text`` is the classic one-line-per-finding report.
+``--format github`` emits workflow commands (``::error file=...``) that
+GitHub's runner turns into inline PR annotations.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .findings import Finding
-from .registry import Rule
 
-FORMATS = ("text", "github", "sarif")
+FORMATS = ("text", "github")
 
 
 def _escape_github(value: str) -> str:
@@ -40,48 +35,3 @@ def render_github(findings: Iterable[Finding]) -> list[str]:
             f"{_escape_github(f'{finding.rule_id} {finding.message}')}")
     return lines
 
-
-def render_sarif(findings: Sequence[Finding],
-                 rules: Sequence[Rule]) -> str:
-    """A SARIF 2.1.0 run: rule metadata plus one result per finding."""
-    by_id = {rule.rule_id: rule for rule in rules}
-    rule_order = sorted({finding.rule_id for finding in findings}
-                        | set(by_id))
-    sarif_rules = []
-    for rule_id in rule_order:
-        rule = by_id.get(rule_id)
-        sarif_rules.append({
-            "id": rule_id,
-            "shortDescription": {
-                "text": rule.title if rule else rule_id},
-            "fullDescription": {
-                "text": rule.rationale if rule else ""},
-        })
-    index_of = {rule_id: index for index, rule_id
-                in enumerate(rule_order)}
-    results = [{
-        "ruleId": finding.rule_id,
-        "ruleIndex": index_of[finding.rule_id],
-        "level": "error",
-        "message": {"text": finding.message},
-        "locations": [{
-            "physicalLocation": {
-                "artifactLocation": {"uri": finding.path},
-                "region": {"startLine": finding.line,
-                           "startColumn": finding.col + 1},
-            },
-        }],
-    } for finding in findings]
-    log = {
-        "$schema": ("https://raw.githubusercontent.com/oasis-tcs/"
-                    "sarif-spec/master/Schemata/sarif-schema-2.1.0.json"),
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {
-                "name": "repro-lint",
-                "rules": sarif_rules,
-            }},
-            "results": results,
-        }],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)

@@ -8,39 +8,24 @@ import time
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .baseline import compare_to_baseline, load_baseline, write_baseline
-from .formats import FORMATS, render_github, render_sarif
+from .formats import FORMATS, render_github
 from .registry import all_rules
 from .runner import lint_paths
 
 DEFAULT_PATHS = ("src",)
-DEFAULT_BASELINE = "lint-baseline.txt"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the lint options (shared with the ``repro lint`` CLI)."""
     parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file of pinned findings "
-                             "(default: lint-baseline.txt)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every finding, ignoring the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's "
-                             "findings (header comments preserved) and "
-                             "exit 0")
     parser.add_argument("--select", default=None, metavar="IDS",
                         help="comma-separated rule ids to run "
                              "(default: all)")
     parser.add_argument("--format", default="text", choices=FORMATS,
                         dest="output_format",
-                        help="report format: text (default), github "
-                             "(workflow-command annotations), sarif")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run per-file rules on N worker processes "
-                             "(call-graph pass stays single-pass; "
-                             "default: 1)")
+                        help="report format: text (default) or github "
+                             "(workflow-command annotations)")
     parser.add_argument("--verbose", action="store_true",
                         help="report file count and wall time on stderr")
     parser.add_argument("--list-rules", action="store_true",
@@ -67,57 +52,19 @@ def run_lint(args: argparse.Namespace,
     rules = all_rules() if selected is None else [
         rule for rule in all_rules() if rule.rule_id in selected]
 
-    if args.jobs < 1:
-        emit(f"--jobs must be >= 1, got {args.jobs}")
-        return 2
-
-    # Anchor finding paths at the baseline's directory so entries match
-    # the committed file no matter where the lint is invoked from.
-    root = Path(args.baseline).resolve().parent
     started = time.monotonic()
-    findings = lint_paths(args.paths, root=root, rules=rules,
-                          jobs=args.jobs)
+    findings = lint_paths(args.paths, root=Path.cwd(), rules=rules)
     if args.verbose:
         elapsed = time.monotonic() - started
-        print(f"[repro lint] {len(rules)} rule(s), jobs={args.jobs}, "
-              f"{elapsed:.2f}s wall", file=sys.stderr)
+        print(f"[repro lint] {len(rules)} rule(s), {elapsed:.2f}s wall",
+              file=sys.stderr)
 
-    if args.update_baseline:
-        write_baseline(args.baseline, findings)
-        emit(f"wrote {len(findings)} finding(s) to {args.baseline}")
-        return 0
-
-    baseline = [] if args.no_baseline else load_baseline(args.baseline)
-    diff = compare_to_baseline(findings, baseline)
-
-    if args.output_format == "github":
-        for line in render_github(diff.new):
-            emit(line)
-    elif args.output_format == "sarif":
-        emit(render_sarif(diff.new, rules))
-    else:
-        for finding in diff.new:
-            emit(finding.render())
-    if diff.pinned:
-        emit(f"[{len(diff.pinned)} pinned finding(s) allowed by "
-             f"{args.baseline}]")
-    failed = False
-    for entry in diff.stale:
-        if args.output_format == "github":
-            emit(f"::error title=stale baseline entry::{entry} is "
-                 f"pinned in {args.baseline} but no longer fires — "
-                 f"remove it (or run --update-baseline)")
-        else:
-            emit(f"stale baseline entry (fixed? run --update-baseline "
-                 f"to drop it): {entry}")
-        failed = True
-    if diff.new:
-        emit(f"{len(diff.new)} new finding(s)")
-        failed = True
-    if failed:
-        if diff.stale and not diff.new:
-            emit(f"{len(diff.stale)} stale baseline entr"
-                 f"{'y' if len(diff.stale) == 1 else 'ies'}")
+    lines = render_github(findings) if args.output_format == "github" \
+        else [finding.render() for finding in findings]
+    for line in lines:
+        emit(line)
+    if findings:
+        emit(f"{len(findings)} finding(s)")
         return 1
     emit("ok")
     return 0

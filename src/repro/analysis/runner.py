@@ -20,8 +20,7 @@ from .registry import Rule, all_rules
 
 #: Inline suppression: ``# repro-lint: ignore[R001]`` silences one rule on
 #: that line, ``# repro-lint: ignore`` silences every rule.  Use sparingly
-#: and justify in a neighbouring comment; prefer the baseline for legacy
-#: findings.
+#: and justify in a neighbouring comment.
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*ignore(?:\[(?P<rules>[A-Z0-9, ]+)\])?")
 
@@ -167,7 +166,7 @@ def lint_source(source: str, path: str,
 
 
 def _shown_path(path: Path, root: str | Path | None) -> str:
-    """Best-effort relativisation so baseline paths stay stable."""
+    """Best-effort relativisation so finding paths stay stable."""
     if root is not None:
         try:
             return str(path.resolve().relative_to(Path(root).resolve()))
@@ -181,7 +180,7 @@ def lint_file(path: str | Path, *, root: str | Path | None = None,
     """Lint one file; finding paths are relative to ``root`` if given.
 
     Files outside ``root`` keep their given spelling — relativisation is
-    best-effort so baseline paths stay stable however the tree is named
+    best-effort so finding paths stay stable however the tree is named
     on the command line (absolute, relative, symlinked).
     """
     path = Path(path)
@@ -200,57 +199,11 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield entry
 
 
-def _read_sources(paths: Iterable[str | Path],
-                  root: str | Path | None) -> dict[str, str]:
-    return {_shown_path(file_path, root):
-            file_path.read_text(encoding="utf-8")
-            for file_path in iter_python_files(paths)}
-
-
-def _lint_batch(batch: Sequence[tuple[str, str]],
-                rule_ids: Sequence[str] | None) -> list[Finding]:
-    """Worker entry point for ``--jobs``: per-file rules on one batch.
-
-    Must stay module-level (picklable) and re-instantiate rules from
-    their ids — rule objects themselves never cross the process
-    boundary.
-    """
-    from .registry import all_rules as _all_rules
-    rules = _all_rules(None if rule_ids is None
-                       else lambda cls: cls.rule_id in set(rule_ids))
-    contexts = [FileContext.from_source(source, path)
-                for path, source in batch]
-    return _check_files(contexts, rules)
-
-
 def lint_paths(paths: Iterable[str | Path], *,
                root: str | Path | None = None,
-               rules: Iterable[Rule] | None = None,
-               jobs: int = 1) -> list[Finding]:
-    """Lint every python file under ``paths`` (files or directories).
-
-    With ``jobs > 1`` the per-file rule passes fan out over a process
-    pool (one batch of files per worker); the interprocedural pass
-    (symbol table + call graph + project rules) always runs single-pass
-    in the parent — it needs every file at once and is cheap relative
-    to the per-file sweeps.
-    """
-    active = list(rules) if rules is not None else all_rules()
-    sources = _read_sources(paths, root)
-    items = sorted(sources.items())
-    contexts = [FileContext.from_source(source, path)
-                for path, source in items]
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        jobs = min(jobs, len(items))
-        batches = [items[index::jobs] for index in range(jobs)]
-        rule_ids = [rule.rule_id for rule in active]
-        findings: list[Finding] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch_findings in pool.map(
-                    _lint_batch, batches, [rule_ids] * len(batches)):
-                findings.extend(batch_findings)
-    else:
-        findings = _check_files(contexts, active)
-    findings.extend(_check_project(contexts, active))
-    return sorted(findings)
+               rules: Iterable[Rule] | None = None) -> list[Finding]:
+    """Lint every python file under ``paths`` (files or directories)."""
+    return lint_sources({_shown_path(file_path, root):
+                         file_path.read_text(encoding="utf-8")
+                         for file_path in iter_python_files(paths)},
+                        rules=rules)

@@ -9,8 +9,7 @@ Commands:
 * ``scrub`` — checksum-sweep a page file — or, given an engine
   directory, every shard file plus the manifest.
 * ``bench`` — regenerate one (or all) of the paper's figures.
-* ``lint`` — run the project-invariant lint (``repro.analysis``) against
-  the committed baseline.
+* ``lint`` — run the project-invariant lint (``repro.analysis``).
 
 Every command prints what it did and the node-access cost, so the CLI
 doubles as a quick way to poke at the index's behaviour.

@@ -42,7 +42,6 @@ _CATALOG_CELL = struct.Struct("<IIQQ")         # cx, cy, root0+1, root1+1
 _CATALOG_CURRENT = struct.Struct("<QIIQ")      # oid, x, y, s
 _CATALOG_COUNT = struct.Struct("<I")           # section item count
 _CATALOG_RETENTION = struct.Struct("<QQ")      # oid, retention
-_PAGE_CHAIN = struct.Struct("<QI")             # next_page, payload_len
 
 
 def _build_pager(config: SWSTConfig, path: str) -> Pager:
@@ -1123,10 +1122,8 @@ class SWSTIndex:
     def save(self) -> None:
         """Persist the tree catalog and stream state into the page file.
 
-        Catalog layout: header, cell roots, current-entry table, then (a
-        format-2 addition) the per-object retention overrides.  Readers
-        detect a legacy format-1 catalog by the blob ending right after
-        the current table, so both formats stay openable.
+        Catalog layout: header, cell roots, current-entry table, then
+        the per-object retention overrides.
         """
         self._check_open()
         cells = sorted(self._trees.items())
@@ -1142,26 +1139,9 @@ class SWSTIndex:
         parts.append(_CATALOG_COUNT.pack(len(self._retentions)))
         for oid, retention in sorted(self._retentions.items()):
             parts.append(_CATALOG_RETENTION.pack(oid, retention))
-        self._write_catalog(b"".join(parts))
+        self.pager.store_blob(b"".join(parts))
         self.pool.flush()
         self.pager.sync()
-
-    def _write_catalog(self, blob: bytes) -> None:
-        old_head = int.from_bytes(self.pager.meta or b"\x00" * 8, "little")
-        chunk = self.pager.page_size - _PAGE_CHAIN.size
-        pages = [self.pager.allocate()
-                 for _ in range(max(1, -(-len(blob) // chunk)))]
-        for idx, page_id in enumerate(pages):
-            payload = blob[idx * chunk:(idx + 1) * chunk]
-            next_page = pages[idx + 1] if idx + 1 < len(pages) else 0
-            raw = _PAGE_CHAIN.pack(next_page, len(payload)) + payload
-            self.pager.write(page_id, raw.ljust(self.pager.page_size, b"\x00"))
-        self.pager.meta = pages[0].to_bytes(8, "little")
-        while old_head:
-            raw = self.pager.read(old_head)
-            next_page, _ = _PAGE_CHAIN.unpack_from(raw)
-            self.pager.free(old_head)
-            old_head = next_page
 
     @classmethod
     def open(cls, path: str, config: SWSTConfig) -> "SWSTIndex":
@@ -1221,7 +1201,9 @@ class SWSTIndex:
                 f"free list")
 
     def _load_catalog(self) -> None:
-        blob = self._read_catalog()
+        blob = self.pager.load_blob()
+        if blob is None:
+            raise NoCatalogError("page file has no saved SWST catalog")
         try:
             offset = _CATALOG_HEADER.size
             clock, drop_epoch, size, n_cells = \
@@ -1249,40 +1231,19 @@ class SWSTIndex:
                 oid, x, y, s = _CATALOG_CURRENT.unpack_from(blob, offset)
                 offset += _CATALOG_CURRENT.size
                 self._current[oid] = (x, y, s)
-            if offset < len(blob):
-                # Format 2: retention overrides follow the current table
-                # (format-1 catalogs end exactly here).
-                (n_retentions,) = _CATALOG_COUNT.unpack_from(blob, offset)
-                offset += _CATALOG_COUNT.size
-                for _ in range(n_retentions):
-                    oid, retention = _CATALOG_RETENTION.unpack_from(blob,
-                                                                    offset)
-                    offset += _CATALOG_RETENTION.size
-                    self._retentions[oid] = retention
+            (n_retentions,) = _CATALOG_COUNT.unpack_from(blob, offset)
+            offset += _CATALOG_COUNT.size
+            for _ in range(n_retentions):
+                oid, retention = _CATALOG_RETENTION.unpack_from(blob, offset)
+                offset += _CATALOG_RETENTION.size
+                self._retentions[oid] = retention
         except struct.error as exc:
             raise CorruptPageFileError(
                 f"saved SWST catalog is truncated: {exc}") from exc
-
-    def _read_catalog(self) -> bytes:
-        head = int.from_bytes(self.pager.meta or b"", "little")
-        if not head:
-            raise NoCatalogError("page file has no saved SWST catalog")
-        parts: list[bytes] = []
-        seen: set[int] = set()
-        chunk = self.pager.page_size - _PAGE_CHAIN.size
-        while head:
-            if head in seen:
-                raise CorruptPageFileError(
-                    f"cycle in catalog page chain at page {head}")
-            seen.add(head)
-            raw = self.pager.read(head)
-            head, length = _PAGE_CHAIN.unpack_from(raw)
-            if length > chunk:
-                raise CorruptPageFileError(
-                    f"catalog page claims {length} payload bytes "
-                    f"(max {chunk})")
-            parts.append(raw[_PAGE_CHAIN.size:_PAGE_CHAIN.size + length])
-        return b"".join(parts)
+        if offset != len(blob):
+            raise CorruptPageFileError(
+                f"saved SWST catalog has {len(blob) - offset} bytes after "
+                f"its last table")
 
     def _rebuild_memos(self) -> None:
         for key, trees in self._trees.items():

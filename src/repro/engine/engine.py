@@ -31,7 +31,7 @@ On disk an engine is a *directory*::
       engine.json          # manifest: {"format": 2, "n_shards": N,
       shard-000.pages      #            "epoch": E, "shards": [gen...],
       shard-001.pages      #            "generation": G}
-      ...                  # one crash-safe format-v2 page file per shard
+      ...                  # one crash-safe page file per shard
       engine.prepare.json  # transient save marker (two-phase commit)
       snapshots/<E>/       # CoW copies of the shard files at epoch E
       gen-001/             # shard files of manifest generation 1
@@ -44,8 +44,9 @@ cleanup (see :meth:`Coordinator.save`).  What ``open()`` does with a
 leftover marker is per backend: in-process shards roll back, roll
 forward, or restore the previous epoch's copy-on-write snapshot
 (:meth:`InProcessBackend.recover`); worker shards always roll forward from
-their WALs.  Format-1 manifests (no epoch) still open; their first
-``save()`` upgrades them.
+their WALs.  A pre-epoch ``"format": 1`` manifest is refused with
+:class:`~repro.storage.errors.UnsupportedFormatError` (chained under the
+:class:`EngineError` every manifest failure raises).
 
 **Generations.**  ``repro.engine.reshard`` rewrites a saved directory
 to a different shard count side-by-side under ``gen-<G>/`` and flips
@@ -78,7 +79,7 @@ from ..core.overlap import classify_interval
 from ..core.plan import PlanCache, QueryPlan, build_query_plan
 from ..core.records import Entry, Rect, ReportLike
 from ..core.results import MultiQueryResult, QueryResult, QueryStats
-from ..storage.errors import StorageError
+from ..storage.errors import StorageError, UnsupportedFormatError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from ..storage.pager import MEMORY
 from ..storage.scrub import probe_committed_generation
@@ -164,13 +165,13 @@ def probe_prepare_state(
 
 
 def load_manifest(manifest_path: str) -> dict[str, Any]:
-    """Read and validate an engine manifest, normalising across formats.
+    """Read and validate an engine manifest.
 
-    Returns ``{"format", "n_shards", "epoch", "shards", "generation"}``;
-    format-1 manifests (pre-epoch) normalise to epoch 0 with
-    ``shards=None``.  ``generation`` (the subdirectory the live shard
-    files inhabit — see :func:`generation_dir`) is optional in the file
-    and defaults to 0, so pre-reshard format-2 manifests keep opening.
+    Returns ``{"format", "n_shards", "epoch", "shards", "generation"}``
+    (``generation`` names the subdirectory the live shard files inhabit
+    — see :func:`generation_dir`).  Every failure is an
+    :class:`EngineError`; a retired ``"format": 1`` manifest chains an
+    :class:`UnsupportedFormatError` as its cause.
     """
     try:
         with open(manifest_path) as handle:
@@ -185,25 +186,23 @@ def load_manifest(manifest_path: str) -> dict[str, Any]:
                           f"recognised SWST engine manifest")
     n_shards: int = manifest["n_shards"]
     fmt = manifest.get("format")
-    if fmt == 1:
-        return {"format": 1, "n_shards": n_shards, "epoch": 0,
-                "shards": None, "generation": 0}
-    if fmt == _MANIFEST_FORMAT:
-        epoch = manifest.get("epoch")
-        gens = manifest.get("shards")
-        generation = manifest.get("generation", 0)
-        if not isinstance(epoch, int) or epoch < 0 \
-                or not isinstance(gens, list) or len(gens) != n_shards \
-                or not all(isinstance(g, int) and g >= 0 for g in gens) \
-                or not isinstance(generation, int) or generation < 0:
-            raise EngineError(f"engine manifest {manifest_path!r} is a "
-                              f"malformed format-{_MANIFEST_FORMAT} "
-                              f"manifest")
-        return {"format": _MANIFEST_FORMAT, "n_shards": n_shards,
-                "epoch": epoch, "shards": list(gens),
-                "generation": generation}
-    raise EngineError(f"engine manifest {manifest_path!r} has unsupported "
-                      f"format {fmt!r}")
+    if fmt != _MANIFEST_FORMAT:
+        retired = UnsupportedFormatError(
+            "pre-epoch manifest format 1 is no longer read") \
+            if fmt == 1 else None
+        raise EngineError(f"engine manifest {manifest_path!r} has "
+                          f"unsupported format {fmt!r}") from retired
+    epoch = manifest.get("epoch")
+    gens = manifest.get("shards")
+    generation = manifest.get("generation")
+    if not isinstance(epoch, int) or epoch < 0 \
+            or not isinstance(gens, list) or len(gens) != n_shards \
+            or not all(isinstance(g, int) and g >= 0 for g in gens) \
+            or not isinstance(generation, int) or generation < 0:
+        raise EngineError(f"engine manifest {manifest_path!r} is a "
+                          f"malformed format-{_MANIFEST_FORMAT} manifest")
+    return {"format": _MANIFEST_FORMAT, "n_shards": n_shards,
+            "epoch": epoch, "shards": list(gens), "generation": generation}
 
 
 def load_checked_manifest(directory: str, n_shards: int) -> dict[str, Any]:
@@ -381,7 +380,7 @@ class ShardBackend(Protocol):
         breakers: per-shard circuit breakers (``None`` when disabled);
             the backend decides what counts as a shard failure.
         epoch_commit: False when ``save()`` has nothing to make atomic
-            (memory-backed or legacy v1 shard files).
+            (memory-backed shards).
         needs_resync: set by the backend whenever the coordinator's
             mirror can no longer be trusted — a dispatch failed
             part-way, a recovered shard came back ahead of the engine
@@ -534,26 +533,18 @@ class InProcessBackend:
         with a complete ``snapshots/<epoch>/``), or raises a typed
         :class:`EpochTornError`.  Then each shard runs the storage
         layer's full recovery-on-open; the first shard that fails raises
-        :class:`ShardOpenError` naming it.  Under a format-2 manifest
-        the shards must agree on one clock and sit at or above their
-        recorded generations — disagreement means the directory mixes
-        snapshots and is refused with a typed error rather than
-        heuristically resynchronised.  Format-1 directories keep the
-        legacy behaviour (newest-shard clock resync).
+        :class:`ShardOpenError` naming it.  The shards must agree on
+        one clock and sit at or above their recorded generations —
+        disagreement means the directory mixes snapshots and is refused
+        with a typed error rather than heuristically resynchronised.
         """
         backend = cls(config, directory, **seams)
         try:
             manifest = load_checked_manifest(directory, config.n_shards)
             backend.generation = manifest["generation"]
-            # Marker recovery runs for *both* formats: a crashed save
-            # from a legacy directory leaves a marker next to a still-
-            # format-1 manifest (the flip is what upgrades it).
             manifest = backend._recover_epoch(manifest)
-            if manifest["format"] >= 2:
-                backend._open_shards_v2(manifest)
-                backend._ensure_snapshot(manifest["epoch"])
-            else:
-                backend._open_shards_legacy()
+            backend._open_shards(manifest)
+            backend._ensure_snapshot(manifest["epoch"])
         except BaseException:
             backend.close()
             raise
@@ -564,9 +555,7 @@ class InProcessBackend:
 
     @property
     def epoch_commit(self) -> bool:
-        return self.directory is not None \
-            and all(shard.pager.format_version == 2
-                    for shard in self.shards)
+        return self.directory is not None
 
     # -- the protocol ----------------------------------------------------------
 
@@ -861,7 +850,7 @@ class InProcessBackend:
             raise
         self.shards.extend(opened)
 
-    def _open_shards_v2(self, manifest: dict[str, Any]) -> None:
+    def _open_shards(self, manifest: dict[str, Any]) -> None:
         """Open every shard and verify it sits at the manifest epoch.
 
         A shard that refuses to open — typically a mid-session crash
@@ -882,8 +871,7 @@ class InProcessBackend:
             self._open_shard_files()
         gens: list[int] = manifest["shards"]
         for shard_id, shard in enumerate(self.shards):
-            if shard.pager.format_version == 2 \
-                    and shard.pager.generation < gens[shard_id]:
+            if shard.pager.generation < gens[shard_id]:
                 raise EngineError(
                     f"shard {shard_id} is behind the manifest: committed "
                     f"generation {shard.pager.generation} < recorded "
@@ -895,18 +883,6 @@ class InProcessBackend:
                 f"shard clocks disagree under manifest epoch "
                 f"{manifest['epoch']}: {sorted(clocks)}; the directory "
                 f"mixes snapshots (restore from backup)")
-
-    def _open_shards_legacy(self) -> None:
-        """Format-1 open: per-shard recovery plus heuristic clock resync.
-
-        A crash between the old per-shard saves can leave a lagging
-        shard, whose pending window drops then fire here.  The first
-        ``save()`` upgrades the directory to the epoch protocol.
-        """
-        self._open_shard_files()
-        clock = max(shard.now for shard in self.shards)
-        for shard in self.shards:
-            shard.advance_time(clock)
 
 
 # -- the coordinator ---------------------------------------------------------
@@ -1658,8 +1634,8 @@ class Coordinator:
         classifies deterministically from the marker (the backend's
         recovery).  A *failure* with the process still alive hands the
         directory back to the backend (``abort_commit``) and re-raises.
-        Memory-backed engines and legacy v1 shard files skip the
-        protocol and save each shard directly.
+        Memory-backed engines skip the protocol and save each shard
+        directly.
         """
         self._settled()
         backend = self._backend

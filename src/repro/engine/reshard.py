@@ -39,7 +39,7 @@ Protocol (all durable steps through the :class:`FileOps` seam):
 
 Preconditions (checked before anything is written, typed
 :class:`~repro.engine.errors.ReshardError` on violation): the
-directory holds a committed format-2 manifest (epoch >= 1), no
+directory holds a committed manifest (epoch >= 1), no
 unresolved save marker, and no write-ahead log with acknowledged
 records at the current epoch — those records live only in the WAL, so
 resharding from the page files alone would drop them; a
@@ -142,11 +142,10 @@ class GenerationBuild:
             else DURABLE_FILE_OPS
         self._snapshots = snapshots
         manifest = load_manifest(os.path.join(self._dir, _MANIFEST_NAME))
-        if manifest["format"] < _MANIFEST_FORMAT or manifest["epoch"] < 1:
+        if manifest["epoch"] < 1:
             raise ReshardError(
                 f"directory {self._dir!r} has never completed an epoch "
-                f"save (format {manifest['format']}, epoch "
-                f"{manifest['epoch']}); save it once first")
+                f"save; save it once first")
         if os.path.exists(os.path.join(self._dir, _PREPARE_NAME)):
             raise ReshardError(
                 f"directory {self._dir!r} holds an interrupted save "

@@ -124,7 +124,7 @@ def scrub_directory(path: str | os.PathLike[str]) -> DirectoryScrubReport:
             problems.append(f"shard file {name} cannot be swept: {exc}")
             continue
         reports.append(report)
-        if manifest is not None and manifest["shards"] is not None:
+        if manifest is not None:
             recorded = manifest["shards"][shard_id]
             head = report.committed
             observed = head.generation if head is not None else None

@@ -13,7 +13,7 @@ integrity sweep (:mod:`repro.storage.scrub`).
 from .buffer import DEFAULT_CAPACITY, BufferPool
 from .errors import (ChecksumError, CorruptPageFileError,
                      NoCatalogError, PageError, PagerClosedError,
-                     StorageError, TornWriteError)
+                     StorageError, TornWriteError, UnsupportedFormatError)
 from .fault import (FaultInjectingFileOps, FaultInjectingPageDevice,
                     InjectedFault, crash_devices, per_path_device_factory)
 from .fileops import DURABLE_FILE_OPS, DurableFileOps, FileOps
@@ -47,6 +47,7 @@ __all__ = [
     "StatsRecorder",
     "StorageError",
     "TornWriteError",
+    "UnsupportedFormatError",
     "crash_devices",
     "per_path_device_factory",
     "probe_committed_generation",

@@ -36,6 +36,15 @@ class NoCatalogError(CorruptPageFileError):
     """
 
 
+class UnsupportedFormatError(CorruptPageFileError):
+    """The file is a well-formed SWST file of a format no longer read.
+
+    Raised for a page file that starts with the retired v1 pager magic
+    instead of a superblock, and for an engine manifest declaring
+    ``"format": 1``.  Nothing is written to a refused file.
+    """
+
+
 class ChecksumError(CorruptPageFileError):
     """A page's stored CRC32 disagrees with its contents."""
 

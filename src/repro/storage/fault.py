@@ -147,10 +147,6 @@ class FaultInjectingPageDevice:
     def checksums(self) -> bool:
         return getattr(self._inner, "checksums", False)
 
-    @property
-    def format_version(self) -> int:
-        return getattr(self._inner, "format_version", 1)
-
     def set_write_generation(self, generation: int) -> None:
         setter = getattr(self._inner, "set_write_generation", None)
         if setter is not None:

@@ -9,7 +9,7 @@ nothing about their contents.  Two implementations are provided:
   benchmarks that only care about *logical* node accesses (the paper's
   metric), where real disk IO would add noise without changing the counts.
 
-On-disk format v2 (the default for new files)::
+On-disk format::
 
     superblock (512 bytes): magic "SWSTDV2\\0", page_size, trailer_size, crc32
     page slot i at offset 512 + i * (page_size + 16):
@@ -23,9 +23,10 @@ without checksums.  Reads verify the trailer: a wrong format tag raises
 :class:`ChecksumError`.  The write generation is stamped by the pager and
 lets crash recovery detect pages written after the last committed header.
 
-Format v1 files (no superblock; raw ``page_size``-sized pages) are detected
-by the absence of the superblock magic and stay fully readable and writable,
-just without checksums.
+This is the only format: a non-empty file without the superblock magic is
+refused with :class:`CorruptPageFileError`, or with its subclass
+:class:`UnsupportedFormatError` when it starts with the retired
+superblock-less v1 pager magic.  A refused file is never written to.
 """
 
 from __future__ import annotations
@@ -33,21 +34,50 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Protocol
+from typing import BinaryIO, Protocol
 
 from .errors import (ChecksumError, CorruptPageFileError, PageError,
-                     PagerClosedError, TornWriteError)
+                     PagerClosedError, TornWriteError,
+                     UnsupportedFormatError)
 
 DEFAULT_PAGE_SIZE = 8192
 
-#: Size of the format-v2 superblock that prefixes the page slots.
+#: Size of the superblock that prefixes the page slots.
 SUPERBLOCK_SIZE = 512
 SUPERBLOCK_MAGIC = b"SWSTDV2\x00"
+#: First bytes of a retired format-v1 file (its pager header sat at offset 0).
+_RETIRED_V1_MAGIC = b"SWSTPGR1"
 _SUPERBLOCK = struct.Struct("<8sIII")  # magic, page_size, trailer_size, crc32
 
 #: Per-page trailer: crc32, format tag, write generation.
 PAGE_TRAILER = struct.Struct("<IIQ")
 TRAILER_TAG = 0x53575032  # "SWP2" little-endian
+
+
+def read_superblock(path: str, handle: BinaryIO) -> int:
+    """Page size named by the superblock of page file ``path``.
+
+    Raises :class:`UnsupportedFormatError` for the retired v1 pager magic
+    and :class:`CorruptPageFileError` for anything else that is not a
+    valid superblock.
+    """
+    handle.seek(0)
+    head = handle.read(_SUPERBLOCK.size)
+    if head[:8] == _RETIRED_V1_MAGIC:
+        raise UnsupportedFormatError(
+            f"{path}: format-v1 page file (no superblock); this version "
+            f"reads only the checksummed format")
+    if len(head) < _SUPERBLOCK.size or head[:8] != SUPERBLOCK_MAGIC:
+        raise CorruptPageFileError(
+            f"{path}: not a recognised SWST page file")
+    magic, page_size, trailer_size, crc = _SUPERBLOCK.unpack_from(head)
+    if zlib.crc32(_SUPERBLOCK.pack(magic, page_size, trailer_size, 0)) != crc:
+        raise CorruptPageFileError(
+            f"{path}: superblock failed its checksum")
+    if trailer_size != PAGE_TRAILER.size:
+        raise CorruptPageFileError(
+            f"unsupported page trailer size {trailer_size}")
+    return int(page_size)
 
 
 class PageDevice(Protocol):
@@ -72,12 +102,9 @@ class PageDevice(Protocol):
 
 
 class FilePageDevice:
-    """Fixed-size pages stored in one binary file.
+    """Fixed-size checksummed pages stored in one binary file."""
 
-    New files are created in format v2 (superblock + per-page checksum
-    trailers); existing v1 files open read/write-compatibly with
-    ``checksums`` False.
-    """
+    checksums = True
 
     def __init__(self, path: str | os.PathLike[str],
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -86,6 +113,7 @@ class FilePageDevice:
                              f"got {page_size}")
         self.path = os.fspath(path)
         self.page_size = page_size
+        self._slot_size = page_size + PAGE_TRAILER.size
         mode = "r+b" if os.path.exists(self.path) else "w+b"
         self._file = open(self.path, mode)
         self._closed = False
@@ -93,7 +121,7 @@ class FilePageDevice:
         try:
             size = os.fstat(self._file.fileno()).st_size
             if size == 0:
-                self._init_v2()
+                self._init_fresh()
             else:
                 self._open_existing(size)
         except BaseException:
@@ -103,11 +131,7 @@ class FilePageDevice:
 
     # -- format handling -----------------------------------------------------
 
-    def _init_v2(self) -> None:
-        self.format_version = 2
-        self.checksums = True
-        self._base = SUPERBLOCK_SIZE
-        self._slot_size = self.page_size + PAGE_TRAILER.size
+    def _init_fresh(self) -> None:
         fixed = _SUPERBLOCK.pack(SUPERBLOCK_MAGIC, self.page_size,
                                  PAGE_TRAILER.size, 0)
         crc = zlib.crc32(fixed)
@@ -118,42 +142,19 @@ class FilePageDevice:
         self._count = 0
 
     def _open_existing(self, size: int) -> None:
-        self._file.seek(0)
-        head = self._file.read(_SUPERBLOCK.size)
-        if head[:8] == SUPERBLOCK_MAGIC and len(head) == _SUPERBLOCK.size:
-            magic, ps, trailer_size, crc = _SUPERBLOCK.unpack(head)
-            probe = _SUPERBLOCK.pack(magic, ps, trailer_size, 0)
-            if zlib.crc32(probe) != crc:
-                raise CorruptPageFileError(
-                    f"{self.path}: superblock failed its checksum")
-            if ps != self.page_size:
-                raise CorruptPageFileError(
-                    f"file page size {ps} != requested {self.page_size}")
-            if trailer_size != PAGE_TRAILER.size:
-                raise CorruptPageFileError(
-                    f"unsupported page trailer size {trailer_size}")
-            self.format_version = 2
-            self.checksums = True
-            self._base = SUPERBLOCK_SIZE
-            self._slot_size = self.page_size + PAGE_TRAILER.size
-            payload = max(size - SUPERBLOCK_SIZE, 0)
-            self._count = payload // self._slot_size
-            if payload % self._slot_size:
-                # A torn extend left a partial slot at the tail; drop it —
-                # it was never part of any committed state.
-                self._file.truncate(self._offset(self._count))
-        else:
-            self.format_version = 1
-            self.checksums = False
-            self._base = 0
-            self._slot_size = self.page_size
-            if size % self.page_size:
-                raise PageError(f"file size {size} is not a multiple of "
-                                f"page size {self.page_size}")
-            self._count = size // self.page_size
+        page_size = read_superblock(self.path, self._file)
+        if page_size != self.page_size:
+            raise CorruptPageFileError(
+                f"file page size {page_size} != requested {self.page_size}")
+        payload = max(size - SUPERBLOCK_SIZE, 0)
+        self._count = payload // self._slot_size
+        if payload % self._slot_size:
+            # A torn extend left a partial slot at the tail; drop it —
+            # it was never part of any committed state.
+            self._file.truncate(self._offset(self._count))
 
     def _offset(self, page_id: int) -> int:
-        return self._base + page_id * self._slot_size
+        return SUPERBLOCK_SIZE + page_id * self._slot_size
 
     # -- trailer helpers -----------------------------------------------------
 
@@ -199,8 +200,6 @@ class FilePageDevice:
         blob = self._file.read(self._slot_size)
         if len(blob) != self._slot_size:
             raise PageError(f"short read on page {page_id}")
-        if not self.checksums:
-            return blob
         data, trailer = blob[:self.page_size], blob[self.page_size:]
         self._verify_trailer(page_id, data, trailer)
         return data
@@ -209,12 +208,9 @@ class FilePageDevice:
         """Verify one page's trailer; returns its write generation.
 
         Raises :class:`TornWriteError`/:class:`ChecksumError` on corruption.
-        Format-v1 pages have no trailer and always verify with generation 0.
         """
         self._check_open()
         self._check_id(page_id)
-        if not self.checksums:
-            return 0
         self._file.seek(self._offset(page_id))
         blob = self._file.read(self._slot_size)
         if len(blob) != self._slot_size:
@@ -223,9 +219,8 @@ class FilePageDevice:
                                     blob[self.page_size:])
 
     def _write_at(self, page_id: int, data: bytes) -> None:
-        blob = data + self._make_trailer(data) if self.checksums else data
         self._file.seek(self._offset(page_id))
-        self._file.write(blob)
+        self._file.write(data + self._make_trailer(data))
 
     def write(self, page_id: int, data: bytes) -> None:
         self._check_open()
@@ -291,7 +286,6 @@ class FilePageDevice:
 class MemoryPageDevice:
     """Pages stored in memory; same contract as :class:`FilePageDevice`."""
 
-    format_version = 2
     checksums = False
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:

@@ -1,6 +1,6 @@
 """Pager: page allocation and a persistent free list on top of a page device.
 
-Format-v2 layout (the default for new files):
+Layout:
 
 * Pages 0 and 1 are the two *header slots*.  Each holds::
 
@@ -10,9 +10,13 @@ Format-v2 layout (the default for new files):
   A commit writes the header to the slot holding the *older* generation,
   so the previous committed header survives a torn write; recovery picks
   the valid slot with the highest generation.  The tail after the fixed
-  fields is available to the owner as an opaque *meta blob* (SWST stores
-  its tree catalog pointer there).
+  fields is available to the owner as an opaque *meta blob*.
 * Freed pages are chained through their first 8 bytes.
+* The owner's *blob* (SWST stores its tree catalog there) is a chain of
+  data pages, each ``next_page (u64)  payload_len (u32)  payload...``;
+  the meta blob holds the 8-byte id of the chain's head.
+  :meth:`Pager.store_blob` replaces the chain, :meth:`Pager.load_blob`
+  reads it back.
 
 Commit protocol: every device write between commits is stamped (in the
 page trailer, see :mod:`repro.storage.page`) with ``generation + 1`` — the
@@ -22,7 +26,7 @@ older slot, and the file is fsynced again.  The first mutation of a
 session first commits a header with the *dirty* flag, so recovery knows a
 write window was open; :meth:`close` commits with the *clean* flag.
 
-Recovery on open (format v2): pick the newest valid header slot; pages
+Recovery on open: pick the newest valid header slot; pages
 beyond its committed ``page_count`` are uncommitted extends and are
 truncated away; if the header is dirty (crashed session), every committed
 page is checksum-verified and any page stamped with a generation newer
@@ -31,10 +35,6 @@ raises :class:`CorruptPageFileError`.  A successful dirty recovery
 commits a clean header so later opens skip the sweep.  Finally the free
 list is walked (with cycle and range checks) into an in-memory freed-set,
 which makes double frees detectable at :meth:`free` time.
-
-Legacy format-v1 files (single in-place header on page 0, no checksums)
-are detected by their magic and stay fully usable, without the
-crash-safety guarantees.
 
 The pager performs raw device IO only; caching and IO accounting live in
 :class:`repro.storage.buffer.BufferPool`, which sits on top.
@@ -45,22 +45,59 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Any
+from typing import NamedTuple
 
 from .errors import CorruptPageFileError, PageError, PagerClosedError
 from .page import (DEFAULT_PAGE_SIZE, FilePageDevice, MemoryPageDevice,
                    PageDevice)
 
-_MAGIC_V1 = b"SWSTPGR1"
-_MAGIC_V2 = b"SWSTPGR2"
-_HEADER_V1 = struct.Struct("<8sIQ")  # magic, page_size, free_head
+_MAGIC = b"SWSTPGR2"
 # magic, page_size, generation, page_count, free_head, flags, meta_len, crc
-_HEADER_V2 = struct.Struct("<8sIQQQBII")
+_HEADER = struct.Struct("<8sIQQQBII")
 _FREE_LINK = struct.Struct("<Q")
+_PAGE_CHAIN = struct.Struct("<QI")  # next_page, payload_len
 _FLAG_CLEAN = 0x01
 
 #: Path sentinel selecting the in-memory device.
 MEMORY = ":memory:"
+
+
+class PagerHeader(NamedTuple):
+    """The fields of one valid header slot."""
+
+    generation: int
+    page_count: int
+    free_head: int
+    clean: bool
+    meta: bytes
+
+
+def read_header_slots(device: PageDevice) -> dict[int, PagerHeader]:
+    """The valid header slots of ``device``, keyed by slot number.
+
+    A slot that cannot be read (missing, torn, failed checksum) or fails
+    any header check is left out: a torn header slot is an expected
+    crash artefact, and the other slot decides.
+    """
+    valid: dict[int, PagerHeader] = {}
+    for slot in (0, 1):
+        try:
+            raw = device.read(slot)
+            (magic, page_size, generation, page_count, free_head, flags,
+             meta_len, crc) = _HEADER.unpack_from(raw)
+        except (CorruptPageFileError, PageError, struct.error):
+            continue
+        if magic != _MAGIC or page_size != device.page_size:
+            continue
+        if meta_len > len(raw) - _HEADER.size:
+            continue
+        meta = raw[_HEADER.size:_HEADER.size + meta_len]
+        probe = _HEADER.pack(magic, page_size, generation, page_count,
+                             free_head, flags, meta_len, 0)
+        if zlib.crc32(probe + meta) == crc:
+            valid[slot] = PagerHeader(generation, page_count, free_head,
+                                      bool(flags & _FLAG_CLEAN), meta)
+    return valid
 
 
 class Pager:
@@ -74,6 +111,9 @@ class Pager:
             :class:`repro.storage.fault.FaultInjectingPageDevice`).
     """
 
+    #: Lowest page id available to callers (the header slots come first).
+    first_data_page = 2
+
     def __init__(self, path: str | os.PathLike[str] = MEMORY,
                  page_size: int = DEFAULT_PAGE_SIZE,
                  device: PageDevice | None = None) -> None:
@@ -85,9 +125,9 @@ class Pager:
         else:
             self._device = FilePageDevice(path, page_size)
         self.page_size = self._device.page_size
+        self.meta_capacity = self.page_size - _HEADER.size
         self._closed = False
-        self._header_dirty = False   # legacy v1 deferred-header flag
-        self._mutated = False        # any mutation since the last v2 commit
+        self._mutated = False        # any mutation since the last commit
         self._marked = False         # dirty header committed this session
         self._freed: set[int] = set()
         self._meta = b""
@@ -111,18 +151,8 @@ class Pager:
         return getattr(self._device, "checksums", False)
 
     @property
-    def first_data_page(self) -> int:
-        """Lowest page id available to callers (header pages come first)."""
-        return 2 if self.format_version == 2 else 1
-
-    @property
-    def meta_capacity(self) -> int:
-        header = _HEADER_V2 if self.format_version == 2 else _HEADER_V1
-        return self.page_size - header.size
-
-    @property
     def generation(self) -> int:
-        """Generation of the last committed header (0 for format v1)."""
+        """Generation of the last committed header."""
         return self._generation
 
     @property
@@ -138,7 +168,6 @@ class Pager:
         return self._marked
 
     def _init_fresh(self) -> None:
-        self.format_version = 2
         if self._checksums:
             self._device.set_write_generation(1)
         self._device.extend()  # header slot 0
@@ -147,35 +176,17 @@ class Pager:
         self._marked = True
 
     def _open_existing(self) -> None:
-        if self._checksums:
-            self._open_v2()
-            return
-        raw = self._device.read(0)
-        magic = raw[:8]
-        if magic == _MAGIC_V2:
-            self.format_version = 2
-            self._open_v2()
-        elif magic == _MAGIC_V1:
-            self.format_version = 1
-            self._read_header_v1(raw)
-            self._load_free_list()
-        else:
-            raise CorruptPageFileError("bad magic in page file header")
-
-    def _open_v2(self) -> None:
-        self.format_version = 2
-        slots = [self._parse_header_slot(slot) for slot in (0, 1)]
-        valid = [header for header in slots if header is not None]
+        valid = read_header_slots(self._device)
         if not valid:
             raise CorruptPageFileError(
                 "neither header slot holds a valid committed header")
-        best = max(valid, key=lambda header: header["generation"])
-        self._slot = best["slot"]
-        self._generation = best["generation"]
-        self._free_head = best["free_head"]
-        self._meta = best["meta"]
-        clean = bool(best["flags"] & _FLAG_CLEAN)
-        committed = best["page_count"]
+        self._slot, best = max(valid.items(),
+                               key=lambda item: item[1].generation)
+        self._generation = best.generation
+        self._free_head = best.free_head
+        self._meta = best.meta
+        clean = best.clean
+        committed = best.page_count
         present = self._device.page_count()
         if present < committed:
             raise CorruptPageFileError(
@@ -194,29 +205,6 @@ class Pager:
             # commit a clean header so later opens skip it.
             self._commit_header(clean=True)
 
-    def _parse_header_slot(self, slot: int) -> dict[str, Any] | None:
-        try:
-            raw = self._device.read(slot)
-        except (CorruptPageFileError, PageError):
-            return None
-        try:
-            (magic, page_size, generation, page_count, free_head, flags,
-             meta_len, crc) = _HEADER_V2.unpack_from(raw)
-        except struct.error:
-            return None
-        if magic != _MAGIC_V2 or page_size != self.page_size:
-            return None
-        if meta_len > len(raw) - _HEADER_V2.size:
-            return None
-        meta = raw[_HEADER_V2.size:_HEADER_V2.size + meta_len]
-        probe = _HEADER_V2.pack(magic, page_size, generation, page_count,
-                                free_head, flags, meta_len, 0)
-        if zlib.crc32(probe + meta) != crc:
-            return None
-        return {"slot": slot, "generation": generation,
-                "page_count": page_count, "free_head": free_head,
-                "flags": flags, "meta": meta}
-
     def _recovery_sweep(self, committed_pages: int) -> None:
         """Full verify after an unclean shutdown.
 
@@ -233,14 +221,6 @@ class Pager:
                     f"generation {generation} (committed "
                     f"{self._generation}); the last committed state did "
                     f"not survive the crash")
-
-    def _read_header_v1(self, raw: bytes) -> None:
-        magic, page_size, free_head = _HEADER_V1.unpack_from(raw)
-        if page_size != self.page_size:
-            raise CorruptPageFileError(
-                f"file page size {page_size} != requested {self.page_size}")
-        self._free_head = free_head
-        self._meta = raw[_HEADER_V1.size:].rstrip(b"\x00")
 
     def _load_free_list(self) -> None:
         """Walk the on-disk free list into the in-memory freed-set.
@@ -263,7 +243,7 @@ class Pager:
     # -- header commits ------------------------------------------------------
 
     def _commit_header(self, clean: bool) -> None:
-        """Atomically publish the current state (format v2).
+        """Atomically publish the current state.
 
         Data is fsynced first, then the header naming it is written to the
         slot holding the older generation and fsynced in turn, so a torn
@@ -271,13 +251,13 @@ class Pager:
         """
         generation = self._generation + 1
         flags = _FLAG_CLEAN if clean else 0
-        probe = _HEADER_V2.pack(_MAGIC_V2, self.page_size, generation,
-                                self._device.page_count(), self._free_head,
-                                flags, len(self._meta), 0)
+        probe = _HEADER.pack(_MAGIC, self.page_size, generation,
+                             self._device.page_count(), self._free_head,
+                             flags, len(self._meta), 0)
         crc = zlib.crc32(probe + self._meta)
-        fixed = _HEADER_V2.pack(_MAGIC_V2, self.page_size, generation,
-                                self._device.page_count(), self._free_head,
-                                flags, len(self._meta), crc)
+        fixed = _HEADER.pack(_MAGIC, self.page_size, generation,
+                             self._device.page_count(), self._free_head,
+                             flags, len(self._meta), crc)
         page = (fixed + self._meta).ljust(self.page_size, b"\x00")
         slot = 1 - self._slot
         self._device.sync()
@@ -291,15 +271,9 @@ class Pager:
 
     def _ensure_marked(self) -> None:
         """Commit a dirty header before the session's first mutation."""
-        if self.format_version == 2 and not self._marked:
+        if not self._marked:
             self._marked = True
             self._commit_header(clean=False)
-
-    def _write_header_v1(self) -> None:
-        fixed = _HEADER_V1.pack(_MAGIC_V1, self.page_size, self._free_head)
-        body = self._meta.ljust(self.meta_capacity, b"\x00")
-        self._device.write(0, fixed + body)
-        self._header_dirty = False
 
     # -- meta ----------------------------------------------------------------
 
@@ -317,8 +291,53 @@ class Pager:
                              f"capacity {self.meta_capacity}")
         self._ensure_marked()
         self._meta = bytes(blob)
-        self._header_dirty = True
         self._mutated = True
+
+    # -- owner blob ----------------------------------------------------------
+
+    def store_blob(self, blob: bytes) -> None:
+        """Replace the owner's blob with ``blob`` (durable at next commit).
+
+        The new page chain is written in full before ``meta`` is pointed
+        at it, and only then is the old chain freed.  Raw device I/O: the
+        chain is not tree data and must not show up in node-access counts.
+        """
+        old_head = int.from_bytes(self._meta, "little")
+        chunk = self.page_size - _PAGE_CHAIN.size
+        pages = [self.allocate()
+                 for _ in range(max(1, -(-len(blob) // chunk)))]
+        for idx, page_id in enumerate(pages):
+            payload = blob[idx * chunk:(idx + 1) * chunk]
+            next_page = pages[idx + 1] if idx + 1 < len(pages) else 0
+            raw = _PAGE_CHAIN.pack(next_page, len(payload)) + payload
+            self.write(page_id, raw.ljust(self.page_size, b"\x00"))
+        self.meta = pages[0].to_bytes(8, "little")
+        while old_head:
+            next_page, _ = _PAGE_CHAIN.unpack_from(self.read(old_head))
+            self.free(old_head)
+            old_head = next_page
+
+    def load_blob(self) -> bytes | None:
+        """The blob last stored, or ``None`` if none ever was."""
+        head = int.from_bytes(self.meta, "little")
+        if not head:
+            return None
+        parts: list[bytes] = []
+        seen: set[int] = set()
+        chunk = self.page_size - _PAGE_CHAIN.size
+        while head:
+            if head in seen:
+                raise CorruptPageFileError(
+                    f"cycle in blob page chain at page {head}")
+            seen.add(head)
+            raw = self.read(head)
+            head, length = _PAGE_CHAIN.unpack_from(raw)
+            if length > chunk:
+                raise CorruptPageFileError(
+                    f"blob page claims {length} payload bytes "
+                    f"(max {chunk})")
+            parts.append(raw[_PAGE_CHAIN.size:_PAGE_CHAIN.size + length])
+        return b"".join(parts)
 
     # -- page lifecycle ------------------------------------------------------
 
@@ -340,7 +359,6 @@ class Pager:
                     f"{next_free}")
             self._free_head = next_free
             self._freed.discard(page_id)
-            self._header_dirty = True
             self._device.write(page_id, b"\x00" * self.page_size)
             return page_id
         return self._device.extend()
@@ -364,7 +382,6 @@ class Pager:
         self._device.write(page_id, link.ljust(self.page_size, b"\x00"))
         self._free_head = page_id
         self._freed.add(page_id)
-        self._header_dirty = True
         self._mutated = True
 
     def page_is_free(self, page_id: int) -> bool:
@@ -409,14 +426,9 @@ class Pager:
 
     def sync(self) -> None:
         self._check_open()
-        if self.format_version == 2:
-            if self._mutated or self._header_dirty:
-                self._commit_header(clean=False)
-            else:
-                self._device.sync()
+        if self._mutated:
+            self._commit_header(clean=False)
         else:
-            if self._header_dirty:
-                self._write_header_v1()
             self._device.sync()
 
     def close(self) -> None:
@@ -424,11 +436,8 @@ class Pager:
             return
         self._closed = True
         try:
-            if self.format_version == 2:
-                if self._marked:
-                    self._commit_header(clean=True)
-            elif self._header_dirty:
-                self._write_header_v1()
+            if self._marked:
+                self._commit_header(clean=True)
         finally:
             self._device.close()
 

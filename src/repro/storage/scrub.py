@@ -5,26 +5,21 @@ pager's header slots without loading the index, reporting the exact ids
 and reasons for any corrupt pages.  It never repairs anything — a clean
 report means "every byte checks out", a non-empty ``corrupt`` list names
 what to restore from backup.
-
-Format-v1 files (no checksums) scrub trivially: only structural checks
-(file size, header magic) can fail.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import struct
-import zlib
 
-from .errors import CorruptPageFileError, StorageError
-from .page import _SUPERBLOCK, SUPERBLOCK_MAGIC, FilePageDevice
-from .pager import _FLAG_CLEAN, _HEADER_V1, _HEADER_V2, _MAGIC_V1, _MAGIC_V2
+from .errors import StorageError
+from .page import FilePageDevice, read_superblock
+from .pager import read_header_slots
 
 
 @dataclasses.dataclass
 class HeaderSlot:
-    """One parsed v2 header slot (``valid`` False if it fails checks)."""
+    """One parsed header slot (``valid`` False if it fails checks)."""
 
     slot: int
     valid: bool
@@ -38,7 +33,6 @@ class ScrubReport:
     """Result of a full integrity sweep."""
 
     path: str
-    format_version: int
     page_size: int
     pages: int
     corrupt: list[tuple[int, str]]
@@ -56,39 +50,32 @@ class ScrubReport:
             else None
 
     def render(self) -> str:
-        lines = [f"{self.path}: format v{self.format_version}, "
-                 f"page size {self.page_size}, {self.pages} pages"]
+        lines = [f"{self.path}: page size {self.page_size}, "
+                 f"{self.pages} pages"]
         head = self.committed
-        if self.format_version == 2:
-            if head is None:
-                lines.append("  header: NO VALID SLOT")
-            else:
-                state = "clean" if head.clean else "dirty"
-                lines.append(f"  header: slot {head.slot} generation "
-                             f"{head.generation}, {head.page_count} "
-                             f"committed pages, {state}")
+        if head is None:
+            lines.append("  header: NO VALID SLOT")
+        else:
+            state = "clean" if head.clean else "dirty"
+            lines.append(f"  header: slot {head.slot} generation "
+                         f"{head.generation}, {head.page_count} "
+                         f"committed pages, {state}")
         for page_id, reason in self.corrupt:
             lines.append(f"  page {page_id}: {reason}")
         lines.append(f"  {len(self.corrupt)} corrupt page(s)")
         return "\n".join(lines)
 
 
-def probe_page_file(path: str | os.PathLike[str]) -> tuple[int, int]:
-    """Return ``(format_version, page_size)`` without a full open.
+def probe_page_file(path: str | os.PathLike[str]) -> int:
+    """Return the page size of a page file without a full open.
 
-    Raises :class:`CorruptPageFileError` if the file is neither a v2
-    device (superblock magic) nor a v1 pager file (header magic).
+    Raises :class:`CorruptPageFileError` if the file does not start with
+    a valid superblock (:class:`UnsupportedFormatError` for a retired
+    format-v1 file).
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
-        head = handle.read(max(_SUPERBLOCK.size, _HEADER_V1.size))
-    if len(head) >= _SUPERBLOCK.size and head[:8] == SUPERBLOCK_MAGIC:
-        _, page_size, _, _ = _SUPERBLOCK.unpack_from(head)
-        return 2, page_size
-    if len(head) >= _HEADER_V1.size and head[:8] == _MAGIC_V1:
-        _, page_size, _ = _HEADER_V1.unpack_from(head)
-        return 1, page_size
-    raise CorruptPageFileError(f"{path}: not a recognised SWST page file")
+        return read_superblock(path, handle)
 
 
 def probe_committed_generation(path: str | os.PathLike[str]) -> int | None:
@@ -97,67 +84,30 @@ def probe_committed_generation(path: str | os.PathLike[str]) -> int | None:
     The engine's epoch recovery must learn how far each shard got
     *without opening it* — ``Pager`` open itself commits a header
     (recovery + clean mark), which would advance the generation and
-    destroy the evidence.  This reads the two v2 header slots directly
+    destroy the evidence.  This reads the two header slots directly
     and returns the highest valid generation.
 
-    Returns ``0`` for a format-v1 file (no generations) and ``None``
-    when no committed state is observable at all: the file is missing,
-    unrecognisable, or neither header slot checks out.
+    Returns ``None`` when no committed state is observable at all: the
+    file is missing, unrecognisable, or neither header slot checks out.
     """
     path = os.fspath(path)
     try:
-        version, page_size = probe_page_file(path)
+        page_size = probe_page_file(path)
     except (OSError, StorageError):
         return None
-    if version != 2:
-        return 0
     device = FilePageDevice(path, page_size)
-    best: int | None = None
     try:
-        pages = device.page_count()
-        for slot in (0, 1):
-            if slot >= pages:
-                continue
-            try:
-                raw = device.read(slot)
-            except StorageError:
-                # A torn header slot is an expected crash artefact; the
-                # other slot decides.
-                continue
-            parsed = _parse_header_slot(slot, raw, page_size)
-            if parsed.valid and (best is None or parsed.generation > best):
-                best = parsed.generation
+        valid = read_header_slots(device)
     finally:
         device.close()
-    return best
-
-
-def _parse_header_slot(slot: int, raw: bytes, page_size: int) -> HeaderSlot:
-    try:
-        (magic, ps, generation, page_count, free_head, flags,
-         meta_len, crc) = _HEADER_V2.unpack_from(raw)
-    except struct.error:
-        # Short slot -> invalid; anything else (ChecksumError from a
-        # fault-injecting device, OSError) must propagate to the caller.
-        return HeaderSlot(slot, valid=False)
-    if magic != _MAGIC_V2 or ps != page_size:
-        return HeaderSlot(slot, valid=False)
-    if meta_len > len(raw) - _HEADER_V2.size:
-        return HeaderSlot(slot, valid=False)
-    meta = raw[_HEADER_V2.size:_HEADER_V2.size + meta_len]
-    probe = _HEADER_V2.pack(magic, ps, generation, page_count, free_head,
-                            flags, meta_len, 0)
-    if zlib.crc32(probe + meta) != crc:
-        return HeaderSlot(slot, valid=False)
-    return HeaderSlot(slot, valid=True, generation=generation,
-                      page_count=page_count,
-                      clean=bool(flags & _FLAG_CLEAN))
+    return max((header.generation for header in valid.values()),
+               default=None)
 
 
 def scrub_page_file(path: str | os.PathLike[str]) -> ScrubReport:
     """Checksum-verify every page of ``path`` and parse its headers."""
     path = os.fspath(path)
-    version, page_size = probe_page_file(path)
+    page_size = probe_page_file(path)
     device = FilePageDevice(path, page_size)
     corrupt: list[tuple[int, str]] = []
     header_slots: list[HeaderSlot] = []
@@ -173,38 +123,38 @@ def scrub_page_file(path: str | os.PathLike[str]) -> ScrubReport:
                 if reason.startswith(prefix):
                     reason = reason[len(prefix):]
                 corrupt.append((page_id, reason))
-        if version == 2:
-            bad = {page_id for page_id, _ in corrupt}
-            for slot in (0, 1):
-                if slot < pages and slot not in bad:
-                    header_slots.append(_parse_header_slot(
-                        slot, device.read(slot), page_size))
-                else:
-                    header_slots.append(HeaderSlot(slot, valid=False))
-            if not any(slot.valid for slot in header_slots):
-                corrupt.append((0, "no valid committed header slot"))
-            else:
-                best = max((s for s in header_slots if s.valid),
-                           key=lambda s: s.generation)
-                if best.page_count > pages:
+        valid = read_header_slots(device)
+        for slot in (0, 1):
+            header = valid.get(slot)
+            header_slots.append(
+                HeaderSlot(slot, valid=False) if header is None
+                else HeaderSlot(slot, valid=True,
+                                generation=header.generation,
+                                page_count=header.page_count,
+                                clean=header.clean))
+        best = max(valid.values(), key=lambda header: header.generation,
+                   default=None)
+        if best is None:
+            corrupt.append((0, "no valid committed header slot"))
+        else:
+            if best.page_count > pages:
+                corrupt.append(
+                    (0, f"header claims {best.page_count} pages but "
+                        f"only {pages} are on disk"))
+            # A committed page stamped newer than the committed
+            # header is an in-place overwrite from a crashed write
+            # window: the committed snapshot did not survive, and
+            # recovery-on-open will refuse the file the same way.
+            for page_id in range(2, min(best.page_count, pages)):
+                generation = generations.get(page_id)
+                if generation is not None \
+                        and generation > best.generation:
                     corrupt.append(
-                        (0, f"header claims {best.page_count} pages but "
-                            f"only {pages} are on disk"))
-                # A committed page stamped newer than the committed
-                # header is an in-place overwrite from a crashed write
-                # window: the committed snapshot did not survive, and
-                # recovery-on-open will refuse the file the same way.
-                for page_id in range(2, min(best.page_count, pages)):
-                    generation = generations.get(page_id)
-                    if generation is not None \
-                            and generation > best.generation:
-                        corrupt.append(
-                            (page_id,
-                             f"uncommitted data from generation "
-                             f"{generation} overwrites the committed "
-                             f"snapshot (generation {best.generation})"))
+                        (page_id,
+                         f"uncommitted data from generation "
+                         f"{generation} overwrites the committed "
+                         f"snapshot (generation {best.generation})"))
     finally:
         device.close()
-    return ScrubReport(path=path, format_version=version,
-                       page_size=page_size, pages=pages,
+    return ScrubReport(path=path, page_size=page_size, pages=pages,
                        corrupt=corrupt, header_slots=header_slots)

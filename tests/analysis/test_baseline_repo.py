@@ -1,30 +1,18 @@
-"""The committed baseline is exact: linting the real src/ tree must
-produce precisely the pinned findings — nothing new, nothing stale.
+"""The repository lints clean with zero pins: linting the real src/
+tree must produce no finding at all.
 
-This is the same check CI's ``lint-invariants`` job runs; keeping it in
-the suite means a finding introduced by any PR fails tier-1 tests too.
+This is the same check CI's ``lint`` job runs; keeping it in the suite
+means a finding introduced by any PR fails tier-1 tests too.
 """
 
 from pathlib import Path
 
-from repro.analysis import compare_to_baseline, lint_paths, load_baseline
+from repro.analysis import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_src_matches_committed_baseline():
+def test_src_lints_clean():
     findings = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
-    baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    diff = compare_to_baseline(findings, baseline)
-    assert not diff.new, "new lint findings:\n" + "\n".join(
-        finding.render() for finding in diff.new)
-    assert not diff.stale, "stale baseline entries:\n" + "\n".join(diff.stale)
-
-
-def test_baseline_is_small_and_explained():
-    # The baseline exists to grandfather a handful of deliberate catalog
-    # I/O sites, not to absorb new violations.  If it grows, fix the code
-    # or add a justified suppression comment instead.
-    baseline = load_baseline(REPO_ROOT / "lint-baseline.txt")
-    assert len(baseline) <= 5
-    assert all(" R001 " in line for line in baseline)
+    assert not findings, "lint findings:\n" + "\n".join(
+        finding.render() for finding in findings)

@@ -1,11 +1,10 @@
-"""The lint framework itself: findings, registry, baseline, CLI driver."""
+"""The lint framework itself: findings, registry, CLI driver."""
 
 import argparse
 
 import pytest
 
-from repro.analysis import (Rule, all_rules, compare_to_baseline, get_rule,
-                            load_baseline, register, write_baseline)
+from repro.analysis import Rule, all_rules, get_rule, register
 from repro.analysis.findings import Finding
 from repro.analysis.main import add_lint_arguments, run_lint
 from repro.analysis.registry import _REGISTRY
@@ -63,31 +62,6 @@ class TestRegistry:
             register(Anonymous)
 
 
-class TestBaseline:
-    def test_write_load_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.txt"
-        findings = [make_finding(line=9), make_finding(line=1)]
-        write_baseline(path, findings)
-        assert load_baseline(path) == [f.render() for f in
-                                       sorted(findings)]
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.txt") == []
-
-    def test_compare_splits_new_pinned_stale(self):
-        pinned = make_finding(line=1)
-        fresh = make_finding(line=2)
-        gone = make_finding(line=3)
-        diff = compare_to_baseline(
-            [pinned, fresh], [pinned.render(), gone.render()])
-        assert diff.new == (fresh,)
-        assert diff.pinned == (pinned,)
-        assert diff.stale == (gone.render(),)
-        assert not diff.ok
-        clean = compare_to_baseline([pinned], [pinned.render()])
-        assert clean.ok
-
-
 def parse_lint_args(argv):
     parser = argparse.ArgumentParser()
     add_lint_arguments(parser)
@@ -109,68 +83,20 @@ class TestRunLint:
 
     def test_new_finding_fails(self, tmp_path, capsys):
         src = self.write_tree(tmp_path)
-        args = parse_lint_args(
-            [str(src), "--baseline", str(tmp_path / "baseline.txt")])
-        assert run_lint(args) == 1
+        assert run_lint(parse_lint_args([str(src)])) == 1
         out = capsys.readouterr().out
-        assert "R006" in out and "1 new finding(s)" in out
-
-    def test_update_then_clean(self, tmp_path, capsys):
-        src = self.write_tree(tmp_path)
-        baseline = str(tmp_path / "baseline.txt")
-        assert run_lint(parse_lint_args(
-            [str(src), "--baseline", baseline, "--update-baseline"])) == 0
-        assert run_lint(parse_lint_args(
-            [str(src), "--baseline", baseline])) == 0
-        assert "pinned finding(s) allowed" in capsys.readouterr().out
-
-    def test_stale_entry_fails(self, tmp_path, capsys):
-        src = tmp_path / "src" / "repro" / "storage"
-        src.mkdir(parents=True)
-        (src / "clean.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.txt"
-        baseline.write_text("src/repro/storage/old.py:1:0: R006 gone\n")
-        args = parse_lint_args(
-            [str(tmp_path / "src"), "--baseline", str(baseline)])
-        assert run_lint(args) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "1 stale baseline entry" in out
-
-    def test_update_baseline_clears_stale_and_passes(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "storage"
-        src.mkdir(parents=True)
-        (src / "clean.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.txt"
-        baseline.write_text("src/repro/storage/old.py:1:0: R006 gone\n")
-        assert run_lint(parse_lint_args(
-            [str(tmp_path / "src"), "--baseline", str(baseline),
-             "--update-baseline"])) == 0
-        assert run_lint(parse_lint_args(
-            [str(tmp_path / "src"), "--baseline", str(baseline)])) == 0
-
-    def test_update_baseline_preserves_header_comments(self, tmp_path):
-        src = self.write_tree(tmp_path)
-        baseline = tmp_path / "baseline.txt"
-        baseline.write_text(
-            "# custom justification block\n"
-            "# scrub.py swallow is deliberate: probing for torn pages\n"
-            "\n"
-            "src/repro/storage/old.py:1:0: R006 gone\n")
-        assert run_lint(parse_lint_args(
-            [str(src), "--baseline", str(baseline),
-             "--update-baseline"])) == 0
-        text = baseline.read_text()
-        assert text.startswith("# custom justification block\n"
-                               "# scrub.py swallow is deliberate")
-        assert "old.py" not in text      # stale entry dropped
-        assert "R006" in text            # live finding re-pinned
+        assert "R006" in out and "1 finding(s)" in out
 
     def test_select_restricts_rules(self, tmp_path):
         src = self.write_tree(tmp_path)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--select", "R001"])
+        args = parse_lint_args([str(src), "--select", "R001"])
         assert run_lint(args) == 0
+
+    def test_verbose_reports_wall_time(self, tmp_path, capsys):
+        src = self.write_tree(tmp_path)
+        assert run_lint(parse_lint_args([str(src), "--verbose"])) == 1
+        err = capsys.readouterr().err
+        assert "[repro lint]" in err and "wall" in err
 
     def test_list_rules(self, capsys):
         assert run_lint(parse_lint_args(["--list-rules"])) == 0
@@ -189,8 +115,7 @@ class TestOutputFormats:
 
     def test_github_format_emits_workflow_commands(self, tmp_path, capsys):
         src = self.write_tree(tmp_path)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--format", "github"])
+        args = parse_lint_args([str(src), "--format", "github"])
         assert run_lint(args) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
@@ -204,72 +129,3 @@ class TestOutputFormats:
         assert "\n" not in line
         assert "%0A" in line
         assert "file=src/a%2Cb.py" in line
-
-    def test_sarif_format_is_valid_json(self, tmp_path, capsys):
-        import json
-        src = self.write_tree(tmp_path)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--format", "sarif"])
-        assert run_lint(args) == 1
-        out = capsys.readouterr().out
-        log = json.loads(out[:out.rindex("}") + 1])
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-lint"
-        result = run["results"][0]
-        assert result["ruleId"] == "R006"
-        rules = run["tool"]["driver"]["rules"]
-        assert rules[result["ruleIndex"]]["id"] == "R006"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("scrub.py")
-
-    def test_stale_entry_rendered_as_github_error(self, tmp_path, capsys):
-        src = tmp_path / "src" / "repro" / "storage"
-        src.mkdir(parents=True)
-        (src / "clean.py").write_text("x = 1\n")
-        baseline = tmp_path / "baseline.txt"
-        baseline.write_text("src/repro/storage/old.py:1:0: R006 gone\n")
-        args = parse_lint_args(
-            [str(tmp_path / "src"), "--baseline", str(baseline),
-             "--format", "github"])
-        assert run_lint(args) == 1
-        assert "::error title=stale baseline entry::" \
-            in capsys.readouterr().out
-
-
-class TestParallelRunner:
-    def write_tree(self, tmp_path, files=4):
-        pkg = tmp_path / "src" / "repro" / "storage"
-        pkg.mkdir(parents=True)
-        for index in range(files):
-            (pkg / f"mod{index}.py").write_text(TestRunLint.BAD_SOURCE)
-        return tmp_path / "src"
-
-    def test_jobs_matches_serial_findings(self, tmp_path):
-        from repro.analysis import lint_paths
-        src = self.write_tree(tmp_path)
-        serial = lint_paths([src], root=tmp_path)
-        parallel = lint_paths([src], root=tmp_path, jobs=2)
-        assert serial == parallel
-        assert len(serial) == 4
-
-    def test_jobs_flag_end_to_end(self, tmp_path, capsys):
-        src = self.write_tree(tmp_path)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--jobs", "2"])
-        assert run_lint(args) == 1
-        assert "4 new finding(s)" in capsys.readouterr().out
-
-    def test_bad_jobs_rejected(self, tmp_path):
-        src = self.write_tree(tmp_path, files=1)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--jobs", "0"])
-        assert run_lint(args) == 2
-
-    def test_verbose_reports_wall_time(self, tmp_path, capsys):
-        src = self.write_tree(tmp_path, files=1)
-        args = parse_lint_args(
-            [str(src), "--no-baseline", "--verbose"])
-        assert run_lint(args) == 1
-        err = capsys.readouterr().err
-        assert "[repro lint]" in err and "wall" in err

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import Entry, Rect, SWSTConfig, SWSTIndex
-from repro.storage import CorruptPageFileError
+from repro.storage import CorruptPageFileError, Pager
 
 CFG = SWSTConfig(window=2000, slide=100, x_partitions=4, y_partitions=4,
                  d_max=300, duration_interval=50,
@@ -93,6 +93,21 @@ class TestSaveOpen:
         path = str(tmp_path / "empty.db")
         index = SWSTIndex(CFG, path=path)
         index.close()
+        with pytest.raises(CorruptPageFileError):
+            SWSTIndex.open(path, CFG)
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:-4],       # ends right after the current table
+        lambda blob: blob + b"\x00",  # one byte past the retention table
+    ], ids=["no-retention-table", "trailing-byte"])
+    def test_open_rejects_catalog_of_wrong_length(self, tmp_path, damage):
+        path = str(tmp_path / "swst.db")
+        index = SWSTIndex(CFG, path=path)
+        _populate(index)
+        index.save()
+        index.close()
+        with Pager(path, page_size=CFG.page_size) as pager:
+            pager.store_blob(damage(pager.load_blob()))
         with pytest.raises(CorruptPageFileError):
             SWSTIndex.open(path, CFG)
 

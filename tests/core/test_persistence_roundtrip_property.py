@@ -1,7 +1,7 @@
 """Property-based save/reopen round-trip, including retention overrides.
 
 The catalog must preserve the stored entries, the current table, the
-clock and (format 2) the per-object retention overrides; the reopened
+clock and the per-object retention overrides; the reopened
 index must pass its own integrity check and answer queries identically
 — retention filtering included.
 """

@@ -16,9 +16,7 @@ construction:
 * the victim is reopened with healthy ops/devices and its queries are
   compared entry-for-entry against both oracles.
 
-The matrix runs twice: once over a fresh format-2 directory and once
-over a directory downgraded to a format-1 manifest (the legacy-upgrade
-path).  Device-level kills *between* shard commits are the documented
+Device-level kills *between* shard commits are the documented
 typed-error arm (EpochTornError) and are asserted separately.
 
 Every engine here runs with ``snapshots=False``: this file pins down
@@ -28,7 +26,6 @@ own matrix in tests/engine/test_reshard_crash_matrix.py.
 """
 
 import dataclasses
-import json
 import random
 
 import pytest
@@ -125,22 +122,12 @@ def oracles(tmp_path_factory):
             "post": snapshot(post_dir, config)}
 
 
-def downgrade_manifest_to_v1(path):
-    """Rewrite engine.json as a legacy format-1 manifest."""
-    manifest_path = path / "engine.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest_path.write_text(json.dumps(
-        {"format": 1, "n_shards": manifest["n_shards"]}) + "\n")
-
-
-def crash_save_at(path, config, fail_op, legacy):
+def crash_save_at(path, config, fail_op):
     """Phase-2 save killed at file op ``fail_op``; simulated process death.
 
     Returns the FaultInjectingFileOps for protocol introspection.
     """
     build_phase1(path, config)
-    if legacy:
-        downgrade_manifest_to_v1(path)
     devices = []
     faulty = dataclasses.replace(
         config,
@@ -167,13 +154,11 @@ class TestFileOpKillMatrix:
     """Kill every durable-file step of a save; reopen must be A or B."""
 
     @pytest.mark.parametrize("fail_op", range(1, SAVE_FILE_OPS + 1))
-    @pytest.mark.parametrize("legacy", [False, True],
-                             ids=["fresh-v2", "v1-upgrade"])
     def test_reopen_yields_pre_or_post_snapshot(self, tmp_path, oracles,
-                                                fail_op, legacy):
+                                                fail_op):
         config = make_config()
         path = tmp_path / "victim.d"
-        crash_save_at(path, config, fail_op, legacy)
+        crash_save_at(path, config, fail_op)
         observed = snapshot(path, config)
         assert observed in (oracles["pre"], oracles["post"]), (
             f"fault point {fail_op}: reopened state matches neither "
@@ -201,13 +186,11 @@ class TestFileOpKillMatrix:
             "unlink", "fsync_dir",                  # cleanup
         ]
 
-    @pytest.mark.parametrize("legacy", [False, True],
-                             ids=["fresh-v2", "v1-upgrade"])
-    def test_recovery_is_idempotent(self, tmp_path, oracles, legacy):
+    def test_recovery_is_idempotent(self, tmp_path, oracles):
         """Crash, recover, and the directory keeps reopening identically."""
         config = make_config()
         path = tmp_path / "victim.d"
-        crash_save_at(path, config, 5, legacy)  # dies mid-FLIP
+        crash_save_at(path, config, 5)  # dies mid-FLIP
         first = snapshot(path, config)
         second = snapshot(path, config)
         assert first == second == oracles["post"]

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from repro.core import Rect, SWSTConfig
-from repro.engine import SerialExecutor, ShardedEngine, scrub_directory
-from repro.storage import FaultInjectingPageDevice, FilePageDevice
+from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
+                          scrub_directory)
+from repro.storage import (FaultInjectingPageDevice, FilePageDevice,
+                           UnsupportedFormatError)
 
 N_SHARDS = 3
 
@@ -90,6 +92,28 @@ class TestProblems:
         # Without a manifest the sweep falls back to globbing: the
         # shard files themselves still get verified.
         assert len(report.reports) == N_SHARDS
+
+    @pytest.mark.parametrize("rewrite, cause", [
+        (lambda manifest: {"format": 1, "n_shards": N_SHARDS},
+         UnsupportedFormatError),
+        (lambda manifest: {key: value for key, value in manifest.items()
+                           if key != "generation"},
+         type(None)),
+    ], ids=["retired-format", "no-generation"])
+    def test_retired_manifest_shapes_are_refused(self, saved_dir, rewrite,
+                                                 cause):
+        manifest_path = saved_dir / "engine.json"
+        manifest_path.write_text(
+            json.dumps(rewrite(json.loads(manifest_path.read_text()))))
+        before = manifest_path.read_bytes()
+        report = scrub_directory(saved_dir)
+        assert not report.manifest_ok
+        assert not report.ok
+        with pytest.raises(EngineError) as excinfo:
+            ShardedEngine.open(saved_dir, make_config(),
+                               executor=SerialExecutor())
+        assert type(excinfo.value.__cause__) is cause
+        assert manifest_path.read_bytes() == before
 
     def test_shard_behind_manifest_generation(self, saved_dir):
         manifest_path = saved_dir / "engine.json"

@@ -1,12 +1,15 @@
-"""Page checksums: v2 trailers, v1 compatibility, scrub reporting."""
+"""Page checksums: trailers, refusal of the retired v1 format, scrub."""
 
 import struct
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.core import SWSTConfig, SWSTIndex
 from repro.storage import (ChecksumError, CorruptPageFileError,
                            FilePageDevice, Pager, StorageError,
-                           TornWriteError, probe_page_file, scrub_page_file)
+                           TornWriteError, UnsupportedFormatError,
+                           probe_page_file, scrub_page_file)
 from repro.storage.page import PAGE_TRAILER, SUPERBLOCK_SIZE
 
 PAGE_SIZE = 1024
@@ -27,7 +30,7 @@ def _flip_byte(path, offset: int, mask: int = 0x01) -> None:
 
 def _make_v1_file(path, pages: list[bytes], meta: bytes = b"",
                   free_head: int = 0) -> None:
-    """Hand-craft a legacy format-1 page file (no superblock, no trailers)."""
+    """Hand-craft a retired v1 page file (no superblock, no trailers)."""
     header = struct.pack("<8sIQ", b"SWSTPGR1", PAGE_SIZE, free_head)
     blob = (header + meta).ljust(PAGE_SIZE, b"\x00")
     for page in pages:
@@ -39,7 +42,6 @@ class TestV2RoundTrip:
     def test_data_survives_reopen(self, tmp_path):
         path = tmp_path / "v2.db"
         with Pager(path, page_size=PAGE_SIZE) as pager:
-            assert pager.format_version == 2
             pid = pager.allocate()
             pager.write(pid, b"\xa5" * PAGE_SIZE)
         with Pager(path, page_size=PAGE_SIZE) as pager:
@@ -48,7 +50,6 @@ class TestV2RoundTrip:
     def test_new_files_are_v2_with_checksums(self, tmp_path):
         device = FilePageDevice(tmp_path / "new.db", PAGE_SIZE)
         try:
-            assert device.format_version == 2
             assert device.checksums
         finally:
             device.close()
@@ -56,50 +57,35 @@ class TestV2RoundTrip:
     def test_probe_reports_v2(self, tmp_path):
         path = tmp_path / "v2.db"
         Pager(path, page_size=PAGE_SIZE).close()
-        assert probe_page_file(path) == (2, PAGE_SIZE)
+        assert probe_page_file(path) == PAGE_SIZE
 
 
-class TestV1Compatibility:
-    def test_v1_file_opens_and_reads(self, tmp_path):
+class TestUnsupportedFormats:
+    def test_v1_file_is_refused_untouched(self, tmp_path, capsys):
         path = tmp_path / "v1.db"
         _make_v1_file(path, [b"\x11" * PAGE_SIZE], meta=b"legacy")
-        with Pager(path, page_size=PAGE_SIZE) as pager:
-            assert pager.format_version == 1
-            assert pager.first_data_page == 1
-            assert pager.meta == b"legacy"
-            assert pager.read(1) == b"\x11" * PAGE_SIZE
-
-    def test_v1_file_stays_writable(self, tmp_path):
-        path = tmp_path / "v1.db"
-        _make_v1_file(path, [b"\x11" * PAGE_SIZE])
-        with Pager(path, page_size=PAGE_SIZE) as pager:
-            pid = pager.allocate()
-            pager.write(pid, b"\x22" * PAGE_SIZE)
-        with Pager(path, page_size=PAGE_SIZE) as pager:
-            assert pager.format_version == 1
-            assert pager.read(pid) == b"\x22" * PAGE_SIZE
-
-    def test_v1_device_has_no_checksums(self, tmp_path):
-        path = tmp_path / "v1.db"
-        _make_v1_file(path, [])
-        device = FilePageDevice(path, PAGE_SIZE)
-        try:
-            assert device.format_version == 1
-            assert not device.checksums
-            assert device.check_page(0) == 0
-        finally:
-            device.close()
-
-    def test_probe_reports_v1(self, tmp_path):
-        path = tmp_path / "v1.db"
-        _make_v1_file(path, [])
-        assert probe_page_file(path) == (1, PAGE_SIZE)
+        before = path.read_bytes()
+        openers = [
+            lambda: Pager(path, page_size=PAGE_SIZE),
+            lambda: SWSTIndex.open(str(path),
+                                   SWSTConfig(page_size=PAGE_SIZE)),
+            lambda: probe_page_file(path),
+            lambda: scrub_page_file(path),
+        ]
+        for opener in openers:
+            with pytest.raises(UnsupportedFormatError) as excinfo:
+                opener()
+            assert isinstance(excinfo.value, StorageError)
+        assert cli_main(["scrub", str(path)]) == 2
+        assert "format-v1 page file" in capsys.readouterr().err
+        assert path.read_bytes() == before
 
     def test_probe_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(b"NOTAPAGEFILE" + b"\x00" * 100)
-        with pytest.raises(CorruptPageFileError):
+        with pytest.raises(CorruptPageFileError) as excinfo:
             probe_page_file(path)
+        assert not isinstance(excinfo.value, UnsupportedFormatError)
 
 
 class TestCorruptionDetection:
@@ -150,7 +136,6 @@ class TestScrub:
         report = scrub_page_file(path)
         assert report.ok
         assert report.corrupt == []
-        assert report.format_version == 2
         assert report.committed is not None and report.committed.clean
 
     def test_scrub_names_the_corrupt_page(self, tmp_path):
@@ -187,10 +172,3 @@ class TestScrub:
         assert not report.ok
         assert [pid for pid, _ in report.corrupt] == [pids[1]]
         assert "overwrites the committed snapshot" in report.corrupt[0][1]
-
-    def test_scrub_v1_file(self, tmp_path):
-        path = tmp_path / "v1.db"
-        _make_v1_file(path, [b"\x11" * PAGE_SIZE])
-        report = scrub_page_file(path)
-        assert report.ok
-        assert report.format_version == 1

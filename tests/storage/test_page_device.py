@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.storage import FilePageDevice, MemoryPageDevice, PageError
+from repro.storage import (CorruptPageFileError, FilePageDevice,
+                           MemoryPageDevice, PageError)
 from repro.storage.errors import PagerClosedError
 
 
@@ -64,8 +65,8 @@ class TestFileSpecific:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "pages.bin"
-        path.write_bytes(b"x" * 700)  # not a multiple of 512
-        with pytest.raises(PageError):
+        path.write_bytes(b"x" * 700)  # no superblock
+        with pytest.raises(CorruptPageFileError):
             FilePageDevice(path, page_size=512)
 
     def test_page_size_must_be_sector_aligned(self, tmp_path):
