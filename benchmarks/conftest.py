@@ -1,43 +1,16 @@
 """Shared benchmark fixtures.
 
 Scale is selected by ``SWST_BENCH_SCALE`` (tiny | scaled | paper, default
-scaled — see :mod:`repro.bench.params`).  Expensive artefacts (streams and
-fully built indexes) are session-scoped so the per-figure benchmark files
-only pay for the operations they measure.
+scaled — see :mod:`repro.bench.params`).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import active_params, build_mv3r, build_swst
-from repro.datagen import GSTDGenerator
+from repro.bench import active_params
 
 
 @pytest.fixture(scope="session")
 def params():
     return active_params()
-
-
-@pytest.fixture(scope="session")
-def stream(params):
-    """The full-size report stream (largest dataset of the sweep)."""
-    import dataclasses
-    config = dataclasses.replace(params.stream,
-                                 num_objects=params.dataset_objects[-1])
-    return GSTDGenerator(config).materialize()
-
-
-@pytest.fixture(scope="session")
-def swst_index(params, stream):
-    index, _ = build_swst(stream, params.index)
-    yield index
-    index.close()
-
-
-@pytest.fixture(scope="session")
-def mv3r_index(params, stream):
-    index, _ = build_mv3r(stream, page_size=params.index.page_size,
-                          buffer_capacity=params.index.buffer_capacity)
-    yield index
-    index.close()

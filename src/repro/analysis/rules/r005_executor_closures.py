@@ -1,11 +1,12 @@
 """R005 — executor task callables must not mutate closed-over state.
 
-The in-process shard backend hands callables to
-``executor.map``/``submit`` (query fan-out and op-batch application);
-with the threaded executor those run concurrently against live shards, so a task that *writes* something it
-closed over (an accumulator list, an engine attribute) is a data race
-the serial executor will never show.  Tasks must return their results
-and let the caller merge — reading closed-over state is fine.
+The serving facade hands closures to ``executor.submit``; under the
+threaded executor those run on pool threads beside the event loop, so a
+task that *writes* something it closed over (an accumulator list, an
+engine attribute) is a data race the serial executor will never show.
+Tasks must return their results through the future and let the caller
+merge — reading closed-over state is fine.  ``executor.map`` is not a
+trigger: both executors run it inline on the calling thread.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..registry import Rule, register
 from ..runner import FileContext
 from ._util import chain_root
 
-_SUBMIT_METHODS = frozenset({"map", "submit"})
+_SUBMIT_METHODS = frozenset({"submit"})
 #: Method names that mutate their receiver in place.
 _MUTATORS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault",
@@ -86,7 +87,7 @@ def _mutations(func: ast.Lambda | ast.FunctionDef
 class ExecutorClosures(Rule):
     rule_id = "R005"
     title = "executor tasks must not mutate closed-over state"
-    rationale = ("map/submit callables run concurrently under the "
+    rationale = ("submit callables run on pool threads under the "
                  "threaded executor; writes to closed-over state race — "
                  "return results and merge in the caller")
 

@@ -9,7 +9,7 @@ from .experiments import (ExperimentResult, experiment_hrtree,
                           experiment_spatial_extent, experiment_time_interval,
                           experiment_wave, experiment_zcurve, run_all)
 from .harness import (BuildResult, QueryBatchResult, build_mv3r, build_swst,
-                      build_swst_batched, run_queries_mv3r, run_queries_swst)
+                      run_queries_mv3r, run_queries_swst)
 from .params import PAPER, SCALED, TINY, BenchParams, active_params
 from .reporting import format_table
 
@@ -24,7 +24,6 @@ __all__ = [
     "active_params",
     "build_mv3r",
     "build_swst",
-    "build_swst_batched",
     "experiment_hrtree",
     "experiment_insertion",
     "experiment_interleaved",

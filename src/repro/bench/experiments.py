@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..baselines.pist import PISTIndex
 from ..baselines.r3d import R3DIndex
@@ -585,22 +585,33 @@ def _closed_entries(stream: list[Report], horizon: int) -> list[Entry]:
     return closed
 
 
+#: Every experiment in paper order: (ids of the tables it renders,
+#: function).  ``run_all`` and ``repro bench --figures`` both walk this.
+EXPERIMENTS: Sequence[tuple[tuple[str, ...], Callable[..., Any]]] = (
+    (("Fig.7", "Fig.8"), experiment_insertion),
+    (("Fig.9",), experiment_spatial_extent),
+    (("Fig.10",), experiment_time_interval),
+    (("Fig.11",), experiment_memo),
+    (("Sec.V-E(a)",), experiment_spatial_cells),
+    (("Sec.V-E(b)",), experiment_spartition),
+    (("Ablation-Z",), experiment_zcurve),
+    (("Ablation-M",), experiment_maintenance),
+    (("Ablation-W",), experiment_wave),
+    (("Ablation-HR",), experiment_hrtree),
+    (("Physical-IO",), experiment_physical_io),
+    (("Sec.V-B(skew)",), experiment_skew),
+    (("Interleaved",), experiment_interleaved),
+)
+
+
+def run_experiment(experiment: Callable[..., Any],
+                   params: BenchParams) -> tuple[ExperimentResult, ...]:
+    """Run one :data:`EXPERIMENTS` function; always a tuple of results."""
+    produced = experiment(params)
+    return produced if isinstance(produced, tuple) else (produced,)
+
+
 def run_all(params: BenchParams) -> list[ExperimentResult]:
     """Regenerate every table/figure; returns the results in paper order."""
-    fig7, fig8 = experiment_insertion(params)
-    return [
-        fig7,
-        fig8,
-        experiment_spatial_extent(params),
-        experiment_time_interval(params),
-        experiment_memo(params),
-        experiment_spatial_cells(params),
-        experiment_spartition(params),
-        experiment_zcurve(params),
-        experiment_maintenance(params),
-        experiment_wave(params),
-        experiment_hrtree(params),
-        experiment_physical_io(params),
-        experiment_skew(params),
-        experiment_interleaved(params),
-    ]
+    return [result for _, experiment in EXPERIMENTS
+            for result in run_experiment(experiment, params)]

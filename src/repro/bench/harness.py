@@ -75,29 +75,6 @@ def build_swst(stream: list[Report], config: SWSTConfig,
                               cpu_seconds=elapsed)
 
 
-def build_swst_batched(stream: list[Report], config: SWSTConfig,
-                       label: str = "SWST-batched",
-                       batch_size: int = 1024) -> tuple[SWSTIndex,
-                                                        BuildResult]:
-    """Feed a report stream through the batched :meth:`SWSTIndex.extend`
-    ingestion path (groups reports per spatial cell for node-cache
-    locality; final index state identical to per-report :func:`build_swst`).
-    """
-    index = SWSTIndex(config)
-    try:
-        before = index.stats.snapshot()
-        started = time.process_time()
-        index.extend(stream, batch_size=batch_size)
-        elapsed = time.process_time() - started
-        delta = index.stats.diff(before)
-    except BaseException:
-        index.close()
-        raise
-    return index, BuildResult(label=label, records=len(stream),
-                              node_accesses=delta.node_accesses,
-                              cpu_seconds=elapsed)
-
-
 def build_mv3r(stream: list[Report], page_size: int = 8192,
                buffer_capacity: int = 512, use_aux: bool = True,
                label: str = "MV3R") -> tuple[MV3RTree, BuildResult]:

@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator
 
-from .bench.experiments import run_all
+from .bench.experiments import EXPERIMENTS, run_experiment
 from .bench.params import PAPER, SCALED, TINY
 from .core.config import SWSTConfig
 from .core.index import SWSTIndex
@@ -52,9 +52,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default="serial",
                         help="executor for in-process --shards > 1: "
                              "serial | thread[:N] (default serial; both "
-                             "run shard work inline — thread only adds "
-                             "the pool that per-task deadlines need, it "
-                             "is not a speed setting)")
+                             "run shard work inline — it is not a speed "
+                             "setting)")
     parser.add_argument("--workers", action="store_true",
                         help="with --shards > 1: run each shard in a "
                              "long-lived worker process behind a "
@@ -257,15 +256,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     params = {"tiny": TINY, "scaled": SCALED, "paper": PAPER}[args.scale]
     if args.objects:
         params = replace(params, dataset_objects=tuple(args.objects))
-    results = run_all(params)
-    wanted = set(args.figures) if args.figures else None
+    wanted = [w.lower() for w in args.figures or ()]
+
+    def selected(exp_id: str) -> bool:
+        return not wanted or any(w in exp_id.lower() for w in wanted)
+
     svg_dir = pathlib.Path(args.svg) if args.svg else None
     if svg_dir is not None:
         svg_dir.mkdir(parents=True, exist_ok=True)
+    # Unselected experiments never run; one that renders two tables
+    # (Fig.7 + Fig.8) prints only the one asked for.
+    results = [result for exp_ids, experiment in EXPERIMENTS
+               if any(map(selected, exp_ids))
+               for result in run_experiment(experiment, params)
+               if selected(result.exp_id)]
     for result in results:
-        if wanted and not any(w.lower() in result.exp_id.lower()
-                              for w in wanted):
-            continue
         if args.chart and result.exp_id in _CHARTABLE:
             print(chart_from_result(result, _CHARTABLE[result.exp_id]))
         else:

@@ -27,8 +27,8 @@ from .engine import (Coordinator, PartialResult, ShardBackend, ShardedEngine,
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ReshardError,
                      ReshardInProgressError, ShardFailure, ShardOpenError,
-                     ShardQueryError, TaskTimeoutError, WalCorruptError,
-                     WalError, WorkerCrashError, WorkerRecoveryError)
+                     ShardQueryError, WalCorruptError, WalError,
+                     WorkerCrashError, WorkerRecoveryError)
 from .executor import (Executor, SerialExecutor, ThreadedExecutor,
                        resolve_executor)
 from .reshard import GenerationBuild, ReshardReport, reshard
@@ -88,7 +88,6 @@ __all__ = [
     "ShardOpenError",
     "ShardQueryError",
     "ShardedEngine",
-    "TaskTimeoutError",
     "ThreadedExecutor",
     "WalCorruptError",
     "WalError",

@@ -86,7 +86,7 @@ from ..storage.scrub import probe_committed_generation
 from ..storage.stats import IOStats
 from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
                      EngineError, EpochTornError, ShardFailure,
-                     ShardOpenError, ShardQueryError, TaskTimeoutError)
+                     ShardOpenError, ShardQueryError)
 from .executor import Executor, resolve_executor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
@@ -99,7 +99,7 @@ _MANIFEST_FORMAT = 2
 
 #: Per-shard failures a degraded fan-out absorbs into ``ShardFailure``
 #: records: storage-layer corruption/IO, raw OS errors, and the engine's
-#: own typed errors (timeouts, open circuit breakers, dead workers).
+#: own typed errors (open circuit breakers, dead workers).
 SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
 
 
@@ -448,9 +448,9 @@ def _guarded_call(policy: RetryPolicy,
     """Run ``fn`` under ``policy``; return ``("ok", result)`` or
     ``("err", exception)``.
 
-    Outcome tuples keep executor task callables free of shared-state
-    mutation (invariant R005): the backend folds outcomes into circuit
-    breaker state on the gathering side, never inside the task.
+    Outcome tuples keep fan-out task callables free of shared-state
+    mutation: the backend folds outcomes into circuit breaker state on
+    the gathering side, never inside the task.
     """
     try:
         return ("ok", policy.call(fn))
@@ -476,9 +476,7 @@ class InProcessBackend:
                  retry_policy: RetryPolicy | None = None,
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
-                 task_timeout: float | None = None,
-                 file_ops: FileOps | None = None,
-                 snapshots: bool = True) -> None:
+                 file_ops: FileOps | None = None) -> None:
         self.config = config
         self.directory = directory
         self.generation = generation
@@ -486,9 +484,7 @@ class InProcessBackend:
         self.executor_arg = executor
         self.owns_executor = executor is None or isinstance(executor, str)
         if executor is None:
-            # Inline unless a deadline has to be enforceable.
-            executor = "serial" if task_timeout is None \
-                else f"thread:{config.n_shards}"
+            executor = "serial"
         self.executor: Executor = resolve_executor(executor) \
             if isinstance(executor, str) else executor
         self.retry_policy = retry_policy if retry_policy is not None \
@@ -496,23 +492,25 @@ class InProcessBackend:
         self.breakers: list[CircuitBreaker | None] = [
             breaker_factory() if breaker_factory is not None else None
             for _ in range(config.n_shards)]
-        self.task_timeout = task_timeout
         self.fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self.snapshots = snapshots
         self.shards: list[SWSTIndex] = []
         self.needs_resync = False
 
     @classmethod
     def create(cls, config: SWSTConfig, directory: str | None,
                manifest: dict[str, Any], **seams: Any) -> "InProcessBackend":
-        """Fresh (or re-adopted) shard files under ``manifest``."""
+        """Fresh (or re-adopted) shard files under ``manifest``.
+
+        Writes nothing under ``snapshots/`` (:class:`ShardedEngine`
+        does): a resharder stages its new generation through here, and
+        those still-empty files must never replace the live copies.
+        """
         backend = cls(config, directory, manifest["generation"], **seams)
         try:
             for shard_id in range(config.n_shards):
                 backend.shards.append(
                     SWSTIndex(config, backend.shard_path(shard_id)))
-            backend._ensure_snapshot(manifest["epoch"])
         except BaseException:
             backend.close()
             raise
@@ -523,18 +521,31 @@ class InProcessBackend:
                 ) -> tuple["InProcessBackend", dict[str, Any]]:
         """Re-open a saved shard directory, recovering it as one unit.
 
-        Returns the backend and the manifest it recovered to.  A
-        leftover PREPARE marker (crashed save) is resolved *before* any
-        shard opens: the marker's expected generations are compared
-        against each shard's committed header generation — probed
-        passively, without opening (opening itself commits a header) —
-        and the directory rolls back, rolls forward, restores the
-        committed shards from the epoch's CoW snapshot (mixed commits
-        with a complete ``snapshots/<epoch>/``), or raises a typed
-        :class:`EpochTornError`.  Then each shard runs the storage
-        layer's full recovery-on-open; the first shard that fails raises
-        :class:`ShardOpenError` naming it.  The shards must agree on
-        one clock and sit at or above their recorded generations —
+        Returns the backend and the manifest it recovered to.  One
+        state machine over the PREPARE marker a crashed save left and
+        the shards that reached the header generation the marker
+        expected — probed passively, *before* any shard opens (opening
+        itself commits a header).  With ``E`` the manifest epoch:
+
+        * no marker — nothing to resolve; a marker at ``E`` lost only
+          its cleanup: drop it.
+        * marker ``E+1``, every shard committed — **roll forward**:
+          rewrite the manifest at ``E+1``, drop the marker.
+        * marker ``E+1``, no or some shards committed — **restore**
+          every shard from ``snapshots/<E>/``, drop the marker.  If the
+          snapshot is not whole and no shard committed, dropping the
+          marker alone is the **roll back**.
+        * marker ``E+1``, some shards committed, snapshot not whole —
+          **refuse**: typed :class:`EpochTornError` naming both groups;
+          no file is touched.
+
+        Every committed epoch has its snapshot, so the refusal is
+        reached only when ``snapshots/<E>/`` was damaged from outside.
+        Then each shard runs the storage layer's recovery-on-open; one
+        that refuses (uncommitted pages evicted over its committed
+        state) gets one retry after the same restore, else
+        :class:`ShardOpenError` names it.  The shards must agree on one
+        clock and sit at or above their recorded generations —
         disagreement means the directory mixes snapshots and is refused
         with a typed error rather than heuristically resynchronised.
         """
@@ -615,26 +626,7 @@ class InProcessBackend:
             return _guarded_call(
                 policy, lambda: getattr(shards[sid], method)(*args))
 
-        try:
-            outcomes = self.executor.map(task, dispatch,
-                                         timeout=self.task_timeout)
-        except TaskTimeoutError as exc:
-            # The whole gather is abandoned: the timed-out task may
-            # still be running, and tasks after it were never collected.
-            # Timeouts are not retried (the worker may still hold the
-            # shard) and only the overrunning shard's breaker records a
-            # failure — its siblings were merely collateral.
-            timed_sid = dispatch[exc.item_index]
-            breaker = self.breakers[timed_sid]
-            if breaker is not None:
-                breaker.record_failure()
-            for sid in dispatch:
-                error: EngineError = exc if sid == timed_sid else \
-                    EngineError(f"fan-out abandoned after shard "
-                                f"{timed_sid} exceeded its deadline")
-                failures.append(ShardFailure(
-                    sid, self.shard_path(sid), error))
-            return [], failures
+        outcomes = self.executor.map(task, dispatch)
         successes: list[tuple[int, Any]] = []
         for sid, (tag, value) in zip(dispatch, outcomes, strict=True):
             breaker = self.breakers[sid]
@@ -676,9 +668,8 @@ class InProcessBackend:
         corruption instead of undoing it.  A crash in here at worst
         loses the new epoch's snapshot, which ``open()`` rewrites.
         """
-        if self.snapshots:
-            self.write_epoch_snapshot(epoch)
-            self._prune_snapshots(keep_epoch=epoch)
+        self.write_epoch_snapshot(epoch)
+        self.prune_snapshots(keep_epoch=epoch)
 
     def close(self) -> list[BaseException]:
         """Close every shard and (if owned) the executor.
@@ -707,13 +698,12 @@ class InProcessBackend:
 
         Runs at construction and after every successful ``open()`` —
         the two other moments (besides a completed save) when every
-        shard file is provably clean-committed.  Covers directories
-        saved before snapshots existed, a crash between the manifest
-        flip and the snapshot step, and a freshly resharded or
-        rolled-forward directory.  Copies are atomic, so presence of
-        all ``n_shards`` files means the snapshot is whole.
+        shard file is provably clean-committed.  Covers a crash between
+        the manifest flip and the snapshot step, a rolled-forward
+        directory and one a worker engine saved.  Copies are atomic, so
+        presence of all ``n_shards`` files means the snapshot is whole.
         """
-        if not (self.snapshots and self.epoch_commit):
+        if not self.epoch_commit:
             return
         assert self.directory is not None
         snap = snapshot_dir(self.directory, epoch)
@@ -730,8 +720,7 @@ class InProcessBackend:
         exactly the committed state of ``epoch``.  A later save torn
         between in-place shard commits — or a mid-session crash that
         left uncommitted evicted pages over a committed file — restores
-        every shard from here (:meth:`_restore_snapshot`) instead of
-        raising :class:`EpochTornError` or refusing to open.
+        every shard from here (:meth:`_restore_snapshot`).
         """
         assert self.directory is not None
         fops = self.fops
@@ -746,7 +735,7 @@ class InProcessBackend:
         fops.fsync_dir(snap_root)
         fops.fsync_dir(self.directory)
 
-    def _prune_snapshots(self, keep_epoch: int) -> None:
+    def prune_snapshots(self, keep_epoch: int) -> None:
         """Drop snapshot directories of epochs older than ``keep_epoch``.
 
         Runs after the flip committed, so a crash anywhere in here costs
@@ -774,21 +763,8 @@ class InProcessBackend:
     # -- recovery on open ------------------------------------------------------
 
     def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
-        """Resolve a leftover PREPARE marker; returns the manifest to use.
-
-        Classification against the marker's expected generations:
-
-        * no shard reached its expected generation: nothing committed,
-          the old snapshot is intact — **roll back** (drop the marker).
-        * every shard reached it: the save fully committed, only the
-          flip was lost — **roll forward** (rewrite the manifest).
-        * anything in between: the in-place storage layer cannot undo a
-          committed shard, so the directory mixes epochs.  When the
-          save left a complete CoW snapshot of the old epoch, the
-          committed shards are **restored** from it and the whole
-          directory rolls back; otherwise raise
-          :class:`EpochTornError`.
-        """
+        """Resolve a leftover PREPARE marker (the table in
+        :meth:`recover`); returns the manifest to use."""
         assert self.directory is not None
         prepare = load_pending_prepare(self.directory, manifest, self.fops)
         if prepare is None:
@@ -865,8 +841,7 @@ class InProcessBackend:
         try:
             self._open_shard_files()
         except ShardOpenError:
-            if not self.snapshots \
-                    or not self._restore_snapshot(manifest["epoch"]):
+            if not self._restore_snapshot(manifest["epoch"]):
                 raise
             self._open_shard_files()
         gens: list[int] = manifest["shards"]
@@ -916,19 +891,16 @@ class Coordinator:
         manifest: what the backend was built from or recovered to
             (epoch and generation are adopted from it).
         file_ops: durable filesystem seam for the manifest protocol.
-        snapshots: whether this directory keeps CoW epoch snapshots (a
-            reshard of it follows the same policy).
     """
 
     def __init__(self, config: SWSTConfig, backend: ShardBackend,
                  directory: str | None, manifest: dict[str, Any],
-                 file_ops: FileOps, snapshots: bool = True) -> None:
+                 file_ops: FileOps) -> None:
         self.config = config
         self.grid = SpatialGrid(config.space, config.x_partitions,
                                 config.y_partitions)
         self.shard_map = GridShardMap(config.x_partitions,
                                       config.y_partitions, config.n_shards)
-        self.snapshots = snapshots
         self._backend = backend
         self._dir = directory
         self._fops = file_ops
@@ -1710,10 +1682,8 @@ class ShardedEngine(Coordinator):
             :class:`~repro.engine.executor.Executor` is *borrowed*
             (``close()`` leaves it running); a spec string (``serial``
             | ``thread[:N]``) or the default — inline
-            (:class:`~repro.engine.executor.SerialExecutor`), or a
-            :class:`~repro.engine.executor.ThreadedExecutor` sized to
-            the shard count when ``task_timeout`` needs enforcing — is
-            owned and shut down with the engine.
+            (:class:`~repro.engine.executor.SerialExecutor`) — is owned
+            and shut down with the engine.
         retry_policy: per-shard retry policy for read-only query
             fan-out; defaults to ``RetryPolicy()`` (3 deterministic
             immediate attempts).  Pass ``RetryPolicy(attempts=1)`` to
@@ -1722,18 +1692,13 @@ class ShardedEngine(Coordinator):
             defaults to :class:`~repro.engine.retry.CircuitBreaker`
             with its deterministic attempt-counting clock.  Pass
             ``None`` to disable breakers entirely.
-        task_timeout: per-task deadline (seconds) for query fan-out, or
-            ``None`` (default) for no deadline.  Timeouts are typed
-            (:class:`~repro.engine.errors.TaskTimeoutError`) and never
-            retried — an abandoned worker may still hold its shard.
         file_ops: durable filesystem seam for the manifest protocol;
             tests substitute a fault-injecting implementation.
-        snapshots: when True (default), every ``save()`` ends by
-            CoW-copying the shard files into ``snapshots/<epoch>/`` so
-            a later save torn between in-place shard commits rolls back
-            on ``open()`` instead of raising :class:`EpochTornError`.
-            ``False`` restores the pre-snapshot protocol (and its torn
-            window).
+
+    A disk-backed engine keeps a CoW copy of every committed epoch's
+    shard files under ``snapshots/<epoch>/``, so a save torn between
+    in-place shard commits rolls back on ``open()``
+    (:meth:`InProcessBackend.recover`).
     """
 
     _backend: InProcessBackend
@@ -1744,9 +1709,7 @@ class ShardedEngine(Coordinator):
                  retry_policy: RetryPolicy | None = None,
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
-                 task_timeout: float | None = None,
-                 file_ops: FileOps | None = None,
-                 snapshots: bool = True) -> None:
+                 file_ops: FileOps | None = None) -> None:
         config = config if config is not None else SWSTConfig()
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         directory = None if os.fspath(path) == MEMORY else os.fspath(path)
@@ -1756,9 +1719,13 @@ class ShardedEngine(Coordinator):
         backend = InProcessBackend.create(
             config, directory, manifest, executor=executor,
             retry_policy=retry_policy, breaker_factory=breaker_factory,
-            task_timeout=task_timeout, file_ops=fops, snapshots=snapshots)
-        super().__init__(config, backend, directory, manifest, fops,
-                         snapshots)
+            file_ops=fops)
+        try:
+            backend._ensure_snapshot(manifest["epoch"])
+        except BaseException:
+            backend.close()
+            raise
+        super().__init__(config, backend, directory, manifest, fops)
 
     @classmethod
     def open(cls, path: str | os.PathLike[str], config: SWSTConfig,
@@ -1766,18 +1733,15 @@ class ShardedEngine(Coordinator):
              retry_policy: RetryPolicy | None = None,
              breaker_factory: Callable[[], CircuitBreaker] | None
              = CircuitBreaker,
-             task_timeout: float | None = None,
-             file_ops: FileOps | None = None,
-             snapshots: bool = True) -> "ShardedEngine":
+             file_ops: FileOps | None = None) -> "ShardedEngine":
         """Re-open a saved shard directory, recovering it as one unit
         (see :meth:`InProcessBackend.recover` for the rules)."""
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         backend, manifest = InProcessBackend.recover(
             os.fspath(path), config, executor=executor,
             retry_policy=retry_policy, breaker_factory=breaker_factory,
-            task_timeout=task_timeout, file_ops=fops, snapshots=snapshots)
-        return cls._adopt(config, backend, os.fspath(path), manifest, fops,
-                          snapshots)
+            file_ops=fops)
+        return cls._adopt(config, backend, os.fspath(path), manifest, fops)
 
     def reopen(self, n_shards: int) -> "ShardedEngine":
         assert self._dir is not None
@@ -1785,9 +1749,7 @@ class ShardedEngine(Coordinator):
         return ShardedEngine.open(
             self._dir, dataclasses.replace(self.config, n_shards=n_shards),
             executor=backend.executor_arg,
-            retry_policy=backend.retry_policy,
-            task_timeout=backend.task_timeout, file_ops=self._fops,
-            snapshots=self.snapshots)
+            retry_policy=backend.retry_policy, file_ops=self._fops)
 
     @property
     def shards(self) -> tuple[SWSTIndex, ...]:

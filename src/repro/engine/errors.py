@@ -9,12 +9,12 @@ small hierarchy rooted at :class:`EngineError`:
   shard after the retry policy was exhausted; names the shard.
 * :class:`CircuitOpenError` — a shard was skipped because its circuit
   breaker is open (no request was dispatched at all).
-* :class:`TaskTimeoutError` — an executor task overran its per-task
-  deadline.
-* :class:`EpochTornError` — the two-phase epoch commit was interrupted
-  in the one window the storage layer cannot undo: some shards committed
-  the new epoch, some did not, so neither the pre-save nor the post-save
-  snapshot exists on disk.  The error names both groups.
+* :class:`EpochTornError` — the refusal arm of
+  ``InProcessBackend.recover``: a save was interrupted between in-place
+  shard commits *and* the previous epoch's ``snapshots/<E>/`` copy set,
+  which every committed epoch has, was damaged from outside — so neither
+  the pre-save nor the post-save state exists on disk.  The error names
+  the committed and the pending shards.
 * :class:`EngineCloseError` — aggregate raised when *several* resources
   fail during :meth:`ShardedEngine.close`; every underlying error is
   kept (``errors`` attribute plus exception notes), none are dropped.
@@ -77,30 +77,15 @@ class CircuitOpenError(EngineError):
         self.shard_id = shard_id
 
 
-class TaskTimeoutError(EngineError):
-    """An executor task overran its per-task deadline.
-
-    Attributes:
-        item_index: position of the task in the ``map`` input (the
-            engine maps this back to a shard id).
-        timeout: the deadline in seconds.
-    """
-
-    def __init__(self, item_index: int, timeout: float) -> None:
-        super().__init__(f"executor task {item_index} exceeded its "
-                         f"{timeout}s deadline")
-        self.item_index = item_index
-        self.timeout = timeout
-
-
 class EpochTornError(EngineError):
     """A crashed save left shards split across two manifest epochs.
 
     Shards that committed the new epoch overwrote pages of the old
-    snapshot in place (the storage layer commits per shard, not per
-    directory), and the shards that never committed lost the new data
-    with the process — so neither snapshot is recoverable.  Detected
-    deterministically from the PREPARE record; never silently served.
+    epoch in place (the storage layer commits per shard, not per
+    directory), the shards that never committed lost the new data with
+    the process, and ``snapshots/<epoch - 1>/`` — the clean copy recovery
+    restores from — is not whole.  Detected deterministically from the
+    PREPARE record; never silently served.
 
     Attributes:
         epoch: the epoch the interrupted save was committing.
@@ -233,9 +218,8 @@ class ShardFailure:
         shard_id: index of the failed shard.
         path: page-file path of the failed shard.
         error: the exception that exhausted the retry policy (a
-            :class:`CircuitOpenError` if the shard was never dispatched,
-            a :class:`TaskTimeoutError` if the task overran its
-            deadline).
+            :class:`CircuitOpenError` if the shard was never
+            dispatched).
     """
 
     shard_id: int

@@ -1,39 +1,28 @@
 """Executor seam for per-shard scatter-gather.
 
 The engine runs per-shard work through a minimal :class:`Executor`
-protocol — ``map`` (with an optional per-task deadline), ``submit`` and
-``close``:
+protocol — ``map``, ``submit`` and ``close``:
 
 * :class:`SerialExecutor` (the default) runs every task inline on the
   calling thread.
-* :class:`ThreadedExecutor` runs ``map`` inline too, unless a per-task
-  deadline must be enforceable, and backs ``submit`` with a thread pool
-  (the asyncio serving bridge).  Shard work is Python bytecode: under
-  the GIL the pool ran shard tasks back to back and added a hand-off per
-  shard per batch (13-20% of ingest client time; the same build did
-  17.9k reports/s on one vCPU against 12.5k on two), so the pool exists
-  for deadlines and ``submit``, not for speed.
+* :class:`ThreadedExecutor` runs ``map`` inline too and backs ``submit``
+  with a thread pool (the asyncio serving bridge).  Shard work is Python
+  bytecode: under the GIL the pool ran shard tasks back to back and
+  added a hand-off per shard per batch (13-20% of ingest client time;
+  the same build did 17.9k reports/s on one vCPU against 12.5k on two),
+  so the pool exists for ``submit``, not for speed.
 
 Both preserve input order in their results and propagate the first
-raised exception; inline, items after it never start.  Shards that
-should run in parallel are served by the warm worker pool
-(:mod:`repro.engine.worker`).
-
-Per-task deadlines: ``map(fn, items, timeout=...)`` bounds how long the
-caller waits for each task.  The thread pool enforces it when *gathering*
-(``future.result(timeout)``) and converts an overrun into a typed
-:class:`~repro.engine.errors.TaskTimeoutError` naming the input index.
-The task itself is not preempted — an abandoned worker may still hold
-its shard, which is why the engine treats timeouts as non-retryable.
-``SerialExecutor`` cannot enforce a deadline and ignores ``timeout``.
+raised exception; items after it never start.  There is no per-task
+deadline: an inline task cannot be preempted, and a pooled one that
+overran would still hold its shard.  Shards that should run in parallel
+are served by the warm worker pool (:mod:`repro.engine.worker`).
 """
 
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, Protocol,
                     runtime_checkable)
-
-from .errors import TaskTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from concurrent.futures import Future, ThreadPoolExecutor
@@ -43,14 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 class Executor(Protocol):
     """Minimal worker-pool protocol used by the engine."""
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
-            timeout: float | None = None) -> list[Any]:
-        """Apply ``fn`` to every item, returning results in input order.
-
-        ``timeout`` is a per-task deadline in seconds; a task overrunning
-        it raises :class:`TaskTimeoutError` (best effort — inline
-        executors cannot enforce it).
-        """
+    def map(self, fn: Callable[[Any], Any],
+            items: Iterable[Any]) -> list[Any]:
+        """Apply ``fn`` to every item, returning results in input order."""
         ...  # pragma: no cover - protocol
 
     def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
@@ -70,14 +54,10 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """Run every task inline on the calling thread.
+    """Run every task inline on the calling thread."""
 
-    Inline execution cannot be preempted, so the ``timeout`` parameter
-    is accepted for protocol compatibility and ignored.
-    """
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
-            timeout: float | None = None) -> list[Any]:
+    def map(self, fn: Callable[[Any], Any],
+            items: Iterable[Any]) -> list[Any]:
         return [fn(item) for item in items]
 
     def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
@@ -96,47 +76,28 @@ class SerialExecutor:
 
 
 class ThreadedExecutor:
-    """Inline ``map``; a lazily created thread pool for deadlines and
-    ``submit``.
+    """Inline ``map``; a lazily created thread pool for ``submit``.
 
-    ``map`` hands tasks to the pool only when ``timeout`` is set (waiting
-    on a future is the one way to bound a task); an engine that sets no
-    ``task_timeout`` never spawns a thread.
+    An engine alone never spawns a thread — only the serving facade
+    submits.
     """
 
     def __init__(self, max_workers: int | None = None) -> None:
         self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
 
-    def _ensure_pool(self) -> ThreadPoolExecutor:
+    def map(self, fn: Callable[[Any], Any],
+            items: Iterable[Any]) -> list[Any]:
+        return [fn(item) for item in items]
+
+    def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(
                 max_workers=self._max_workers,
                 thread_name_prefix="swst-shard")
-        return self._pool
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any],
-            timeout: float | None = None) -> list[Any]:
-        if timeout is None:
-            return [fn(item) for item in items]
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, item) for item in items]
-        # ``result()`` re-raises the task's exception; futures not yet
-        # collected are awaited by ``shutdown(wait=True)`` on close.
-        results = []
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result(timeout=timeout))
-            except FuturesTimeout:
-                raise TaskTimeoutError(index, timeout) from None
-        return results
-
-    def submit(self, fn: Callable[[], Any]) -> "Future[Any]":
-        return self._ensure_pool().submit(fn)
+        return self._pool.submit(fn)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -57,9 +57,8 @@ from ..core.index import SWSTIndex
 from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
-                     _SNAPSHOTS_DIR, InProcessBackend, ShardedEngine,
-                     _shard_file_name, generation_dir, load_manifest,
-                     write_json_atomic)
+                     InProcessBackend, ShardedEngine, _shard_file_name,
+                     generation_dir, load_manifest, write_json_atomic)
 from .errors import ReshardError
 from .sharding import GridShardMap
 from .wal import base_file_name, read_wal, wal_file_name
@@ -129,8 +128,7 @@ class GenerationBuild:
 
     def __init__(self, directory: str | None, new_n_shards: int,
                  config: SWSTConfig, *,
-                 file_ops: FileOps | None = None,
-                 snapshots: bool = True) -> None:
+                 file_ops: FileOps | None = None) -> None:
         if new_n_shards < 1:
             raise ValueError(f"new_n_shards must be >= 1, "
                              f"got {new_n_shards}")
@@ -140,7 +138,6 @@ class GenerationBuild:
         self._dir = os.fspath(directory)
         self._fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self._snapshots = snapshots
         manifest = load_manifest(os.path.join(self._dir, _MANIFEST_NAME))
         if manifest["epoch"] < 1:
             raise ReshardError(
@@ -168,7 +165,6 @@ class GenerationBuild:
         self._engine: ShardedEngine | None = None
         self._entries = 0
         self._currents = 0
-        self._committed = False
 
     def _check_wals_quiescent(self) -> None:
         """Refuse WALs whose acknowledged records the page files lack.
@@ -258,16 +254,17 @@ class GenerationBuild:
         # Bulk-load the new shards directly — historical entries start
         # below the clock, which the public mutation API rightly
         # refuses — and only then put the coordinator on top: its
-        # mirror and clock are derived from the loaded shards.
+        # mirror and clock are derived from the loaded shards.  The
+        # staged backend writes nothing under ``snapshots/`` (see
+        # ``InProcessBackend.create``); :meth:`commit` snapshots it.
         manifest = {"epoch": self._epoch,
                     "generation": self._new_generation}
         self._backend = InProcessBackend.create(
             self._new_config, self._dir, manifest, executor="serial",
-            file_ops=fops, snapshots=False)
+            file_ops=fops)
         self._load_shards(self._backend.shards)
         self._engine = ShardedEngine._adopt(
-            self._new_config, self._backend, self._dir, manifest, fops,
-            snapshots=False)
+            self._new_config, self._backend, self._dir, manifest, fops)
         for source in self._sources:
             source.close()
         self._sources.clear()
@@ -341,14 +338,11 @@ class GenerationBuild:
              "n_shards": self._new_config.n_shards,
              "epoch": self._epoch + 1, "shards": gens,
              "generation": self._new_generation})
-        self._committed = True
-        if self._snapshots:
-            # The new shard files are clean (just saved): snapshot them
-            # so the next save's torn window — or a mid-session crash —
-            # stays recoverable without waiting for another save.
-            backend.write_epoch_snapshot(self._epoch + 1)
-        self._cleanup_old_generation()
-        fops.fsync_dir(self._dir)
+        # The new shard files are clean (just saved): snapshot them so
+        # the next save's torn window — or a mid-session crash — stays
+        # recoverable without waiting for another save.
+        backend.write_epoch_snapshot(self._epoch + 1)
+        self._cleanup_old_generation(backend)
         old_map = GridShardMap(self._old_config.x_partitions,
                                self._old_config.y_partitions, self._old_n)
         return ReshardReport(
@@ -362,7 +356,7 @@ class GenerationBuild:
             old_imbalance=old_map.imbalance(),
             new_imbalance=engine.shard_map.imbalance())
 
-    def _cleanup_old_generation(self) -> None:
+    def _cleanup_old_generation(self, backend: InProcessBackend) -> None:
         """Post-flip: unlink the old generation and stale snapshots.
 
         Every step here is redundant with the flip — a crash costs only
@@ -382,21 +376,8 @@ class GenerationBuild:
         fops.fsync_dir(self._old_gen_dir)
         if self._old_generation > 0:
             fops.rmdir(self._old_gen_dir)
-        snap_root = os.path.join(self._dir, _SNAPSHOTS_DIR)
-        if os.path.isdir(snap_root):
-            keep = f"{self._epoch + 1:06d}"
-            for name in sorted(os.listdir(snap_root)):
-                stale = os.path.join(snap_root, name)
-                if name == keep or not os.path.isdir(stale):
-                    continue
-                for file_name in sorted(os.listdir(stale)):
-                    fops.unlink(os.path.join(stale, file_name))
-                fops.rmdir(stale)
-            if os.listdir(snap_root):
-                fops.fsync_dir(snap_root)
-            else:
-                fops.rmdir(snap_root)
-                fops.fsync_dir(self._dir)
+        backend.prune_snapshots(keep_epoch=self._epoch + 1)
+        fops.fsync_dir(self._dir)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -426,8 +407,7 @@ class GenerationBuild:
 
 
 def reshard(directory: str, new_n_shards: int, config: SWSTConfig, *,
-            file_ops: FileOps | None = None,
-            snapshots: bool = True) -> ReshardReport:
+            file_ops: FileOps | None = None) -> ReshardReport:
     """Offline reshard: build, flip and clean up in one call.
 
     ``config`` supplies the index parameters (its ``n_shards`` is
@@ -436,7 +416,7 @@ def reshard(directory: str, new_n_shards: int, config: SWSTConfig, *,
     failure the directory still opens as the old generation.
     """
     build = GenerationBuild(directory, new_n_shards, config,
-                            file_ops=file_ops, snapshots=snapshots)
+                            file_ops=file_ops)
     try:
         build.build()
         report = build.commit()

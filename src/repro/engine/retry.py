@@ -71,7 +71,7 @@ class RetryPolicy:
             after a retryable failure, *before* the backoff sleep.
             Defaults to a no-op.  The warm-worker supervisor hooks its
             restart accounting here (the observer runs on the calling
-            side, so task callables stay mutation-free per R005).
+            side, so task callables stay mutation-free).
     """
 
     attempts: int = 3

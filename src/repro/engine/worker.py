@@ -56,7 +56,7 @@ then checkpoints each worker (refresh base, reset WAL to the new
 epoch).  A failure anywhere kills every worker and runs the same
 marker resolution ``open()`` uses, so no worker can keep acknowledging
 into a stale-epoch WAL.  Unlike the in-process backend, a crash
-*between* shard commits is recoverable without snapshots: pending
+*between* shard commits is recoverable without a snapshot: pending
 shards' WALs are rebased to the new epoch (their acknowledged tails
 replay over their old base), so ``EpochTornError`` cannot happen here —
 the WAL upgrades the two-phase commit from "atomic or typed refusal" to
@@ -378,7 +378,7 @@ class WorkerPool:
     deadlines, kill and graceful stop.  Restart *policy* — retries,
     breakers, engine resynchronisation — lives in
     :class:`WorkerEngine`, which records outcomes on the gathering side
-    (invariant R005: nothing here mutates engine state from a task).
+    (nothing here mutates engine state from a task).
 
     Args:
         directory: the engine's shard directory.
@@ -897,8 +897,8 @@ class WorkerBackend:
         """Resolve a leftover PREPARE marker (open-time and post-failure).
 
         Like the in-process backend's recovery, with the WAL upgrade: a
-        *partially* committed epoch rolls forward instead of raising
-        ``EpochTornError`` — pending shards' WALs are rebased to the
+        *partially* committed epoch rolls forward instead of restoring
+        the epoch snapshot — pending shards' WALs are rebased to the
         new epoch so their acknowledged tails replay over their old
         base snapshots, while committed shards' stale WALs are simply
         reset by their workers on respawn.  Returns the manifest the

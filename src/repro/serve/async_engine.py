@@ -302,9 +302,8 @@ class AsyncEngine:
         """Phase 1 body (pool thread, exclusive): checkpoint + stage."""
         engine = self._engine
         engine.save()
-        build = GenerationBuild(
-            engine.directory, new_n_shards, engine.config,
-            file_ops=engine.file_ops, snapshots=engine.snapshots)
+        build = GenerationBuild(engine.directory, new_n_shards,
+                                engine.config, file_ops=engine.file_ops)
         build.stage()
         self._journal = []
         return build

@@ -233,59 +233,61 @@ class TestR004ResourceGuard:
 class TestR005ExecutorClosures:
     def test_must_flag_mutating_lambda(self):
         source = """\
-            def gather(executor, shards):
+            def gather(executor, shard):
                 results = []
-                executor.map(lambda s: results.append(s.count()), shards)
+                executor.submit(lambda: results.append(shard.count()))
                 return results
             """
-        findings = lint(source, "src/repro/engine/gather.py", "R005")
+        findings = lint(source, "src/repro/serve/gather.py", "R005")
         assert rule_ids(findings) == ["R005"]
         assert "results" in findings[0].message
 
     def test_must_pass_pure_lambda(self):
+        # ``map`` runs inline on the calling thread: not a trigger.
         source = """\
             def gather(executor, shards, q):
-                return executor.map(lambda s: s.query(q), shards)
+                seen = []
+                executor.map(lambda s: seen.append(s), shards)
+                return executor.submit(lambda: shards[0].query(q))
             """
-        assert lint(source, "src/repro/engine/gather.py", "R005") == []
+        assert lint(source, "src/repro/serve/gather.py", "R005") == []
 
     def test_must_flag_nested_def_nonlocal(self):
         source = """\
-            def gather(executor, shards):
+            def gather(executor, shard):
                 total = 0
 
-                def task(shard):
+                def task():
                     nonlocal total
                     total += shard.count()
 
-                executor.map(task, shards)
+                executor.submit(task)
                 return total
             """
-        findings = lint(source, "src/repro/engine/gather.py", "R005")
+        findings = lint(source, "src/repro/serve/gather.py", "R005")
         assert rule_ids(findings) == ["R005"]
 
     def test_must_pass_local_mutation_in_task(self):
         source = """\
-            def gather(executor, shards):
-                def task(shard):
+            def gather(executor, shard):
+                def task():
                     rows = []
                     rows.append(shard.count())
                     return rows
 
-                return executor.map(task, shards)
+                return executor.submit(task)
             """
-        assert lint(source, "src/repro/engine/gather.py", "R005") == []
+        assert lint(source, "src/repro/serve/gather.py", "R005") == []
 
     def test_must_flag_attribute_store(self):
         source = """\
-            def gather(self, executor, shards):
-                executor.map(lambda s: setattr_free(self), shards)
-                executor.submit(lambda s: s.close(), shards)
-                def task(shard):
+            def gather(self, executor, shard):
+                executor.submit(lambda: shard.close())
+                def task():
                     self.last = shard
-                executor.map(task, shards)
+                executor.submit(task)
             """
-        findings = lint(source, "src/repro/engine/gather.py", "R005")
+        findings = lint(source, "src/repro/serve/gather.py", "R005")
         assert rule_ids(findings) == ["R005"]
         assert "'self'" in findings[0].message
 

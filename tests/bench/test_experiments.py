@@ -113,3 +113,12 @@ class TestFigures:
         text = fig7.render()
         assert "Fig.7" in text and "SWST" in text
         assert fig8.render().count("\n") >= 3
+
+    def test_experiment_table_names_what_each_function_renders(self):
+        import dataclasses
+
+        from repro.bench.experiments import EXPERIMENTS, run_all
+
+        results = run_all(dataclasses.replace(TINY, dataset_objects=(20,)))
+        assert [result.exp_id for result in results] == [
+            exp_id for exp_ids, _ in EXPERIMENTS for exp_id in exp_ids]

@@ -272,66 +272,3 @@ class TestCloseAggregation:
         devices[0].crashed = True
         with pytest.raises(InjectedFault):
             eng.close()
-
-
-class _SlowReadDevice:
-    """Delegating wrapper whose reads sleep once armed (deadline tests)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.delay = 0.0
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    @property
-    def page_size(self):
-        return self._inner.page_size
-
-    def read(self, page_id):
-        if self.delay:
-            import time
-
-            time.sleep(self.delay)
-        return self._inner.read(page_id)
-
-
-class TestTaskDeadline:
-    def test_slow_shard_times_out_and_abandons_the_gather(self, saved_dir):
-        from repro.engine import TaskTimeoutError, ThreadedExecutor
-        from repro.storage import FilePageDevice
-
-        slow_devices = []
-
-        def factory(path, page_size):
-            device = FilePageDevice(path, page_size)
-            if "shard-001" in str(path):
-                wrapper = _SlowReadDevice(device)
-                slow_devices.append(wrapper)
-                return wrapper
-            return device
-
-        config = dataclasses.replace(make_config(node_cache_capacity=0),
-                                     device_factory=factory)
-        executor = ThreadedExecutor(max_workers=N_SHARDS)
-        eng = ShardedEngine.open(saved_dir, config, executor=executor,
-                                 retry_policy=RetryPolicy(attempts=1),
-                                 task_timeout=0.2)
-        try:
-            (slow,) = slow_devices
-            slow.delay = 1.0  # armed only after the (fast) open
-            q_lo, q_hi = eng.config.queriable_period(eng.now)
-            result = eng.query_interval(eng.config.space, q_lo, q_hi,
-                                        strict=False)
-            assert isinstance(result, PartialResult)
-            by_shard = {f.shard_id: f.error for f in result.failures}
-            assert isinstance(by_shard[1], TaskTimeoutError)
-            # The whole gather is abandoned: siblings are collateral,
-            # reported as such rather than silently missing.
-            assert set(by_shard) == set(range(N_SHARDS))
-            assert all("abandoned" in str(by_shard[sid])
-                       for sid in by_shard if sid != 1)
-            slow.delay = 0.0
-        finally:
-            close_quietly(eng)
-            executor.close()

@@ -174,11 +174,11 @@ class TestLifecycle:
         eng.close()  # idempotent
 
     def test_owned_executor_closed_with_engine(self):
-        # A deadline is what makes the default executor a pooled one.
-        eng = ShardedEngine(make_config(), task_timeout=30.0)
+        # A spec string is resolved — and therefore owned — by the engine.
+        eng = ShardedEngine(make_config(), executor="thread")
         executor = eng._backend.executor
         assert isinstance(executor, ThreadedExecutor)
-        eng.query_timeslice(eng.config.space, 0)
+        executor.submit(lambda: None).result()  # spin the pool up
         assert executor._pool is not None
         eng.close()
         assert executor._pool is None

@@ -1,11 +1,14 @@
 """Crash behaviour: fault-inject a single shard's device — the healthy
-siblings reopen cleanly, the failing shard raises a typed error naming it."""
+siblings reopen cleanly, the failing shard raises a typed error naming
+it, and a save torn between shard commits rolls back from the epoch
+snapshot or, with that snapshot damaged, is refused untouched."""
 
 import dataclasses
 import random
 
 import pytest
 
+from repro.cli import main as run_cli
 from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (EpochTornError, SerialExecutor, ShardedEngine,
                           ShardOpenError)
@@ -25,7 +28,7 @@ class R:
         self.oid, self.x, self.y, self.t = oid, x, y, t
 
 
-def build_saved_engine(path, config, snapshots=True):
+def build_saved_engine(path, config):
     rng = random.Random(3)
     t = 0
     reports = []
@@ -33,8 +36,7 @@ def build_saved_engine(path, config, snapshots=True):
         t += rng.choice([0, 1, 1, 2])
         reports.append(R(rng.randrange(25), rng.randrange(100),
                          rng.randrange(100), t))
-    with ShardedEngine(config, path, executor=SerialExecutor(),
-                       snapshots=snapshots) as eng:
+    with ShardedEngine(config, path, executor=SerialExecutor()) as eng:
         eng.extend(reports)
         eng.save()
         return eng.now
@@ -82,39 +84,64 @@ class TestShardOpenFailure:
 
     def test_fault_between_shard_commits_is_detected_as_torn(self,
                                                              tmp_path):
-        # snapshots=False throughout: with CoW epoch snapshots enabled
-        # (the default) this exact crash rolls back on reopen instead —
-        # see tests/engine/test_reshard_crash_matrix.py.
         config = make_config()
-        path = tmp_path / "index.d"
-        build_saved_engine(path, config, snapshots=False)
-        # Crash shard-002's device at its next write: save() commits
-        # shards 0 and 1 to the new epoch, then fails on shard 2.  The
-        # storage layer commits in place, so neither the old nor the new
-        # snapshot is whole across the directory.
-        faulty = dataclasses.replace(
-            config,
-            device_factory=per_path_device_factory("shard-002",
-                                                   fail_write=1))
-        eng = ShardedEngine.open(path, faulty, executor=SerialExecutor(),
-                                 snapshots=False)
-        try:
-            t = eng.now
-            for oid in range(20):
-                eng.report(oid, (oid * 13) % 100, (oid * 29) % 100, t)
-            with pytest.raises(OSError):
-                eng.save()
-        finally:
-            with pytest.raises(OSError):
-                eng.close()
-        # Reopen refuses the mixed snapshot with a typed error naming
-        # both shard groups — deterministically, on every attempt —
-        # instead of silently resynchronising shard clocks.
+
+        def state(path):
+            with ShardedEngine.open(path, config,
+                                    executor=SerialExecutor()) as eng:
+                return eng.epoch, eng.now, sorted(map(repr, eng.scan()))
+
+        def file_bytes(path):
+            return {file: file.read_bytes()
+                    for file in path.rglob("*") if file.is_file()}
+
+        def tear_save(path, damage):
+            # Crash shard-002's device at its next write: save() commits
+            # shards 0 and 1 to the new epoch, then fails on shard 2.
+            # The storage layer commits in place, so the only whole copy
+            # of the old epoch is ``snapshots/<E>/`` — which ``damage``
+            # breaks.
+            faulty = dataclasses.replace(
+                config,
+                device_factory=per_path_device_factory("shard-002",
+                                                       fail_write=1))
+            eng = ShardedEngine.open(path, faulty,
+                                     executor=SerialExecutor())
+            try:
+                t = eng.now
+                for oid in range(20):
+                    eng.report(oid, (oid * 13) % 100, (oid * 29) % 100, t)
+                if damage:
+                    (path / "snapshots" / f"{eng.epoch:06d}"
+                     / "shard-001.pages").unlink()
+                with pytest.raises(OSError):
+                    eng.save()
+            finally:
+                with pytest.raises(OSError):
+                    eng.close()
+
+        # Snapshot intact: the tear reopens as exactly the pre-save state.
+        intact = tmp_path / "intact.d"
+        build_saved_engine(intact, config)
+        oracle = state(intact)
+        tear_save(intact, damage=False)
+        assert run_cli(["scrub", str(intact)]) == 0
+        assert state(intact) == oracle
+        # Snapshot damaged from outside: reopen refuses the mix with a
+        # typed error naming both shard groups — deterministically, on
+        # every attempt, touching no file — and scrub calls it
+        # unrecoverable.
+        path = tmp_path / "damaged.d"
+        build_saved_engine(path, config)
+        tear_save(path, damage=True)
+        before = file_bytes(path)
         for _ in range(2):
             with pytest.raises(EpochTornError) as excinfo:
                 ShardedEngine.open(path, config, executor=SerialExecutor())
             assert excinfo.value.committed == [0, 1]
             assert excinfo.value.pending == [2]
+        assert run_cli(["scrub", str(path)]) == 1
+        assert file_bytes(path) == before
 
     def test_transient_save_fault_is_retryable_in_process(self, tmp_path):
         config = make_config()

@@ -5,8 +5,8 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.engine import (Executor, SerialExecutor, TaskTimeoutError,
-                          ThreadedExecutor, resolve_executor)
+from repro.engine import (Executor, SerialExecutor, ThreadedExecutor,
+                          resolve_executor)
 
 
 class TestSerialExecutor:
@@ -72,16 +72,6 @@ class TestThreadedExecutor:
         finally:
             ex.close()
 
-    def test_deadline_forces_the_pool(self):
-        ex = ThreadedExecutor(max_workers=2)
-        try:
-            idents = ex.map(lambda _n: threading.get_ident(), [0, 1],
-                            timeout=30.0)
-            assert ex._pool is not None
-            assert threading.get_ident() not in idents
-        finally:
-            ex.close()
-
     def test_submit_returns_a_future_from_a_pool_thread(self):
         ex = ThreadedExecutor(max_workers=1)
         try:
@@ -103,7 +93,7 @@ class TestThreadedExecutor:
 
     def test_close_is_idempotent(self):
         ex = ThreadedExecutor()
-        ex.map(lambda n: n, [1, 2], timeout=30.0)
+        ex.submit(lambda: None).result(timeout=30.0)
         ex.close()
         ex.close()
 
@@ -138,36 +128,3 @@ class TestResolveExecutor:
     def test_serial_takes_no_worker_count(self):
         with pytest.raises(ValueError):
             resolve_executor("serial:2")
-
-
-def _sleepy(seconds):
-    import time
-
-    time.sleep(seconds)
-    return seconds
-
-
-class TestPerTaskDeadlines:
-    def test_threaded_timeout_is_typed_with_item_index(self):
-        ex = ThreadedExecutor(max_workers=2)
-        try:
-            with pytest.raises(TaskTimeoutError) as excinfo:
-                ex.map(_sleepy, [0.0, 5.0], timeout=0.2)
-            assert excinfo.value.item_index == 1
-            assert excinfo.value.timeout == pytest.approx(0.2)
-        finally:
-            ex.close()
-
-    def test_threaded_within_deadline_succeeds(self):
-        ex = ThreadedExecutor(max_workers=2)
-        try:
-            assert ex.map(_sleepy, [0.0, 0.01], timeout=30.0) \
-                == [0.0, 0.01]
-        finally:
-            ex.close()
-
-    def test_serial_executor_ignores_timeout(self):
-        # Inline execution cannot be preempted; documented no-op.
-        ex = SerialExecutor()
-        assert ex.map(_sleepy, [0.05], timeout=0.001) == [0.05]
-        ex.close()

@@ -9,17 +9,15 @@ Two atomicity claims, proved op-by-op:
   *exactly* the new one (from the replace on) — same data either way,
   never a mix, never an error.
 
-* a snapshot-enabled ``save()`` (the default) has **no** unrecoverable
-  window: the CoW snapshot of the *previous* committed epoch — written
-  at the end of the save that committed it, while every page file was
-  provably clean — lets recovery restore all shards and roll the whole
-  directory back.  Device kills at *every* in-place shard commit —
-  including the mixed middle that is a typed :class:`EpochTornError`
-  for ``snapshots=False`` engines (see
-  tests/engine/test_engine_crash_matrix.py) — must reopen as exactly
-  the pre-save state, and a file-op kill matrix over the
-  snapshot-enabled protocol must land on the pre/post boundary
-  deterministically.
+* ``save()`` has **no** unrecoverable window: the CoW snapshot of the
+  *previous* committed epoch — written at the end of the save that
+  committed it, while every page file was provably clean — lets
+  recovery restore all shards and roll the whole directory back.
+  Device kills at *every* in-place shard commit — including the mixed
+  middle, a typed :class:`EpochTornError` only once that snapshot is
+  damaged (tests/engine/test_engine_crash.py) — must reopen as exactly
+  the pre-save state, and a file-op kill matrix over the protocol must
+  land on the pre/post boundary deterministically.
 """
 
 import dataclasses
@@ -175,6 +173,13 @@ class TestReshardFileOpKillMatrix:
             + ["unlink"] * OLD_SHARDS + ["rmdir"]      # stale snapshot
             + ["fsync_dir", "fsync_dir"])              # snap root + dir
         assert names[RESHARD_FLIP_OP - 1] == "replace"
+        # The staged build wrote nothing under snapshots/ before the
+        # flip; afterwards exactly the new generation's copies remain.
+        assert not any("snapshots" in op_path
+                       for _, op_path in ops.ops[:RESHARD_FLIP_OP])
+        assert [(snap.name, len(list(snap.iterdir())))
+                for snap in (path / "snapshots").iterdir()] \
+            == [("000002", NEW_SHARDS)]
 
     def test_crashed_reshard_then_retry_succeeds(self, tmp_path, oracle):
         """Debris from a mid-build crash never blocks the next attempt."""
@@ -244,8 +249,8 @@ class TestSnapshotSaveDeviceKillMatrix:
             except (EngineError, OSError):
                 pass
         # The previous epoch's snapshot (written while its files were
-        # clean) makes every arm — including the snapshots=False torn
-        # middle — a rollback.
+        # clean) makes every arm — including the mixed middle — a
+        # rollback.
         first = snapshot(path, OLD_SHARDS)
         assert first == save_oracles["pre"], (
             f"kill at shard {kill_shard}: reopen is not the pre-save "
@@ -262,10 +267,9 @@ class TestSnapshotSaveDeviceKillMatrix:
 class TestSnapshotSaveFileOpKillMatrix:
     """File-op kills over the snapshot-enabled save protocol."""
 
-    @pytest.mark.parametrize("fail_op", range(1, SNAP_SAVE_FILE_OPS + 1))
-    def test_reopen_yields_pre_or_post_snapshot(self, tmp_path,
-                                                save_oracles, fail_op):
-        path = tmp_path / "victim.d"
+    @staticmethod
+    def crash_save_at(path, fail_op):
+        """Phase-2 save killed at file op ``fail_op``; process death."""
         build_phase1(path, make_config())
         devices = []
         faulty = dataclasses.replace(
@@ -285,11 +289,25 @@ class TestSnapshotSaveFileOpKillMatrix:
                 eng.close()
             except (EngineError, OSError):
                 pass
+
+    @pytest.mark.parametrize("fail_op", range(1, SNAP_SAVE_FILE_OPS + 1))
+    def test_reopen_yields_pre_or_post_snapshot(self, tmp_path,
+                                                save_oracles, fail_op):
+        path = tmp_path / "victim.d"
+        self.crash_save_at(path, fail_op)
         expected = "pre" if fail_op <= SNAP_SAVE_COMMIT_BOUNDARY \
             else "post"
         assert snapshot(path, OLD_SHARDS) == save_oracles[expected], (
             f"fault point {fail_op}: expected the {expected}-save "
             f"oracle")
+
+    def test_recovery_is_idempotent(self, tmp_path, save_oracles):
+        """Crash, recover, and the directory keeps reopening identically."""
+        path = tmp_path / "victim.d"
+        self.crash_save_at(path, SNAP_SAVE_FLIP_OP)  # dies mid-FLIP
+        first = snapshot(path, OLD_SHARDS)
+        assert first == snapshot(path, OLD_SHARDS) == save_oracles["post"]
+        assert not (path / "engine.prepare.json").exists()
 
     def test_protocol_length_matches_matrix(self, tmp_path):
         """Manifest protocol (8) + snapshot (8) + prune (5) = 21 ops."""

@@ -20,6 +20,7 @@ the reshard is mid-build, not before or after.
 
 import asyncio
 import json
+import os
 import threading
 
 from repro.core import Rect, SWSTConfig
@@ -57,6 +58,13 @@ def wire_bytes(response):
 READ_QUERY = post("/query", {"area": [0, 0, 49, 49], "t_lo": 0, "t_hi": 0})
 
 
+def snapshot_listing(directory):
+    """``{epoch dir name: file count}`` under ``snapshots/``."""
+    root = os.path.join(directory, "snapshots")
+    return {name: len(os.listdir(os.path.join(root, name)))
+            for name in os.listdir(root)}
+
+
 class BuildGate:
     """Monkeypatch hook stalling ``GenerationBuild.build`` on an event."""
 
@@ -73,6 +81,13 @@ class BuildGate:
             return original(build)
 
         monkeypatch.setattr(GenerationBuild, "build", gated)
+        commit = GenerationBuild.commit
+
+        def watched(build):
+            self.snapshots_at_flip = snapshot_listing(build._dir)
+            return commit(build)
+
+        monkeypatch.setattr(GenerationBuild, "commit", watched)
 
     async def entered_async(self):
         while not self.entered.is_set():
@@ -154,6 +169,11 @@ def test_reads_identical_and_writes_absorbed_mid_build(tmp_path,
         report = flip.payload
         assert report["old_n_shards"] == OLD_SHARDS
         assert report["n_shards"] == NEW_SHARDS
+        # The staged build left the frozen epoch's snapshot alone; the
+        # flip replaced it with exactly the new generation's copies.
+        assert gate.snapshots_at_flip == {"000001": OLD_SHARDS}
+        assert snapshot_listing(str(tmp_path / "online.d")) \
+            == {"000002": NEW_SHARDS}
 
         # Post-flip: the same entry set (merge order and physical stats
         # legitimately change with the shard count), and the journaled

@@ -130,6 +130,28 @@ class TestBench:
         assert "Fig.7" in captured.out
         assert "Fig.9" not in captured.out
 
+    def test_bench_runs_only_the_selected_experiment(self, capsys,
+                                                     monkeypatch):
+        from repro.bench import experiments
+
+        called = []
+
+        def recorder(exp_ids):
+            def run(params):
+                called.append(exp_ids)
+                return tuple(experiments.ExperimentResult(
+                    exp_id, "stub", ["n"], [[1]]) for exp_id in exp_ids)
+            return run
+
+        monkeypatch.setattr("repro.cli.EXPERIMENTS", tuple(
+            (exp_ids, recorder(exp_ids))
+            for exp_ids, _ in experiments.EXPERIMENTS))
+        assert run_cli("bench", "--scale", "tiny",
+                       "--figures", "fig.7") == 0
+        assert called == [("Fig.7", "Fig.8")]
+        out = capsys.readouterr().out
+        assert "Fig.7" in out and "Fig.8" not in out
+
     def test_bench_chart_mode(self, capsys):
         assert run_cli("bench", "--scale", "tiny", "--chart",
                        "--figures", "Fig.10", "--objects", "20") == 0
