@@ -1,10 +1,10 @@
 """R007 — compiled query plans are immutable after construction.
 
 A :class:`~repro.core.plan.QueryPlan` is shared: between the queries
-that hit the plan cache, between every shard of an engine
-:class:`~repro.engine.Coordinator` fan-out (including the worker
-processes it is pickled to), and between retry attempts of a failed
-shard task.
+that hit the plan cache, between every in-process shard of an engine
+:class:`~repro.engine.Coordinator` fan-out (worker processes derive
+their own from the query's signature), and between retry attempts of
+a failed shard task.
 Mutating one in place — even "harmlessly" annotating it — is therefore
 a cross-query correctness bug and, under the threaded executor, a data
 race.  The frozen dataclass stops attribute rebinding at runtime, but

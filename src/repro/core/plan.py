@@ -28,8 +28,8 @@ but they do change the per-cell *isPresent* memos, so the memo-pruned
 key ranges cached alongside each plan carry the owning memo's
 generation counter and are recomputed on mismatch.  Only
 :class:`~repro.core.index.SWSTIndex`'s own query methods carry a
-:class:`PlanEntry`; the engine ships the bare plan to its shards, so the
-served path never memoises ranges.
+:class:`PlanEntry`; the engine shares a bare plan in-process (workers
+derive theirs from the signature), so the served path never memoises ranges.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 #: On-disk duration sentinel marking a current entry inside a record payload.
 CURRENT_DURATION = 0
@@ -94,6 +94,17 @@ class Entry:
         oid, x, y, s, d_raw = _RECORD.unpack(raw)
         return cls(oid=oid, x=x, y=y, s=s,
                    d=None if d_raw == CURRENT_DURATION else d_raw)
+
+
+def pack_entries(entries: Iterable[Entry]) -> bytes:
+    """Entries as one blob of :data:`RECORD_SIZE`-byte payloads."""
+    return b"".join([pack_record(e.oid, e.x, e.y, e.s, e.d) for e in entries])
+
+
+def unpack_entries(blob: bytes) -> list[Entry]:
+    """Inverse of :func:`pack_entries`."""
+    return [Entry(oid, x, y, s, None if d == CURRENT_DURATION else d)
+            for oid, x, y, s, d in _RECORD.iter_unpack(blob)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterator
+from typing import Any, Iterator, SupportsIndex
 
-from .records import Entry
+from .records import Entry, pack_entries, unpack_entries
 
 
 @dataclass
@@ -57,6 +57,9 @@ class QueryStats:
     def __iadd__(self, other: "QueryStats") -> "QueryStats":
         return self.merge(other)
 
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (QueryStats, tuple(vars(self).values()))  # in field order
+
 
 #: Additive counter fields of :class:`QueryStats`, fixed at import time
 #: (the ``degraded`` flag OR-merges instead).
@@ -91,6 +94,17 @@ class QueryResult:
         self.entries.extend(other.entries)
         self.stats.merge(other.stats)
         return self
+
+    def __reduce_ex__(self, protocol: SupportsIndex
+                      ) -> str | tuple[Any, ...]:
+        # One packed blob over worker pipes; PartialResult keeps the default.
+        if type(self) is not QueryResult:
+            return super().__reduce_ex__(protocol)
+        return (_unpack_result, (pack_entries(self.entries), self.stats))
+
+
+def _unpack_result(blob: bytes, stats: QueryStats) -> QueryResult:
+    return QueryResult(unpack_entries(blob), stats)
 
 
 @dataclass

@@ -24,11 +24,11 @@ import os
 from ..core.config import SWSTConfig
 from .engine import (Coordinator, PartialResult, ShardBackend, ShardedEngine,
                      load_manifest)
-from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
-                     EngineError, EpochTornError, ReshardError,
-                     ReshardInProgressError, ShardFailure, ShardOpenError,
-                     ShardQueryError, WalCorruptError, WalError,
-                     WorkerCrashError, WorkerRecoveryError)
+from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
+                     EngineCloseError, EngineError, EpochTornError,
+                     ReshardError, ReshardInProgressError, ShardFailure,
+                     ShardOpenError, ShardQueryError, WalCorruptError,
+                     WalError, WorkerCrashError, WorkerRecoveryError)
 from .executor import (Executor, SerialExecutor, ThreadedExecutor,
                        resolve_executor)
 from .reshard import GenerationBuild, ReshardReport, reshard
@@ -68,6 +68,7 @@ def open_engine(path: str | os.PathLike[str], config: SWSTConfig, *,
 __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
+    "ClockFenceError",
     "Coordinator",
     "DirectoryScrubReport",
     "EngineCloseError",

@@ -84,9 +84,9 @@ from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from ..storage.pager import MEMORY
 from ..storage.scrub import probe_committed_generation
 from ..storage.stats import IOStats
-from .errors import (CircuitOpenError, EngineClosedError, EngineCloseError,
-                     EngineError, EpochTornError, ShardFailure,
-                     ShardOpenError, ShardQueryError)
+from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
+                     EngineCloseError, EngineError, EpochTornError,
+                     ShardFailure, ShardOpenError, ShardQueryError)
 from .executor import Executor, resolve_executor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
@@ -107,6 +107,12 @@ _SNAPSHOTS_DIR = "snapshots"
 _GEN_DIR_PREFIX = "gen-"
 
 _E = TypeVar("_E", bound="Coordinator")
+
+#: A query's temporal signature ``(t_lo, t_hi, window, clock)``.
+Signature = tuple[int, int, int | None, int]
+#: A backend query's outcome: ``(shard_id, answer)`` successes in shard
+#: order, one typed failure per shard that could not answer.
+FanOut = tuple[list[tuple[int, Any]], list[ShardFailure]]
 
 
 def _shard_file_name(shard_id: int) -> str:
@@ -355,8 +361,18 @@ def read_shard(shard: SWSTIndex, kind: str, payload: Any = None) -> Any:
     :meth:`ShardBackend.query`: the in-process backend calls it
     directly, a worker process calls it for every request that is not a
     mutation or a commit step — one vocabulary, wherever the shard
-    runs.
+    runs.  A ``"planned"`` request is a query sent as its temporal
+    signature (:meth:`ShardBackend.query_planned`): the shard refuses a
+    clock it does not hold (:class:`ClockFenceError`), derives the plan
+    itself and runs one of the index's ``_*_planned`` entry points.
     """
+    if kind == "planned":
+        method, subject, (t_lo, t_hi, window, clock) = payload
+        if shard.now != clock:
+            raise ClockFenceError(f"shard at {shard.now}, query at {clock}")
+        columns = classify_interval(shard.config, clock, t_lo, t_hi, window)
+        return getattr(shard, method)(subject, build_query_plan(
+            shard.config, clock, columns, t_lo, t_hi, window))
     if kind == "query":
         method, args = payload
         return getattr(shard, method)(*args)
@@ -407,11 +423,19 @@ class ShardBackend(Protocol):
         ...  # pragma: no cover - protocol
 
     def query(self, shard_ids: list[int], method: str,
-              args: tuple[Any, ...]
-              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+              args: tuple[Any, ...]) -> FanOut:
         """Scatter one read-only index method over ``shard_ids`` under
         the retry policy and breakers: ``(shard_id, result)`` successes
         in shard order, one typed failure per shard that cannot answer."""
+        ...  # pragma: no cover - protocol
+
+    def query_planned(self, shard_ids: list[int], method: str,
+                      subject: Any, signature: Signature,
+                      resolve: Callable[[], QueryPlan]) -> FanOut:
+        """:meth:`query` of ``method(subject, plan)``; the plan is a pure
+        function of ``signature``.  In-process shards share the one
+        object ``resolve()`` returns; a worker is sent the signature and
+        derives its own (the ``"planned"`` :func:`read_shard` kind)."""
         ...  # pragma: no cover - protocol
 
     def read(self, kind: str, payload: Any = None) -> list[Any]:
@@ -601,8 +625,7 @@ class InProcessBackend:
             raise
 
     def query(self, shard_ids: list[int], method: str,
-              args: tuple[Any, ...]
-              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
+              args: tuple[Any, ...]) -> FanOut:
         """Every dispatched task runs under the retry policy; outcomes
         are folded into the per-shard circuit breakers here on the
         gathering side (executor callables never mutate shared state).
@@ -640,6 +663,13 @@ class InProcessBackend:
                 failures.append(ShardFailure(
                     sid, self.shard_path(sid), value))
         return successes, failures
+
+    def query_planned(self, shard_ids: list[int], method: str,
+                      subject: Any, signature: Signature,
+                      resolve: Callable[[], QueryPlan]) -> FanOut:
+        """One plan for the whole fan-out: every shard task, retries
+        included, evaluates the same object."""
+        return self.query(shard_ids, method, (subject, resolve()))
 
     def read(self, kind: str, payload: Any = None) -> list[Any]:
         return [read_shard(shard, kind, payload) for shard in self.shards]
@@ -1330,18 +1360,19 @@ class Coordinator:
     # -- queries ---------------------------------------------------------------
 
     def _plan_for(self, t_lo: int, t_hi: int, window: int | None,
-                  stats: QueryStats) -> QueryPlan | None:
-        """Resolve one query plan at the engine front end.
+                  stats: QueryStats) -> QueryPlan:
+        """Resolve the plan an in-process fan-out shares.
 
         Temporal classification and the plan depend only on (config,
         clock, interval) — shared by every shard in lockstep — so the
         engine derives the plan **once** per temporal signature, caches
         it, and fans out only the per-cell search.  The same immutable
-        plan object is shipped to every shard task, including *retried*
-        tasks: a retry re-enters ``_query_area_planned`` with the
-        original plan instead of re-deriving it, so retries cannot skew
-        the classification work or double-derive state.  Returns
-        ``None`` when no s-partition column qualifies.
+        plan object goes to every in-process shard task, including
+        *retried* tasks: a retry re-enters ``_query_area_planned`` with
+        the original plan instead of re-deriving it, so retries cannot
+        skew the classification work or double-derive state.  Worker
+        shards never see it: each derives its own from the signature
+        (:meth:`_planned`).  Only called once a column qualifies.
         """
         entry = self._plans.lookup(t_lo, t_hi, window, self._clock)
         if entry is not None:
@@ -1349,39 +1380,30 @@ class Coordinator:
             return entry.plan
         columns = classify_interval(self.config, self._clock, t_lo, t_hi,
                                     window)
-        if not columns:
-            return None
         plan = build_query_plan(self.config, self._clock, columns, t_lo,
                                 t_hi, window)
         self._plans.store(plan, t_lo, t_hi, window)
         return plan
 
-    def _fan_out(self, shard_ids: list[int], method: str,
-                 args: tuple[Any, ...], strict: bool
-                 ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
-        """One resilient backend query; strict mode raises here."""
-        successes, failures = self._backend.query(shard_ids, method, args)
-        if failures and strict:
-            self._raise_shard_failure(failures)
-        return successes, failures
-
     def _planned(self, shard_ids: list[int], t_lo: int, t_hi: int,
                  window: int | None, stats: QueryStats, method: str,
-                 subject: Any, strict: bool
-                 ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
-        """Plan once, fan ``method(subject, plan)`` out; nothing to do
-        (``[], []``) when no shard or no s-partition column qualifies.
-
-        One plan for the whole fan-out — local threads, worker
-        processes and retried tasks all evaluate the same frozen object
-        (it is picklable).
+                 subject: Any, strict: bool) -> FanOut:
+        """Fan ``method(subject, plan)`` out under the query's temporal
+        signature; nothing to do (``[], []``) when no shard qualifies or
+        no start time can (``min(q_hi, t_hi) < q_lo`` — exactly the case
+        where ``classify_interval`` finds no column — and nothing is
+        sent).  The backend gets the signature with a resolver for the
+        plan: in-process shards share the one :meth:`_plan_for` returns,
+        worker shards derive theirs, fenced on the signature's clock.
         """
-        if not shard_ids:
+        q_lo, q_hi = self.config.queriable_period(self._clock, window)
+        if not shard_ids or min(q_hi, t_hi) < q_lo:
             return [], []
-        plan = self._plan_for(t_lo, t_hi, window, stats)
-        if plan is None:
-            return [], []
-        return self._fan_out(shard_ids, method, (subject, plan), strict)
+        successes, failures = self._backend.query_planned(
+            shard_ids, method, subject, (t_lo, t_hi, window, self._clock),
+            lambda: self._plan_for(t_lo, t_hi, window, stats))
+        self._strict(failures, strict)
+        return successes, failures
 
     @staticmethod
     def _degrade(result: QueryResult, failures: list[ShardFailure]) -> None:
@@ -1391,11 +1413,13 @@ class Coordinator:
             result.failures.extend(failures)
             result.stats.degraded = True
 
-    def _raise_shard_failure(self, failures: list[ShardFailure]) -> None:
+    @staticmethod
+    def _strict(failures: list[ShardFailure], strict: bool) -> None:
         """Strict mode: surface the first shard failure as a typed error."""
-        failure = failures[0]
-        raise ShardQueryError(failure.shard_id, failure.path,
-                              failure.error) from failure.error
+        if failures and strict:
+            failure = failures[0]
+            raise ShardQueryError(failure.shard_id, failure.path,
+                                  failure.error) from failure.error
 
     def _check_interval(self, t_lo: int, t_hi: int | None,
                         window: int | None) -> None:
@@ -1513,9 +1537,10 @@ class Coordinator:
             raise ValueError(f"query point ({x}, {y}) outside the domain")
         merged = QueryResult() if strict else PartialResult()
         candidates: list[tuple[tuple[int, int, int], Entry]] = []
-        successes, failures = self._fan_out(
+        successes, failures = self._backend.query(
             list(range(self.n_shards)), "query_knn",
-            (x, y, k, t_lo, t_hi, window), strict)
+            (x, y, k, t_lo, t_hi, window))
+        self._strict(failures, strict)
         for _, result in successes:
             merged.stats.merge(result.stats)
             for entry in result.entries:

@@ -9,6 +9,8 @@ small hierarchy rooted at :class:`EngineError`:
   shard after the retry policy was exhausted; names the shard.
 * :class:`CircuitOpenError` — a shard was skipped because its circuit
   breaker is open (no request was dispatched at all).
+* :class:`ClockFenceError` — a worker shard refused a query signed with
+  a clock other than its own.
 * :class:`EpochTornError` — the refusal arm of
   ``InProcessBackend.recover``: a save was interrupted between in-place
   shard commits *and* the previous epoch's ``snapshots/<E>/`` copy set,
@@ -75,6 +77,17 @@ class CircuitOpenError(EngineError):
         super().__init__(f"circuit breaker for shard {shard_id} is open; "
                          f"shard skipped without dispatch")
         self.shard_id = shard_id
+
+
+class ClockFenceError(EngineError):
+    """A shard refused a query whose signature carries another clock.
+
+    A worker derives each query's plan from the temporal signature the
+    coordinator sends, and the plan is a function of the clock: a shard
+    that moved apart from the coordinator's clock would answer another
+    window.  It refuses instead; the shard fails (``ShardFailure``) and
+    the coordinator resynchronises before its next call.
+    """
 
 
 class EpochTornError(EngineError):

@@ -49,6 +49,22 @@ engine will not guess).  ``strict=False`` queries degrade to
 mid-restart or its breaker is open.  A worker whose coordinator dies
 sees EOF on its pipe and exits on its own.
 
+**Reads.**  A request is one pickled ``(kind, payload)`` frame; a
+fan-out encodes it once and writes the same bytes to every target
+pipe, and :meth:`WorkerBackend.read` sends to every worker before it
+collects the first answer.  A planned query ships its question, not its
+plan: the ``"planned"`` request carries ``(method, subject, (t_lo,
+t_hi, window, clock))`` and the worker derives the plan itself
+(:func:`~repro.engine.engine.read_shard`: ``classify_interval`` →
+``build_query_plan`` → the index's ``_*_planned`` entry point).  The
+signature's clock is a fence: a worker whose shard sits at another
+clock answers :class:`~repro.engine.errors.ClockFenceError` — that
+shard fails and the coordinator resynchronises before its next call —
+and never answers from a plan of another window.  Answers come back as
+:class:`~repro.core.results.QueryResult` objects whose entries pickle
+as one packed blob of ``RECORD_SIZE``-byte records (the page payload
+layout, ``d = None`` as the ``CURRENT_DURATION`` sentinel).
+
 **Epoch commit.**  The coordinator's ``save()`` records each worker's
 expected header generation in the PREPARE marker, saves every shard
 (in-worker ``SWSTIndex.save``), flips the manifest, unlinks the marker,
@@ -69,27 +85,29 @@ import contextlib
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import signal
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from ..core.config import SWSTConfig
 from ..core.index import SWSTIndex
 # Re-exported for harnesses that instrument plan derivation per engine
-# module; the coordinator itself derives plans in ``.engine``.
+# module; workers derive their plans through ``.engine.read_shard``.
 from ..core.overlap import classify_interval as classify_interval
-from ..core.plan import build_query_plan as build_query_plan
+from ..core.plan import QueryPlan, build_query_plan as build_query_plan
 from ..core.records import ReportLike
 from ..storage.errors import NoCatalogError, StorageError
 from ..storage.fault import FaultInjectingFileOps
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_NAME, SHARD_FAILURE_ERRORS, Coordinator,
-                     _shard_file_name, drop_prepare, generation_dir,
-                     load_checked_manifest, load_manifest,
+                     FanOut, Signature, _shard_file_name, drop_prepare,
+                     generation_dir, load_checked_manifest, load_manifest,
                      load_pending_prepare, prepare_directory,
                      probe_prepare_state, read_shard, roll_manifest_forward,
                      shard_file_path)
-from .errors import (CircuitOpenError, EngineError, ShardFailure,
-                     WalCorruptError, WorkerCrashError, WorkerRecoveryError)
+from .errors import (CircuitOpenError, ClockFenceError, EngineError,
+                     ShardFailure, WalCorruptError, WorkerCrashError,
+                     WorkerRecoveryError)
 from .retry import CircuitBreaker, RetryPolicy
 from .wal import (OP_ADVANCE, Op, WalWriter, apply_op, apply_record,
                   base_file_name, read_wal, rebase_wal, run_op,
@@ -100,13 +118,17 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.context import BaseContext
 
 #: Per-op errors a worker survives (reported, connection stays up).
-_RECOVERABLE_OP_ERRORS = (ValueError, KeyError, AssertionError)
+_RECOVERABLE_OP_ERRORS = (ValueError, KeyError, AssertionError,
+                          ClockFenceError)
 
 _ERR_TYPES: dict[str, type[Exception]] = {
-    "ValueError": ValueError,
-    "KeyError": KeyError,
-    "AssertionError": AssertionError,
-}
+    error.__name__: error for error in _RECOVERABLE_OP_ERRORS}
+
+
+def _frame(kind: str, payload: Any = None) -> bytes:
+    """One request as the bytes :meth:`WorkerPool.send` writes: a
+    fan-out encodes once and sends the same frame to every target."""
+    return pickle.dumps((kind, payload), pickle.HIGHEST_PROTOCOL)
 
 
 def _mp_context() -> "BaseContext":
@@ -456,14 +478,14 @@ class WorkerPool:
         info: dict[str, Any] = value
         return info
 
-    def send(self, shard_id: int, kind: str, payload: Any = None) -> None:
-        """Queue one request; pair with :meth:`collect`."""
+    def send(self, shard_id: int, frame: bytes) -> None:
+        """Queue one request (a :func:`_frame`); pair with :meth:`collect`."""
         self.drain(shard_id)
         handle = self._handles.get(shard_id)
         if handle is None:
             raise WorkerCrashError(shard_id, "no running worker")
         try:
-            handle.conn.send((kind, payload))
+            handle.conn.send_bytes(frame)
         except (OSError, ValueError) as exc:
             raise self._crashed(shard_id, repr(exc)) from exc
         handle.pending += 1
@@ -506,7 +528,7 @@ class WorkerPool:
     def request(self, shard_id: int, kind: str, payload: Any = None,
                 timeout: float | None = None) -> Any:
         """Synchronous round trip: :meth:`send` + :meth:`collect`."""
-        self.send(shard_id, kind, payload)
+        self.send(shard_id, _frame(kind, payload))
         return self.collect(shard_id, timeout)
 
     def _recv(self, shard_id: int, handle: _Handle,
@@ -768,7 +790,7 @@ class WorkerBackend:
         try:
             for sid in targets:
                 self._inflight[sid] = (self._next_seq[sid], batches[sid])
-                self.pool.send(sid, "apply", batches[sid])
+                self.pool.send(sid, _frame("apply", batches[sid]))
             results: dict[int, list[Any]] = {}
             for sid in targets:
                 results[sid], self._next_seq[sid] = self.pool.collect(sid)
@@ -781,23 +803,34 @@ class WorkerBackend:
         return results
 
     def query(self, shard_ids: list[int], method: str,
-              args: tuple[Any, ...]
-              ) -> tuple[list[tuple[int, Any]], list[ShardFailure]]:
-        """Round one pipelines the requests over every reachable worker;
+              args: tuple[Any, ...]) -> FanOut:
+        return self._scatter(shard_ids, _frame("query", (method, args)))
+
+    def query_planned(self, shard_ids: list[int], method: str,
+                      subject: Any, signature: Signature,
+                      resolve: Callable[[], QueryPlan]) -> FanOut:
+        """Ship the question, not the plan: each worker derives the plan
+        from ``signature`` (``resolve`` is never called), and a worker
+        off the signature's clock fails its shard with
+        :class:`ClockFenceError` and arms :attr:`needs_resync`."""
+        return self._scatter(shard_ids,
+                             _frame("planned", (method, subject, signature)))
+
+    def _scatter(self, shard_ids: list[int], frame: bytes) -> FanOut:
+        """Round one pipelines ``frame`` over every reachable worker;
         shards whose worker crashed mid-round are retried serially
         under the retry policy (each retry restarts the worker and
         replays its WAL first).  Shards that cannot come back — open
-        breaker, terminal recovery failure, retries exhausted — become
-        typed :class:`ShardFailure` records."""
+        breaker, terminal recovery failure, retries exhausted, clock
+        fence — become typed :class:`ShardFailure` records."""
         successes: list[tuple[int, Any]] = []
         failures: list[ShardFailure] = []
         retriable: list[tuple[int, BaseException]] = []
-        payload = (method, args)
         sent: list[int] = []
         for sid in shard_ids:
             try:
                 self._ensure(sid)
-                self.pool.send(sid, "query", payload)
+                self.pool.send(sid, frame)
                 sent.append(sid)
             except WorkerCrashError as exc:
                 retriable.append((sid, exc))
@@ -813,22 +846,27 @@ class WorkerBackend:
         for sid, first_error in retriable:
             def attempt(sid: int = sid) -> Any:
                 self._ensure(sid)
-                return self.pool.request(sid, "query", payload)
+                self.pool.send(sid, frame)
+                return self.pool.collect(sid)
 
             try:
                 successes.append((sid, self._restart_policy.call(attempt)))
             except SHARD_FAILURE_ERRORS as exc:
                 exc.__context__ = first_error
                 failures.append(ShardFailure(sid, self.shard_path(sid), exc))
+        if any(isinstance(f.error, ClockFenceError) for f in failures):
+            self.needs_resync = True
         successes.sort(key=lambda item: item[0])
         return successes, failures
 
     def read(self, kind: str, payload: Any = None) -> list[Any]:
-        answers: list[Any] = []
+        """Every send (restarting dead workers first) precedes the first
+        collect; answers in shard order."""
+        frame = _frame(kind, payload)
         for sid in range(self.n_shards):
             self._ensure(sid)
-            answers.append(self.pool.request(sid, kind, payload))
-        return answers
+            self.pool.send(sid, frame)
+        return [self.pool.collect(sid) for sid in range(self.n_shards)]
 
     def resync(self) -> list[dict[str, Any]]:
         """Restart dead workers, settle in-flight batches, fetch states."""
@@ -848,11 +886,7 @@ class WorkerBackend:
                         del self._inflight[shard_id]
                     except WorkerCrashError:
                         pass  # dead after all; _ensure redelivers
-                self._ensure(shard_id)
-            for shard_id in range(self.n_shards):
-                self.pool.send(shard_id, "state")
-            states = [self.pool.collect(shard_id)
-                      for shard_id in range(self.n_shards)]
+            states: list[dict[str, Any]] = self.read("state")
         except BaseException:
             self.needs_resync = True
             raise

@@ -1,17 +1,16 @@
-"""Engine-side query planning: one plan per fan-out (S2 — retried shard
-tasks reuse the original plan, with no stats double-count), the engine
-plan cache's epoch fence (S1), the batched multi-rectangle scatter-gather
-equivalence oracle (S4), and plan picklability for the worker pipes."""
+"""Engine-side query planning for in-process shards: one plan per
+fan-out (S2 — retried shard tasks reuse the original plan, with no
+stats double-count), the engine plan cache's epoch fence (S1), and the
+batched multi-rectangle scatter-gather equivalence oracle (S4).  Worker
+shards derive their own plans; ``test_worker_wire.py`` covers them."""
 
 import contextlib
 import dataclasses
-import pickle
 import random
 
 import pytest
 
-from repro.core import (QueryPlan, Rect, SWSTConfig, build_query_plan,
-                        classify_interval)
+from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineCloseError, PartialResult, RetryPolicy,
                           SerialExecutor, ShardedEngine)
 from repro.storage import per_path_device_factory
@@ -263,16 +262,3 @@ class TestDegradedManyAttribution:
             assert excinfo.value.shard_id == 0
         finally:
             close_quietly(eng)
-
-
-class TestPlanPicklability:
-    """Warm workers receive the frozen plan over their pipes."""
-
-    def test_round_trip(self):
-        cfg = make_config()
-        columns = classify_interval(cfg, 100, 40, 100, None)
-        assert columns
-        plan = build_query_plan(cfg, 100, columns, 40, 100, None)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert isinstance(clone, QueryPlan)
-        assert clone == plan
