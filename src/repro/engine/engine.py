@@ -30,21 +30,29 @@ On disk an engine is a *directory*::
     index.d/
       engine.json          # manifest: {"format": 2, "n_shards": N,
       shard-000.pages      #            "epoch": E, "shards": [gen...],
-      shard-001.pages      #            "generation": G}
-      ...                  # one crash-safe page file per shard
+      shard-000.pages.base #            "generation": G}
+      shard-001.pages      # one crash-safe page file per shard, plus
+      shard-001.pages.base # its base: the copy committed at epoch E
+      ...
+      shard-000.wal        # worker backend only: ops since epoch E
       engine.prepare.json  # transient save marker (two-phase commit)
-      snapshots/<E>/       # CoW copies of the shard files at epoch E
-      gen-001/             # shard files of manifest generation 1
+      gen-001/             # the same files for manifest generation 1
                            # (resharded directories; generation 0 lives
                            # at the directory root)
 
 **Two-phase epoch commit.**  ``save()`` makes the whole directory one
 atomic unit: PREPARE marker, shard commits, manifest FLIP, marker
-cleanup (see :meth:`Coordinator.save`).  What ``open()`` does with a
-leftover marker is per backend: in-process shards roll back, roll
-forward, or restore the previous epoch's copy-on-write snapshot
-(:meth:`InProcessBackend.recover`); worker shards always roll forward from
-their WALs.  A pre-epoch ``"format": 1`` manifest is refused with
+cleanup (see :meth:`Coordinator.save`), then each shard's base is
+refreshed from its just-committed page file (:func:`write_bases`).
+Both backends open a shard the same way (:func:`open_shard`: the page
+file, else its base if :func:`base_is_valid`), and an ``open()`` that
+still finds a base failing the rule saves once to rewrite every base
+(:meth:`Coordinator._gain_bases`).  They differ in one
+recovery step only, a save torn between shard commits: in-process
+shards restore every base (:meth:`InProcessBackend.recover`), worker
+shards rebase their WALs and roll forward
+(:meth:`~repro.engine.worker.WorkerBackend.heal`).  A pre-epoch
+``"format": 1`` manifest is refused with
 :class:`~repro.storage.errors.UnsupportedFormatError` (chained under the
 :class:`EngineError` every manifest failure raises).
 
@@ -66,7 +74,6 @@ surviving shards' entries plus one typed
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
@@ -91,7 +98,8 @@ from .executor import Executor, resolve_executor
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
 from .wal import (NONE_ARG, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
-                  OP_RETAIN, Op, apply_op)
+                  OP_RETAIN, Op, apply_op, base_file_name, read_wal,
+                  wal_file_name)
 
 _MANIFEST_NAME = "engine.json"
 _PREPARE_NAME = "engine.prepare.json"
@@ -103,7 +111,6 @@ _MANIFEST_FORMAT = 2
 SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
 
 
-_SNAPSHOTS_DIR = "snapshots"
 _GEN_DIR_PREFIX = "gen-"
 
 _E = TypeVar("_E", bound="Coordinator")
@@ -135,9 +142,122 @@ def shard_file_path(directory: str | None, generation: int,
                         _shard_file_name(shard_id))
 
 
-def snapshot_dir(directory: str, epoch: int) -> str:
-    """Directory holding the CoW shard snapshots of one epoch."""
-    return os.path.join(directory, _SNAPSHOTS_DIR, f"{epoch:06d}")
+def base_is_valid(gen_dir: str, shard_id: int, recorded: int) -> bool:
+    """The one rule for a shard's base: restorable only at the manifest's
+    generation.
+
+    A base's committed header generation, probed passively, must equal
+    the generation ``recorded`` for the shard in the manifest.  An older
+    base is a superseded epoch's (a crash between the flip and
+    :func:`write_bases`); any other is not the state the manifest names.
+    A shard recorded at ``0`` never committed: its durable state is
+    "empty", which needs no base (:func:`restore_bases` resets it).
+    """
+    return recorded == 0 or probe_committed_generation(
+        os.path.join(gen_dir, base_file_name(shard_id))) == recorded
+
+
+def write_bases(fops: FileOps, gen_dir: str,
+                shard_ids: Iterable[int]) -> None:
+    """Copy each shard's page file over its base, then one dir fsync.
+
+    Only called while those page files sit at exactly the generation the
+    manifest records (or is about to record) for them: right after a
+    commit, or from :func:`open_shard` before it opens the file.
+    """
+    for sid in shard_ids:
+        fops.copy_file(os.path.join(gen_dir, _shard_file_name(sid)),
+                       os.path.join(gen_dir, base_file_name(sid)))
+    fops.fsync_dir(gen_dir)
+
+
+def restore_bases(fops: FileOps, gen_dir: str,
+                  recorded: dict[int, int]) -> None:
+    """Put each shard ``sid`` back to generation ``recorded[sid]``, then
+    one dir fsync.
+
+    Its base is copied over its page file; a shard recorded at ``0``
+    has its page file unlinked instead (the open starts an empty one),
+    so a commit a torn first save landed on it cannot survive.  Each
+    step is atomic, so a crash mid-restore re-enters recovery and
+    converges.  Callers check :func:`base_is_valid` first.
+    """
+    for sid, generation in recorded.items():
+        path = os.path.join(gen_dir, _shard_file_name(sid))
+        if generation:
+            fops.copy_file(os.path.join(gen_dir, base_file_name(sid)), path)
+        else:
+            fops.unlink(path)
+    fops.fsync_dir(gen_dir)
+
+
+def open_shard(shard_id: int, config: SWSTConfig, fops: FileOps,
+               gen_dir: str, recorded: int) -> SWSTIndex:
+    """Open one shard's page file, falling back to its base.
+
+    What both backends run for every shard they open.  ``recorded`` is
+    the manifest's generation for the shard:
+
+    * ``0`` — the shard never committed, so its durable state is
+      "empty": a file that does not open (or has no catalog yet) is
+      replaced by a fresh one.
+    * otherwise a base failing :func:`base_is_valid` is first rewritten
+      if the page file sits at ``recorded`` (the copy a crash after the
+      flip never made), and a page file storage recovery refuses — a
+      mid-session crash left evicted pages past the committed
+      generation — is replaced by its valid base.  With no valid base
+      the refusal is a typed :class:`ShardOpenError`.
+    """
+    path = os.path.join(gen_dir, _shard_file_name(shard_id))
+    if not base_is_valid(gen_dir, shard_id, recorded) \
+            and probe_committed_generation(path) == recorded:
+        write_bases(fops, gen_dir, [shard_id])
+    try:
+        return SWSTIndex.open(path, config)
+    except (StorageError, OSError) as exc:
+        if not recorded:
+            if os.path.exists(path):
+                os.unlink(path)
+            return SWSTIndex(config, path)
+        if not base_is_valid(gen_dir, shard_id, recorded):
+            raise ShardOpenError(shard_id, path, exc) from exc
+    except Exception as exc:
+        raise ShardOpenError(shard_id, path, exc) from exc
+    restore_bases(fops, gen_dir, {shard_id: recorded})
+    try:
+        return SWSTIndex.open(path, config)
+    except Exception as exc:
+        raise ShardOpenError(shard_id, path, exc) from exc
+
+
+def check_wals_quiescent(directory: str, manifest: dict[str, Any],
+                         error: type[EngineError] = EngineError) -> None:
+    """Refuse WALs whose acknowledged records the page files lack.
+
+    A ``WorkerEngine`` acknowledges writes into per-shard WALs and
+    folds them into the page files only at a checkpoint; records at
+    the manifest epoch exist *nowhere else*, so anything that reads the
+    page files alone (the in-process open, a reshard) would silently
+    drop them.  Stale WALs (older epoch) are already folded in.
+    """
+    gen_dir = generation_dir(directory, manifest["generation"])
+    epoch: int = manifest["epoch"]
+    for shard_id in range(manifest["n_shards"]):
+        path = os.path.join(gen_dir, wal_file_name(shard_id))
+        if not os.path.exists(path):
+            continue
+        scan = read_wal(path)
+        if scan.epoch > epoch:
+            raise error(
+                f"write-ahead log {path!r} claims epoch {scan.epoch} past "
+                f"the manifest epoch {epoch}; open the directory with "
+                f"WorkerEngine first")
+        if scan.epoch == epoch and scan.records:
+            raise error(
+                f"write-ahead log {path!r} holds {len(scan.records)} "
+                f"acknowledged records not yet checkpointed into the page "
+                f"files; open the directory with WorkerEngine and save() "
+                f"first")
 
 
 def write_json_atomic(fops: FileOps, directory: str, path: str,
@@ -323,10 +443,19 @@ def roll_manifest_forward(directory: str, manifest: dict[str, Any],
                           observed: list[int | None],
                           fops: FileOps) -> dict[str, Any]:
     """Finish a save whose flip was lost: rewrite the manifest at the
-    marker's epoch with the observed shard generations, drop the marker."""
+    marker's epoch, drop the marker.
+
+    A shard that committed is recorded at its observed generation.  One
+    that did not (workers roll forward over a rebased WAL) keeps its
+    previous generation: its durable state is still that commit, which
+    is exactly what its base holds (:func:`base_is_valid`).
+    """
+    gens = [gen if gen is not None and gen >= expected else previous
+            for gen, expected, previous in zip(
+                observed, prepare["expected"], manifest["shards"],
+                strict=True)]
     rolled = {"format": _MANIFEST_FORMAT, "n_shards": manifest["n_shards"],
-              "epoch": prepare["epoch"],
-              "shards": [gen if gen is not None else 0 for gen in observed],
+              "epoch": prepare["epoch"], "shards": gens,
               "generation": manifest["generation"]}
     write_json_atomic(fops, directory,
                       os.path.join(directory, _MANIFEST_NAME), rolled)
@@ -488,7 +617,7 @@ class InProcessBackend:
     Op batches are applied directly — the same
     :func:`~repro.engine.wal.apply_op` a WAL replay runs, with no
     encoding in between — and per-shard work goes through the
-    executor seam.  Recovery is snapshot based (see :meth:`recover`).  The
+    executor seam.  Recovery restores bases (see :meth:`recover`).  The
     seams are :class:`ShardedEngine`'s, documented there; ``directory``
     is ``None`` for memory devices and ``generation`` names the
     manifest generation whose shard files are served.
@@ -524,12 +653,7 @@ class InProcessBackend:
     @classmethod
     def create(cls, config: SWSTConfig, directory: str | None,
                manifest: dict[str, Any], **seams: Any) -> "InProcessBackend":
-        """Fresh (or re-adopted) shard files under ``manifest``.
-
-        Writes nothing under ``snapshots/`` (:class:`ShardedEngine`
-        does): a resharder stages its new generation through here, and
-        those still-empty files must never replace the live copies.
-        """
+        """Fresh (or re-adopted) shard files under ``manifest``."""
         backend = cls(config, directory, manifest["generation"], **seams)
         try:
             for shard_id in range(config.n_shards):
@@ -545,41 +669,44 @@ class InProcessBackend:
                 ) -> tuple["InProcessBackend", dict[str, Any]]:
         """Re-open a saved shard directory, recovering it as one unit.
 
-        Returns the backend and the manifest it recovered to.  One
-        state machine over the PREPARE marker a crashed save left and
-        the shards that reached the header generation the marker
-        expected — probed passively, *before* any shard opens (opening
-        itself commits a header).  With ``E`` the manifest epoch:
+        Returns the backend and the manifest it recovered to.  A
+        directory whose WALs hold acknowledged records at the manifest
+        epoch is refused first (:func:`check_wals_quiescent`): only
+        ``WorkerEngine`` can replay them.  Then one state machine over
+        the PREPARE marker a crashed save left and the shards that
+        reached the header generation the marker expected — probed
+        passively, *before* any shard opens (opening itself commits a
+        header).  With ``E`` the manifest epoch:
 
         * no marker — nothing to resolve; a marker at ``E`` lost only
           its cleanup: drop it.
         * marker ``E+1``, every shard committed — **roll forward**:
           rewrite the manifest at ``E+1``, drop the marker.
-        * marker ``E+1``, no or some shards committed — **restore**
-          every shard from ``snapshots/<E>/``, drop the marker.  If the
-          snapshot is not whole and no shard committed, dropping the
-          marker alone is the **roll back**.
-        * marker ``E+1``, some shards committed, snapshot not whole —
-          **refuse**: typed :class:`EpochTornError` naming both groups;
-          no file is touched.
+        * marker ``E+1``, no shard committed — **roll back**: drop the
+          marker.
+        * marker ``E+1``, some shards committed — **restore** every
+          shard's base (a shard recorded at generation 0, never saved,
+          is reset to empty), drop the marker; if any base fails
+          :func:`base_is_valid`, **refuse** with a typed
+          :class:`EpochTornError` naming both groups, touching no file.
 
-        Every committed epoch has its snapshot, so the refusal is
-        reached only when ``snapshots/<E>/`` was damaged from outside.
-        Then each shard runs the storage layer's recovery-on-open; one
-        that refuses (uncommitted pages evicted over its committed
-        state) gets one retry after the same restore, else
-        :class:`ShardOpenError` names it.  The shards must agree on one
-        clock and sit at or above their recorded generations —
-        disagreement means the directory mixes snapshots and is refused
-        with a typed error rather than heuristically resynchronised.
+        Every save writes its bases, so the refusal is reached only when
+        a base was damaged from outside.  Then each shard opens through
+        :func:`open_shard`: one that storage recovery refuses (a
+        mid-session crash evicted uncommitted pages over its committed
+        state) restores its own base, else :class:`ShardOpenError` names
+        it.  The shards must agree on one clock and sit at or above
+        their recorded generations — disagreement means the directory
+        mixes copies and is refused with a typed error rather than
+        heuristically resynchronised.
         """
         backend = cls(config, directory, **seams)
         try:
             manifest = load_checked_manifest(directory, config.n_shards)
             backend.generation = manifest["generation"]
+            check_wals_quiescent(directory, manifest)
             manifest = backend._recover_epoch(manifest)
             backend._open_shards(manifest)
-            backend._ensure_snapshot(manifest["epoch"])
         except BaseException:
             backend.close()
             raise
@@ -689,17 +816,20 @@ class InProcessBackend:
         return None
 
     def after_flip(self, epoch: int) -> None:
-        """CoW-copy the just-committed shard files, prune older epochs.
+        """Refresh every shard's base from its just-committed page file.
 
-        The snapshot runs *after* the commit, while every page file is
-        provably clean — a pre-save copy could capture uncommitted
-        pages the buffer pool evicted over the committed state during
-        normal mutation, and restoring such a copy reproduces the
-        corruption instead of undoing it.  A crash in here at worst
-        loses the new epoch's snapshot, which ``open()`` rewrites.
+        The copy runs *after* the commit, while every page file sits at
+        exactly its recorded generation — a copy taken mid-session could
+        capture uncommitted pages the buffer pool evicted over the
+        committed state, and restoring it would reproduce the corruption
+        instead of undoing it.  A crash in here leaves bases of the
+        previous epoch, which :func:`base_is_valid` refuses and
+        :func:`open_shard` rewrites.
         """
-        self.write_epoch_snapshot(epoch)
-        self.prune_snapshots(keep_epoch=epoch)
+        assert self.directory is not None
+        write_bases(self.fops, generation_dir(self.directory,
+                                              self.generation),
+                    range(self.config.n_shards))
 
     def close(self) -> list[BaseException]:
         """Close every shard and (if owned) the executor.
@@ -717,79 +847,6 @@ class InProcessBackend:
                 errors.append(exc)
         return errors
 
-    # -- epoch snapshots -------------------------------------------------------
-
-    def _snapshot_root(self) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, _SNAPSHOTS_DIR)
-
-    def _ensure_snapshot(self, epoch: int) -> None:
-        """Write ``snapshots/<epoch>/`` when absent or incomplete.
-
-        Runs at construction and after every successful ``open()`` —
-        the two other moments (besides a completed save) when every
-        shard file is provably clean-committed.  Covers a crash between
-        the manifest flip and the snapshot step, a rolled-forward
-        directory and one a worker engine saved.  Copies are atomic, so
-        presence of all ``n_shards`` files means the snapshot is whole.
-        """
-        if not self.epoch_commit:
-            return
-        assert self.directory is not None
-        snap = snapshot_dir(self.directory, epoch)
-        if all(os.path.exists(os.path.join(snap, _shard_file_name(sid)))
-               for sid in range(self.config.n_shards)):
-            return
-        self.write_epoch_snapshot(epoch)
-
-    def write_epoch_snapshot(self, epoch: int) -> None:
-        """CoW-copy every shard file into ``snapshots/<epoch>/``.
-
-        Only runs while every page file is clean-committed (right
-        after a save, at open, at construction), so the copies freeze
-        exactly the committed state of ``epoch``.  A later save torn
-        between in-place shard commits — or a mid-session crash that
-        left uncommitted evicted pages over a committed file — restores
-        every shard from here (:meth:`_restore_snapshot`).
-        """
-        assert self.directory is not None
-        fops = self.fops
-        snap_root = self._snapshot_root()
-        snap = snapshot_dir(self.directory, epoch)
-        fops.mkdir(snap_root)
-        fops.mkdir(snap)
-        for shard_id in range(self.config.n_shards):
-            fops.copy_file(self.shard_path(shard_id),
-                           os.path.join(snap, _shard_file_name(shard_id)))
-        fops.fsync_dir(snap)
-        fops.fsync_dir(snap_root)
-        fops.fsync_dir(self.directory)
-
-    def prune_snapshots(self, keep_epoch: int) -> None:
-        """Drop snapshot directories of epochs older than ``keep_epoch``.
-
-        Runs after the flip committed, so a crash anywhere in here costs
-        only disk space — stale directories are re-pruned by the next
-        save.
-        """
-        snap_root = self._snapshot_root()
-        try:
-            names = sorted(os.listdir(snap_root))
-        except OSError:
-            return
-        fops = self.fops
-        pruned = False
-        for name in names:
-            if not name.isdigit() or int(name) >= keep_epoch:
-                continue
-            stale = os.path.join(snap_root, name)
-            for file_name in sorted(os.listdir(stale)):
-                fops.unlink(os.path.join(stale, file_name))
-            fops.rmdir(stale)
-            pruned = True
-        if pruned:
-            fops.fsync_dir(snap_root)
-
     # -- recovery on open ------------------------------------------------------
 
     def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
@@ -805,76 +862,30 @@ class InProcessBackend:
         if len(committed) == n_shards:
             return roll_manifest_forward(self.directory, manifest, prepare,
                                          observed, self.fops)
-        # Even with no shard committed, the crashed save's write window
-        # may have evicted uncommitted pages over the committed snapshot
-        # in place (the storage layer's sweep refuses such a file);
-        # restoring from the epoch snapshot — when one exists — makes
-        # the rollback exact regardless.
-        if not self._restore_snapshot(manifest["epoch"]) and committed:
-            raise EpochTornError(prepare["epoch"], committed, pending)
+        if committed:
+            # The committed shards overwrote epoch E in place; only the
+            # bases still hold it (a shard recorded at 0 is reset to
+            # empty).  Restore every shard (a pending one may also carry
+            # evicted pages) or, with any base not exactly epoch E's,
+            # refuse before touching a file.
+            gen_dir = generation_dir(self.directory, self.generation)
+            gens: list[int] = manifest["shards"]
+            if not all(base_is_valid(gen_dir, sid, gens[sid])
+                       for sid in range(n_shards)):
+                raise EpochTornError(prepare["epoch"], committed, pending)
+            restore_bases(self.fops, gen_dir, dict(enumerate(gens)))
         drop_prepare(self.directory, self.fops)
         return manifest
 
-    def _restore_snapshot(self, epoch: int) -> bool:
-        """Roll every shard back to its ``snapshots/<epoch>/`` copy.
-
-        Returns False (directory untouched) unless the snapshot holds a
-        copy for *every* shard — a partial restore would just move the
-        tear.  All shards are restored, not only the ones that committed
-        the interrupted epoch: a shard that never committed may still
-        have had uncommitted pages evicted over its committed state in
-        place, which the storage layer's recovery sweep refuses to open.
-        Each restore is an atomic durable copy, so a crash mid-restore
-        re-enters recovery and converges.
-        """
-        assert self.directory is not None
-        snap = snapshot_dir(self.directory, epoch)
-        sources = {sid: os.path.join(snap, _shard_file_name(sid))
-                   for sid in range(self.config.n_shards)}
-        if not all(os.path.exists(source) for source in sources.values()):
-            return False
-        for sid, source in sources.items():
-            self.fops.copy_file(source, self.shard_path(sid))
-        self.fops.fsync_dir(generation_dir(self.directory, self.generation))
-        return True
-
-    def _open_shard_files(self) -> None:
-        """Open every shard file; on failure close what was opened."""
-        opened: list[SWSTIndex] = []
-        try:
-            for shard_id in range(self.config.n_shards):
-                shard_path = self.shard_path(shard_id)
-                try:
-                    opened.append(SWSTIndex.open(shard_path, self.config))
-                except Exception as exc:
-                    raise ShardOpenError(shard_id, shard_path,
-                                         exc) from exc
-        except BaseException:
-            for shard in opened:
-                with contextlib.suppress(StorageError, OSError):
-                    shard.close()
-            raise
-        self.shards.extend(opened)
-
     def _open_shards(self, manifest: dict[str, Any]) -> None:
-        """Open every shard and verify it sits at the manifest epoch.
-
-        A shard that refuses to open — typically a mid-session crash
-        after the buffer pool evicted uncommitted pages over the
-        committed state in place, which the storage layer's recovery
-        sweep rejects — is retried once after restoring *every* shard
-        from the committed epoch's CoW snapshot.  The snapshot was
-        written while the files were clean, so the retry reopens the
-        exact last-saved state; without a usable snapshot the original
-        :class:`ShardOpenError` propagates.
-        """
-        try:
-            self._open_shard_files()
-        except ShardOpenError:
-            if not self._restore_snapshot(manifest["epoch"]):
-                raise
-            self._open_shard_files()
+        """Open every shard (:func:`open_shard`) and verify that together
+        they sit at the manifest epoch."""
+        assert self.directory is not None
+        gen_dir = generation_dir(self.directory, self.generation)
         gens: list[int] = manifest["shards"]
+        for shard_id in range(self.config.n_shards):
+            self.shards.append(open_shard(shard_id, self.config, self.fops,
+                                          gen_dir, gens[shard_id]))
         for shard_id, shard in enumerate(self.shards):
             if shard.pager.generation < gens[shard_id]:
                 raise EngineError(
@@ -887,7 +898,7 @@ class InProcessBackend:
             raise EngineError(
                 f"shard clocks disagree under manifest epoch "
                 f"{manifest['epoch']}: {sorted(clocks)}; the directory "
-                f"mixes snapshots (restore from backup)")
+                f"mixes copies of different epochs (restore from backup)")
 
 
 # -- the coordinator ---------------------------------------------------------
@@ -957,6 +968,28 @@ class Coordinator:
         engine = cls.__new__(cls)
         Coordinator.__init__(engine, *args, **kwargs)
         return engine
+
+    def _gain_bases(self, manifest: dict[str, Any]) -> None:
+        """Last step of ``open()``: leave every shard a valid base.
+
+        A base that still fails :func:`base_is_valid` once every shard
+        is open — a directory older code wrote (its copies elsewhere;
+        ``snapshots/`` is never read), or a save whose base copy failed
+        with the process alive — cannot be copied from a page file that
+        has moved past its recorded generation.  One save (epoch
+        ``E+1``) writes them all, so a crash from here on restores.
+        """
+        assert self._dir is not None
+        gen_dir = generation_dir(self._dir, self._generation)
+        if all(base_is_valid(gen_dir, sid, gen)
+               for sid, gen in enumerate(manifest["shards"])):
+            return
+        try:
+            self.save()
+        except BaseException:
+            self._closed = True
+            self._backend.close()
+            raise
 
     def reopen(self, n_shards: int) -> "Coordinator":
         """Open this engine's directory again at ``n_shards`` shards.
@@ -1624,8 +1657,9 @@ class Coordinator:
         2. **COMMIT** — save every shard, in shard order.
         3. **FLIP** — atomically rewrite the manifest with the new epoch
            and the observed generations, then unlink the marker.
-        4. The backend's post-commit hook: CoW epoch snapshot
-           (in-process) or per-worker checkpoint (workers).
+        4. The backend's post-commit hook: every shard's base is
+           refreshed (:func:`write_bases`); workers also reset their
+           WALs to the new epoch.
 
         A crash in steps 1-3 leaves a directory that ``open()``
         classifies deterministically from the marker (the backend's
@@ -1720,9 +1754,9 @@ class ShardedEngine(Coordinator):
         file_ops: durable filesystem seam for the manifest protocol;
             tests substitute a fault-injecting implementation.
 
-    A disk-backed engine keeps a CoW copy of every committed epoch's
-    shard files under ``snapshots/<epoch>/``, so a save torn between
-    in-place shard commits rolls back on ``open()``
+    A disk-backed engine keeps one committed copy of every shard file
+    (its base, written by each save), so a save torn between in-place
+    shard commits, or a crash mid-session, rolls back on ``open()``
     (:meth:`InProcessBackend.recover`).
     """
 
@@ -1745,11 +1779,6 @@ class ShardedEngine(Coordinator):
             config, directory, manifest, executor=executor,
             retry_policy=retry_policy, breaker_factory=breaker_factory,
             file_ops=fops)
-        try:
-            backend._ensure_snapshot(manifest["epoch"])
-        except BaseException:
-            backend.close()
-            raise
         super().__init__(config, backend, directory, manifest, fops)
 
     @classmethod
@@ -1760,13 +1789,16 @@ class ShardedEngine(Coordinator):
              = CircuitBreaker,
              file_ops: FileOps | None = None) -> "ShardedEngine":
         """Re-open a saved shard directory, recovering it as one unit
-        (see :meth:`InProcessBackend.recover` for the rules)."""
+        (see :meth:`InProcessBackend.recover` for the rules); a shard
+        left without a valid base gets one (:meth:`_gain_bases`)."""
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         backend, manifest = InProcessBackend.recover(
             os.fspath(path), config, executor=executor,
             retry_policy=retry_policy, breaker_factory=breaker_factory,
             file_ops=fops)
-        return cls._adopt(config, backend, os.fspath(path), manifest, fops)
+        engine = cls._adopt(config, backend, os.fspath(path), manifest, fops)
+        engine._gain_bases(manifest)
+        return engine
 
     def reopen(self, n_shards: int) -> "ShardedEngine":
         assert self._dir is not None

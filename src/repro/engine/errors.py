@@ -13,10 +13,10 @@ small hierarchy rooted at :class:`EngineError`:
   a clock other than its own.
 * :class:`EpochTornError` — the refusal arm of
   ``InProcessBackend.recover``: a save was interrupted between in-place
-  shard commits *and* the previous epoch's ``snapshots/<E>/`` copy set,
-  which every committed epoch has, was damaged from outside — so neither
-  the pre-save nor the post-save state exists on disk.  The error names
-  the committed and the pending shards.
+  shard commits *and* some shard's base (``shard-NNN.pages.base``, which
+  every save writes) no longer holds the previous epoch — damaged from
+  outside — so neither the pre-save nor the post-save state exists on
+  disk.  The error names the committed and the pending shards.
 * :class:`EngineCloseError` — aggregate raised when *several* resources
   fail during :meth:`ShardedEngine.close`; every underlying error is
   kept (``errors`` attribute plus exception notes), none are dropped.
@@ -96,9 +96,9 @@ class EpochTornError(EngineError):
     Shards that committed the new epoch overwrote pages of the old
     epoch in place (the storage layer commits per shard, not per
     directory), the shards that never committed lost the new data with
-    the process, and ``snapshots/<epoch - 1>/`` — the clean copy recovery
-    restores from — is not whole.  Detected deterministically from the
-    PREPARE record; never silently served.
+    the process, and the shards' bases — the clean copies recovery
+    restores from — do not all hold epoch ``epoch - 1``.  Detected
+    deterministically from the PREPARE record; never silently served.
 
     Attributes:
         epoch: the epoch the interrupted save was committing.
@@ -111,8 +111,8 @@ class EpochTornError(EngineError):
         super().__init__(
             f"save of epoch {epoch} was interrupted between shard "
             f"commits: shards {committed} committed it, shards "
-            f"{pending} did not; neither snapshot is whole "
-            f"(restore the directory from backup)")
+            f"{pending} did not; not every base holds the previous "
+            f"epoch (restore the directory from backup)")
         self.epoch = epoch
         self.committed = committed
         self.pending = pending
@@ -209,8 +209,9 @@ class WorkerRecoveryError(EngineError):
     """A worker could not rebuild its shard from base + WAL on start.
 
     Terminal for the shard (restarting again cannot help): the page
-    file is unrecoverable and no base snapshot exists, or the WAL is
-    corrupt beyond its tail.
+    file is unrecoverable and its base fails the base rule (the
+    worker's :class:`ShardOpenError`), or the WAL is corrupt beyond its
+    tail.
 
     Attributes:
         shard_id: the unrecoverable shard.

@@ -26,24 +26,25 @@ Protocol (all durable steps through the :class:`FileOps` seam):
    physical entry through the *new* :class:`GridShardMap` into fresh
    shard files, carry over the current-entry table and per-object
    retentions, then drop the source copies.  No manifest state changes.
-3. **FLIP** — save every new shard, fsync the generation directory,
-   atomically rewrite ``engine.json`` with the new shard count, epoch
-   ``E+1`` and generation ``G+1``.  This single rename is the commit
-   point.  The just-committed (clean) new shard files are then
-   CoW-copied into ``snapshots/<E+1>/`` so the new generation is
-   crash-recoverable immediately.
-4. **CLEANUP** — unlink the old generation's shard/WAL/base files and
-   the stale CoW snapshots of older epochs (they copy old-generation
-   files).  A crash in here costs disk space only; the next save
-   re-prunes.
+3. **FLIP** — save every new shard, copy each just-committed file to
+   its base next to it (:func:`~repro.engine.engine.write_bases`, whose
+   one fsync of the generation directory covers the shard files too),
+   then atomically rewrite ``engine.json`` with the new shard count,
+   epoch ``E+1`` and generation ``G+1``.  This single rename is the
+   commit point, and the generation it names is whole: every shard
+   already has its base.
+4. **CLEANUP** — unlink the old generation's shard/WAL/base files.  A
+   crash in here costs disk space only.
 
 Preconditions (checked before anything is written, typed
 :class:`~repro.engine.errors.ReshardError` on violation): the
 directory holds a committed manifest (epoch >= 1), no
 unresolved save marker, and no write-ahead log with acknowledged
-records at the current epoch — those records live only in the WAL, so
-resharding from the page files alone would drop them; a
-``WorkerEngine`` checkpoint (``save()``) folds them in first.
+records at the current epoch
+(:func:`~repro.engine.engine.check_wals_quiescent`) — those records
+live only in the WAL, so resharding from the page files alone would
+drop them; a ``WorkerEngine`` checkpoint (``save()``) folds them in
+first.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
                      InProcessBackend, ShardedEngine, _shard_file_name,
-                     generation_dir, load_manifest, write_json_atomic)
+                     check_wals_quiescent, generation_dir, load_manifest,
+                     write_bases, write_json_atomic)
 from .errors import ReshardError
 from .sharding import GridShardMap
-from .wal import base_file_name, read_wal, wal_file_name
+from .wal import base_file_name, wal_file_name
 
 
 def _source_file_name(shard_id: int) -> str:
@@ -155,7 +157,7 @@ class GenerationBuild:
         self._old_config = dataclasses.replace(config, n_shards=self._old_n)
         self._new_config = dataclasses.replace(config,
                                                n_shards=new_n_shards)
-        self._check_wals_quiescent()
+        check_wals_quiescent(self._dir, manifest, ReshardError)
         self._gen_dir = generation_dir(self._dir, self._new_generation)
         self._old_gen_dir = generation_dir(self._dir, self._old_generation)
         self._sources: list[SWSTIndex] = []
@@ -165,33 +167,6 @@ class GenerationBuild:
         self._engine: ShardedEngine | None = None
         self._entries = 0
         self._currents = 0
-
-    def _check_wals_quiescent(self) -> None:
-        """Refuse WALs whose acknowledged records the page files lack.
-
-        A ``WorkerEngine`` acknowledges writes into per-shard WALs and
-        folds them into the page files only at checkpoint; records at
-        the manifest epoch exist *nowhere else*, so streaming from the
-        page files would silently drop them.  Stale WALs (older epoch)
-        are already folded in and merely await cleanup.
-        """
-        old_dir = generation_dir(self._dir, self._old_generation)
-        for shard_id in range(self._old_n):
-            path = os.path.join(old_dir, wal_file_name(shard_id))
-            if not os.path.exists(path):
-                continue
-            scan = read_wal(path)
-            if scan.epoch > self._epoch:
-                raise ReshardError(
-                    f"write-ahead log {path!r} claims epoch "
-                    f"{scan.epoch} past the manifest epoch "
-                    f"{self._epoch}; the directory mixes snapshots")
-            if scan.epoch == self._epoch and scan.records:
-                raise ReshardError(
-                    f"write-ahead log {path!r} holds "
-                    f"{len(scan.records)} acknowledged records not yet "
-                    f"checkpointed into the page files; open the "
-                    f"directory with WorkerEngine and save() first")
 
     @property
     def engine(self) -> ShardedEngine:
@@ -250,13 +225,12 @@ class GenerationBuild:
         if len(clocks) > 1:
             raise ReshardError(
                 f"shard clocks disagree in {self._dir!r}: "
-                f"{sorted(clocks)}; the directory mixes snapshots")
+                f"{sorted(clocks)}; the directory mixes copies of "
+                f"different epochs")
         # Bulk-load the new shards directly — historical entries start
         # below the clock, which the public mutation API rightly
         # refuses — and only then put the coordinator on top: its
-        # mirror and clock are derived from the loaded shards.  The
-        # staged backend writes nothing under ``snapshots/`` (see
-        # ``InProcessBackend.create``); :meth:`commit` snapshots it.
+        # mirror and clock are derived from the loaded shards.
         manifest = {"epoch": self._epoch,
                     "generation": self._new_generation}
         self._backend = InProcessBackend.create(
@@ -318,31 +292,29 @@ class GenerationBuild:
     # -- stage 3+4: flip and cleanup ------------------------------------------
 
     def commit(self) -> ReshardReport:
-        """Save the new shards, flip the manifest, drop the old files.
+        """Save the new shards and their bases, flip the manifest, drop
+        the old files.
 
         The manifest rewrite is the single commit point: the old
-        generation is untouched before it, the new one is durable when
-        it lands.  No PREPARE marker is written — a marker names a shard
-        count, and a reopen mid-flip must classify against whichever
-        manifest survived, not against a count that may not match it.
+        generation is untouched before it, the new one is durable — and
+        has its bases — when it lands.  No PREPARE marker is written — a
+        marker names a shard count, and a reopen mid-flip must classify
+        against whichever manifest survived, not against a count that
+        may not match it.
         """
         engine = self.engine
         backend = self._backend
         assert backend is not None
         fops = self._fops
         gens = backend.commit()
-        fops.fsync_dir(self._gen_dir)
+        write_bases(fops, self._gen_dir, range(self._new_config.n_shards))
         write_json_atomic(
             fops, self._dir, os.path.join(self._dir, _MANIFEST_NAME),
             {"format": _MANIFEST_FORMAT,
              "n_shards": self._new_config.n_shards,
              "epoch": self._epoch + 1, "shards": gens,
              "generation": self._new_generation})
-        # The new shard files are clean (just saved): snapshot them so
-        # the next save's torn window — or a mid-session crash — stays
-        # recoverable without waiting for another save.
-        backend.write_epoch_snapshot(self._epoch + 1)
-        self._cleanup_old_generation(backend)
+        self._cleanup_old_generation()
         old_map = GridShardMap(self._old_config.x_partitions,
                                self._old_config.y_partitions, self._old_n)
         return ReshardReport(
@@ -356,14 +328,11 @@ class GenerationBuild:
             old_imbalance=old_map.imbalance(),
             new_imbalance=engine.shard_map.imbalance())
 
-    def _cleanup_old_generation(self, backend: InProcessBackend) -> None:
-        """Post-flip: unlink the old generation and stale snapshots.
+    def _cleanup_old_generation(self) -> None:
+        """Post-flip: unlink the old generation's files.
 
         Every step here is redundant with the flip — a crash costs only
         disk space, and reopening serves the new generation regardless.
-        CoW snapshots of *older* epochs copy old-generation shard
-        files, so they are stale as a unit; only the freshly written
-        ``snapshots/<new epoch>/`` (new-generation copies) survives.
         """
         fops = self._fops
         for shard_id in range(self._old_n):
@@ -376,8 +345,7 @@ class GenerationBuild:
         fops.fsync_dir(self._old_gen_dir)
         if self._old_generation > 0:
             fops.rmdir(self._old_gen_dir)
-        backend.prune_snapshots(keep_epoch=self._epoch + 1)
-        fops.fsync_dir(self._dir)
+            fops.fsync_dir(self._dir)
 
     # -- lifecycle -------------------------------------------------------------
 

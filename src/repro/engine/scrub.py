@@ -9,8 +9,11 @@ epoch generations.  Like the file-level scrub it never repairs
 anything — a leftover save marker is *reported* but left for
 ``ShardedEngine.open()`` to resolve.
 
-Warm-worker directories additionally hold per-shard write-ahead logs
-(``shard-NNN.wal``) and base snapshots (``shard-NNN.pages.base``); the
+Every saved directory holds one base per shard
+(``shard-NNN.pages.base``, the copy committed at the manifest epoch);
+a torn save is recoverable exactly when every base passes
+:func:`~repro.engine.engine.base_is_valid`.  Warm-worker directories
+additionally hold per-shard write-ahead logs (``shard-NNN.wal``); the
 sweep CRC-checks every WAL record, cross-checks the WAL's epoch against
 the manifest (a WAL *ahead* of the committed epoch is damage — replay
 would apply writes the manifest never acknowledged; a WAL *behind* is
@@ -28,8 +31,8 @@ import re
 from ..storage.errors import StorageError
 from ..storage.scrub import ScrubReport, scrub_page_file
 from .engine import (_GEN_DIR_PREFIX, _MANIFEST_NAME, _PREPARE_NAME,
-                     _load_prepare, _shard_file_name, generation_dir,
-                     load_manifest, probe_prepare_state, snapshot_dir)
+                     _load_prepare, _shard_file_name, base_is_valid,
+                     generation_dir, load_manifest, probe_prepare_state)
 from .errors import EngineError, WalCorruptError
 from .wal import read_wal, wal_file_name
 
@@ -142,10 +145,11 @@ def _classify_marker(path: str, shard_dir: str, manifest: dict | None,
                      problems: list[str], notes: list[str]) -> None:
     """Classify a leftover PREPARE marker the way ``open()`` would.
 
-    Mirrors :meth:`InProcessBackend._recover_epoch` without writing
-    anything: a marker that rolls back, rolls forward, or restores from
-    a complete ``snapshots/<epoch>/`` copy set is a *note* (recovery is
-    deterministic), while a torn save with no usable snapshot is a
+    Runs the predicates :meth:`InProcessBackend._recover_epoch` runs
+    (:func:`probe_prepare_state`, :func:`base_is_valid`) without writing
+    anything: a marker that rolls back, rolls forward, or restores bases
+    that all pass the base rule is a *note* (recovery is
+    deterministic), while a torn save with any base failing it is a
     *problem* — ``open()`` would raise :class:`EpochTornError`.
     """
     marker_path = os.path.join(path, _PREPARE_NAME)
@@ -190,19 +194,20 @@ def _classify_marker(path: str, shard_dir: str, manifest: dict | None,
             f"every shard committed it; open() rolls the manifest "
             f"forward")
         return
-    snap = snapshot_dir(path, epoch)
-    if all(os.path.exists(os.path.join(snap, _shard_file_name(shard_id)))
-           for shard_id in range(manifest["n_shards"])):
+    invalid = [shard_id for shard_id in range(manifest["n_shards"])
+               if not base_is_valid(shard_dir, shard_id,
+                                    manifest["shards"][shard_id])]
+    if not invalid:
         notes.append(
             f"torn save of epoch {prepare['epoch']} (shards {committed} "
-            f"committed, {pending} pending) is RECOVERABLE: snapshot "
-            f"generation {epoch:06d} holds copies of every committed "
-            f"shard; open() restores them and rolls back")
+            f"committed, {pending} pending) is RECOVERABLE: every shard "
+            f"passes the base rule at epoch {epoch}; open() restores "
+            f"them and rolls back")
         return
     problems.append(
         f"torn save of epoch {prepare['epoch']}: shards {committed} "
-        f"committed it, shards {pending} did not, and no complete "
-        f"snapshot of epoch {epoch} exists; open() raises "
+        f"committed it, shards {pending} did not, and the bases of "
+        f"shards {invalid} do not hold epoch {epoch}; open() raises "
         f"EpochTornError (restore the directory from backup)")
 
 

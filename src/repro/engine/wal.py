@@ -7,7 +7,8 @@ file unusable until the *next* commit — by design (PR 2's recovery sweep
 refuses generation-ahead pages).  The WAL is what makes acknowledged
 writes survive anyway: every mutation is appended here and fsynced
 *before* it is acknowledged, and on restart the worker rebuilds the
-shard from its last committed snapshot plus a replay of this log.
+shard from its last committed state (the page file, or its base copy)
+plus a replay of this log.
 
 The sliding-window workload makes this log unusually cheap to reason
 about: entry start times are non-decreasing (the same increasing-ending-
@@ -22,10 +23,10 @@ On-disk format (all little-endian)::
 
 ``payload`` is ``payload_len`` signed 64-bit integers (the op's
 arguments); ``crc`` is the CRC32 of everything before it in the record.
-``epoch`` names the engine manifest epoch the log's *base* snapshot
-belongs to: the two-phase ``save()`` resets each shard's WAL to the new
-epoch right after the manifest FLIP, so a WAL whose epoch matches the
-manifest holds exactly the not-yet-committed tail.
+``epoch`` names the engine manifest epoch the log's *base* belongs to:
+the two-phase ``save()`` resets each shard's WAL to the new epoch right
+after the manifest FLIP, so a WAL whose epoch matches the manifest
+holds exactly the not-yet-committed tail.
 
 Replay rules:
 
@@ -37,7 +38,7 @@ Replay rules:
   — the acknowledged prefix itself is unreadable and replay must not
   guess.
 * a WAL *behind* the manifest epoch is stale (its ops are already in the
-  committed snapshot) and is reset, never replayed.
+  committed state) and is reset, never replayed.
 
 Every op is one public :class:`~repro.core.index.SWSTIndex` method call,
 so "replay equals direct apply" is structural, not incidental; the
@@ -95,13 +96,14 @@ def wal_file_name(shard_id: int) -> str:
 
 
 def base_file_name(shard_id: int) -> str:
-    """Base-snapshot file name of one shard.
+    """Base file name of one shard (lives next to its page file).
 
-    The base is a byte copy of the shard's page file taken at the last
-    epoch checkpoint (and refreshed at worker start): the state WAL
-    replay rebuilds from when a crash leaves the live page file
-    unrecoverable (mid-session evictions stamp pages past the committed
-    generation, which recovery-on-open rightly refuses).
+    The base is a byte copy of the shard's page file taken right after
+    the epoch commit (:func:`~repro.engine.engine.write_bases`), kept
+    by both backends: the state a shard reopens from when a crash leaves
+    the live page file unrecoverable (mid-session evictions stamp pages
+    past the committed generation, which recovery-on-open rightly
+    refuses), and the state this log replays over.
     """
     return f"shard-{shard_id:03d}.pages.base"
 

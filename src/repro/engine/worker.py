@@ -23,14 +23,15 @@ path, not two.
 
 **Recovery (worker start).**
 
-1. Open the page file; if storage recovery refuses it (a crash left
-   evicted pages past the committed generation), restore the shard's
-   *base snapshot* — a byte copy of the page file taken at the last
-   checkpoint — and open that.
-2. Refresh the base from the (now consistent) page file, so the base
-   and the WAL always describe the same starting state.
-3. Read the WAL: epoch behind the manifest -> stale (its ops are inside
-   the committed snapshot), reset it; epoch equal -> replay every
+1. Open the shard exactly as the in-process backend does
+   (:func:`~repro.engine.engine.open_shard`): the page file, or — if
+   storage recovery refuses it (a crash left evicted pages past the
+   committed generation) — the shard's *base*, the byte copy of the
+   page file taken right after the epoch commit, provided its
+   generation is the one the manifest records.  The base and the WAL
+   therefore always describe the same starting state.
+2. Read the WAL: epoch behind the manifest -> stale (its ops are inside
+   the committed state), reset it; epoch equal -> replay every
    record; epoch ahead -> refuse (typed
    :class:`~repro.engine.errors.WalCorruptError`).
 
@@ -72,11 +73,11 @@ then checkpoints each worker (refresh base, reset WAL to the new
 epoch).  A failure anywhere kills every worker and runs the same
 marker resolution ``open()`` uses, so no worker can keep acknowledging
 into a stale-epoch WAL.  Unlike the in-process backend, a crash
-*between* shard commits is recoverable without a snapshot: pending
-shards' WALs are rebased to the new epoch (their acknowledged tails
-replay over their old base), so ``EpochTornError`` cannot happen here —
-the WAL upgrades the two-phase commit from "atomic or typed refusal" to
-"always roll forward".
+*between* shard commits never restores bases: pending shards' WALs are
+rebased to the new epoch (their acknowledged tails replay over their
+old base), so ``EpochTornError`` cannot happen here — the WAL upgrades
+the two-phase commit from "atomic or typed refusal" to "always roll
+forward".
 """
 
 from __future__ import annotations
@@ -96,22 +97,20 @@ from ..core.index import SWSTIndex
 from ..core.overlap import classify_interval as classify_interval
 from ..core.plan import QueryPlan, build_query_plan as build_query_plan
 from ..core.records import ReportLike
-from ..storage.errors import NoCatalogError, StorageError
 from ..storage.fault import FaultInjectingFileOps
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_NAME, SHARD_FAILURE_ERRORS, Coordinator,
-                     FanOut, Signature, _shard_file_name, drop_prepare,
-                     generation_dir, load_checked_manifest, load_manifest,
-                     load_pending_prepare, prepare_directory,
+                     FanOut, Signature, drop_prepare, generation_dir,
+                     load_checked_manifest, load_manifest,
+                     load_pending_prepare, open_shard, prepare_directory,
                      probe_prepare_state, read_shard, roll_manifest_forward,
-                     shard_file_path)
+                     shard_file_path, write_bases)
 from .errors import (CircuitOpenError, ClockFenceError, EngineError,
                      ShardFailure, WalCorruptError, WorkerCrashError,
                      WorkerRecoveryError)
 from .retry import CircuitBreaker, RetryPolicy
 from .wal import (OP_ADVANCE, Op, WalWriter, apply_op, apply_record,
-                  base_file_name, read_wal, rebase_wal, run_op,
-                  wal_file_name)
+                  read_wal, rebase_wal, run_op, wal_file_name)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.connection import Connection
@@ -139,16 +138,6 @@ def _mp_context() -> "BaseContext":
         return multiprocessing.get_context()
 
 
-def _copy_file_atomic(src: str, dst: str, fops: FileOps) -> None:
-    """Durably copy ``src`` over ``dst`` (temp + fsync + rename)."""
-    with open(src, "rb") as handle:
-        blob = handle.read()
-    tmp = dst + ".tmp"
-    fops.write_file(tmp, blob)
-    fops.replace(tmp, dst)
-    fops.fsync_dir(os.path.dirname(os.path.abspath(dst)))
-
-
 # -- worker process ----------------------------------------------------------
 
 
@@ -170,71 +159,29 @@ def _worker_fops(spec: dict[str, Any]) -> FileOps:
         fsync_errors=spec.get("wal_fsync_errors"))
 
 
-def _open_recovered(shard_id: int, config: SWSTConfig, fops: FileOps,
-                    epoch: int, path: str, base_path: str) -> SWSTIndex:
-    """Open the shard's page file, falling back to its base snapshot.
-
-    At epoch 0 nothing was ever committed — the durable starting state
-    is "empty" (a pre-first-save base has no catalog either), which a
-    fresh file plus the epoch-0 WAL reproduces exactly.  At a committed
-    epoch the base snapshot stands in for an unrecoverable page file
-    (mid-session kills leave evicted pages past the committed
-    generation, which storage recovery rightly refuses).
-    """
-
-    def open_from_base() -> SWSTIndex:
-        _copy_file_atomic(base_path, path, fops)
-        try:
-            return SWSTIndex.open(path, config)
-        except NoCatalogError:
-            # The base predates the shard's first commit (a partially
-            # committed first epoch rolled forward): the durable base
-            # state is "empty", and the rebased WAL carries the whole
-            # acknowledged history from there.
-            os.unlink(path)
-            return SWSTIndex(config, path)
-
-    if os.path.exists(path):
-        try:
-            return SWSTIndex.open(path, config)
-        except (StorageError, OSError) as exc:
-            if epoch == 0:
-                os.unlink(path)
-                return SWSTIndex(config, path)
-            if os.path.exists(base_path):
-                return open_from_base()
-            raise WorkerRecoveryError(
-                shard_id, f"page file unrecoverable ({exc!r}) and "
-                          f"no base snapshot exists") from exc
-    if epoch == 0:
-        return SWSTIndex(config, path)
-    if os.path.exists(base_path):
-        return open_from_base()
-    raise WorkerRecoveryError(
-        shard_id, f"page file missing, no base snapshot, and the "
-                  f"manifest claims committed epoch {epoch}")
-
-
 def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
                    fops: FileOps, spec: dict[str, Any],
                    generation: int) -> tuple[SWSTIndex, WalWriter, int]:
-    """Rebuild one shard from page file + base snapshot + WAL.
+    """Rebuild one shard from page file (or base) + WAL.
 
     Returns ``(shard, wal_writer, replayed_record_count)``.  Raises
-    :class:`WorkerRecoveryError` when no recovery path exists (terminal
-    — restarting again cannot help).
+    :class:`~repro.engine.errors.ShardOpenError` or
+    :class:`WalCorruptError` when no recovery path exists (terminal —
+    restarting again cannot help).
+
+    The base is left alone when :func:`~repro.engine.engine.open_shard`
+    finds it valid: it already holds the committed state the WAL
+    replays over, and a copy of the page file taken after opening it
+    would sit at a later header generation (opening commits a clean
+    mark), which the base rule then refuses.
     """
     gen_dir = generation_dir(directory, generation)
-    path = os.path.join(gen_dir, _shard_file_name(shard_id))
-    base_path = os.path.join(gen_dir, base_file_name(shard_id))
     wal_path = os.path.join(gen_dir, wal_file_name(shard_id))
     manifest = load_manifest(os.path.join(directory, _MANIFEST_NAME))
     epoch: int = manifest["epoch"]
-    shard = _open_recovered(shard_id, config, fops, epoch, path, base_path)
+    shard = open_shard(shard_id, config, fops, gen_dir,
+                       manifest["shards"][shard_id])
     try:
-        # Refresh the base *before* replay: from here on, base + WAL is
-        # exactly the state this session acknowledges against.
-        _copy_file_atomic(path, base_path, fops)
         replayed = 0
         if os.path.exists(wal_path):
             scan = read_wal(wal_path)
@@ -287,11 +234,9 @@ def _checkpoint(shard_id: int, directory: str, fops: FileOps,
                 epoch: int, generation: int) -> WalWriter:
     """Refresh the base from the just-committed page file, reset the WAL."""
     gen_dir = generation_dir(directory, generation)
-    path = os.path.join(gen_dir, _shard_file_name(shard_id))
-    base_path = os.path.join(gen_dir, base_file_name(shard_id))
-    wal_path = os.path.join(gen_dir, wal_file_name(shard_id))
-    _copy_file_atomic(path, base_path, fops)
-    return WalWriter.reset(wal_path, fops, epoch=epoch)
+    write_bases(fops, gen_dir, [shard_id])
+    return WalWriter.reset(os.path.join(gen_dir, wal_file_name(shard_id)),
+                           fops, epoch=epoch)
 
 
 def _exit_fatal(conn: "Connection", exc: BaseException) -> NoReturn:
@@ -467,7 +412,7 @@ class WorkerPool:
         if tag == "fatal":
             self._discard(shard_id)
             name, detail = value
-            if name in ("WorkerRecoveryError", "WalCorruptError"):
+            if name in ("ShardOpenError", "WalCorruptError"):
                 raise WorkerRecoveryError(shard_id, f"{name}: {detail}")
             raise WorkerCrashError(shard_id,
                                    f"failed to start: {name}: {detail}")
@@ -617,7 +562,7 @@ class WorkerBackend:
     workers restart under the retry policy with a per-shard breaker
     gating the attempts, and a dispatch whose acknowledgement a crash
     swallowed is re-delivered seq-exactly.  Recovery rolls forward from
-    the WALs (:meth:`heal`), never from snapshots.  The seams are
+    the WALs (:meth:`heal`), never by restoring every base.  The seams are
     :class:`WorkerEngine`'s, documented there.
     """
 
@@ -932,11 +877,12 @@ class WorkerBackend:
 
         Like the in-process backend's recovery, with the WAL upgrade: a
         *partially* committed epoch rolls forward instead of restoring
-        the epoch snapshot — pending shards' WALs are rebased to the
-        new epoch so their acknowledged tails replay over their old
-        base snapshots, while committed shards' stale WALs are simply
-        reset by their workers on respawn.  Returns the manifest the
-        directory resolved to.
+        every base — pending shards' WALs are rebased to the new epoch
+        so their acknowledged tails replay over their old bases (the
+        manifest keeps their previous generations, see
+        :func:`~repro.engine.engine.roll_manifest_forward`), while
+        committed shards' stale WALs are simply reset by their workers
+        on respawn.  Returns the manifest the directory resolved to.
         """
         manifest = load_checked_manifest(self.directory, self.n_shards)
         self.pool.generation = manifest["generation"]
@@ -946,9 +892,9 @@ class WorkerBackend:
         observed, committed, pending = probe_prepare_state(
             prepare, [self.shard_path(sid) for sid in range(self.n_shards)])
         if not committed:
-            # Roll back: no shard committed; the old snapshot is intact
-            # and every acknowledged op since the last epoch still lives
-            # in the shards' WALs.
+            # Roll back: no shard committed; every page file (or its
+            # base) still holds the last epoch and every acknowledged op
+            # since then still lives in the shards' WALs.
             drop_prepare(self.directory, self.fops)
             return manifest
         # Roll forward: rebase the pending shards' logs onto the new
@@ -968,8 +914,9 @@ class WorkerEngine(Coordinator):
     *is* the same coordinator — but every shard lives in its own
     process and every acknowledged mutation is WAL-durable.  A saved
     directory is interchangeable with ``ShardedEngine``'s (same
-    manifest, same page files; the ``.wal``/``.pages.base`` files are
-    additive).
+    manifest, page files and bases; the ``.wal`` files are additive,
+    and ``ShardedEngine.open`` refuses WALs holding records it cannot
+    replay).
 
     Always disk-backed: the WAL discipline has no meaning in memory.
     ``retry_policy`` bounds worker restart attempts (and query retries
@@ -1020,7 +967,9 @@ class WorkerEngine(Coordinator):
         Marker resolution runs first (roll back, roll forward with WAL
         rebase, or finish a lost cleanup); then one worker per shard is
         spawned, each replaying its WAL tail, and the coordinator
-        resynchronises its mirror from the recovered workers.
+        resynchronises its mirror from the recovered workers.  A shard
+        left without a valid base gets one
+        (:meth:`~repro.engine.engine.Coordinator._gain_bases`).
         """
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         directory = os.fspath(path)
@@ -1031,7 +980,9 @@ class WorkerEngine(Coordinator):
             fault_specs=fault_specs)
         manifest = backend.heal()
         backend.start(manifest)
-        return cls._adopt(config, backend, directory, manifest, fops)
+        engine = cls._adopt(config, backend, directory, manifest, fops)
+        engine._gain_bases(manifest)
+        return engine
 
     def reopen(self, n_shards: int) -> "WorkerEngine":
         assert self._dir is not None

@@ -48,14 +48,12 @@ class TestDirectoryLayout:
             eng.extend(random_reports(100))
             eng.save()
         names = sorted(os.listdir(path))
-        assert names == ["engine.json", "shard-000.pages",
-                         "shard-001.pages", "shard-002.pages",
-                         "snapshots"]
-        # The save's CoW snapshot froze the just-committed (clean)
-        # state of epoch 1; construction's epoch-0 snapshot is pruned.
-        assert sorted(os.listdir(path / "snapshots")) == ["000001"]
-        assert sorted(os.listdir(path / "snapshots" / "000001")) == [
-            "shard-000.pages", "shard-001.pages", "shard-002.pages"]
+        # Each page file has one base next to it: the copy of its
+        # just-committed state at epoch 1.
+        assert names == ["engine.json",
+                         "shard-000.pages", "shard-000.pages.base",
+                         "shard-001.pages", "shard-001.pages.base",
+                         "shard-002.pages", "shard-002.pages.base"]
         manifest = json.loads((path / "engine.json").read_text())
         assert manifest["format"] == 2
         assert manifest["n_shards"] == 3

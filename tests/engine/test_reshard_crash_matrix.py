@@ -1,4 +1,4 @@
-"""Reshard and snapshot-enabled-save crash matrices.
+"""Reshard and save crash matrices.
 
 Two atomicity claims, proved op-by-op:
 
@@ -9,15 +9,15 @@ Two atomicity claims, proved op-by-op:
   *exactly* the new one (from the replace on) — same data either way,
   never a mix, never an error.
 
-* ``save()`` has **no** unrecoverable window: the CoW snapshot of the
-  *previous* committed epoch — written at the end of the save that
-  committed it, while every page file was provably clean — lets
-  recovery restore all shards and roll the whole directory back.
-  Device kills at *every* in-place shard commit — including the mixed
-  middle, a typed :class:`EpochTornError` only once that snapshot is
-  damaged (tests/engine/test_engine_crash.py) — must reopen as exactly
-  the pre-save state, and a file-op kill matrix over the protocol must
-  land on the pre/post boundary deterministically.
+* ``save()`` has **no** unrecoverable window: each shard's base — the
+  copy of its page file written right after the save that committed
+  the *previous* epoch, or the empty state before a directory's first
+  save — lets recovery restore all shards and roll the whole directory
+  back.  Device kills at *every* in-place shard commit
+  — including the mixed middle, a typed :class:`EpochTornError` only
+  once a base is damaged (tests/engine/test_engine_crash.py) — must
+  reopen as exactly the pre-save state, and a file-op kill matrix over
+  the protocol must land on the pre/post boundary deterministically.
 """
 
 import dataclasses
@@ -29,29 +29,29 @@ import pytest
 from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           reshard)
+from repro.engine.scrub import scrub_directory
 from repro.storage import (FaultInjectingFileOps, InjectedFault,
                            crash_devices, per_path_device_factory)
 
 OLD_SHARDS = 3
 NEW_SHARDS = 5
-#: One reshard of a 3-shard directory (built with snapshots on) to 5
-#: shards = 34 durable file operations (stage 6, build 4, flip 4,
-#: new-generation snapshot 10, cleanup 10); pinned by the probe below.
-RESHARD_FILE_OPS = 34
-#: The manifest replace — the single commit point — is op 13 of 34.
-RESHARD_FLIP_OP = 13
-#: A snapshot-enabled 3-shard save of an already-snapshotted directory
-#: = the 8-op manifest protocol + 8 snapshot ops (two mkdirs, three
-#: copies, three fsyncs) copying the just-committed epoch + 5 prune
-#: ops dropping the previous epoch's snapshot.
-SNAP_SAVE_FILE_OPS = 21
+#: One reshard of a 3-shard directory to 5 shards = 26 durable file
+#: operations (stage 6, build 4, flip 9 including the five new bases,
+#: cleanup 7 for three old page files and their bases); pinned by the
+#: probe below.
+RESHARD_FILE_OPS = 26
+#: The manifest replace — the single commit point — is op 18 of 26.
+RESHARD_FLIP_OP = 18
+#: A 3-shard save = the 8-op manifest protocol + 3 base copies + one
+#: fsync of the directory holding them.
+SAVE_FILE_OPS = 12
 #: Last file op before the save's point of no return: the in-place
 #: shard commits land between the PREPARE fsync (op 3) and the FLIP
 #: write (op 4), so a file-op kill from 4 on finds every shard
 #: committed and recovery rolls *forward*.
-SNAP_SAVE_COMMIT_BOUNDARY = 3
+SAVE_COMMIT_BOUNDARY = 3
 #: Ordinal of the FLIP's manifest replace in the op stream.
-SNAP_SAVE_FLIP_OP = 5
+SAVE_FLIP_OP = 5
 
 
 def make_config(n_shards=OLD_SHARDS, **overrides):
@@ -152,8 +152,8 @@ class TestReshardFileOpKillMatrix:
             f"fault point {fail_op}: reopened data diverged")
 
     def test_protocol_length_matches_matrix(self, tmp_path):
-        """The matrix covers every op: a fault-free reshard is 34 ops,
-        with the manifest replace at ordinal 13."""
+        """The matrix covers every op: a fault-free reshard is 26 ops,
+        with the manifest replace at ordinal 18."""
         path = tmp_path / "probe.d"
         build_phase1(path, make_config())
         ops = FaultInjectingFileOps()
@@ -164,22 +164,20 @@ class TestReshardFileOpKillMatrix:
             ["mkdir", "fsync_dir"]                    # STAGE: gen dir
             + ["copy_file"] * OLD_SHARDS + ["fsync_dir"]
             + ["unlink"] * OLD_SHARDS + ["fsync_dir"]  # BUILD: drop copies
-            + ["fsync_dir", "write_file", "replace",   # FLIP
-               "fsync_dir"]
-            + ["mkdir", "mkdir"]                       # SNAPSHOT: new gen
-            + ["copy_file"] * NEW_SHARDS
-            + ["fsync_dir", "fsync_dir", "fsync_dir"]
-            + ["unlink"] * OLD_SHARDS + ["fsync_dir"]  # CLEANUP: old gen
-            + ["unlink"] * OLD_SHARDS + ["rmdir"]      # stale snapshot
-            + ["fsync_dir", "fsync_dir"])              # snap root + dir
+            + ["copy_file"] * NEW_SHARDS + ["fsync_dir"]  # FLIP: bases
+            + ["write_file", "replace", "fsync_dir"]   # FLIP: manifest
+            + ["unlink"] * 2 * OLD_SHARDS + ["fsync_dir"])  # CLEANUP
         assert names[RESHARD_FLIP_OP - 1] == "replace"
-        # The staged build wrote nothing under snapshots/ before the
-        # flip; afterwards exactly the new generation's copies remain.
-        assert not any("snapshots" in op_path
-                       for _, op_path in ops.ops[:RESHARD_FLIP_OP])
-        assert [(snap.name, len(list(snap.iterdir())))
-                for snap in (path / "snapshots").iterdir()] \
-            == [("000002", NEW_SHARDS)]
+        # The new generation has its bases before it goes live; the old
+        # generation's files (bases included) are gone afterwards.
+        assert [op_path.rsplit("/", 1)[1]
+                for name, op_path in ops.ops[:RESHARD_FLIP_OP]
+                if name == "copy_file" and "gen-001" in op_path
+                and op_path.endswith(".base")] \
+            == [f"shard-{sid:03d}.pages.base" for sid in range(NEW_SHARDS)]
+        assert sorted(file.name for file in path.iterdir()) \
+            == ["engine.json", "gen-001"]
+        assert len(list((path / "gen-001").iterdir())) == 2 * NEW_SHARDS
 
     def test_crashed_reshard_then_retry_succeeds(self, tmp_path, oracle):
         """Debris from a mid-build crash never blocks the next attempt."""
@@ -205,36 +203,48 @@ class TestReshardFileOpKillMatrix:
 
 @pytest.fixture(scope="module")
 def save_oracles(tmp_path_factory):
-    """Pre-save and post-save oracle snapshots (fault-free runs)."""
+    """Never-saved (epoch 0), pre-save and post-save oracle snapshots
+    (fault-free runs)."""
+    empty_dir = tmp_path_factory.mktemp("oracle") / "empty.d"
     pre_dir = tmp_path_factory.mktemp("oracle") / "pre.d"
     post_dir = tmp_path_factory.mktemp("oracle") / "post.d"
+    ShardedEngine(make_config(), empty_dir, executor=SerialExecutor()).close()
     build_phase1(pre_dir, make_config())
     build_phase1(post_dir, make_config())
     with ShardedEngine.open(post_dir, make_config(),
                             executor=SerialExecutor()) as eng:
         eng.extend(PHASE_2())
         eng.save()
-    return {"pre": snapshot(pre_dir, OLD_SHARDS),
+    return {"empty": snapshot(empty_dir, OLD_SHARDS),
+            "pre": snapshot(pre_dir, OLD_SHARDS),
             "post": snapshot(post_dir, OLD_SHARDS)}
 
 
-class TestSnapshotSaveDeviceKillMatrix:
-    """Device kills at every in-place shard commit of a snapshot-enabled
-    save: always a clean rollback, never EpochTornError."""
+class TestSaveDeviceKillMatrix:
+    """Device kills at every in-place shard commit of a save: always a
+    clean rollback, never EpochTornError — for a directory's first save
+    too, where the state rolled back to is "empty"."""
 
+    @pytest.mark.parametrize("first_save", [False, True],
+                             ids=["second-save", "first-save"])
     @pytest.mark.parametrize("kill_shard", range(OLD_SHARDS))
     def test_kill_at_shard_commit_rolls_back(self, tmp_path, save_oracles,
-                                             kill_shard):
+                                             kill_shard, first_save):
         path = tmp_path / "victim.d"
-        build_phase1(path, make_config())
         devices = []
         faulty = dataclasses.replace(
             make_config(),
             device_factory=per_path_device_factory(
                 "shard", registry=devices))
-        eng = ShardedEngine.open(path, faulty, executor=SerialExecutor())
+        if first_save:
+            phase, pre, post = PHASE_1, "empty", "pre"
+            eng = ShardedEngine(faulty, path, executor=SerialExecutor())
+        else:
+            phase, pre, post = PHASE_2, "pre", "post"
+            build_phase1(path, make_config())
+            eng = ShardedEngine.open(path, faulty, executor=SerialExecutor())
         try:
-            eng.extend(PHASE_2())
+            eng.extend(phase())
             # Arm after ingestion so the kill lands on this shard's
             # first write of the commit phase — i.e. after every
             # earlier shard already committed the new epoch in place.
@@ -248,24 +258,25 @@ class TestSnapshotSaveDeviceKillMatrix:
                 eng.close()
             except (EngineError, OSError):
                 pass
-        # The previous epoch's snapshot (written while its files were
-        # clean) makes every arm — including the mixed middle — a
-        # rollback.
+        # The previous epoch's bases (written right after its commit) —
+        # or, before any save, the empty state — make every arm,
+        # including the mixed middle, a rollback, and scrub says so.
+        assert scrub_directory(path).ok
         first = snapshot(path, OLD_SHARDS)
-        assert first == save_oracles["pre"], (
+        assert first == save_oracles[pre], (
             f"kill at shard {kill_shard}: reopen is not the pre-save "
             f"state")
         # Recovery is idempotent and leaves a directory that can save.
         assert snapshot(path, OLD_SHARDS) == first
         with ShardedEngine.open(path, make_config(),
                                 executor=SerialExecutor()) as eng:
-            eng.extend(PHASE_2())
+            eng.extend(phase())
             eng.save()
-        assert snapshot(path, OLD_SHARDS) == save_oracles["post"]
+        assert snapshot(path, OLD_SHARDS) == save_oracles[post]
 
 
-class TestSnapshotSaveFileOpKillMatrix:
-    """File-op kills over the snapshot-enabled save protocol."""
+class TestSaveFileOpKillMatrix:
+    """File-op kills over the save protocol."""
 
     @staticmethod
     def crash_save_at(path, fail_op):
@@ -290,13 +301,12 @@ class TestSnapshotSaveFileOpKillMatrix:
             except (EngineError, OSError):
                 pass
 
-    @pytest.mark.parametrize("fail_op", range(1, SNAP_SAVE_FILE_OPS + 1))
+    @pytest.mark.parametrize("fail_op", range(1, SAVE_FILE_OPS + 1))
     def test_reopen_yields_pre_or_post_snapshot(self, tmp_path,
                                                 save_oracles, fail_op):
         path = tmp_path / "victim.d"
         self.crash_save_at(path, fail_op)
-        expected = "pre" if fail_op <= SNAP_SAVE_COMMIT_BOUNDARY \
-            else "post"
+        expected = "pre" if fail_op <= SAVE_COMMIT_BOUNDARY else "post"
         assert snapshot(path, OLD_SHARDS) == save_oracles[expected], (
             f"fault point {fail_op}: expected the {expected}-save "
             f"oracle")
@@ -304,13 +314,13 @@ class TestSnapshotSaveFileOpKillMatrix:
     def test_recovery_is_idempotent(self, tmp_path, save_oracles):
         """Crash, recover, and the directory keeps reopening identically."""
         path = tmp_path / "victim.d"
-        self.crash_save_at(path, SNAP_SAVE_FLIP_OP)  # dies mid-FLIP
+        self.crash_save_at(path, SAVE_FLIP_OP)  # dies mid-FLIP
         first = snapshot(path, OLD_SHARDS)
         assert first == snapshot(path, OLD_SHARDS) == save_oracles["post"]
         assert not (path / "engine.prepare.json").exists()
 
     def test_protocol_length_matches_matrix(self, tmp_path):
-        """Manifest protocol (8) + snapshot (8) + prune (5) = 21 ops."""
+        """Manifest protocol (8) + bases (3 copies, 1 fsync) = 12 ops."""
         path = tmp_path / "probe.d"
         build_phase1(path, make_config())
         ops = FaultInjectingFileOps()
@@ -320,13 +330,10 @@ class TestSnapshotSaveFileOpKillMatrix:
             eng.extend(PHASE_2())
             eng.save()
         names = [name for name, _ in ops.ops]
-        assert len(names) == SNAP_SAVE_FILE_OPS
+        assert len(names) == SAVE_FILE_OPS
         assert names == (
             ["write_file", "replace", "fsync_dir"]           # PREPARE
             + ["write_file", "replace", "fsync_dir"]         # FLIP
             + ["unlink", "fsync_dir"]                        # cleanup
-            + ["mkdir", "mkdir"] + ["copy_file"] * OLD_SHARDS  # SNAPSHOT
-            + ["fsync_dir", "fsync_dir", "fsync_dir"]
-            + ["unlink"] * OLD_SHARDS + ["rmdir",            # prune old
-               "fsync_dir"])                                 # snapshot
-        assert names[SNAP_SAVE_FLIP_OP - 1] == "replace"
+            + ["copy_file"] * OLD_SHARDS + ["fsync_dir"])    # bases
+        assert names[SAVE_FLIP_OP - 1] == "replace"

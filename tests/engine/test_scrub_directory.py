@@ -169,26 +169,25 @@ class TestTornEpochClassification:
         manifest = json.loads((saved_dir / "engine.json").read_text())
         tear_save(saved_dir)
         report = scrub_directory(saved_dir)
-        # The snapshot generation written before the crashed save makes
-        # the tear recoverable: a note naming the generation, not a
+        # The bases written by the save before the crashed one make the
+        # tear recoverable: a note naming the epoch they hold, not a
         # problem, and the scrub exits clean.
         assert report.ok
         note = next(note for note in report.notes if "RECOVERABLE" in note)
-        assert f"snapshot generation {manifest['epoch']:06d}" in note
+        assert f"passes the base rule at epoch {manifest['epoch']}" in note
         with ShardedEngine.open(saved_dir, make_config(),
                                 executor=SerialExecutor()) as eng:
             eng.check_integrity()
 
     def test_torn_epoch_without_snapshot_is_a_problem(self, saved_dir):
-        manifest = json.loads((saved_dir / "engine.json").read_text())
         tear_save(saved_dir)
-        # Damage from outside: one copy of the epoch snapshot is gone.
-        (saved_dir / "snapshots" / f"{manifest['epoch']:06d}"
-         / "shard-000.pages").unlink()
+        # Damage from outside: one base is gone.
+        (saved_dir / "shard-000.pages.base").unlink()
         report = scrub_directory(saved_dir)
         assert not report.ok
-        assert any("EpochTornError" in problem
-                   for problem in report.problems)
+        problem = next(problem for problem in report.problems
+                       if "EpochTornError" in problem)
+        assert "bases of shards [0]" in problem
         assert "PROBLEM" in report.render()
 
 

@@ -22,13 +22,18 @@ The workload deliberately crosses ``w_max`` window boundaries so kills
 land around slides as well as plain ingest.
 """
 
+import dataclasses
+import json
 import random
+import shutil
 
 import pytest
 
-from repro.core import Rect, SWSTConfig
-from repro.engine import (SerialExecutor, ShardedEngine, WorkerCrashError,
-                          WorkerEngine)
+from repro.core import Rect, SWSTConfig, SWSTIndex
+from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
+                          WorkerCrashError, WorkerEngine)
+from repro.engine.engine import base_is_valid
+from repro.storage import StorageError
 
 N_SHARDS = 3
 
@@ -279,20 +284,23 @@ class TestWalDeviceFaults:
                                                       oracle):
         """An injected fsync failure on the WAL barrier downs the
         worker pre-acknowledgement; recovery treats it like any kill."""
+        # Fsync ordinal 1: an epoch-0 respawn opens its shard with no
+        # file op, so the first fsync is the first batch's WAL barrier.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(1, {"wal_fsync_errors": {2: OSError("barrier")}})]})
+            path, {1: [(1, {"wal_fsync_errors": {1: OSError("barrier")}})]})
         assert crashes >= 1
         assert final == oracle["final"]
         assert reopened_state(path) == oracle["final"]
 
     def test_short_wal_append_tears_only_the_unacked_tail(self, tmp_path,
                                                           oracle):
-        # Op ordinal 4: the respawn's base refresh spends ops 1-3
-        # (write/replace/fsync_dir), so 4 is the first WAL append.
+        # Op ordinal 1: an epoch-0 respawn opens its shard with no file
+        # op (there is no base to refresh yet), so 1 is the first WAL
+        # append.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(1, {"wal_short_writes": {4: 9}})]})
+            path, {1: [(1, {"wal_short_writes": {1: 9}})]})
         assert crashes >= 1
         assert final == oracle["final"]
 
@@ -311,3 +319,65 @@ class TestInterop:
         with ShardedEngine.open(path, config,
                                 executor=SerialExecutor()) as eng:
             assert state_of(eng) == oracle["saved"]
+
+    def test_sharded_engine_refuses_unsaved_worker_writes(self, tmp_path,
+                                                          oracle):
+        """Writes acknowledged into the WALs after the last save live
+        nowhere else: the in-process open refuses the directory instead
+        of serving (and, on its next save, making permanent) the saved
+        epoch without them."""
+        config = make_config()
+        path = tmp_path / "victim.d"
+        with WorkerEngine(config, str(path)) as eng:
+            drive(eng, PHASE_1())
+            drive(eng, PHASE_2())
+            eng.save()
+            drive(eng, PHASE_3())
+        before = {file: file.read_bytes()
+                  for file in path.rglob("*") if file.is_file()}
+        with pytest.raises(EngineError, match="WorkerEngine and save"):
+            ShardedEngine.open(str(path), config, executor=SerialExecutor())
+        assert {file: file.read_bytes() for file in path.rglob("*")
+                if file.is_file()} == before
+        assert reopened_state(str(path)) == oracle["final"]
+
+
+def bases_valid(path):
+    gens = json.loads((path / "engine.json").read_text())["shards"]
+    return [base_is_valid(str(path), sid, gen)
+            for sid, gen in enumerate(gens)]
+
+
+class TestBaseRule:
+    def test_bases_past_the_manifest_are_regained_at_open(self, tmp_path,
+                                                          oracle):
+        """Older code refreshed each base at every worker start, after
+        opening had moved the page file past the manifest's generation,
+        so its bases fail the rule.  ``open()`` saves once, which writes
+        valid ones; a shard poisoned after that restores its base and
+        replays its WAL."""
+        config = make_config()
+        path = tmp_path / "victim.d"
+        with WorkerEngine(config, str(path)) as eng:
+            drive(eng, PHASE_1())
+            drive(eng, PHASE_2())
+            eng.save()
+        for sid in range(N_SHARDS):
+            page = path / f"shard-{sid:03d}.pages"
+            SWSTIndex.open(str(page), config).close()
+            shutil.copyfile(page, path / f"shard-{sid:03d}.pages.base")
+        assert bases_valid(path) == [False] * N_SHARDS
+        # A tiny buffer pool makes the session evict pages past each
+        # committed generation; a worker stops like a crash, so storage
+        # recovery then refuses every page file.
+        small = dataclasses.replace(config, buffer_capacity=2,
+                                    node_cache_capacity=2)
+        with WorkerEngine.open(str(path), small) as eng:
+            assert eng.epoch == 2
+            assert state_of(eng) == oracle["saved"]
+            drive(eng, PHASE_3())
+        assert bases_valid(path) == [True] * N_SHARDS
+        for sid in range(N_SHARDS):
+            with pytest.raises(StorageError):
+                SWSTIndex.open(str(path / f"shard-{sid:03d}.pages"), config)
+        assert reopened_state(str(path)) == oracle["final"]

@@ -58,11 +58,15 @@ def wire_bytes(response):
 READ_QUERY = post("/query", {"area": [0, 0, 49, 49], "t_lo": 0, "t_hi": 0})
 
 
-def snapshot_listing(directory):
-    """``{epoch dir name: file count}`` under ``snapshots/``."""
-    root = os.path.join(directory, "snapshots")
-    return {name: len(os.listdir(os.path.join(root, name)))
-            for name in os.listdir(root)}
+def base_listing(directory):
+    """``{subdirectory: base file count}`` for every directory holding
+    shard bases (``"."`` is generation 0, at the root)."""
+    counts = {}
+    for root, _, names in os.walk(directory):
+        count = sum(name.endswith(".pages.base") for name in names)
+        if count:
+            counts[os.path.relpath(root, directory)] = count
+    return counts
 
 
 class BuildGate:
@@ -84,7 +88,7 @@ class BuildGate:
         commit = GenerationBuild.commit
 
         def watched(build):
-            self.snapshots_at_flip = snapshot_listing(build._dir)
+            self.bases_at_flip = base_listing(build._dir)
             return commit(build)
 
         monkeypatch.setattr(GenerationBuild, "commit", watched)
@@ -169,11 +173,11 @@ def test_reads_identical_and_writes_absorbed_mid_build(tmp_path,
         report = flip.payload
         assert report["old_n_shards"] == OLD_SHARDS
         assert report["n_shards"] == NEW_SHARDS
-        # The staged build left the frozen epoch's snapshot alone; the
-        # flip replaced it with exactly the new generation's copies.
-        assert gate.snapshots_at_flip == {"000001": OLD_SHARDS}
-        assert snapshot_listing(str(tmp_path / "online.d")) \
-            == {"000002": NEW_SHARDS}
+        # The staged build left the frozen epoch's bases alone and wrote
+        # none of its own; the flip left exactly the new generation's.
+        assert gate.bases_at_flip == {".": OLD_SHARDS}
+        assert base_listing(str(tmp_path / "online.d")) \
+            == {"gen-001": NEW_SHARDS}
 
         # Post-flip: the same entry set (merge order and physical stats
         # legitimately change with the shard count), and the journaled
