@@ -49,6 +49,7 @@ replaying a valid log never raises.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import struct
 import zlib
@@ -67,7 +68,7 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHHQ")
 _FIXED = struct.Struct("<IQB")
 _CRC = struct.Struct("<I")
-_ARG = struct.Struct("<q")
+_ARG_SIZE = struct.calcsize("<q")
 
 HEADER_SIZE = _HEADER.size
 
@@ -108,6 +109,13 @@ def base_file_name(shard_id: int) -> str:
     return f"shard-{shard_id:03d}.pages.base"
 
 
+@functools.lru_cache(maxsize=1024)
+def _args_struct(n_args: int) -> struct.Struct:
+    """The payload layout of a record with ``n_args`` arguments (a run
+    record's count varies with its report count, hence the bound)."""
+    return struct.Struct(f"<{n_args}q")
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class WalRecord:
     """One logged operation: a sequence number, an op code, int args."""
@@ -117,9 +125,10 @@ class WalRecord:
     args: tuple[int, ...]
 
     def encode(self) -> bytes:
-        payload = b"".join(_ARG.pack(arg) for arg in self.args)
-        fixed = _FIXED.pack(len(self.args), self.seq, self.op)
-        return fixed + payload + _CRC.pack(zlib.crc32(fixed + payload))
+        n_args = len(self.args)
+        body = _FIXED.pack(n_args, self.seq, self.op) \
+            + _args_struct(n_args).pack(*self.args)
+        return body + _CRC.pack(zlib.crc32(body))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -161,14 +170,14 @@ def _decode_one(blob: bytes, offset: int) -> tuple[WalRecord, int] | None:
     if end > len(blob):
         return None
     n_args, seq, op = _FIXED.unpack_from(blob, offset)
-    body_end = end + n_args * _ARG.size
+    body_end = end + n_args * _ARG_SIZE
     crc_end = body_end + _CRC.size
     if crc_end > len(blob):
         return None
     (crc,) = _CRC.unpack_from(blob, body_end)
     if zlib.crc32(blob[offset:body_end]) != crc:
         return None
-    args = tuple(arg for (arg,) in _ARG.iter_unpack(blob[end:body_end]))
+    args = _args_struct(n_args).unpack_from(blob, end)
     return WalRecord(seq, op, args), crc_end
 
 
@@ -307,16 +316,19 @@ class WalWriter:
         return cls(path, ops, epoch)
 
     @classmethod
-    def resume(cls, path: str,
-               fops: FileOps | None = None) -> tuple["WalWriter", WalScan]:
+    def resume(cls, path: str, fops: FileOps | None = None,
+               scan: WalScan | None = None) -> tuple["WalWriter", WalScan]:
         """Open an existing WAL for appending after replaying it.
 
         Truncates a torn tail (unacknowledged bytes) so the next append
         starts on a record boundary, and continues the sequence numbers
-        where the valid prefix ended.
+        where the valid prefix ended.  ``scan`` is the caller's
+        :func:`read_wal` of ``path``, if it has one: recovery decodes
+        the log once.
         """
         ops = fops if fops is not None else DURABLE_FILE_OPS
-        scan = read_wal(path)
+        if scan is None:
+            scan = read_wal(path)
         if scan.torn:
             ops.truncate_file(path, scan.valid_bytes)
         next_seq = scan.records[-1].seq + 1 if scan.records else 0

@@ -21,7 +21,9 @@ therefore *always* shuts its shard down with
 SIGKILL leave the same on-disk state, and restart recovery is one code
 path, not two.
 
-**Recovery (worker start).**
+**Recovery (worker start).**  :meth:`WorkerBackend.start` forks every
+worker before it collects any handshake (in shard order), so the
+shards' WAL replays overlap; a restart of one shard is unchanged.
 
 1. Open the shard exactly as the in-process backend does
    (:func:`~repro.engine.engine.open_shard`): the page file, or — if
@@ -30,8 +32,8 @@ path, not two.
    page file taken right after the epoch commit, provided its
    generation is the one the manifest records.  The base and the WAL
    therefore always describe the same starting state.
-2. Read the WAL: epoch behind the manifest -> stale (its ops are inside
-   the committed state), reset it; epoch equal -> replay every
+2. Read the WAL once: epoch behind the manifest -> stale (its ops are
+   inside the committed state), reset it; epoch equal -> replay every
    record; epoch ahead -> refuse (typed
    :class:`~repro.engine.errors.WalCorruptError`).
 
@@ -190,7 +192,7 @@ def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
                     wal_path, f"claims epoch {scan.epoch} ahead of "
                               f"manifest epoch {epoch}")
             if scan.epoch == epoch:
-                writer, scan = WalWriter.resume(wal_path, fops)
+                writer, _ = WalWriter.resume(wal_path, fops, scan)
                 kill_after = spec.get("kill_at_replay")
                 for record in scan.records:
                     apply_record(shard, record)
@@ -335,14 +337,16 @@ class _Handle:
     process: Any
     conn: "Connection"
     pending: int = 0
+    #: Set once :meth:`WorkerPool.spawn` collected the ready handshake.
+    ready: bool = False
 
 
 class WorkerPool:
     """Supervised pool of per-shard worker processes.
 
-    Owns process lifecycle only: spawn (with WAL recovery handshake),
-    synchronous request/response over a private pipe, heartbeat
-    deadlines, kill and graceful stop.  Restart *policy* — retries,
+    Owns process lifecycle only: launch (fork, no wait), spawn (the
+    WAL recovery handshake), synchronous request/response over a
+    private pipe, heartbeat deadlines, kill and graceful stop.  Restart *policy* — retries,
     breakers, engine resynchronisation — lives in
     :class:`WorkerEngine`, which records outcomes on the gathering side
     (nothing here mutates engine state from a task).
@@ -375,16 +379,16 @@ class WorkerPool:
         self._ctx = _mp_context()
 
     def alive(self, shard_id: int) -> bool:
+        """A worker that has handshaken and not died since."""
         handle = self._handles.get(shard_id)
-        return handle is not None and handle.process.is_alive()
+        return handle is not None and handle.ready \
+            and handle.process.is_alive()
 
-    def spawn(self, shard_id: int) -> dict[str, Any]:
-        """Start (or restart) one worker; returns its ready info.
-
-        The ready handshake completes WAL recovery first, so a returned
-        worker is fully caught up to its acknowledged state.
-        """
-        if self.alive(shard_id):
+    def launch(self, shard_id: int) -> None:
+        """Fork one worker without waiting: it recovers while the caller
+        launches its siblings, and :meth:`spawn` collects its handshake."""
+        handle = self._handles.get(shard_id)
+        if handle is not None and handle.process.is_alive():
             raise EngineError(f"worker {shard_id} is already running")
         self._discard(shard_id)
         spec = self.fault_specs.get(shard_id)
@@ -405,9 +409,20 @@ class WorkerPool:
             daemon=True, name=f"swst-shard-{shard_id}")
         process.start()
         child_conn.close()
-        handle = _Handle(process, parent_conn)
-        self._handles[shard_id] = handle
+        self._handles[shard_id] = _Handle(process, parent_conn)
         self.spawn_counts[shard_id] += 1
+
+    def spawn(self, shard_id: int) -> dict[str, Any]:
+        """Start (or restart) one worker; returns its ready info.
+
+        Collects the handshake of a worker :meth:`launch` forked, or
+        launches one first.  A worker sends it after WAL recovery, so a
+        returned worker is fully caught up to its acknowledged state.
+        """
+        handle = self._handles.get(shard_id)
+        if handle is None or handle.ready:
+            self.launch(shard_id)
+            handle = self._handles[shard_id]
         tag, value = self._recv(shard_id, handle)
         if tag == "fatal":
             self._discard(shard_id)
@@ -420,6 +435,7 @@ class WorkerPool:
             self._discard(shard_id)
             raise WorkerCrashError(shard_id,
                                    f"unexpected handshake {tag!r}")
+        handle.ready = True
         info: dict[str, Any] = value
         return info
 
@@ -612,9 +628,13 @@ class WorkerBackend:
         return self.config.n_shards
 
     def start(self, manifest: dict[str, Any]) -> None:
-        """Spawn every worker against ``manifest``'s generation."""
+        """Launch every worker against ``manifest``'s generation, then
+        collect the handshakes in shard order: the WAL replays overlap,
+        and each handshake is the first attempt of its restart policy."""
         self.pool.generation = manifest["generation"]
         try:
+            for shard_id in range(self.n_shards):
+                self.pool.launch(shard_id)
             for shard_id in range(self.n_shards):
                 self._ensure(shard_id)
         except BaseException:

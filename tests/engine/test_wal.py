@@ -46,6 +46,22 @@ class TestCodec:
             WalRecord(1, OP_ADVANCE, (11,)),
         )
 
+    def test_record_bytes_are_pinned(self):
+        # u32 n_args | u64 seq | u8 op | n_args x i64 | u32 crc, all
+        # little-endian: the layout every existing log was written in.
+        insert = WalRecord(41, OP_INSERT, (7, 12, 34, 500, NONE_ARG))
+        assert insert.encode().hex() == (
+            "05000000" "2900000000000000" "02"
+            "0700000000000000" "0c00000000000000" "2200000000000000"
+            "f401000000000000" "ffffffffffffffff" "14fdf26d")
+        run = WalRecord(42, OP_RUN, (120, 3, 40, 41, 118, 9, -5, 7, 120))
+        assert run.encode().hex() == (
+            "09000000" "2a00000000000000" "07"
+            "7800000000000000" "0300000000000000" "2800000000000000"
+            "2900000000000000" "7600000000000000" "0900000000000000"
+            "fbffffffffffffff" "0700000000000000" "7800000000000000"
+            "7e37342c")
+
     def test_negative_args_roundtrip(self, tmp_path):
         path = str(tmp_path / "w.wal")
         writer = WalWriter.reset(path, epoch=0)
