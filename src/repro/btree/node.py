@@ -15,12 +15,17 @@ Page layout (little-endian):
 Keys are unsigned integers stored big-endian in ``KEY_BYTES`` bytes, so the
 byte order matches numeric order.  SWST keys (s-partition ⊕ d-partition ⊕
 Z-value) fit comfortably in 128 bits.
+
+Parsing reads every slot with one cached :class:`struct.Struct` (a key as
+two big-endian u64 halves, ``hi << 64 | lo``) and refuses a page whose
+``nkeys`` slots would run past its end with :class:`NodeFormatError`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cache
 
 KEY_BYTES = 16
 KEY_MAX = (1 << (8 * KEY_BYTES)) - 1
@@ -31,6 +36,9 @@ INTERNAL_TYPE = 2
 _LEAF_HEADER = struct.Struct("<BHQ")      # type, nkeys, next_leaf
 _INTERNAL_HEADER = struct.Struct("<BHQ")  # type, nkeys, child_0
 _CHILD = struct.Struct("<Q")
+# An internal slot, read twice: once for its key, once for its child.
+_INTERNAL_KEY = struct.Struct(">QQ8x")
+_INTERNAL_CHILD = struct.Struct("<16xQ")
 
 
 class NodeFormatError(ValueError):
@@ -53,8 +61,23 @@ def _encode_key(key: int) -> bytes:
     return key.to_bytes(KEY_BYTES, "big")
 
 
-def _decode_key(raw: bytes | memoryview) -> int:
-    return int.from_bytes(raw, "big")
+@cache
+def _leaf_slot(value_size: int) -> struct.Struct:
+    """One leaf slot: the key's high and low u64, then the value.  A
+    tree's value size never changes, so the cache holds one ``Struct``
+    per value size in use."""
+    return struct.Struct(f">QQ{value_size}s")
+
+
+def _slots(raw: bytes, header: int, nkeys: int, step: int,
+           kind: str) -> memoryview:
+    """The ``nkeys`` slots after the header; an overrun is refused."""
+    end = header + nkeys * step
+    if end > len(raw):
+        raise NodeFormatError(
+            f"{kind} page claims {nkeys} slots ({end} bytes) but holds "
+            f"{len(raw)} bytes")
+    return memoryview(raw)[header:end]
 
 
 @dataclass
@@ -86,15 +109,14 @@ class LeafNode:
         node_type, nkeys, next_leaf = _LEAF_HEADER.unpack_from(raw)
         if node_type != LEAF_TYPE:
             raise NodeFormatError(f"expected leaf page, got type {node_type}")
+        slot = _leaf_slot(value_size)
         keys: list[int] = []
         values: list[bytes] = []
-        offset = _LEAF_HEADER.size
-        step = KEY_BYTES + value_size
-        view = memoryview(raw)
-        for _ in range(nkeys):
-            keys.append(_decode_key(view[offset:offset + KEY_BYTES]))
-            values.append(bytes(view[offset + KEY_BYTES:offset + step]))
-            offset += step
+        add_key, add_value = keys.append, values.append
+        for hi, lo, value in slot.iter_unpack(
+                _slots(raw, _LEAF_HEADER.size, nkeys, slot.size, "leaf")):
+            add_key(hi << 64 | lo)
+            add_value(value)
         return cls(keys=keys, values=values, next_leaf=next_leaf)
 
 
@@ -131,16 +153,11 @@ class InternalNode:
         if node_type != INTERNAL_TYPE:
             raise NodeFormatError(
                 f"expected internal page, got type {node_type}")
-        keys: list[int] = []
-        children: list[int] = [child0]
-        offset = _INTERNAL_HEADER.size
-        step = KEY_BYTES + _CHILD.size
-        view = memoryview(raw)
-        for _ in range(nkeys):
-            keys.append(_decode_key(view[offset:offset + KEY_BYTES]))
-            (child,) = _CHILD.unpack_from(view, offset + KEY_BYTES)
-            children.append(child)
-            offset += step
+        view = _slots(raw, _INTERNAL_HEADER.size, nkeys,
+                      _INTERNAL_KEY.size, "internal")
+        keys = [hi << 64 | lo for hi, lo in _INTERNAL_KEY.iter_unpack(view)]
+        children = [child0]
+        children += [child for (child,) in _INTERNAL_CHILD.iter_unpack(view)]
         return cls(keys=keys, children=children)
 
 

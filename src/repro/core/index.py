@@ -34,7 +34,8 @@ from .keys import KeyCodec
 from .memo import CellMemo
 from .overlap import ColumnOverlap, classify_interval
 from .plan import PlanCache, PlanEntry, QueryPlan, build_query_plan
-from .records import RECORD_SIZE, Entry, Rect, ReportLike, pack_record
+from .records import (RECORD_SIZE, Entry, Rect, ReportLike, pack_record,
+                      record_xy)
 from .results import MultiQueryResult, QueryResult, QueryStats
 
 _CATALOG_HEADER = struct.Struct("<QQQI")       # clock, drop_epoch, size, n_cells
@@ -1154,8 +1155,10 @@ class SWSTIndex:
         :class:`~repro.storage.errors.CorruptPageFileError` rather than
         producing an index that answers queries from garbage.
 
-        The isPresent memos are rebuilt by scanning the trees (they are an
-        in-memory acceleration structure; the paper stores them in RAM too).
+        The isPresent memos are not stored (the paper keeps them in RAM
+        too): one leaf-chain pass per tree derives each entry's memo cell
+        from its key and reads only ``(x, y)`` from its record
+        (:meth:`_rebuild_memos`).
         """
         index = cls.__new__(cls)
         index.config = config
@@ -1246,17 +1249,21 @@ class SWSTIndex:
                 f"its last table")
 
     def _rebuild_memos(self) -> None:
-        for key, trees in self._trees.items():
-            memo = self._memos[key]
+        """Derive every memo in one leaf-chain pass per tree.
+
+        An entry's memo cell is the ``(s_part, d_part)`` prefix of its own
+        key (:meth:`KeyCodec.split`), so only ``(x, y)`` is read from the
+        record; :meth:`check_integrity` is the oracle that key and record
+        agree.
+        """
+        split = self.codec.split
+        for cell, trees in self._trees.items():
+            add = self._memos[cell].add
             for tree in trees:
                 if tree is None:
                     continue
-                for _, payload in tree.items():
-                    entry = Entry.unpack(payload)
-                    d_key = self._d_key(entry.d)
-                    memo.add(self.config.s_partition(entry.s),
-                             self.config.d_partition(d_key),
-                             entry.x, entry.y)
+                for key, payload in tree.items():
+                    add(*split(key), *record_xy(payload))
 
     # -- lifecycle ----------------------------------------------------------------
 

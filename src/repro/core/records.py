@@ -41,6 +41,10 @@ _RECORD = struct.Struct("<QIIQQ")  # oid, x, y, s, d
 #: Fixed byte width of a serialised entry (B+ tree value payload).
 RECORD_SIZE = _RECORD.size
 
+#: ``(x, y)`` of a record payload without decoding the rest of it — all
+#: that rebuilding a memo needs once the key has given the temporal cell.
+record_xy = struct.Struct("<8xII").unpack_from
+
 
 def pack_record(oid: int, x: int, y: int, s: int, d: int | None) -> bytes:
     """The :data:`RECORD_SIZE`-byte payload of ``Entry(oid, x, y, s, d)``."""

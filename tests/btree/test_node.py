@@ -1,10 +1,13 @@
 """B+ tree node serialisation round-trips and capacity arithmetic."""
 
+import struct
+
 import pytest
 
-from repro.btree.node import (InternalNode, KEY_MAX, LeafNode,
-                              NodeFormatError, internal_capacity,
+from repro.btree.node import (INTERNAL_TYPE, InternalNode, KEY_MAX, LEAF_TYPE,
+                              LeafNode, NodeFormatError, internal_capacity,
                               leaf_capacity, node_type_of)
+from repro.core.records import RECORD_SIZE, pack_record
 
 PAGE = 1024
 VALUE = 16
@@ -87,3 +90,87 @@ class TestCapacities:
             node_type_of(b"\x07" + b"\x00" * 100)
         with pytest.raises(NodeFormatError):
             node_type_of(b"")
+
+
+def _claim_nkeys(raw: bytes, nkeys: int) -> bytes:
+    """``raw`` with its header's ``nkeys`` overwritten."""
+    return raw[:1] + struct.pack("<H", nkeys) + raw[3:]
+
+
+class TestOverrunRefused:
+    """A page whose ``nkeys`` slots run past its end is refused, never
+    padded with zero keys and short values or left to ``struct.error``."""
+
+    def test_leaf_nkeys_past_capacity(self):
+        cap = leaf_capacity(PAGE, VALUE)
+        raw = LeafNode(keys=list(range(cap)),
+                       values=[b"v" * VALUE] * cap).to_bytes(PAGE, VALUE)
+        assert LeafNode.from_bytes(raw, VALUE).keys == list(range(cap))
+        with pytest.raises(NodeFormatError, match="claims"):
+            LeafNode.from_bytes(_claim_nkeys(raw, cap + 1), VALUE)
+
+    def test_internal_nkeys_past_capacity(self):
+        cap = internal_capacity(PAGE)
+        raw = InternalNode(keys=list(range(cap)),
+                           children=list(range(cap + 1))).to_bytes(PAGE)
+        assert InternalNode.from_bytes(raw).children == list(range(cap + 1))
+        with pytest.raises(NodeFormatError, match="claims"):
+            InternalNode.from_bytes(_claim_nkeys(raw, cap + 1))
+
+
+# Golden SWST pages at page_size 2048: the used prefix of each page, as the
+# encoder wrote it before the one-struct-per-slot parser; the rest of the
+# page is zero padding.
+GOLDEN_PAGE = 2048
+GOLDEN_LEAF_KEYS = [0, 2**42 - 1, 2**42 - 1, KEY_MAX]
+GOLDEN_LEAF_VALUES = [
+    pack_record(1, 0, 0, 0, None),
+    pack_record(2**40 + 3, 9999, 12345, 2**33, 77),
+    pack_record(7, 1, 2, 3, 4),
+    pack_record(2**64 - 1, 2**32 - 1, 2**32 - 1, 2**64 - 1, 2**64 - 1),
+]
+GOLDEN_LEAF_NEXT = 2**33 + 5
+GOLDEN_LEAF = bytes.fromhex(
+    "0104000500000002000000"
+    "00000000000000000000000000000000"
+    "0100000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000003ffffffffff"
+    "03000000000100000f2700003930000000000000020000004d00000000000000"
+    "0000000000000000000003ffffffffff"
+    "0700000000000000010000000200000003000000000000000400000000000000"
+    "ffffffffffffffffffffffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+).ljust(GOLDEN_PAGE, b"\x00")
+GOLDEN_INTERNAL_KEYS = [2**42 - 1, 2**64, KEY_MAX - 1]
+GOLDEN_INTERNAL_CHILDREN = [2**32 + 1, 2**40 + 7, 2**63 + 3, 5]
+GOLDEN_INTERNAL = bytes.fromhex(
+    "0203000100000001000000"
+    "0000000000000000000003ffffffffff" "0700000000010000"
+    "00000000000000010000000000000000" "0300000000000080"
+    "fffffffffffffffffffffffffffffffe" "0500000000000000"
+).ljust(GOLDEN_PAGE, b"\x00")
+
+
+class TestGoldenPages:
+    def test_leaf_parses_to_its_fields(self):
+        node = LeafNode.from_bytes(GOLDEN_LEAF, RECORD_SIZE)
+        assert node.keys == GOLDEN_LEAF_KEYS
+        assert node.values == GOLDEN_LEAF_VALUES
+        assert node.next_leaf == GOLDEN_LEAF_NEXT
+        assert node_type_of(GOLDEN_LEAF) == LEAF_TYPE
+
+    def test_leaf_fields_encode_to_golden(self):
+        node = LeafNode(keys=GOLDEN_LEAF_KEYS, values=GOLDEN_LEAF_VALUES,
+                        next_leaf=GOLDEN_LEAF_NEXT)
+        assert node.to_bytes(GOLDEN_PAGE, RECORD_SIZE) == GOLDEN_LEAF
+
+    def test_internal_parses_to_its_fields(self):
+        node = InternalNode.from_bytes(GOLDEN_INTERNAL)
+        assert node.keys == GOLDEN_INTERNAL_KEYS
+        assert node.children == GOLDEN_INTERNAL_CHILDREN
+        assert node_type_of(GOLDEN_INTERNAL) == INTERNAL_TYPE
+
+    def test_internal_fields_encode_to_golden(self):
+        node = InternalNode(keys=GOLDEN_INTERNAL_KEYS,
+                            children=GOLDEN_INTERNAL_CHILDREN)
+        assert node.to_bytes(GOLDEN_PAGE) == GOLDEN_INTERNAL
