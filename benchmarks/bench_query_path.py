@@ -109,11 +109,11 @@ def run_query_path_bench(params=None) -> dict:
         base_secs, base_results, base_stats = _run_scalar(
             index, panels, t_lo, t_hi)
 
-        index._plans = PlanCache(params.index.plan_cache_size)
+        index._plans = PlanCache()
         cached_secs, cached_results, cached_stats = _run_scalar(
             index, panels, t_lo, t_hi)
 
-        index._plans = PlanCache(params.index.plan_cache_size)
+        index._plans = PlanCache()
         many_secs, many_results, many_stats = _run_batched(
             index, panels, t_lo, t_hi)
     finally:

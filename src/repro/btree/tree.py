@@ -69,7 +69,7 @@ class BPlusTree:
 
     # -- page helpers --------------------------------------------------------
     #
-    # All node IO goes through the buffer pool's decoded-node cache: a
+    # All node IO goes through the buffer pool's node API: a
     # fetch returns the *shared* cached object and a write publishes it
     # (serialisation is deferred to eviction/flush).  Tree code therefore
     # always follows an in-place mutation of a node with a ``_write_*``

@@ -44,12 +44,9 @@ class SWSTConfig:
         space: spatial domain as a closed rectangle.
         s_partitions: s-partitions per window; defaults to ``⌈Wmax / L⌉``.
         page_size: disk page size in bytes.
-        buffer_capacity: buffer pool capacity in pages.
-        node_cache_capacity: capacity of the decoded-node object cache
-            (``None`` mirrors ``buffer_capacity``; ``0`` disables the
-            cache, forcing a parse per fetch and a serialisation per
-            write — the A/B baseline for the hot-path benchmark).  Has no
-            effect on logical node-access counts.
+        buffer_capacity: buffer pool capacity in pages (B+ tree nodes
+            are cached decoded).  Has no effect on logical node-access
+            counts.
         spatial_keys: include the Z-curve spatial bits in B+ tree keys
             (disable only for the ablation study of Section V-D.1).
         use_memo: prune temporal cells with the isPresent memo (disable
@@ -60,13 +57,6 @@ class SWSTConfig:
             :class:`~repro.core.index.SWSTIndex` ignores this (it is
             always one shard); the engine requires it to match the
             on-disk shard directory.
-        plan_cache_size: capacity of the compiled query-plan cache
-            (entries), both per index and at the engine front end.
-            ``0`` disables plan caching, forcing temporal
-            classification and column-overlap derivation on every
-            query — the A/B baseline for the query-path benchmark.
-            Has no effect on query results or logical node-access
-            counts.
         device_factory: optional ``(path, page_size) -> PageDevice``
             callable; when set, the index builds its pager on the returned
             device instead of opening ``path`` directly.  Used to plug a
@@ -85,11 +75,9 @@ class SWSTConfig:
     s_partitions: int | None = None
     page_size: int = 8192
     buffer_capacity: int = 512
-    node_cache_capacity: int | None = None
     spatial_keys: bool = True
     use_memo: bool = True
     n_shards: int = 1
-    plan_cache_size: int = 128
     device_factory: Callable[[str, int], Any] | None = \
         field(default=None, compare=False, repr=False)
 
@@ -119,14 +107,8 @@ class SWSTConfig:
         if self.buffer_capacity < 1:
             raise ValueError(f"buffer_capacity must be >= 1, got "
                              f"{self.buffer_capacity}")
-        if self.node_cache_capacity is not None \
-                and self.node_cache_capacity < 0:
-            raise ValueError("node_cache_capacity must be >= 0 or None")
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.plan_cache_size < 0:
-            raise ValueError(f"plan_cache_size must be >= 0, got "
-                             f"{self.plan_cache_size}")
 
     # -- derived quantities --------------------------------------------------
     # Once per config object: ``cached_property`` fills the instance dict

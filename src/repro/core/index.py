@@ -75,9 +75,7 @@ class SWSTIndex:
         self.config = config if config is not None else SWSTConfig()
         self.pager = _build_pager(self.config, path)
         try:
-            self.pool = BufferPool(
-                self.pager, self.config.buffer_capacity,
-                node_capacity=self.config.node_cache_capacity)
+            self.pool = BufferPool(self.pager, self.config.buffer_capacity)
         except BaseException:
             self.pager.close()
             raise
@@ -88,7 +86,7 @@ class SWSTIndex:
         self._memos: dict[tuple[int, int], CellMemo] = {}
         self._current: dict[int, tuple[int, int, int]] = {}
         self._retentions: dict[int, int] = {}
-        self._plans = PlanCache(self.config.plan_cache_size)
+        self._plans = PlanCache()
         self._clock = 0
         self._drop_epoch = 0
         self._size = 0
@@ -153,11 +151,11 @@ class SWSTIndex:
         This is the batched ingestion path: reports are consumed in chunks
         of ``batch_size`` and, within each chunk, grouped by spatial cell
         before the per-cell B+ trees are descended, so consecutive
-        insertions into the same cell hit the decoded-node cache instead of
-        re-parsing the same root-to-leaf path.  The resulting index state
-        (entries, current table, memos, size, clock) is identical to
-        per-report :meth:`insert`; only tree page layout and physical IO
-        may differ.
+        insertions into the same cell hit the buffer pool's cached nodes
+        instead of re-parsing the same root-to-leaf path.  The resulting
+        index state (entries, current table, memos, size, clock) is
+        identical to per-report :meth:`insert`; only tree page layout and
+        physical IO may differ.
 
         Returns the number of reports ingested.
         """
@@ -1164,8 +1162,7 @@ class SWSTIndex:
         index.config = config
         index.pager = _build_pager(config, path)
         try:
-            index.pool = BufferPool(index.pager, config.buffer_capacity,
-                                    node_capacity=config.node_cache_capacity)
+            index.pool = BufferPool(index.pager, config.buffer_capacity)
             index.codec = KeyCodec(config)
             index.grid = SpatialGrid(config.space, config.x_partitions,
                                      config.y_partitions)
@@ -1173,7 +1170,7 @@ class SWSTIndex:
             index._memos = {}
             index._current = {}
             index._retentions = {}
-            index._plans = PlanCache(config.plan_cache_size)
+            index._plans = PlanCache()
             index._clock = 0
             index._drop_epoch = 0
             index._size = 0

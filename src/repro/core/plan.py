@@ -28,8 +28,9 @@ but they do change the per-cell *isPresent* memos, so the memo-pruned
 key ranges cached alongside each plan carry the owning memo's
 generation counter and are recomputed on mismatch.  Only
 :class:`~repro.core.index.SWSTIndex`'s own query methods carry a
-:class:`PlanEntry`; the engine shares a bare plan in-process (workers
-derive theirs from the signature), so the served path never memoises ranges.
+:class:`PlanEntry`; the engine derives one bare plan per fan-out and
+caches nothing (workers derive theirs from the signature), so the served
+path never memoises plans or ranges.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ class PlanCache:
 
     __slots__ = ("capacity", "hits", "misses", "_entries")
 
-    def __init__(self, capacity: int) -> None:
+    #: Plans an index keeps (distinct temporal signatures).
+    DEFAULT_CAPACITY = 128
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity

@@ -24,8 +24,9 @@ class QueryStats:
         full_hits: candidates accepted without any predicate evaluation
             because both their temporal cell and spatial cell overlap fully.
         plan_cache_hits: queries (or batch evaluations) that reused a
-            compiled query plan from the plan cache instead of
-            re-deriving the temporal classification.
+            compiled query plan from an ``SWSTIndex``'s plan cache
+            instead of re-deriving the temporal classification (always
+            0 on engine answers: the engine caches no plans).
         degraded: True if the result was produced in degraded mode — a
             sharded query ran with ``strict=False`` and at least one
             shard failed, so the entries cover only the surviving shards.

@@ -2,15 +2,14 @@
 
 The engine partitions the spatial grid's cell space across
 ``config.n_shards`` independent :class:`~repro.core.index.SWSTIndex`
-shards — each with its own page file, pager, buffer pool and
-decoded-node cache — using the deterministic
-:class:`~repro.engine.sharding.GridShardMap`.  The SWST layers share
-nothing between spatial cells, so sharding needs exactly one piece of
-cross-shard logic — the current-entry protocol (finalise an object's
-previous ``ND`` entry wherever it lives, then insert the new one) —
-plus lockstep slides and a merge.  A single-shard engine degenerates to
-byte-identical behaviour (entries, results, logical node accesses) of a
-plain ``SWSTIndex`` fed the same stream.
+shards — each with its own page file, pager and buffer pool — using
+the deterministic :class:`~repro.engine.sharding.GridShardMap`.  The
+SWST layers share nothing between spatial cells, so sharding needs
+exactly one piece of cross-shard logic — the current-entry protocol
+(finalise an object's previous ``ND`` entry wherever it lives, then
+insert the new one) — plus lockstep slides and a merge.  A single-shard
+engine degenerates to byte-identical behaviour (entries, results,
+logical node accesses) of a plain ``SWSTIndex`` fed the same stream.
 
 :class:`Coordinator` owns everything that does not depend on *where* a
 shard runs: routing, validation, ``extend`` chunking and ``Wmax``-epoch
@@ -83,7 +82,7 @@ from ..core.config import SWSTConfig
 from ..core.grid import SpatialGrid
 from ..core.index import SWSTIndex
 from ..core.overlap import classify_interval
-from ..core.plan import PlanCache, QueryPlan, build_query_plan
+from ..core.plan import QueryPlan, build_query_plan
 from ..core.records import Entry, Rect, ReportLike
 from ..core.results import MultiQueryResult, QueryResult, QueryStats
 from ..storage.errors import StorageError, UnsupportedFormatError
@@ -947,7 +946,6 @@ class Coordinator:
         self._fops = file_ops
         self._epoch: int = manifest["epoch"]
         self._generation: int = manifest["generation"]
-        self._plans = PlanCache(config.plan_cache_size)
         #: oid -> (home shard, x, y, s) mirror of live current entries.
         self._cur: dict[int, tuple[int, int, int, int]] = {}
         self._clock = 0
@@ -1152,10 +1150,6 @@ class Coordinator:
         finally:
             if advance_to is not None and advance_to > self._clock \
                     and (sent or self._backend.needs_resync):
-                # Queriable period changed: no engine-level plan
-                # survives a slide (entries are clock-fenced besides,
-                # see PlanCache).
-                self._plans.invalidate()
                 self._clock = advance_to
 
     def _resync(self) -> None:
@@ -1167,9 +1161,7 @@ class Coordinator:
         """
         states = self._backend.resync()
         clock = max(self._clock, *(state["now"] for state in states))
-        if clock != self._clock:
-            self._plans.invalidate()
-            self._clock = clock
+        self._clock = clock
         self._cur.clear()
         repairs: dict[int, list[Op]] = {}
         for shard_id, state in enumerate(states):
@@ -1392,35 +1384,31 @@ class Coordinator:
 
     # -- queries ---------------------------------------------------------------
 
-    def _plan_for(self, t_lo: int, t_hi: int, window: int | None,
-                  stats: QueryStats) -> QueryPlan:
-        """Resolve the plan an in-process fan-out shares.
+    def _plan_for(self, t_lo: int, t_hi: int,
+                  window: int | None) -> QueryPlan:
+        """Derive the plan an in-process fan-out shares.
 
         Temporal classification and the plan depend only on (config,
         clock, interval) — shared by every shard in lockstep — so the
-        engine derives the plan **once** per temporal signature, caches
-        it, and fans out only the per-cell search.  The same immutable
-        plan object goes to every in-process shard task, including
-        *retried* tasks: a retry re-enters ``_query_area_planned`` with
-        the original plan instead of re-deriving it, so retries cannot
-        skew the classification work or double-derive state.  Worker
-        shards never see it: each derives its own from the signature
-        (:meth:`_planned`).  Only called once a column qualifies.
+        engine derives the plan **once** per fan-out and sends out only
+        the per-cell search.  Nothing is cached: traffic almost never
+        repeats a signature within one slide (``docs/internals.md``,
+        "Query plan lifecycle").  The same immutable plan object goes to
+        every in-process shard task, including *retried* tasks: a retry
+        re-enters ``_query_area_planned`` with the original plan instead
+        of re-deriving it, so retries cannot skew the classification
+        work or double-derive state.  Worker shards never see it: each
+        derives its own from the signature (:meth:`_planned`).  Only
+        called once a column qualifies.
         """
-        entry = self._plans.lookup(t_lo, t_hi, window, self._clock)
-        if entry is not None:
-            stats.plan_cache_hits += 1
-            return entry.plan
         columns = classify_interval(self.config, self._clock, t_lo, t_hi,
                                     window)
-        plan = build_query_plan(self.config, self._clock, columns, t_lo,
+        return build_query_plan(self.config, self._clock, columns, t_lo,
                                 t_hi, window)
-        self._plans.store(plan, t_lo, t_hi, window)
-        return plan
 
     def _planned(self, shard_ids: list[int], t_lo: int, t_hi: int,
-                 window: int | None, stats: QueryStats, method: str,
-                 subject: Any, strict: bool) -> FanOut:
+                 window: int | None, method: str, subject: Any,
+                 strict: bool) -> FanOut:
         """Fan ``method(subject, plan)`` out under the query's temporal
         signature; nothing to do (``[], []``) when no shard qualifies or
         no start time can (``min(q_hi, t_hi) < q_lo`` — exactly the case
@@ -1434,7 +1422,7 @@ class Coordinator:
             return [], []
         successes, failures = self._backend.query_planned(
             shard_ids, method, subject, (t_lo, t_hi, window, self._clock),
-            lambda: self._plan_for(t_lo, t_hi, window, stats))
+            lambda: self._plan_for(t_lo, t_hi, window))
         self._strict(failures, strict)
         return successes, failures
 
@@ -1482,7 +1470,7 @@ class Coordinator:
         self._check_interval(t_lo, t_hi, window)
         merged = QueryResult() if strict else PartialResult()
         successes, failures = self._planned(
-            self._shards_for_area(area), t_lo, t_hi, window, merged.stats,
+            self._shards_for_area(area), t_lo, t_hi, window,
             "_query_area_planned", area, strict)
         for _, result in successes:
             merged.merge(result)
@@ -1521,8 +1509,7 @@ class Coordinator:
         rect_shards = [self._shards_for_area(area) for area in areas]
         successes, failures = self._planned(
             sorted({sid for sids in rect_shards for sid in sids}), t_lo,
-            t_hi, window, batch.stats, "_query_area_planned_many", areas,
-            strict)
+            t_hi, window, "_query_area_planned_many", areas, strict)
         for _, shard_batch in successes:
             for result, shard_result in zip(results, shard_batch.results,
                                             strict=True):
@@ -1549,7 +1536,7 @@ class Coordinator:
         total = 0
         stats = QueryStats()
         successes, failures = self._planned(
-            self._shards_for_area(area), t_lo, t_hi, window, stats,
+            self._shards_for_area(area), t_lo, t_hi, window,
             "_count_area_planned", area, strict)
         for _, (count, shard_stats) in successes:
             total += count

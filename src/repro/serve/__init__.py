@@ -10,7 +10,7 @@ end:
   :class:`~repro.serve.gate.SlideGate`, mutations run on a
   single-writer FIFO lane, and ``advance_time`` *is* the slide barrier.
 * :class:`Coalescer` — concurrent queries sharing a temporal signature
-  merge into one plan-cache-aligned ``query_interval_many`` call with
+  merge into one single-plan ``query_interval_many`` call with
   per-request demultiplexing (strictness included).
 * :class:`AdmissionController` — a bounded in-flight window with typed
   :class:`Overloaded` rejection and jittered retry hints.

@@ -2,8 +2,8 @@
 become one batched engine call.
 
 PR 6 made ``query_interval_many`` evaluate a whole rectangle list with
-one compiled plan and one level-wise descent per (cell, tree) — and the
-plan cache is keyed by exactly the temporal signature ``(t_lo, t_hi,
+one compiled plan and one level-wise descent per (cell, tree) — and a
+plan is a function of exactly the temporal signature ``(t_lo, t_hi,
 window)``.  The coalescer exploits that alignment at the front door:
 query requests arriving concurrently with the same signature are parked
 in a per-signature bucket; when the bucket reaches ``max_batch`` or its
@@ -42,12 +42,12 @@ import asyncio
 from typing import Any, Callable, Protocol
 
 from ..core.records import Rect
-from ..core.results import QueryResult, QueryStats
+from ..core.results import QueryResult
 from ..engine.errors import ShardQueryError
 from .async_engine import AsyncEngine
 from .stats import ServeStats
 
-#: A bucket key: the query's temporal signature (plan-cache aligned).
+#: A bucket key: the query's temporal signature (one plan per bucket).
 Signature = tuple[int, int, int | None]
 
 
@@ -122,9 +122,6 @@ class Coalescer:
         """Requests currently parked across all buckets."""
         return sum(len(b.pending) for b in self._buckets.values())
 
-    def _harvest(self, stats: QueryStats) -> None:
-        self._stats.plan_cache_hits += stats.plan_cache_hits
-
     # -- the front door --------------------------------------------------------
 
     async def query_interval(self, area: Rect, t_lo: int, t_hi: int,
@@ -134,10 +131,8 @@ class Coalescer:
         self._stats.queries += 1
         if not self.enabled:
             self._stats.engine_query_calls += 1
-            result = await self._engine.query_interval(
+            return await self._engine.query_interval(
                 area, t_lo, t_hi, window, strict=strict)
-            self._harvest(result.stats)
-            return result
         signature: Signature = (t_lo, t_hi, window)
         bucket = self._buckets.get(signature)
         if bucket is None:
@@ -211,7 +206,6 @@ class Coalescer:
                 if not request.future.done():
                     request.future.set_exception(exc)
             return
-        self._harvest(batch.stats)
         for request, slot in zip(pending, slots, strict=True):
             result = batch.results[slot]
             if request.future.done():

@@ -71,7 +71,6 @@ async def query_batch(app: "ServeApp", request: Request) -> Response:
     app.stats.engine_query_calls += 1
     batch = await app.engine.query_interval_many(
         areas, t_lo, t_hi, window, strict=strict)
-    app.stats.plan_cache_hits += batch.stats.plan_cache_hits
     results = [result_json(r) for r in batch.results]
     degraded = any(r["degraded"] for r in results)
     if degraded:
@@ -92,7 +91,6 @@ async def count(app: "ServeApp", request: Request) -> Response:
     app.stats.engine_query_calls += 1
     n, stats = await app.engine.count_interval(
         area, t_lo, t_hi, window, strict=strict)
-    app.stats.plan_cache_hits += stats.plan_cache_hits
     if stats.degraded:
         app.stats.degraded_responses += 1
     return Response(206 if stats.degraded else 200,

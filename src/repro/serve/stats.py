@@ -3,9 +3,9 @@
 All counters are mutated from the event-loop thread only (handlers,
 the coalescer's flush task, and the admission controller all run on the
 loop), so no locking is needed.  Engine-side statistics that ride on
-query results — plan-cache hits, degraded flags — are *harvested* into
-these counters as responses are produced; the serving layer never
-reaches into the engine's internals.
+query results — degraded flags — are *harvested* into these counters
+as responses are produced; the serving layer never reaches into the
+engine's internals.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class ServeStats:
         collapsed_requests: requests that shared another request's
             identical rectangle within a flush (request collapsing) —
             the engine evaluated their rectangle once for the batch.
-        plan_cache_hits: engine plan-cache hits harvested from results.
         degraded_responses: 206-style responses (partial coverage).
         strict_failures: strict requests failed by a shard failure.
         overload_rejections: requests refused by admission control.
@@ -53,7 +52,6 @@ class ServeStats:
     coalesced_batches: int = 0
     coalesced_requests: int = 0
     collapsed_requests: int = 0
-    plan_cache_hits: int = 0
     degraded_responses: int = 0
     strict_failures: int = 0
     overload_rejections: int = 0
@@ -94,7 +92,6 @@ class ServeStats:
                 "requests_total", "responses_total", "queries",
                 "mutations", "engine_query_calls", "coalesced_batches",
                 "coalesced_requests", "collapsed_requests",
-                "plan_cache_hits",
                 "degraded_responses", "strict_failures",
                 "overload_rejections", "deadline_rejections",
                 "bad_requests", "slides", "saves", "reshards",

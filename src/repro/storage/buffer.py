@@ -1,19 +1,18 @@
-"""LRU buffer pool with IO accounting and a decoded-node object cache.
+"""LRU buffer pool with IO accounting.
 
 Every index structure in this repository (SWST's B+ trees, the R-trees
 backing MV3R and the 3-D baseline) does all its page IO through a
 :class:`BufferPool`.  The pool is where the paper's *node accesses* metric is
-measured: each :meth:`fetch` and :meth:`write` increments the logical
-counters regardless of whether the page was cached.
+measured: each fetch and write increments the logical counters regardless of
+whether the page was cached.
 
-On top of the raw byte cache the pool keeps a second LRU of *decoded* node
-objects (:meth:`fetch_node` / :meth:`write_node`).  Structures whose pages
-are expensive to (de)serialise register a decode/encode pair per access and
-get back the parsed object; serialisation of dirty nodes is deferred until
-eviction or :meth:`flush`.  The logical counters are incremented exactly as
-for the raw path, so the paper's node-access figures are unchanged — only
-CPU work and *physical* IO differ.  See ``docs/internals.md`` ("Storage hot
-path") for the coherence rules between the two caches.
+The pool is one LRU of page slots, each holding an object, its encoder and a
+dirty bit.  B+ trees store decoded nodes (:meth:`fetch_node` /
+:meth:`write_node`): a hit returns the parsed object, and serialisation of a
+dirty node is deferred until eviction or :meth:`flush`.  The R-tree baselines
+store page bytes (:meth:`fetch` / :meth:`write`) in the same slots.  Caching
+changes only CPU work and *physical* IO, never the logical counters.  See
+``docs/internals.md`` ("Buffer pool").
 """
 
 from __future__ import annotations
@@ -28,14 +27,18 @@ from .stats import IOStats
 DEFAULT_CAPACITY = 256
 
 
-class _CachedNode:
-    """One decoded-node cache slot: the object, its encoder, a dirty bit."""
+class _Slot:
+    """One cached page: the object, its encoder, a dirty bit.
 
-    __slots__ = ("node", "encode", "dirty")
+    ``encode`` is ``None`` for page bytes (and for clean nodes, which are
+    never written back).
+    """
 
-    def __init__(self, node: Any, encode: Callable[[Any], bytes] | None,
+    __slots__ = ("obj", "encode", "dirty")
+
+    def __init__(self, obj: Any, encode: Callable[[Any], bytes] | None,
                  dirty: bool) -> None:
-        self.node = node
+        self.obj = obj
         self.encode = encode
         self.dirty = dirty
 
@@ -49,34 +52,22 @@ class BufferPool:
             pages are written back on eviction.
         stats: optional shared :class:`IOStats`; a fresh one is created if
             omitted.
-        node_capacity: maximum number of decoded nodes kept by the
-            node-object cache; ``None`` (default) mirrors ``capacity``,
-            ``0`` disables the node cache (every ``fetch_node`` re-parses,
-            every ``write_node`` serialises eagerly — the pre-cache
-            behaviour, kept for A/B benchmarking).
 
-    Invariant: a page id is never dirty in both caches at once.  A
-    ``write_node`` supersedes and drops any raw copy; a raw ``write``
-    supersedes and drops any cached node; a raw ``fetch`` of a dirty node
-    first demotes it to dirty bytes so both paths observe the same data.
+    Precondition: one pool serves one page format.  A structure either
+    uses the node API (:meth:`fetch_node` / :meth:`write_node`) or the
+    byte API (:meth:`fetch` / :meth:`write`) on a pool, never both: a
+    slot holds whatever its last writer or decoder put there, and the
+    other API would get it back unconverted.
     """
 
     def __init__(self, pager: Pager, capacity: int = DEFAULT_CAPACITY,
-                 stats: IOStats | None = None,
-                 node_capacity: int | None = None) -> None:
+                 stats: IOStats | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if node_capacity is not None and node_capacity < 0:
-            raise ValueError(f"node_capacity must be >= 0, "
-                             f"got {node_capacity}")
         self.pager = pager
         self.capacity = capacity
-        self.node_capacity = capacity if node_capacity is None \
-            else node_capacity
         self.stats = stats if stats is not None else IOStats()
-        self._cache: OrderedDict[int, bytes] = OrderedDict()
-        self._dirty: set[int] = set()
-        self._nodes: OrderedDict[int, _CachedNode] = OrderedDict()
+        self._slots: OrderedDict[int, _Slot] = OrderedDict()
         self._closed = False
 
     @property
@@ -87,55 +78,49 @@ class BufferPool:
         if self._closed:
             raise PagerClosedError("buffer pool is closed")
 
-    def _evict_if_needed(self) -> None:
-        while len(self._cache) > self.capacity:
-            victim, data = self._cache.popitem(last=False)
-            if victim in self._dirty:
-                self._dirty.discard(victim)
-                self.pager.write(victim, data)
-                self.stats.physical_writes += 1
-
-    def _evict_nodes_if_needed(self) -> None:
-        while len(self._nodes) > self.node_capacity:
-            victim, slot = self._nodes.popitem(last=False)
-            if slot.dirty:
-                self.pager.write(victim, slot.encode(slot.node))
-                self.stats.node_serializations += 1
-                self.stats.physical_writes += 1
-
-    def _store_raw(self, page_id: int, data: bytes) -> None:
-        """Stage raw bytes as dirty without logical accounting."""
-        self._cache[page_id] = bytes(data)
-        self._cache.move_to_end(page_id)
-        self._dirty.add(page_id)
-        self._evict_if_needed()
-
-    def _demote_dirty_node(self, page_id: int) -> None:
-        """Serialise a dirty cached node into the byte cache.
-
-        Called before raw accesses so byte-level readers never observe a
-        stale page; the node stays cached, now clean.
-        """
-        slot = self._nodes.get(page_id)
-        if slot is not None and slot.dirty:
-            slot.dirty = False
+    def _write_back(self, page_id: int, slot: _Slot) -> None:
+        """Write one dirty slot to the pager (serialising a node)."""
+        if slot.encode is None:
+            data = slot.obj
+        else:
+            data = slot.encode(slot.obj)
             self.stats.node_serializations += 1
-            self._store_raw(page_id, slot.encode(slot.node))
+        self.pager.write(page_id, data)
+        self.stats.physical_writes += 1
+
+    def _put(self, page_id: int, slot: _Slot) -> None:
+        """Cache a new slot as most recent, evicting past capacity."""
+        self._slots[page_id] = slot
+        while len(self._slots) > self.capacity:
+            victim, old = self._slots.popitem(last=False)
+            if old.dirty:
+                self._write_back(victim, old)
+
+    def _stage(self, page_id: int, obj: Any,
+               encode: Callable[[Any], bytes] | None) -> None:
+        """Make ``obj`` the page's newest, dirty contents."""
+        slot = self._slots.get(page_id)
+        if slot is not None:
+            slot.obj = obj
+            slot.encode = encode
+            slot.dirty = True
+            self._slots.move_to_end(page_id)
+        else:
+            self._put(page_id, _Slot(obj, encode, True))
 
     # -- public API ----------------------------------------------------------
 
     def fetch(self, page_id: int) -> bytes:
         """Return the page contents, counting one logical read."""
         self._check_open()
-        self._demote_dirty_node(page_id)
         self.stats.logical_reads += 1
-        if page_id in self._cache:
-            self._cache.move_to_end(page_id)
-            return self._cache[page_id]
+        slot = self._slots.get(page_id)
+        if slot is not None:
+            self._slots.move_to_end(page_id)
+            return slot.obj
         data = self.pager.read(page_id)
         self.stats.physical_reads += 1
-        self._cache[page_id] = data
-        self._evict_if_needed()
+        self._put(page_id, _Slot(data, None, False))
         return data
 
     def write(self, page_id: int, data: bytes) -> None:
@@ -145,38 +130,30 @@ class BufferPool:
             raise ValueError(f"page data must be exactly {self.page_size} "
                              f"bytes, got {len(data)}")
         self.stats.logical_writes += 1
-        # Raw bytes supersede any decoded copy of the page.
-        self._nodes.pop(page_id, None)
-        self._store_raw(page_id, data)
+        self._stage(page_id, bytes(data), None)
 
     def fetch_node(self, page_id: int,
                    decode: Callable[[bytes], Any]) -> Any:
         """Return the decoded node of a page, counting one logical read.
 
-        On a node-cache hit the cached object is returned without touching
-        the page bytes; on a miss the bytes are read (from the byte cache
-        or the pager) and parsed with ``decode``.  The returned object is
-        shared with the cache: callers that mutate it must publish the
-        mutation with :meth:`write_node` before the next access.
+        On a hit the cached object is returned without touching the page
+        bytes; on a miss the page is read from the pager and parsed with
+        ``decode``.  The returned object is shared with the cache: callers
+        that mutate it must publish the mutation with :meth:`write_node`
+        before the next access.
         """
         self._check_open()
         self.stats.logical_reads += 1
-        slot = self._nodes.get(page_id)
+        slot = self._slots.get(page_id)
         if slot is not None:
-            self._nodes.move_to_end(page_id)
+            self._slots.move_to_end(page_id)
             self.stats.node_cache_hits += 1
-            return slot.node
-        data = self._cache.get(page_id)
-        if data is not None:
-            self._cache.move_to_end(page_id)
-        else:
-            data = self.pager.read(page_id)
-            self.stats.physical_reads += 1
+            return slot.obj
+        data = self.pager.read(page_id)
+        self.stats.physical_reads += 1
         node = decode(data)
         self.stats.node_parses += 1
-        if self.node_capacity:
-            self._nodes[page_id] = _CachedNode(node, None, False)
-            self._evict_nodes_if_needed()
+        self._put(page_id, _Slot(node, None, False))
         return node
 
     def write_node(self, page_id: int, node: Any,
@@ -184,33 +161,11 @@ class BufferPool:
         """Stage a decoded node as the page's newest contents.
 
         Counts one logical write; serialisation via ``encode`` is deferred
-        until the node is evicted, flushed, or demoted by a raw access.
+        until the node is evicted or flushed.
         """
         self._check_open()
         self.stats.logical_writes += 1
-        if not self.node_capacity:
-            self._nodes.pop(page_id, None)
-            data = encode(node)
-            self.stats.node_serializations += 1
-            if len(data) != self.page_size:
-                raise ValueError(f"page data must be exactly "
-                                 f"{self.page_size} bytes, got {len(data)}")
-            self._store_raw(page_id, data)
-            return
-        # The node supersedes any raw copy (clean or dirty): the raw bytes
-        # either predate this write or were serialised from this very
-        # object, so dropping them loses nothing.
-        self._cache.pop(page_id, None)
-        self._dirty.discard(page_id)
-        slot = self._nodes.get(page_id)
-        if slot is not None:
-            slot.node = node
-            slot.encode = encode
-            slot.dirty = True
-            self._nodes.move_to_end(page_id)
-        else:
-            self._nodes[page_id] = _CachedNode(node, encode, True)
-            self._evict_nodes_if_needed()
+        self._stage(page_id, node, encode)
 
     def allocate(self) -> int:
         """Allocate a fresh page (not yet cached)."""
@@ -219,34 +174,25 @@ class BufferPool:
         return self.pager.allocate()
 
     def free(self, page_id: int) -> None:
-        """Drop a page from both caches and return it to the free list."""
+        """Drop a page from the cache and return it to the free list."""
         self._check_open()
-        self._cache.pop(page_id, None)
-        self._dirty.discard(page_id)
-        self._nodes.pop(page_id, None)
+        self._slots.pop(page_id, None)
         self.stats.frees += 1
         self.pager.free(page_id)
 
     def flush(self) -> None:
-        """Write every dirty page (decoded or raw) back to the pager."""
+        """Write every dirty page back to the pager, in page-id order."""
         self._check_open()
-        for page_id in sorted(pid for pid, slot in self._nodes.items()
+        for page_id in sorted(pid for pid, slot in self._slots.items()
                               if slot.dirty):
-            slot = self._nodes[page_id]
+            slot = self._slots[page_id]
             slot.dirty = False
-            self.pager.write(page_id, slot.encode(slot.node))
-            self.stats.node_serializations += 1
-            self.stats.physical_writes += 1
-        for page_id in sorted(self._dirty):
-            self.pager.write(page_id, self._cache[page_id])
-            self.stats.physical_writes += 1
-        self._dirty.clear()
+            self._write_back(page_id, slot)
 
     def drop_cache(self) -> None:
-        """Flush then empty both caches (for cold-cache measurements)."""
+        """Flush then empty the cache (for cold-cache measurements)."""
         self.flush()
-        self._cache.clear()
-        self._nodes.clear()
+        self._slots.clear()
 
     def close(self) -> None:
         if not self._closed:
@@ -265,9 +211,7 @@ class BufferPool:
         state (exactly what recovery must then undo).
         """
         self._closed = True
-        self._cache.clear()
-        self._dirty.clear()
-        self._nodes.clear()
+        self._slots.clear()
 
     def __enter__(self) -> "BufferPool":
         return self

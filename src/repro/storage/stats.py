@@ -24,10 +24,10 @@ class IOStats:
         physical_writes: pages actually written back to the file.
         allocations: pages newly allocated.
         frees: pages returned to the free list.
-        node_parses: pages decoded into node objects (cache misses of the
-            decoded-node cache, or every fetch when that cache is disabled).
-        node_cache_hits: node fetches served from the decoded-node cache
-            without re-parsing the page bytes.
+        node_parses: pages decoded into node objects (buffer pool misses
+            of :meth:`~repro.storage.buffer.BufferPool.fetch_node`).
+        node_cache_hits: node fetches served from the buffer pool without
+            re-parsing the page bytes.
         node_serializations: node objects encoded back to page bytes
             (deferred to eviction/flush; never larger than the number of
             logical writes they replace).

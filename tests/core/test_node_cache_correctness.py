@@ -1,8 +1,8 @@
-"""The node cache is invisible to index semantics and logical accounting.
+"""The buffer pool is invisible to index semantics and logical accounting.
 
-Runs the same seed workload under the default configuration, under a
-one-page buffer (maximum churn: every access evicts) and with the node
-cache disabled, then asserts identical stored entries, identical query
+Runs the same seed workload under the default configuration and under
+pools of one, two and seven pages (one page is maximum churn: every
+access evicts), then asserts identical stored entries, identical query
 results and identical *logical* IO counts everywhere.  Only physical IO
 and CPU work may differ between configurations.
 """
@@ -19,8 +19,8 @@ BASE = SWSTConfig(window=2000, slide=100, x_partitions=4, y_partitions=4,
 CONFIGS = {
     "default": BASE,
     "one_page_buffer": dataclasses.replace(BASE, buffer_capacity=1),
-    "no_node_cache": dataclasses.replace(BASE, node_cache_capacity=0),
-    "tiny_node_cache": dataclasses.replace(BASE, node_cache_capacity=2),
+    "two_page_buffer": dataclasses.replace(BASE, buffer_capacity=2),
+    "seven_page_buffer": dataclasses.replace(BASE, buffer_capacity=7),
 }
 
 
@@ -87,10 +87,14 @@ def test_default_workload_actually_hits_the_node_cache():
     index.close()
 
 
-def test_disabled_cache_parses_every_logical_read():
-    index = SWSTIndex(dataclasses.replace(BASE, node_cache_capacity=0))
+def test_every_pool_miss_is_one_parse():
+    """A one-page pool misses on every change of page: each miss reads
+    the device and parses once, each hit does neither."""
+    index = SWSTIndex(CONFIGS["one_page_buffer"])
     for oid, x, y, t in _seed_workload():
         index.report(oid, x, y, t)
-    assert index.stats.node_cache_hits == 0
-    assert index.stats.node_parses == index.stats.logical_reads
+    stats = index.stats
+    assert stats.node_parses == stats.physical_reads
+    assert stats.node_parses + stats.node_cache_hits == stats.logical_reads
+    assert stats.node_cache_hits < stats.node_parses
     index.close()

@@ -1,7 +1,8 @@
 """The compiled query-plan cache: hits, epoch fencing (a pre-slide plan
-is never reused after a slide), memo-generation fencing of cached key
-ranges, LRU bounding, and byte-identical statistics with the cache on
-and off."""
+is never reused after a slide; the fence cases replay one stream on a
+cached index and on one under ``PlanCache(0)``), memo-generation fencing
+of cached key ranges, LRU bounding, and byte-identical statistics with
+the cache on and off."""
 
 import dataclasses
 import random
@@ -83,7 +84,109 @@ class TestPlanCacheHits:
             assert knn.stats.plan_cache_hits == 1
 
 
+def fill_until(index, t_end, seed=11, oids=30):
+    """Report random positions at non-decreasing times up to ``t_end``."""
+    rng = random.Random(seed)
+    t = index.now
+    while t < t_end:
+        t = min(t + rng.choice([0, 1, 2, 3]), t_end)
+        index.report(rng.randrange(oids), rng.randrange(100),
+                     rng.randrange(100), t)
+
+
+def answers_with(plans, script):
+    """Run ``script(index, ask)`` on a fresh index whose plan cache is
+    ``plans`` (``None``: the default cache).  ``ask`` queries; returns
+    every answer (sorted entries, stats minus the hit counter) and the
+    hits the cache served."""
+    answers, hits = [], 0
+    with SWSTIndex(CFG) as index:
+        if plans is not None:
+            index._plans = plans
+
+        def ask(area, t_lo, t_hi, window=None):
+            nonlocal hits
+            result = index.query_interval(area, t_lo, t_hi, window)
+            hits += result.stats.plan_cache_hits
+            answers.append((sorted(map(entry_key, result.entries)),
+                            stats_without_cache_hits(result.stats)))
+
+        script(index, ask)
+        index.check_integrity()
+    return answers, hits
+
+
+def assert_cache_is_transparent(script):
+    """The cached index answers ``script`` exactly as one under
+    ``PlanCache(0)`` does, and the cache did serve some of it."""
+    cached, hits = answers_with(None, script)
+    uncached, no_hits = answers_with(PlanCache(0), script)
+    assert no_hits == 0
+    assert hits > 0
+    assert cached == uncached
+
+
 class TestEpochFence:
+    def test_t_hi_at_now_matches_the_uncached_stream(self):
+        """``t_hi = now`` includes the current entries: a same-clock
+        report must show up through a cached plan.  A plan derived while
+        ``t_hi`` was ahead of the clock must not answer once the clock
+        reached it (even inside one slide): its start bound stopped at
+        the old clock."""
+        area = Rect(0, 0, 99, 99)
+
+        def script(index, ask):
+            fill_until(index, 150)
+            for step in range(6):
+                now = index.now
+                ask(area, now - 40, now)
+                ask(area, now - 40, now + 3)
+                index.report(900 + step, 10 * step, 50, now)
+                ask(area, now - 40, now)
+                ask(Rect(0, 0, 49, 49), now - 40, now)
+                fill_until(index, now + 3, seed=step)
+                ask(area, now - 40, now + 3)
+                ask(area, now - 40, now)
+
+        assert_cache_is_transparent(script)
+
+    def test_query_straddling_a_slide_matches_the_uncached_stream(self):
+        """One interval ``[b - 15, b + 5]`` around a slide boundary
+        ``b``, asked before, at and after the clock crosses ``b``."""
+        area = Rect(10, 10, 90, 90)
+        boundary = 10 * CFG.slide
+
+        def script(index, ask):
+            fill_until(index, boundary - 12)
+            for now in (boundary - 12, boundary - 1, boundary,
+                        boundary + 3, boundary + CFG.slide):
+                fill_until(index, now, seed=now)
+                ask(area, boundary - 15, boundary + 5)
+                index.report(7, 50, 50, now)
+                ask(area, boundary - 15, boundary + 5)
+                ask(area, boundary - 15, boundary + 5, CFG.slide * 3)
+
+        assert_cache_is_transparent(script)
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_clock_at_k_wmax_matches_the_uncached_stream(self, k):
+        """The clock lands exactly on ``k·Wmax``, where a whole tree is
+        dropped: plans cached just before must not answer after."""
+        area = Rect(0, 0, 99, 99)
+        edge = k * CFG.w_max
+
+        def script(index, ask):
+            fill_until(index, edge - 30)
+            for now in (edge - 30, edge - 1, edge, edge, edge + 1):
+                index.advance_time(now)
+                q_lo, q_hi = CFG.queriable_period(now)
+                ask(area, q_lo, q_hi)
+                ask(area, edge - 60, edge - 1)
+                ask(area, edge - 5, edge + 5)
+                index.report(5, 40, 60, now)
+
+        assert_cache_is_transparent(script)
+
     def test_pre_slide_plan_is_never_reused_after_slide(self):
         """S1 regression: a plan compiled before advance_time must not
         answer queries after the clock moved — the queriable period
@@ -152,10 +255,8 @@ class TestEpochFence:
 
 class TestCacheDisabled:
     def test_size_zero_disables_caching_with_identical_results(self):
-        cached_cfg = CFG
-        uncached_cfg = dataclasses.replace(CFG, plan_cache_size=0)
-        with SWSTIndex(cached_cfg) as cached, \
-                SWSTIndex(uncached_cfg) as uncached:
+        with SWSTIndex(CFG) as cached, SWSTIndex(CFG) as uncached:
+            uncached._plans = PlanCache(0)
             t = fill(cached)
             fill(uncached)
             area = Rect(10, 0, 70, 90)
@@ -170,8 +271,8 @@ class TestCacheDisabled:
                     stats_without_cache_hits(b.stats)
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError, match="plan_cache_size"):
-            dataclasses.replace(CFG, plan_cache_size=-1)
+        with pytest.raises(ValueError, match="capacity"):
+            PlanCache(-1)
 
 
 class TestPlanCacheUnit:

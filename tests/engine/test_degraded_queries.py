@@ -60,17 +60,18 @@ def saved_dir(tmp_path_factory):
 def open_with_crashed_shard(path, shard_id, **engine_kwargs):
     """Open the directory, then crash ``shard_id``'s device in place.
 
-    The decoded-node cache is disabled so every query actually touches
-    the (crashed) device instead of being served from memory.
+    The shard's two-page pool is emptied first, so every query actually
+    touches the (crashed) device instead of being served from memory.
     """
     devices = []
     config = dataclasses.replace(
-        make_config(node_cache_capacity=0),
+        make_config(buffer_capacity=2),
         device_factory=per_path_device_factory(
             f"shard-{shard_id:03d}", registry=devices))
     eng = ShardedEngine.open(path, config, executor=SerialExecutor(),
                              **engine_kwargs)
     (device,) = devices
+    eng.shards[shard_id].pool.drop_cache()
     device.crashed = True
     return eng, device
 
@@ -102,7 +103,7 @@ class TestStrictMode:
                 eng.config.space, q_lo, q_hi))
         devices = []
         config = dataclasses.replace(
-            make_config(node_cache_capacity=0),
+            make_config(buffer_capacity=2),
             device_factory=per_path_device_factory("shard-001",
                                                    registry=devices))
         with ShardedEngine.open(saved_dir, config,
@@ -116,6 +117,7 @@ class TestStrictMode:
             # result is complete and bit-identical to the healthy run.
             assert sorted(entry_key(e) for e in result) == oracle
             assert not result.stats.degraded
+            assert not device.read_errors  # the fault fired
 
 
 class TestDegradedMode:

@@ -69,12 +69,12 @@ def file_bytes(path):
 def poison(path, config):
     """A mid-session crash on one shard file: evicted pages stamped past
     its committed generation, which storage recovery refuses."""
-    small = dataclasses.replace(config, buffer_capacity=2,
-                                node_cache_capacity=2)
+    small = dataclasses.replace(config, buffer_capacity=2)
     shard = SWSTIndex.open(path, small)
     t = shard.now + 1
     for oid in range(200):
         shard.report(1000 + oid, (oid * 7) % 100, (oid * 11) % 100, t)
+    assert shard.stats.physical_writes > 0  # evictions reached the file
     shard.abort()
     with pytest.raises(StorageError):
         SWSTIndex.open(path, config)

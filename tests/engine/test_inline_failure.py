@@ -41,11 +41,11 @@ def make_config(devices=None):
             devices.append(device)
         return device
 
-    # A two-page pool and no decoded-node cache, so reads reach the device.
+    # A two-page pool, so reads reach the device.
     return SWSTConfig(window=200, slide=20, x_partitions=4, y_partitions=4,
                       d_max=40, duration_interval=10,
                       space=Rect(0, 0, 99, 99), page_size=512,
-                      buffer_capacity=2, node_cache_capacity=0,
+                      buffer_capacity=2,
                       n_shards=N_SHARDS, device_factory=factory)
 
 
@@ -134,6 +134,7 @@ def test_fault_mid_batch_resyncs_and_resubmission_converges(
 
         with pytest.raises(InjectedFault):
             engine.extend(batch)
+        assert not devices[faulty_shard].read_errors  # the fault fired
 
         assert backend.needs_resync
         assert backend.executor._pool is None

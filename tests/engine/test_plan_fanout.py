@@ -13,7 +13,7 @@ import pytest
 from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineCloseError, PartialResult, RetryPolicy,
                           SerialExecutor, ShardedEngine)
-from repro.storage import per_path_device_factory
+from repro.storage import InjectedFault, per_path_device_factory
 
 N_SHARDS = 3
 
@@ -130,23 +130,35 @@ class TestRetriedTasksSharePlan:
 
 
 class TestEngineEpochFence:
-    """S1 at the engine front end: the engine-level plan cache is
-    invalidated by advance_time, so a pre-slide plan is never fanned
-    out after the clock moved."""
+    """S1 at the engine front end: the engine keeps no plan cache, so
+    every fan-out derives its plan at the current clock and a pre-slide
+    plan is never fanned out after the clock moved."""
 
-    def test_cache_hit_then_fence_on_slide(self, saved_dir):
+    def test_every_fanout_derives_its_plan_at_the_clock(self, saved_dir):
         cfg = make_config()
         with ShardedEngine.open(saved_dir, cfg,
                                 executor=SerialExecutor()) as eng:
+            clocks = []
+            derive = eng._plan_for
+
+            def spy(*args):
+                plan = derive(*args)
+                clocks.append(plan.clock)
+                return plan
+
+            eng._plan_for = spy
             q_lo, q_hi = eng.config.queriable_period(eng.now)
             area = eng.config.space
             first = eng.query_interval(area, q_lo, q_hi)
-            assert first.stats.plan_cache_hits == 0
             again = eng.query_interval(area, q_lo, q_hi)
-            assert again.stats.plan_cache_hits == 1
+            assert stats_without_cache_hits(first.stats) == \
+                stats_without_cache_hits(again.stats)
+            before = eng.now
             eng.advance_time(eng.now + cfg.slide)
             post = eng.query_interval(area, q_lo, q_hi)
-            assert post.stats.plan_cache_hits == 0
+            assert clocks == [before, before, eng.now]
+            for result in (first, again, post):
+                assert result.stats.plan_cache_hits == 0
         with ShardedEngine.open(saved_dir, cfg,
                                 executor=SerialExecutor()) as fresh:
             fresh.advance_time(fresh.now + cfg.slide)
@@ -175,10 +187,20 @@ class TestEngineManyEquivalence:
     def test_batch_shares_one_engine_plan(self, saved_dir):
         with ShardedEngine.open(saved_dir, make_config(),
                                 executor=SerialExecutor()) as eng:
+            plans = []
+            for shard in eng.shards:
+                inner = shard._query_area_planned_many
+
+                def spy(areas, plan, _inner=inner):
+                    plans.append(plan)
+                    return _inner(areas, plan)
+
+                shard._query_area_planned_many = spy
             q_lo, q_hi = eng.config.queriable_period(eng.now)
-            eng.query_interval(eng.config.space, q_lo, q_hi)
             batch = eng.query_interval_many(self.AREAS, q_lo, q_hi)
-            assert batch.stats.plan_cache_hits == 1
+            assert len(plans) == N_SHARDS
+            assert all(plan is plans[0] for plan in plans)
+            assert batch.stats.plan_cache_hits == 0
 
     def test_empty_batch(self, saved_dir):
         with ShardedEngine.open(saved_dir, make_config(),
@@ -218,7 +240,7 @@ class TestDegradedManyAttribution:
                 if eng._shard_id_of(e.x, e.y) != crashed)
         devices = []
         config = dataclasses.replace(
-            make_config(node_cache_capacity=0),
+            make_config(buffer_capacity=2),
             device_factory=per_path_device_factory(
                 f"shard-{crashed:03d}", registry=devices))
         eng = ShardedEngine.open(saved_dir, config,
@@ -226,6 +248,7 @@ class TestDegradedManyAttribution:
                                  retry_policy=RetryPolicy(attempts=1))
         try:
             (device,) = devices
+            eng.shards[crashed].pool.drop_cache()
             device.crashed = True
             areas = [eng.config.space, clear]
             batch = eng.query_interval_many(areas, q_lo, q_hi,
@@ -248,17 +271,19 @@ class TestDegradedManyAttribution:
 
         devices = []
         config = dataclasses.replace(
-            make_config(node_cache_capacity=0),
+            make_config(buffer_capacity=2),
             device_factory=per_path_device_factory("shard-000",
                                                    registry=devices))
         eng = ShardedEngine.open(saved_dir, config,
                                  executor=SerialExecutor(),
                                  retry_policy=RetryPolicy(attempts=1))
         try:
+            eng.shards[0].pool.drop_cache()
             devices[0].crashed = True
             q_lo, q_hi = eng.config.queriable_period(eng.now)
             with pytest.raises(ShardQueryError) as excinfo:
                 eng.query_interval_many([eng.config.space], q_lo, q_hi)
             assert excinfo.value.shard_id == 0
+            assert isinstance(excinfo.value.__cause__, InjectedFault)
         finally:
             close_quietly(eng)

@@ -370,8 +370,7 @@ class TestBaseRule:
         # A tiny buffer pool makes the session evict pages past each
         # committed generation; a worker stops like a crash, so storage
         # recovery then refuses every page file.
-        small = dataclasses.replace(config, buffer_capacity=2,
-                                    node_cache_capacity=2)
+        small = dataclasses.replace(config, buffer_capacity=2)
         with WorkerEngine.open(str(path), small) as eng:
             assert eng.epoch == 2
             assert state_of(eng) == oracle["saved"]

@@ -279,14 +279,16 @@ def saved_dir(tmp_path_factory):
 
 
 def open_with_crashed_shard(path, shard_id):
-    """Open the directory, then crash one shard's device in place."""
+    """Open the directory, then crash one shard's device in place (its
+    two-page pool emptied first, so queries reach it)."""
     devices = []
     config = dataclasses.replace(
-        make_config(node_cache_capacity=0),
+        make_config(buffer_capacity=2),
         device_factory=per_path_device_factory(
             f"shard-{shard_id:03d}", registry=devices))
     eng = ShardedEngine.open(path, config, executor=SerialExecutor())
     (device,) = devices
+    eng.shards[shard_id].pool.drop_cache()
     device.crashed = True
     return eng, device
 

@@ -58,7 +58,7 @@ class TestCaching:
 class TestEviction:
     def test_capacity_is_enforced(self, pool):
         _fill(pool, 10)
-        assert len(pool._cache) <= 4
+        assert len(pool._slots) <= 4
 
     def test_evicted_dirty_page_written_back(self, pool):
         pages = _fill(pool, 10)  # early pages evicted
@@ -69,8 +69,8 @@ class TestEviction:
         pool.fetch(pages[0])  # refresh page 0
         extra = pool.allocate()
         pool.write(extra, b"x" * 512)  # evicts pages[1], not pages[0]
-        assert pages[0] in pool._cache
-        assert pages[1] not in pool._cache
+        assert pages[0] in pool._slots
+        assert pages[1] not in pool._slots
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -120,7 +120,7 @@ class TestFree:
         page = pool.allocate()
         pool.write(page, b"d" * 512)
         pool.free(page)
-        assert page not in pool._cache
+        assert page not in pool._slots
 
     def test_free_counts(self, pool):
         page = pool.allocate()

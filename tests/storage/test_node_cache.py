@@ -1,4 +1,5 @@
-"""Decoded-node object cache: hits, deferred serialisation, coherence."""
+"""The buffer pool's node API: hits, deferred serialisation, coherence
+with the pager."""
 
 import pytest
 
@@ -87,8 +88,7 @@ class TestDeferredSerialisation:
         assert pool.pager.read(page) == b"3" * PAGE
 
     def test_eviction_writes_dirty_node_back(self):
-        pool = BufferPool(Pager(MEMORY, page_size=PAGE), capacity=8,
-                          node_capacity=2)
+        pool = BufferPool(Pager(MEMORY, page_size=PAGE), capacity=2)
         pages = [pool.allocate() for _ in range(4)]
         for i, page in enumerate(pages):
             pool.write_node(page, bytearray(bytes([i + 1]) * PAGE), encode)
@@ -108,30 +108,9 @@ class TestDeferredSerialisation:
 
 
 class TestCoherence:
-    def test_raw_fetch_demotes_dirty_node(self, pool):
-        page = pool.allocate()
-        pool.write_node(page, bytearray(b"n" * PAGE), encode)
-        # A byte-level reader must see the node's serialised form.
-        assert pool.fetch(page) == b"n" * PAGE
-        assert pool.stats.node_serializations == 1
-        # The node survives demotion (still a cache hit afterwards).
-        hits = pool.stats.node_cache_hits
-        pool.fetch_node(page, decode)
-        assert pool.stats.node_cache_hits == hits + 1
-
-    def test_raw_write_supersedes_cached_node(self, pool):
-        page = pool.allocate()
-        pool.write_node(page, bytearray(b"o" * PAGE), encode)
-        pool.write(page, b"r" * PAGE)
-        assert bytes(pool.fetch_node(page, decode)) == b"r" * PAGE
-
-    def test_write_node_supersedes_raw_bytes(self, pool):
-        page = pool.allocate()
-        pool.write(page, b"r" * PAGE)
-        pool.write_node(page, bytearray(b"n" * PAGE), encode)
-        assert pool.fetch(page) == b"n" * PAGE
-        pool.flush()
-        assert pool.pager.read(page) == b"n" * PAGE
+    """The cache stays coherent with the pager: a freed page's node never
+    outlives the free, and ``drop_cache`` hands the next fetch to the
+    device."""
 
     def test_free_invalidates_cached_node(self, pool):
         page = _node_page(pool, fill=b"f")
@@ -139,8 +118,10 @@ class TestCoherence:
         pool.free(page)
         reused = pool.allocate()
         assert reused == page  # free-list reuse
-        pool.write(reused, b"g" * PAGE)
+        pool.pager.write(reused, b"g" * PAGE)
+        parses = pool.stats.node_parses
         assert bytes(pool.fetch_node(reused, decode)) == b"g" * PAGE
+        assert pool.stats.node_parses == parses + 1
 
     def test_drop_cache_flushes_then_reparses(self, pool):
         page = pool.allocate()
@@ -153,24 +134,10 @@ class TestCoherence:
 
 
 class TestDisabledCache:
-    def test_zero_capacity_parses_every_fetch(self):
-        pool = BufferPool(Pager(MEMORY, page_size=PAGE), capacity=4,
-                          node_capacity=0)
-        page = pool.allocate()
-        pool.write_node(page, bytearray(b"e" * PAGE), encode)
-        assert pool.stats.node_serializations == 1  # eager
-        for _ in range(3):
-            pool.fetch_node(page, decode)
-        assert pool.stats.node_parses == 3
-        assert pool.stats.node_cache_hits == 0
-        pool.close()
-
-    def test_none_capacity_mirrors_pool_capacity(self):
-        pool = BufferPool(Pager(MEMORY, page_size=PAGE), capacity=7)
-        assert pool.node_capacity == 7
-        pool.close()
+    """The pool cannot be switched off: every fetch and write goes through
+    its one LRU, and a capacity below one page is refused."""
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            BufferPool(Pager(MEMORY, page_size=PAGE), capacity=4,
-                       node_capacity=-1)
+        for capacity in (0, -1):
+            with pytest.raises(ValueError, match="capacity"):
+                BufferPool(Pager(MEMORY, page_size=PAGE), capacity=capacity)
