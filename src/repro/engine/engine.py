@@ -216,7 +216,7 @@ def open_shard(shard_id: int, config: SWSTConfig, fops: FileOps,
     except (StorageError, OSError) as exc:
         if not recorded:
             if os.path.exists(path):
-                os.unlink(path)
+                fops.unlink(path)
             return SWSTIndex(config, path)
         if not base_is_valid(gen_dir, shard_id, recorded):
             raise ShardOpenError(shard_id, path, exc) from exc

@@ -21,6 +21,12 @@ therefore *always* shuts its shard down with
 SIGKILL leave the same on-disk state, and restart recovery is one code
 path, not two.
 
+**I/O.**  A worker does all its file I/O — WAL appends, fsyncs and
+resets, base copies — through the
+:class:`~repro.storage.fileops.FileOps` its engine was given, handed
+over at the fork.  There are no fault hooks here: tests kill a worker
+by wrapping, before the fork, the functions it inherits.
+
 **Recovery (worker start).**  :meth:`WorkerBackend.start` forks every
 worker before it collects any handshake (in shard order), so the
 shards' WAL replays overlap; a restart of one shard is unchanged.
@@ -89,7 +95,6 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
-import signal
 from typing import TYPE_CHECKING, Any, Callable, NoReturn, Sequence
 
 from ..core.config import SWSTConfig
@@ -99,7 +104,6 @@ from ..core.index import SWSTIndex
 from ..core.overlap import classify_interval as classify_interval
 from ..core.plan import QueryPlan, build_query_plan as build_query_plan
 from ..core.records import ReportLike
-from ..storage.fault import FaultInjectingFileOps
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import (_MANIFEST_NAME, SHARD_FAILURE_ERRORS, Coordinator,
                      FanOut, Signature, drop_prepare, generation_dir,
@@ -143,26 +147,8 @@ def _mp_context() -> "BaseContext":
 # -- worker process ----------------------------------------------------------
 
 
-def _die() -> None:
-    """Scripted kill point: die exactly as SIGKILL would."""
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _worker_fops(spec: dict[str, Any]) -> FileOps:
-    """WAL/base file ops for this worker, fault-injected when scripted."""
-    keys = ("wal_fail_op", "wal_op_errors", "wal_short_writes",
-            "wal_fsync_errors")
-    if not any(key in spec for key in keys):
-        return DURABLE_FILE_OPS
-    return FaultInjectingFileOps(
-        fail_op=spec.get("wal_fail_op"),
-        op_errors=spec.get("wal_op_errors"),
-        short_writes=spec.get("wal_short_writes"),
-        fsync_errors=spec.get("wal_fsync_errors"))
-
-
 def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
-                   fops: FileOps, spec: dict[str, Any],
+                   fops: FileOps,
                    generation: int) -> tuple[SWSTIndex, WalWriter, int]:
     """Rebuild one shard from page file (or base) + WAL.
 
@@ -193,12 +179,9 @@ def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
                               f"manifest epoch {epoch}")
             if scan.epoch == epoch:
                 writer, _ = WalWriter.resume(wal_path, fops, scan)
-                kill_after = spec.get("kill_at_replay")
                 for record in scan.records:
                     apply_record(shard, record)
                     replayed += 1
-                    if kill_after is not None and replayed == kill_after:
-                        _die()
             else:
                 writer = WalWriter.reset(wal_path, fops, epoch=epoch)
         else:
@@ -209,27 +192,18 @@ def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
     return shard, writer, replayed
 
 
-def _apply_batch(shard: SWSTIndex, writer: WalWriter, batch: list[Op],
-                 spec: dict[str, Any], batch_index: int) -> list[Any]:
+def _apply_batch(shard: SWSTIndex, writer: WalWriter,
+                 batch: list[Op]) -> list[Any]:
     """Log, group-commit, then apply one mutation batch.
 
     The acknowledgement the caller sends after this returns is the
     durability barrier: everything here is fsynced and applied, or the
     worker died and nothing was acknowledged.
     """
-    if spec.get("hang_at_apply") == batch_index:
-        signal.pause()  # poison task: never answers
     for op, args in batch:
         writer.log(op, args)
-    if spec.get("kill_before_commit") == batch_index:
-        _die()
     writer.commit()
-    if spec.get("kill_after_commit") == batch_index:
-        _die()
-    results = [apply_op(shard, op, args) for op, args in batch]
-    if spec.get("kill_after_apply") == batch_index:
-        _die()
-    return results
+    return [apply_op(shard, op, args) for op, args in batch]
 
 
 def _checkpoint(shard_id: int, directory: str, fops: FileOps,
@@ -249,12 +223,12 @@ def _exit_fatal(conn: "Connection", exc: BaseException) -> NoReturn:
 
 
 def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
-                 conn: "Connection", spec: dict[str, Any] | None,
-                 generation: int = 0,
+                 conn: "Connection", fops: FileOps, generation: int = 0,
                  inherited: Sequence["Connection"] = ()) -> None:
     """Entry point of one warm worker process.
 
-    ``inherited`` are the coordinator-side pipe ends a forked child
+    ``fops`` is the engine's durable-file seam, for all the worker's
+    file I/O.  ``inherited`` are the coordinator-side pipe ends a forked child
     carries along (its own and its earlier siblings'): they are closed
     first thing, so that the coordinator's death — however abrupt —
     reaches this worker as EOF on ``conn`` instead of being masked by
@@ -262,21 +236,15 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
     """
     for parent_end in inherited:
         parent_end.close()
-    spec = spec or {}
-    fops = _worker_fops(spec)
     try:
         shard, writer, replayed = _recover_shard(shard_id, directory,
-                                                 config, fops, spec,
-                                                 generation)
+                                                 config, fops, generation)
     except BaseException as exc:
         _exit_fatal(conn, exc)
-    if spec.get("kill_at_ready"):
-        _die()
     conn.send(("ready", {"now": shard.now,
                          "current": shard.current_objects(),
                          "replayed": replayed,
                          "next_seq": writer.next_seq}))
-    batches_seen = 0
     while True:
         try:
             message = conn.recv()
@@ -287,19 +255,12 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
         kind, payload = message
         try:
             if kind == "apply":
-                batches_seen += 1
-                value: Any = (_apply_batch(shard, writer, payload, spec,
-                                           batches_seen), writer.next_seq)
+                value: Any = (_apply_batch(shard, writer, payload),
+                              writer.next_seq)
             elif kind == "save":
-                if spec.get("kill_at_save"):
-                    _die()
                 shard.save()
-                if spec.get("kill_after_save"):
-                    _die()
                 value = shard.pager.generation
             elif kind == "checkpoint":
-                if spec.get("kill_at_checkpoint"):
-                    _die()
                 writer = _checkpoint(shard_id, directory, fops, payload,
                                      generation)
                 value = writer.next_seq
@@ -314,7 +275,7 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
             conn.send(("err", (type(exc).__name__, str(exc))))
             continue
         except BaseException as exc:
-            # Anything else (storage corruption, injected IO faults) is
+            # Anything else (storage corruption, a failed WAL write) is
             # fatal: the WAL/page state may be half-written, so the only
             # safe continuation is a restart-and-replay.
             _exit_fatal(conn, exc)
@@ -354,25 +315,23 @@ class WorkerPool:
     Args:
         directory: the engine's shard directory.
         config: shared index configuration.
+        fops: the engine's durable-file seam, handed to every worker
+            it forks (WAL and base I/O).
         heartbeat_timeout: seconds a request (or a spawn handshake) may
             take before the worker is declared dead and killed; ``None``
             waits forever.
-        fault_specs: optional per-shard fault scripts passed to the
-            worker at spawn (crash-matrix seam).  A spec is consumed by
-            the first spawn unless it sets ``"persistent": True``.
         generation: manifest generation whose shard files the workers
             serve (see :func:`~repro.engine.engine.generation_dir`);
             the engine updates it from the manifest before any spawn.
     """
 
-    def __init__(self, directory: str, config: SWSTConfig, *,
-                 heartbeat_timeout: float | None = None,
-                 fault_specs: dict[int, dict[str, Any]] | None = None,
+    def __init__(self, directory: str, config: SWSTConfig, fops: FileOps,
+                 *, heartbeat_timeout: float | None = None,
                  generation: int = 0) -> None:
         self.directory = directory
         self.config = config
+        self.fops = fops
         self.heartbeat_timeout = heartbeat_timeout
-        self.fault_specs = dict(fault_specs or {})
         self.generation = generation
         self.spawn_counts = [0] * config.n_shards
         self._handles: dict[int, _Handle] = {}
@@ -391,9 +350,6 @@ class WorkerPool:
         if handle is not None and handle.process.is_alive():
             raise EngineError(f"worker {shard_id} is already running")
         self._discard(shard_id)
-        spec = self.fault_specs.get(shard_id)
-        if spec is not None and not spec.get("persistent"):
-            del self.fault_specs[shard_id]
         # The pipe is created immediately before the fork and the child
         # end closed right after, so no later-forked sibling inherits
         # it — EOF on the parent end then reliably signals death.  The
@@ -404,8 +360,8 @@ class WorkerPool:
                      *(handle.conn for handle in self._handles.values())]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(shard_id, self.directory, self.config, child_conn, spec,
-                  self.generation, inherited),
+            args=(shard_id, self.directory, self.config, child_conn,
+                  self.fops, self.generation, inherited),
             daemon=True, name=f"swst-shard-{shard_id}")
         process.start()
         child_conn.close()
@@ -589,9 +545,7 @@ class WorkerBackend:
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
                  heartbeat_timeout: float | None = None,
-                 file_ops: FileOps | None = None,
-                 fault_specs: dict[int, dict[str, Any]] | None = None
-                 ) -> None:
+                 file_ops: FileOps | None = None) -> None:
         self.config = config
         self.directory = directory
         self.retry_policy = retry_policy if retry_policy is not None \
@@ -606,9 +560,8 @@ class WorkerBackend:
             for _ in range(config.n_shards)]
         self.fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        self.pool = WorkerPool(directory, config,
-                               heartbeat_timeout=heartbeat_timeout,
-                               fault_specs=fault_specs)
+        self.pool = WorkerPool(directory, config, self.fops,
+                               heartbeat_timeout=heartbeat_timeout)
         #: The lockstep clock every worker should sit at: what a
         #: restarted worker is caught up to (or found ahead of).
         self.clock = 0
@@ -941,9 +894,9 @@ class WorkerEngine(Coordinator):
     Always disk-backed: the WAL discipline has no meaning in memory.
     ``retry_policy`` bounds worker restart attempts (and query retries
     across restarts), one ``breaker_factory`` breaker per shard gates
-    them; ``heartbeat_timeout``/``fault_specs`` are the
-    :class:`WorkerPool`'s; ``file_ops`` is the manifest protocol's
-    durable filesystem seam.
+    them; ``heartbeat_timeout`` is the :class:`WorkerPool`'s;
+    ``file_ops`` is the durable filesystem seam of the manifest
+    protocol and of every worker's WAL and base I/O.
     """
 
     _backend: WorkerBackend
@@ -954,9 +907,7 @@ class WorkerEngine(Coordinator):
                  breaker_factory: Callable[[], CircuitBreaker] | None
                  = CircuitBreaker,
                  heartbeat_timeout: float | None = None,
-                 file_ops: FileOps | None = None,
-                 fault_specs: dict[int, dict[str, Any]] | None = None
-                 ) -> None:
+                 file_ops: FileOps | None = None) -> None:
         if path is None:
             raise EngineError("a warm-worker engine is always disk-backed; "
                               "pass a directory path")
@@ -968,8 +919,7 @@ class WorkerEngine(Coordinator):
         backend = WorkerBackend(
             config, directory, retry_policy=retry_policy,
             breaker_factory=breaker_factory,
-            heartbeat_timeout=heartbeat_timeout, file_ops=fops,
-            fault_specs=fault_specs)
+            heartbeat_timeout=heartbeat_timeout, file_ops=fops)
         backend.start(manifest)
         super().__init__(config, backend, directory, manifest, fops)
 
@@ -979,9 +929,7 @@ class WorkerEngine(Coordinator):
              breaker_factory: Callable[[], CircuitBreaker] | None
              = CircuitBreaker,
              heartbeat_timeout: float | None = None,
-             file_ops: FileOps | None = None,
-             fault_specs: dict[int, dict[str, Any]] | None = None
-             ) -> "WorkerEngine":
+             file_ops: FileOps | None = None) -> "WorkerEngine":
         """Re-open a shard directory, recovering marker and WALs.
 
         Marker resolution runs first (roll back, roll forward with WAL
@@ -996,8 +944,7 @@ class WorkerEngine(Coordinator):
         backend = WorkerBackend(
             config, directory, retry_policy=retry_policy,
             breaker_factory=breaker_factory,
-            heartbeat_timeout=heartbeat_timeout, file_ops=fops,
-            fault_specs=fault_specs)
+            heartbeat_timeout=heartbeat_timeout, file_ops=fops)
         manifest = backend.heal()
         backend.start(manifest)
         engine = cls._adopt(config, backend, directory, manifest, fops)
@@ -1014,5 +961,5 @@ class WorkerEngine(Coordinator):
 
     @property
     def pool(self) -> WorkerPool:
-        """The supervised worker pool (diagnostics and fault scripts)."""
+        """The supervised worker pool (diagnostics and kills)."""
         return self._backend.pool

@@ -231,9 +231,22 @@ class AsyncEngine:
         return closed
 
     async def advance_time(self, now: int) -> None:
-        """Slide barrier: drain in-flight reads, slide, release."""
-        await self.write(self._mutate("advance_time", now))
-        self._stats.slides += 1
+        """Slide barrier: drain in-flight reads, slide, release.
+
+        ``now`` is a watermark: the engine moves to ``max(clock, now)``,
+        compared inside the write lane so no mutation can interleave.
+        A ``now`` behind the clock slides and journals nothing.
+        """
+        slide = self._mutate("advance_time", now)
+
+        def op() -> bool:
+            if now < self._engine.now:
+                return False
+            slide()
+            return True
+
+        if await self.write(op):
+            self._stats.slides += 1
 
     async def save(self) -> None:
         """Whole-directory save, exclusive like any other mutation.

@@ -19,7 +19,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 async def slide(app: "ServeApp", request: Request) -> Response:
-    """Advance stream time: drain in-flight reads, slide, release."""
+    """Advance stream time: drain in-flight reads, slide, release.
+
+    ``now`` is a watermark: one behind the clock (an ``/extend`` already
+    moved it) answers 200 with the current clock and changes nothing.
+    """
     obj = request.json()
     now = get_int(obj, "now")
     await app.engine.advance_time(now)

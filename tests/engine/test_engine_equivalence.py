@@ -23,6 +23,8 @@ from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (PartialResult, RetryPolicy, SerialExecutor,
                           ShardedEngine, WorkerEngine)
 
+from .worker_faults import WorkerFaults
+
 BACKENDS = ["in-process", "workers"]
 
 
@@ -40,16 +42,15 @@ def engine_on(backend, config, **seams):
         try:
             yield engine
         finally:
-            engine.pool.fault_specs.clear()
             engine.close()
 
 
-def fail_shard(engine, shard_id):
+def fail_shard(engine, shard_id, monkeypatch):
     """Make one shard unable to answer queries, whatever runs it."""
     if isinstance(engine, WorkerEngine):
         # Crash-loop: every respawn dies before its ready handshake.
-        engine.pool.fault_specs[shard_id] = {"kill_at_ready": True,
-                                             "persistent": True}
+        WorkerFaults(monkeypatch).arm(shard_id, kill_at_ready=True,
+                                      persistent=True)
         engine.pool.kill(shard_id)
         return
 
@@ -345,7 +346,8 @@ def test_stats_are_the_sum_of_per_shard_stats(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_degraded_batch_attributes_failure_to_overlapping_rects(backend):
+def test_degraded_batch_attributes_failure_to_overlapping_rects(
+        backend, monkeypatch):
     """strict=False: a failed shard degrades exactly the rectangles
     whose area overlaps it; disjoint rectangles stay complete."""
     crashed = 1
@@ -373,7 +375,7 @@ def test_degraded_batch_attributes_failure_to_overlapping_rects(backend):
             entry_key(e)
             for e in engine.query_interval(config.space, q_lo, q_hi)
             if engine._shard_id_of(e.x, e.y) != crashed)
-        fail_shard(engine, crashed)
+        fail_shard(engine, crashed, monkeypatch)
         batch = engine.query_interval_many([config.space, clear], q_lo,
                                            q_hi, strict=False)
         assert batch.stats.degraded

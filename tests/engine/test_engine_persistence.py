@@ -9,6 +9,8 @@ import pytest
 
 from repro.core import Rect, SWSTConfig
 from repro.engine import EngineError, SerialExecutor, ShardedEngine
+from repro.engine.engine import open_shard
+from repro.storage.fault import FaultInjectingFileOps
 
 
 def make_config(n_shards=3, **overrides):
@@ -127,3 +129,20 @@ class TestRoundtrip:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(EngineError, match="manifest"):
             ShardedEngine.open(tmp_path / "nothing.d", make_config())
+
+
+class TestOpenShard:
+    def test_garbage_never_committed_file_is_unlinked_through_file_ops(
+            self, tmp_path):
+        """A shard the manifest records at generation 0 whose file does
+        not open is replaced by a fresh one — and the seam sees the
+        unlink, like every other file change a shard open makes."""
+        path = tmp_path / "shard-000.pages"
+        path.write_bytes(b"not a page file" * 64)
+        ops = FaultInjectingFileOps()
+        shard = open_shard(0, make_config(n_shards=1), ops, str(tmp_path), 0)
+        try:
+            assert len(shard) == 0
+        finally:
+            shard.close()
+        assert ops.ops == [("unlink", str(path))]

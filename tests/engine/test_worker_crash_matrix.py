@@ -11,7 +11,9 @@ no-crash oracle:
 * each victim runs the same workload with a scripted SIGKILL —
   before/after the WAL commit, after apply, during restart *replay*,
   during ``save()``, during the post-save checkpoint, or via an
-  injected WAL-device failure — on a chosen shard;
+  injected WAL-device failure — on a chosen shard, armed through
+  :class:`~tests.engine.worker_faults.WorkerFaults` (the worker runs
+  the shipped code; the kill wraps the function it sits in);
 * the driver re-drives a chunk whose dispatch crashed (re-reporting a
   position at the same timestamp is a correction, not a new entry);
 * the victim's final state, its reopened state, and a
@@ -34,6 +36,8 @@ from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           WorkerCrashError, WorkerEngine)
 from repro.engine.engine import base_is_valid
 from repro.storage import StorageError
+
+from .worker_faults import WorkerFaults
 
 N_SHARDS = 3
 
@@ -122,6 +126,11 @@ def drive(engine, reports, max_crashes=8):
     return crashes
 
 
+@pytest.fixture
+def faults(monkeypatch):
+    return WorkerFaults(monkeypatch)
+
+
 @pytest.fixture(scope="module")
 def oracle(tmp_path_factory):
     """Fault-free run: state after phase 2 + save, and after phase 3."""
@@ -137,27 +146,35 @@ def oracle(tmp_path_factory):
     return {"saved": saved, "final": final}
 
 
-def run_victim(path, fault_specs_at):
-    """Run the full workload; ``fault_specs_at[phase]`` arms (shard,
-    spec) pairs by killing the shard so the respawn consumes the spec.
+def run_victim(path, faults, arms_at):
+    """Run the full workload; ``arms_at[phase]`` arms (shard, script)
+    pairs by killing the shard so its respawn takes the script.
 
     Returns (engine-final-state, crash-count).  The engine is closed.
     """
     config = make_config()
     crashes = 0
+
+    def arm(phase_index):
+        for sid, script in arms_at.get(phase_index, ()):
+            faults.arm(sid, **script)
+            eng.pool.kill(sid)
+
     with WorkerEngine(config, path) as eng:
         for phase_index, phase in enumerate((PHASE_1, PHASE_2)):
-            for sid, spec in fault_specs_at.get(phase_index, ()):
-                eng.pool.fault_specs[sid] = spec
-                eng.pool.kill(sid)
+            arm(phase_index)
             crashes += drive(eng, phase())
         eng.save()
-        for sid, spec in fault_specs_at.get(2, ()):
-            eng.pool.fault_specs[sid] = spec
-            eng.pool.kill(sid)
+        arm(2)
         crashes += drive(eng, PHASE_3())
         final = state_of(eng)
     return final, crashes
+
+
+def spawn_deltas(engine, before):
+    """Launches per shard since ``before`` (a ``spawn_counts`` copy)."""
+    return [now - then for now, then in zip(engine.pool.spawn_counts,
+                                            before)]
 
 
 def reopened_state(path):
@@ -181,35 +198,36 @@ class TestIngestKillMatrix:
                                   for k, v in s.items()])
     @pytest.mark.parametrize("victim_shard", [0, 1])
     def test_kill_during_ingest_converges_to_oracle(
-            self, tmp_path, oracle, spec, victim_shard):
+            self, tmp_path, oracle, faults, spec, victim_shard):
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(victim_shard, dict(spec))]})
+            path, faults, {1: [(victim_shard, spec)]})
         assert crashes >= 1, "the scripted kill never fired"
         assert final == oracle["final"]
         assert reopened_state(path) == oracle["final"]
 
-    def test_kill_during_slide_phase(self, tmp_path, oracle):
+    def test_kill_during_slide_phase(self, tmp_path, oracle, faults):
         # Phase 3 starts past the second w_max boundary: the kill lands
         # on a batch that carries a window slide.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {2: [(1, {"kill_after_commit": 1})]})
+            path, faults, {2: [(1, {"kill_after_commit": 1})]})
         assert crashes >= 1
         assert final == oracle["final"]
         assert reopened_state(path) == oracle["final"]
 
-    def test_two_shards_killed_in_the_same_phase(self, tmp_path, oracle):
+    def test_two_shards_killed_in_the_same_phase(self, tmp_path, oracle,
+                                                 faults):
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(0, {"kill_after_apply": 1}),
-                       (2, {"kill_before_commit": 2})]})
-        assert crashes >= 1
+            path, faults, {1: [(0, {"kill_after_apply": 1}),
+                               (2, {"kill_before_commit": 2})]})
+        assert crashes >= 2
         assert final == oracle["final"]
 
 
 class TestReplayKill:
-    def test_kill_during_restart_replay(self, tmp_path, oracle):
+    def test_kill_during_restart_replay(self, tmp_path, oracle, faults):
         """The restart itself dies mid-WAL-replay; the supervisor's
         retry spawns again and the second recovery must still be exact."""
         config = make_config()
@@ -219,7 +237,7 @@ class TestReplayKill:
             drive(eng, PHASE_2())
             # Shard 1 holds a long epoch-0 WAL; kill it, then make its
             # *next* incarnation die after replaying one record.
-            eng.pool.fault_specs[1] = {"kill_at_replay": 1}
+            faults.arm(1, kill_at_replay=1)
             eng.pool.kill(1)
             eng.save()
             drive(eng, PHASE_3())
@@ -228,41 +246,49 @@ class TestReplayKill:
 
 
 class TestSaveKills:
-    def test_kill_during_worker_save_then_retry(self, tmp_path, oracle):
+    def test_kill_during_worker_save_then_retry(self, tmp_path, oracle,
+                                                faults):
         config = make_config()
         path = str(tmp_path / "victim.d")
         with WorkerEngine(config, path) as eng:
             drive(eng, PHASE_1())
             drive(eng, PHASE_2())
-            eng.pool.fault_specs[1] = {"kill_at_save": True}
+            faults.arm(1, kill_at_save=True)
             eng.pool.kill(1)
+            spawns = list(eng.pool.spawn_counts)
             with pytest.raises(WorkerCrashError):
                 eng.save()
             # The failed save healed the directory; state is intact and
             # a retried save commits.
             assert state_of(eng) == oracle["saved"]
+            # The armed incarnation died in its save: shard 1 came back
+            # twice, its siblings once (the abort kills every worker).
+            assert spawn_deltas(eng, spawns) == [1, 2, 1]
             eng.save()
             assert state_of(eng) == oracle["saved"]
             drive(eng, PHASE_3())
             assert state_of(eng) == oracle["final"]
         assert reopened_state(path) == oracle["final"]
 
-    def test_kill_after_worker_save_commit(self, tmp_path, oracle):
+    def test_kill_after_worker_save_commit(self, tmp_path, oracle, faults):
         config = make_config()
         path = str(tmp_path / "victim.d")
         with WorkerEngine(config, path) as eng:
             drive(eng, PHASE_1())
             drive(eng, PHASE_2())
-            eng.pool.fault_specs[0] = {"kill_after_save": True}
+            faults.arm(0, kill_after_save=True)
             eng.pool.kill(0)
+            spawns = list(eng.pool.spawn_counts)
             with pytest.raises(WorkerCrashError):
                 eng.save()
             assert state_of(eng) == oracle["saved"]
+            assert spawn_deltas(eng, spawns) == [2, 1, 1]
             eng.save()
             drive(eng, PHASE_3())
             assert state_of(eng) == oracle["final"]
 
-    def test_kill_during_checkpoint_is_absorbed(self, tmp_path, oracle):
+    def test_kill_during_checkpoint_is_absorbed(self, tmp_path, oracle,
+                                                faults):
         """The epoch is committed before checkpoints run; a checkpoint
         kill costs a restart, never data."""
         config = make_config()
@@ -270,10 +296,13 @@ class TestSaveKills:
         with WorkerEngine(config, path) as eng:
             drive(eng, PHASE_1())
             drive(eng, PHASE_2())
-            eng.pool.fault_specs[1] = {"kill_at_checkpoint": True}
+            faults.arm(1, kill_at_checkpoint=True)
             eng.pool.kill(1)
+            spawns = list(eng.pool.spawn_counts)
             eng.save()  # checkpoint failures are absorbed
             assert state_of(eng) == oracle["saved"]
+            # The armed incarnation died at its checkpoint and restarted.
+            assert spawn_deltas(eng, spawns) == [0, 2, 0]
             drive(eng, PHASE_3())
             assert state_of(eng) == oracle["final"]
         assert reopened_state(path) == oracle["final"]
@@ -281,26 +310,42 @@ class TestSaveKills:
 
 class TestWalDeviceFaults:
     def test_failed_wal_commit_fsync_is_a_clean_crash(self, tmp_path,
-                                                      oracle):
+                                                      oracle, faults):
         """An injected fsync failure on the WAL barrier downs the
         worker pre-acknowledgement; recovery treats it like any kill."""
         # Fsync ordinal 1: an epoch-0 respawn opens its shard with no
         # file op, so the first fsync is the first batch's WAL barrier.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(1, {"wal_fsync_errors": {1: OSError("barrier")}})]})
+            path, faults,
+            {1: [(1, {"wal_fsync_errors": {1: OSError("barrier")}})]})
+        assert crashes >= 1
+        assert final == oracle["final"]
+        assert reopened_state(path) == oracle["final"]
+
+    @pytest.mark.parametrize("script", [
+        # Op 3 is the first batch's barrier fsync: the append reached
+        # the file, the barrier never ran, nothing was acknowledged.
+        {"wal_fail_op": 3},
+        # Op 2 is the first batch's append: it fails outright.
+        {"wal_op_errors": {2: OSError("append")}},
+    ], ids=["wal_fail_op=3", "wal_op_errors=2"])
+    def test_failed_wal_file_op_is_a_clean_crash(self, tmp_path, oracle,
+                                                 faults, script):
+        path = str(tmp_path / "victim.d")
+        final, crashes = run_victim(path, faults, {1: [(1, script)]})
         assert crashes >= 1
         assert final == oracle["final"]
         assert reopened_state(path) == oracle["final"]
 
     def test_short_wal_append_tears_only_the_unacked_tail(self, tmp_path,
-                                                          oracle):
-        # Op ordinal 1: an epoch-0 respawn opens its shard with no file
-        # op (there is no base to refresh yet), so 1 is the first WAL
-        # append.
+                                                          oracle, faults):
+        # Op ordinal 2: an epoch-0 respawn finds its never-committed
+        # page file without a catalog and unlinks it (op 1; there is no
+        # base to refresh yet), so 2 is the first WAL append.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
-            path, {1: [(1, {"wal_short_writes": {1: 9}})]})
+            path, faults, {1: [(1, {"wal_short_writes": {2: 9}})]})
         assert crashes >= 1
         assert final == oracle["final"]
 

@@ -1,6 +1,7 @@
 """Warm worker pool supervision: restarts, heartbeats, breakers,
 degraded mode, graceful shutdown, and durability across kills."""
 
+import os
 import random
 
 import pytest
@@ -9,6 +10,9 @@ from repro.core import Rect, SWSTConfig
 from repro.engine import (CircuitBreaker, CircuitOpenError, PartialResult,
                           RetryPolicy, ShardQueryError, WorkerCrashError,
                           WorkerEngine)
+from repro.storage.fault import FaultInjectingFileOps
+
+from .worker_faults import WorkerFaults
 
 N_SHARDS = 3
 
@@ -90,7 +94,9 @@ class TestSupervisedRestart:
 
 
 class TestHeartbeat:
-    def test_poison_task_trips_the_deadline_then_recovers(self, tmp_path):
+    def test_poison_task_trips_the_deadline_then_recovers(self, tmp_path,
+                                                          monkeypatch):
+        faults = WorkerFaults(monkeypatch)
         config = make_config()
         eng = WorkerEngine(config, str(tmp_path / "e.d"),
                            heartbeat_timeout=1.0)
@@ -100,7 +106,7 @@ class TestHeartbeat:
             # Arm a poison task on shard 0's next restart: its first
             # batch blocks forever, and the pool's heartbeat deadline
             # kills the wedged worker instead of hanging the engine.
-            eng.pool.fault_specs[0] = {"hang_at_apply": 1}
+            faults.arm(0, hang_at_apply=1)
             eng.pool.kill(0)
             target = before[0] + 50
             with pytest.raises(WorkerCrashError, match="heartbeat"):
@@ -115,7 +121,8 @@ class TestHeartbeat:
 
 
 class TestCircuitBreaker:
-    def test_crash_loop_opens_the_breaker(self, tmp_path):
+    def test_crash_loop_opens_the_breaker(self, tmp_path, monkeypatch):
+        faults = WorkerFaults(monkeypatch)
         config = make_config()
         eng = WorkerEngine(
             config, str(tmp_path / "e.d"),
@@ -126,8 +133,7 @@ class TestCircuitBreaker:
             eng.extend(workload(6, 40))
             # Crash-loop shard 2: every respawn dies before the ready
             # handshake.
-            eng.pool.fault_specs[2] = {"kill_at_ready": True,
-                                       "persistent": True}
+            faults.arm(2, kill_at_ready=True, persistent=True)
             eng.pool.kill(2)
             q_lo, q_hi = config.queriable_period(eng.now)
             with pytest.raises(ShardQueryError):
@@ -139,10 +145,11 @@ class TestCircuitBreaker:
                 eng._backend._ensure(2)
             assert eng.pool.spawn_counts[2] == spawns
         finally:
-            eng.pool.fault_specs.clear()
             eng.close()
 
-    def test_degraded_query_while_crash_looping(self, tmp_path):
+    def test_degraded_query_while_crash_looping(self, tmp_path,
+                                                monkeypatch):
+        faults = WorkerFaults(monkeypatch)
         config = make_config()
         eng = WorkerEngine(config, str(tmp_path / "e.d"),
                            retry_policy=RetryPolicy(attempts=1))
@@ -150,8 +157,7 @@ class TestCircuitBreaker:
             eng.extend(workload(7, 80))
             q_lo, q_hi = config.queriable_period(eng.now)
             full = eng.query_interval(config.space, q_lo, q_hi)
-            eng.pool.fault_specs[1] = {"kill_at_ready": True,
-                                       "persistent": True}
+            faults.arm(1, kill_at_ready=True, persistent=True)
             eng.pool.kill(1)
             result = eng.query_interval(config.space, q_lo, q_hi,
                                         strict=False)
@@ -161,14 +167,13 @@ class TestCircuitBreaker:
             surviving = {entry_key(e) for e in result}
             assert surviving <= {entry_key(e) for e in full}
             # Heal the shard: the same query is whole again.
-            del eng.pool.fault_specs[1]
+            faults.disarm(1)
             healed = eng.query_interval(config.space, q_lo, q_hi,
                                         strict=False)
             assert not healed.stats.degraded
             assert {entry_key(e) for e in healed} \
                 == {entry_key(e) for e in full}
         finally:
-            eng.pool.fault_specs.clear()
             eng.close()
 
 
@@ -204,3 +209,44 @@ class TestShutdown:
         eng.close()
         for process in processes:
             assert not process.is_alive()
+
+
+class JournalFileOps(FaultInjectingFileOps):
+    """Records each file op as ``pid name path`` in a journal file, so
+    the copies a forked worker inherits report to the test too."""
+
+    def __init__(self, journal):
+        super().__init__()
+        self.journal = journal
+
+    def _next_op(self, name, path):
+        super()._next_op(name, path)
+        with open(self.journal, "a") as handle:
+            handle.write(f"{os.getpid()} {name} {path}\n")
+
+
+class TestFileOpsSeam:
+    def test_workers_do_their_io_through_the_engines_file_ops(self,
+                                                              tmp_path):
+        journal = tmp_path / "ops.log"
+        path = tmp_path / "e.d"
+        with WorkerEngine(make_config(), str(path),
+                          file_ops=JournalFileOps(str(journal))) as eng:
+            eng.extend(workload(11, 60))
+            eng.save()
+            pids = [eng.pool._handles[sid].process.pid
+                    for sid in range(N_SHARDS)]
+        seen = {(int(pid), name, file) for pid, name, file in
+                (line.split(" ", 2)
+                 for line in journal.read_text().splitlines())}
+        for sid, pid in enumerate(pids):
+            wal = str(path / f"shard-{sid:03d}.wal")
+            base = str(path / f"shard-{sid:03d}.pages.base")
+            # The group commit: one append and one fsync of the WAL.
+            assert (pid, "append_file", wal) in seen
+            assert (pid, "fsync_file", wal) in seen
+            # The post-save checkpoint: base copy, then a fresh WAL.
+            assert (pid, "copy_file", base) in seen
+            assert (pid, "replace", wal) in seen
+        # The coordinator's manifest writes use the same object.
+        assert (os.getpid(), "replace", str(path / "engine.json")) in seen

@@ -14,6 +14,8 @@ from repro.engine import WorkerEngine, WorkerRecoveryError
 from repro.engine.wal import HEADER_SIZE, WalRecord, read_wal
 from repro.engine.worker import WorkerPool
 
+from .worker_faults import WorkerFaults
+
 N_SHARDS = 3
 
 
@@ -93,7 +95,7 @@ class TestLaunchBeforeHandshake:
 class TestFailuresDuringStart:
     @pytest.mark.parametrize("victim", [0, 1])
     def test_replay_kill_converges_with_the_serial_restart_count(
-            self, tmp_path, victim):
+            self, tmp_path, monkeypatch, victim):
         """The victim dies after replaying one record while its
         siblings replay; the restart policy's second attempt recovers
         it, exactly one restart as with a one-at-a-time start."""
@@ -104,9 +106,8 @@ class TestFailuresDuringStart:
                                make_config()) as eng:
             oracle = state_of(eng)
         assert oracle == before
-        with WorkerEngine.open(path, make_config(),
-                               fault_specs={victim: {"kill_at_replay": 1}}
-                               ) as eng:
+        WorkerFaults(monkeypatch).arm(victim, kill_at_replay=1)
+        with WorkerEngine.open(path, make_config()) as eng:
             expected = [1] * N_SHARDS
             expected[victim] = 2
             assert eng.pool.spawn_counts == expected

@@ -127,6 +127,29 @@ def test_slide_is_a_barrier(engine):
     asyncio.run(main())
 
 
+def test_a_stale_slide_changes_and_journals_nothing(engine):
+    async def main():
+        facade = AsyncEngine(engine)
+        try:
+            await facade.extend([_R(1, 5, 5, 30)])
+            facade._journal = []
+            await facade.advance_time(10)
+            assert facade.now == 30
+            assert facade._journal == []
+            assert facade.stats.slides == 0
+            await facade.advance_time(30)
+            assert facade._journal == [("advance_time", (30,))]
+            assert facade.stats.slides == 1
+        finally:
+            facade._journal = None
+            facade.close()
+
+    asyncio.run(main())
+    # The coordinator itself stays strict.
+    with pytest.raises(ValueError, match="backwards"):
+        engine.advance_time(10)
+
+
 def test_mutations_serialize_fifo(engine):
     async def main():
         facade = AsyncEngine(engine)

@@ -112,6 +112,33 @@ def test_end_to_end_over_a_socket(tmp_path):
     assert stats.requests_total == 10
 
 
+def test_slide_is_a_watermark(tmp_path):
+    """``/slide`` moves the clock to ``max(clock, now)``: a ``now`` equal
+    to the clock or behind it (an ``/extend`` already moved it) answers
+    200 with the current clock instead of a server error."""
+    def client(port):
+        c = Client(port)
+        try:
+            return [
+                c.post("/extend", {"reports": [[1, 5, 5, 0],
+                                               [2, 30, 30, 40]]}),
+                c.post("/slide", {"now": 40}),
+                c.post("/slide", {"now": 10}),
+                c.post("/slide", {"now": 45}),
+                c.get("/stats"),
+            ]
+        finally:
+            c.close()
+
+    exchanges, _ = serve_and_drive(options(tmp_path), client)
+    assert [status for status, _, _ in exchanges] == [200] * 5
+    assert exchanges[1][1] == {"ok": True, "now": 40}
+    assert exchanges[2][1] == {"ok": True, "now": 40}
+    assert exchanges[3][1] == {"ok": True, "now": 45}
+    # The stale slide slid nothing.
+    assert exchanges[4][1]["slides"] == 2
+
+
 def test_concurrent_identical_queries_coalesce(tmp_path):
     def client(port):
         seed = Client(port)
