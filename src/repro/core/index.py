@@ -282,13 +282,13 @@ class SWSTIndex:
             raise KeyError(f"entry {Entry(oid, px, py, ps, None)} not found "
                            f"in the index")
         memo = self._memos[cell]
-        s_part, nd_part = self.codec.split(key)
-        memo.remove(s_part, nd_part)
+        z_bits = self.codec.z_bits
+        memo.remove_prefix(key >> z_bits)
         self._size -= 1
         d_part = config.d_partition(self._d_key(duration))
-        tree.insert(self.codec.with_d_partition(key, d_part),
-                    pack_record(oid, px, py, ps, duration))
-        memo.add(s_part, d_part, px, py)
+        key = self.codec.with_d_partition(key, d_part)
+        tree.insert(key, pack_record(oid, px, py, ps, duration))
+        memo.add_prefix(key >> z_bits, px, py)
         self._size += 1
 
     def set_retention(self, oid: int, retention: int | None) -> None:
@@ -343,7 +343,7 @@ class SWSTIndex:
         if trees is None:
             trees = [None, None]
             self._trees[key] = trees
-            self._memos[key] = CellMemo()
+            self._memos[key] = CellMemo(self.codec.d_bits)
         return trees, self._memos[key]
 
     def _d_key(self, d: int | None) -> int:
@@ -373,7 +373,7 @@ class SWSTIndex:
             trees[tree_idx] = tree
         key = self.codec.encode(s, self._d_key(d), x, y)
         tree.insert(key, pack_record(oid, x, y, s, d))
-        memo.add(*self.codec.split(key), x, y)
+        memo.add_prefix(key >> self.codec.z_bits, x, y)
         self._size += 1
 
     def _physical_delete(self, entry: Entry, missing_ok: bool = False) -> bool:
@@ -387,8 +387,7 @@ class SWSTIndex:
             if missing_ok:
                 return False
             raise KeyError(f"entry {entry} not found in the index")
-        self._memos[(cx, cy)].remove(self.config.s_partition(entry.s),
-                                     self.config.d_partition(d_key))
+        self._memos[(cx, cy)].remove_prefix(key >> self.codec.z_bits)
         self._size -= 1
         return True
 
@@ -887,35 +886,20 @@ class SWSTIndex:
 
         Returns ``(ranges, columns_examined)``; the caller owns the
         statistics accounting so cached replays stay byte-identical.
-        Every column counts as examined, but only those the memo's
-        occupied-column bitmap admits pay the per-d-partition MBR sweep.
+        Every column counts as examined; the memo's sweep
+        (:meth:`CellMemo.spans`) visits only its non-empty temporal cells.
         """
-        dp = self.config.dp
-        use_memo = self.config.use_memo
-        occupied = memo.occupied_columns
-        overlaps = memo.overlaps
+        if self.config.use_memo:
+            spans = memo.spans(columns, clipped)
+        else:
+            # Fig. 11 ablation: search the whole overlapping band.
+            d_top = self.config.dp - 1
+            spans = [(column.s_part, column.d_first, d_top)
+                     for column in columns]
         z_lo, z_hi = self.codec.rect_z(clipped)
         column_range_z = self.codec.column_range_z
-        ranges: list[tuple[int, int]] = []
-        for column in columns:
-            s_part = column.s_part
-            if use_memo:
-                if not occupied >> s_part & 1:
-                    continue
-                n_min = -1
-                n_max = -1
-                for n in range(column.d_first, dp):
-                    if overlaps(s_part, n, clipped):
-                        if n_min < 0:
-                            n_min = n
-                        n_max = n
-                if n_min < 0:
-                    continue
-            else:
-                # Fig. 11 ablation: search the whole overlapping band.
-                n_min, n_max = column.d_first, dp - 1
-            ranges.append(column_range_z(s_part, n_min, n_max, z_lo, z_hi))
-        return tuple(ranges), len(columns)
+        return tuple([column_range_z(s_part, n_min, n_max, z_lo, z_hi)
+                      for s_part, n_min, n_max in spans]), len(columns)
 
     def _refine(self, hits: list[tuple[int, bytes]], plan: QueryPlan,
                 spatial_full: bool, area: Rect, stats: QueryStats,
@@ -1052,7 +1036,8 @@ class SWSTIndex:
         Checks, for every spatial cell: B+ tree structural invariants;
         that each stored entry lives in the correct cell, tree and key;
         that the memo's per-temporal-cell counts match the stored entries
-        exactly and every MBR covers its entries; and that the
+        exactly, every MBR covers its entries, and every column bitmap
+        marks exactly the column's non-empty d-partitions; and that the
         current-entry table points at live ND records.  Intended for
         tests and post-crash verification — cost is a full scan.
         """
@@ -1098,16 +1083,33 @@ class SWSTIndex:
                                 f"stray current entry {entry} not in the "
                                 f"current-object table")
                         current_seen.add(entry.oid)
+            memo_counts = {cell_key: count
+                           for cell_key, (count, _) in memo.cells()}
             for cell_key, count in counts.items():
-                if memo.count(*cell_key) != count:
+                if memo_counts.get(cell_key, 0) != count:
                     raise AssertionError(
-                        f"memo count {memo.count(*cell_key)} != stored "
-                        f"{count} in cell ({cx}, {cy}) temporal {cell_key}")
-            for cell_key in memo._cells:
+                        f"memo count {memo_counts.get(cell_key, 0)} != "
+                        f"stored {count} in cell ({cx}, {cy}) temporal "
+                        f"{cell_key}")
+            for cell_key in memo_counts:
                 if cell_key not in counts:
                     raise AssertionError(
                         f"memo cell {cell_key} non-empty but no entries "
                         f"stored in spatial cell ({cx}, {cy})")
+            expected_bits: dict[int, int] = {}
+            for s_part, d_part in memo_counts:
+                expected_bits[s_part] = \
+                    expected_bits.get(s_part, 0) | 1 << d_part
+            bitmaps = dict(memo.columns())
+            for s_part in bitmaps.keys() | expected_bits.keys():
+                have = bitmaps.get(s_part)
+                want = expected_bits.get(s_part)
+                if have != want:
+                    have, want = have or 0, want or 0
+                    raise AssertionError(
+                        f"memo column {s_part} of spatial cell ({cx}, {cy}) "
+                        f"has stale d-partition bits {have & ~want:#x} and "
+                        f"misses {want & ~have:#x}")
         if total != self._size:
             raise AssertionError(f"size counter {self._size} != stored "
                                  f"entries {total}")
@@ -1224,7 +1226,7 @@ class SWSTIndex:
                     else None,
                 ]
                 self._trees[(cx, cy)] = trees
-                self._memos[(cx, cy)] = CellMemo()
+                self._memos[(cx, cy)] = CellMemo(self.codec.d_bits)
             (n_current,) = _CATALOG_COUNT.unpack_from(blob, offset)
             offset += _CATALOG_COUNT.size
             for _ in range(n_current):
@@ -1248,19 +1250,19 @@ class SWSTIndex:
     def _rebuild_memos(self) -> None:
         """Derive every memo in one leaf-chain pass per tree.
 
-        An entry's memo cell is the ``(s_part, d_part)`` prefix of its own
-        key (:meth:`KeyCodec.split`), so only ``(x, y)`` is read from the
-        record; :meth:`check_integrity` is the oracle that key and record
-        agree.
+        An entry's memo cell is the temporal prefix of its own key
+        (``key >> z_bits``, the ``(s_part, d_part)`` bits), so only
+        ``(x, y)`` is read from the record; :meth:`check_integrity` is the
+        oracle that key and record agree.
         """
-        split = self.codec.split
+        z_bits = self.codec.z_bits
         for cell, trees in self._trees.items():
-            add = self._memos[cell].add
+            add = self._memos[cell].add_prefix
             for tree in trees:
                 if tree is None:
                     continue
                 for key, payload in tree.items():
-                    add(*split(key), *record_xy(payload))
+                    add(key >> z_bits, *record_xy(payload))
 
     # -- lifecycle ----------------------------------------------------------------
 

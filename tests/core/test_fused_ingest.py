@@ -112,7 +112,7 @@ def observable(index):
     trees = {(cell, i): list(tree.items())
              for cell, pair in index._trees.items()
              for i, tree in enumerate(pair) if tree is not None}
-    memos = {cell: (dict(memo._cells), memo.occupied_columns)
+    memos = {cell: (dict(memo.cells()), dict(memo.columns()))
              for cell, memo in index._memos.items()}
     return (trees, memos, len(index), index.current_objects(), index.now,
             index.stats.snapshot(), list(index.scan()))

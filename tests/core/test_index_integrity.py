@@ -87,7 +87,24 @@ class TestIntegrity:
         memo = index._memos[index.grid.cell_of(10, 10)]
         s_part = CFG.s_partition(100)
         d_part = CFG.d_partition(50)
-        memo._cells[(s_part, d_part)][0] += 1
-        with pytest.raises(AssertionError):
+        memo.add(s_part, d_part, 10, 10)    # a count with no entry
+        with pytest.raises(AssertionError, match="memo count 2 != stored 1"):
+            index.check_integrity()
+        index.close()
+
+    @pytest.mark.parametrize("flip", ["stale", "missing"])
+    def test_detects_column_bitmap_corruption(self, flip):
+        """A column bitmap must equal its non-empty d-partitions in both
+        directions: a bit with no cell, and a cell with no bit, are each
+        caught (the bitmap is private, so the test corrupts it there)."""
+        index = SWSTIndex(CFG)
+        index.insert(1, 10, 10, 100, 50)
+        index.check_integrity()
+        memo = index._memos[index.grid.cell_of(10, 10)]
+        s_part = CFG.s_partition(100)
+        d_part = CFG.d_partition(50)
+        other = (d_part + 1) % CFG.dp
+        memo._cols[s_part] ^= 1 << (other if flip == "stale" else d_part)
+        with pytest.raises(AssertionError, match=f"memo column {s_part} "):
             index.check_integrity()
         index.close()

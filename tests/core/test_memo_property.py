@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CellMemo, Rect
+from repro.core import CellMemo, ColumnOverlap, Rect
+
+from ..conftest import examples
 
 operations = st.lists(
     st.one_of(
@@ -18,13 +20,13 @@ operations = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(operations)
 def test_memo_matches_multiset_model(ops):
     """The memo's counts match a dict-of-lists model, and every surviving
     point is covered by its cell's MBR (MBRs are allowed to be larger —
     conservative — but never smaller)."""
-    memo = CellMemo()
+    memo = CellMemo(2)
     model: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for op, s_part, d_part, x, y in ops:
         if op == "add":
@@ -56,7 +58,7 @@ def test_memo_matches_multiset_model(ops):
                 assert memo.count(s_part, d_part) == 0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)),
                 min_size=1, max_size=50),
        st.tuples(st.integers(0, 99), st.integers(0, 99),
@@ -64,7 +66,7 @@ def test_memo_matches_multiset_model(ops):
 def test_memo_overlap_never_false_negative(points, probe):
     """If any stored point is inside the probe area, overlaps() is True
     (the pruning predicate may over-approximate, never under)."""
-    memo = CellMemo()
+    memo = CellMemo(2)
     for x, y in points:
         memo.add(0, 0, x, y)
     x_lo, y_lo = min(probe[0], probe[2]), min(probe[1], probe[3])
@@ -74,39 +76,73 @@ def test_memo_overlap_never_false_negative(points, probe):
         assert memo.overlaps(0, 0, area)
 
 
-def _occupied(memo: CellMemo) -> set[int]:
-    return {s for s in range(12) if any(memo.count(s, d) for d in range(4))}
+def _nonempty(memo: CellMemo) -> dict[int, set[int]]:
+    """``{s: {d : count(s, d) > 0}}`` over non-empty columns, by probing."""
+    found: dict[int, set[int]] = {}
+    for s_part in range(12):
+        for d_part in range(4):
+            if memo.count(s_part, d_part):
+                found.setdefault(s_part, set()).add(d_part)
+    return found
 
 
-def _bits(memo: CellMemo) -> set[int]:
-    assert memo.occupied_columns >> 12 == 0
-    return {s for s in range(12) if memo.occupied_columns >> s & 1}
+def _bitmaps(memo: CellMemo) -> dict[int, set[int]]:
+    return {s_part: {d for d in range(bits.bit_length()) if bits >> d & 1}
+            for s_part, bits in memo.columns()}
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(operations)
-def test_occupied_bitmap_is_a_conservative_superset(ops):
-    """The occupied-column bitmap never misses a column that holds an
-    entry; ``remove`` may leave stale bits, ``reset_partitions`` (the
-    wholesale drop) clears exactly its range, and a reset of every
-    partition makes the bitmap exact again."""
-    memo = CellMemo()
-    assert memo.occupied_columns == 0
+def test_column_bitmaps_are_exact(ops):
+    """After any add/remove/reset sequence each column's bitmap is exactly
+    its set of non-empty d-partitions, and a column is present exactly
+    when it holds an entry: ``remove`` clears the bit of a cell it
+    empties and drops a column it empties, ``reset_partitions`` drops
+    whole columns."""
+    memo = CellMemo(2)
+    assert dict(memo.columns()) == {}
     for op, s_part, d_part, x, y in ops:
         if op == "add":
             memo.add(s_part, d_part, x, y)
         elif op == "remove":
             if memo.count(s_part, d_part):
-                before = memo.occupied_columns
                 memo.remove(s_part, d_part)
-                assert memo.occupied_columns == before
         else:
-            outside = {s for s in _bits(memo)
-                       if not s_part <= s < s_part + d_part}
             memo.reset_partitions(s_part, s_part + d_part)
-            assert _bits(memo) == outside
-        assert _bits(memo) >= _occupied(memo)
+        assert _bitmaps(memo) == _nonempty(memo)
+        assert all(bits for _, bits in memo.columns())
     memo.reset_partitions(0, 12)
-    assert memo.occupied_columns == 0 and memo.total_entries() == 0
+    assert dict(memo.columns()) == {} and memo.total_entries() == 0
     memo.add(3, 1, 5, 5)
-    assert _bits(memo) == _occupied(memo) == {3}
+    assert _bitmaps(memo) == _nonempty(memo) == {3: {1}}
+
+
+@settings(max_examples=examples(80), deadline=None)
+@given(operations,
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)),
+                max_size=6, unique_by=lambda c: c[0]),
+       st.tuples(st.integers(0, 99), st.integers(0, 99),
+                 st.integers(0, 99), st.integers(0, 99)))
+def test_spans_equal_exhaustive_probe_sweep(ops, columns, probe):
+    """``spans`` — the bitmap walk — finds the same first and last
+    overlapping d-partition as probing ``d_first..3`` one by one."""
+    memo = CellMemo(2)
+    for op, s_part, d_part, x, y in ops:
+        if op == "add":
+            memo.add(s_part, d_part, x, y)
+        elif op == "remove":
+            if memo.count(s_part, d_part):
+                memo.remove(s_part, d_part)
+        else:
+            memo.reset_partitions(s_part, s_part + d_part)
+    area = Rect(min(probe[0], probe[2]), min(probe[1], probe[3]),
+                max(probe[0], probe[2]), max(probe[1], probe[3]))
+    cols = [ColumnOverlap(s_part, 0, 0, 0, d_first, 4)
+            for s_part, d_first in columns]
+    expected = []
+    for column in cols:
+        hit = [n for n in range(column.d_first, 4)
+               if memo.overlaps(column.s_part, n, area)]
+        if hit:
+            expected.append((column.s_part, hit[0], hit[-1]))
+    assert memo.spans(cols, area) == expected

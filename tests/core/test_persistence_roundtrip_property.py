@@ -14,10 +14,12 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Rect, SWSTConfig, SWSTIndex
+from repro.core import KeyCodec, Rect, SWSTConfig, SWSTIndex
 from repro.core.memo import CellMemo
 from repro.core.records import Entry
 from repro.storage.stats import IOStats
+
+from ..conftest import examples
 
 CFG = SWSTConfig(window=200, slide=20, x_partitions=3, y_partitions=3,
                  d_max=40, duration_interval=10, space=Rect(0, 0, 99, 99),
@@ -58,7 +60,7 @@ def reference_memos(index: SWSTIndex) -> dict[tuple[int, int], CellMemo]:
     config = index.config
     memos = {}
     for cell, trees in index._trees.items():
-        memo = memos[cell] = CellMemo()
+        memo = memos[cell] = CellMemo(index.codec.d_bits)
         for tree in trees:
             if tree is None:
                 continue
@@ -74,12 +76,12 @@ def assert_memos_match_records(index: SWSTIndex) -> None:
     reference = reference_memos(index)
     assert index._memos.keys() == reference.keys()
     for cell, memo in reference.items():
-        assert index._memos[cell]._cells == memo._cells, cell
-        assert index._memos[cell].occupied_columns == \
-            memo.occupied_columns, cell
+        assert dict(index._memos[cell].cells()) == dict(memo.cells()), cell
+        assert dict(index._memos[cell].columns()) == \
+            dict(memo.columns()), cell
 
 
-@settings(max_examples=120, deadline=None,
+@settings(max_examples=examples(120), deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(config=st.sampled_from(CONFIGS), stream=stream_strategy,
        retentions=retention_strategy, k=st.sampled_from((0, 3, 4, 6)),
@@ -139,15 +141,17 @@ def _saved_stream(path: str, config: SWSTConfig) -> None:
 
 
 def test_open_derives_memos_from_keys(tmp_path):
-    """Count-based cost guard (no wall clock): ``open`` decodes no record
-    and computes no partition — every memo cell comes from a key — and
+    """Count-based cost guard (no wall clock): ``open`` decodes no record,
+    computes no partition and splits no key — every memo cell is a key's
+    temporal prefix — and
     reads exactly the pages it read when it decoded every record."""
     config = dataclasses.replace(CFG, buffer_capacity=16)
     path = str(tmp_path / "swst.db")
     _saved_stream(path, config)
     watched = {Entry.unpack.__func__.__code__: "Entry.unpack",
                SWSTConfig.s_partition.__code__: "s_partition",
-               SWSTConfig.d_partition.__code__: "d_partition"}
+               SWSTConfig.d_partition.__code__: "d_partition",
+               KeyCodec.split.__code__: "KeyCodec.split"}
     calls = {name: 0 for name in watched.values()}
 
     def count_calls(frame, event, arg):
@@ -161,7 +165,7 @@ def test_open_derives_memos_from_keys(tmp_path):
         sys.setprofile(None)
     try:
         assert calls == {"Entry.unpack": 0, "s_partition": 0,
-                         "d_partition": 0}
+                         "d_partition": 0, "KeyCodec.split": 0}
         assert opened.stats == IOStats(logical_reads=478, physical_reads=478,
                                        node_parses=478)
         assert len(opened) == 2964
