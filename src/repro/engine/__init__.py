@@ -13,7 +13,8 @@ keeps them in-process (work runs inline through an :class:`Executor`),
 :class:`WorkerEngine` runs every shard in a long-lived worker *process*
 fed through a per-shard write-ahead log, so acknowledged writes survive
 worker crashes (the supervisor restarts the worker and replays the WAL
-tail).  :func:`open_engine` picks between them.  See
+tail).  :func:`open_engine` picks between them; both open a directory
+by executing one read-only :func:`plan_recovery`.  See
 ``docs/internals.md`` (engine layer, failure model) for the design.
 """
 
@@ -31,6 +32,7 @@ from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
                      WalError, WorkerCrashError, WorkerRecoveryError)
 from .executor import (Executor, SerialExecutor, ThreadedExecutor,
                        resolve_executor)
+from .recovery import RecoveryPlan, ShardPlan, plan_recovery
 from .reshard import GenerationBuild, ReshardReport, reshard
 from .retry import CircuitBreaker, RetryPolicy
 from .scrub import DirectoryScrubReport, scrub_directory
@@ -79,6 +81,7 @@ __all__ = [
     "GenerationBuild",
     "GridShardMap",
     "PartialResult",
+    "RecoveryPlan",
     "ReshardError",
     "ReshardInProgressError",
     "ReshardReport",
@@ -87,6 +90,7 @@ __all__ = [
     "ShardBackend",
     "ShardFailure",
     "ShardOpenError",
+    "ShardPlan",
     "ShardQueryError",
     "ShardedEngine",
     "ThreadedExecutor",
@@ -101,6 +105,7 @@ __all__ = [
     "WorkerRecoveryError",
     "load_manifest",
     "open_engine",
+    "plan_recovery",
     "read_wal",
     "replay",
     "reshard",

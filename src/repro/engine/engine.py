@@ -43,15 +43,11 @@ On disk an engine is a *directory*::
 atomic unit: PREPARE marker, shard commits, manifest FLIP, marker
 cleanup (see :meth:`Coordinator.save`), then each shard's base is
 refreshed from its just-committed page file (:func:`write_bases`).
-Both backends open a shard the same way (:func:`open_shard`: the page
-file, else its base if :func:`base_is_valid`), and an ``open()`` that
-still finds a base failing the rule saves once to rewrite every base
-(:meth:`Coordinator._gain_bases`).  They differ in one
-recovery step only, a save torn between shard commits: in-process
-shards restore every base (:meth:`InProcessBackend.recover`), worker
-shards rebase their WALs and roll forward
-(:meth:`~repro.engine.worker.WorkerBackend.heal`).  A pre-epoch
-``"format": 1`` manifest is refused with
+``open()`` on either backend executes one read-only
+:class:`~repro.engine.recovery.RecoveryPlan`; the table of directory
+states, actions and typed errors is under "Two-phase epoch commit" in
+``docs/internals.md``.
+A pre-epoch ``"format": 1`` manifest is refused with
 :class:`~repro.storage.errors.UnsupportedFormatError` (chained under the
 :class:`EngineError` every manifest failure raises).
 
@@ -74,7 +70,6 @@ surviving shards' entries plus one typed
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from typing import (Any, Callable, Iterable, Iterator, Protocol, TypeVar)
 
@@ -85,32 +80,28 @@ from ..core.overlap import classify_interval
 from ..core.plan import QueryPlan, build_query_plan
 from ..core.records import Entry, Rect, ReportLike
 from ..core.results import MultiQueryResult, QueryResult, QueryStats
-from ..storage.errors import StorageError, UnsupportedFormatError
+from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from ..storage.pager import MEMORY
-from ..storage.scrub import probe_committed_generation
 from ..storage.stats import IOStats
 from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
-                     EngineCloseError, EngineError, EpochTornError,
-                     ShardFailure, ShardOpenError, ShardQueryError)
+                     EngineCloseError, EngineError, ShardFailure,
+                     ShardQueryError)
 from .executor import Executor, resolve_executor
+from .recovery import (MANIFEST_FORMAT, MANIFEST_NAME, PREPARE_NAME,
+                       RecoveryPlan, drop_prepare, execute, generation_dir,
+                       load_manifest, open_shard, plan_recovery,
+                       shard_file_name, write_bases, write_json_atomic)
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
 from .wal import (NONE_ARG, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
-                  OP_RETAIN, Op, apply_op, base_file_name, read_wal,
-                  wal_file_name)
-
-_MANIFEST_NAME = "engine.json"
-_PREPARE_NAME = "engine.prepare.json"
-_MANIFEST_FORMAT = 2
+                  OP_RETAIN, Op, apply_op)
 
 #: Per-shard failures a degraded fan-out absorbs into ``ShardFailure``
 #: records: storage-layer corruption/IO, raw OS errors, and the engine's
 #: own typed errors (open circuit breakers, dead workers).
 SHARD_FAILURE_ERRORS = (StorageError, OSError, EngineError)
 
-
-_GEN_DIR_PREFIX = "gen-"
 
 _E = TypeVar("_E", bound="Coordinator")
 
@@ -121,218 +112,18 @@ Signature = tuple[int, int, int | None, int]
 FanOut = tuple[list[tuple[int, Any]], list[ShardFailure]]
 
 
-def _shard_file_name(shard_id: int) -> str:
-    return f"shard-{shard_id:03d}.pages"
-
-
-def generation_dir(directory: str, generation: int) -> str:
-    """Directory holding one generation's shard files (root for gen 0)."""
-    if generation == 0:
-        return directory
-    return os.path.join(directory, f"{_GEN_DIR_PREFIX}{generation:03d}")
-
-
 def shard_file_path(directory: str | None, generation: int,
                     shard_id: int) -> str:
     """Page-file path of one shard (``":memory:"`` without a directory)."""
     if directory is None:
         return MEMORY
     return os.path.join(generation_dir(directory, generation),
-                        _shard_file_name(shard_id))
-
-
-def base_is_valid(gen_dir: str, shard_id: int, recorded: int) -> bool:
-    """The one rule for a shard's base: restorable only at the manifest's
-    generation.
-
-    A base's committed header generation, probed passively, must equal
-    the generation ``recorded`` for the shard in the manifest.  An older
-    base is a superseded epoch's (a crash between the flip and
-    :func:`write_bases`); any other is not the state the manifest names.
-    A shard recorded at ``0`` never committed: its durable state is
-    "empty", which needs no base (:func:`restore_bases` resets it).
-    """
-    return recorded == 0 or probe_committed_generation(
-        os.path.join(gen_dir, base_file_name(shard_id))) == recorded
-
-
-def write_bases(fops: FileOps, gen_dir: str,
-                shard_ids: Iterable[int]) -> None:
-    """Copy each shard's page file over its base, then one dir fsync.
-
-    Only called while those page files sit at exactly the generation the
-    manifest records (or is about to record) for them: right after a
-    commit, or from :func:`open_shard` before it opens the file.
-    """
-    for sid in shard_ids:
-        fops.copy_file(os.path.join(gen_dir, _shard_file_name(sid)),
-                       os.path.join(gen_dir, base_file_name(sid)))
-    fops.fsync_dir(gen_dir)
-
-
-def restore_bases(fops: FileOps, gen_dir: str,
-                  recorded: dict[int, int]) -> None:
-    """Put each shard ``sid`` back to generation ``recorded[sid]``, then
-    one dir fsync.
-
-    Its base is copied over its page file; a shard recorded at ``0``
-    has its page file unlinked instead (the open starts an empty one),
-    so a commit a torn first save landed on it cannot survive.  Each
-    step is atomic, so a crash mid-restore re-enters recovery and
-    converges.  Callers check :func:`base_is_valid` first.
-    """
-    for sid, generation in recorded.items():
-        path = os.path.join(gen_dir, _shard_file_name(sid))
-        if generation:
-            fops.copy_file(os.path.join(gen_dir, base_file_name(sid)), path)
-        else:
-            fops.unlink(path)
-    fops.fsync_dir(gen_dir)
-
-
-def open_shard(shard_id: int, config: SWSTConfig, fops: FileOps,
-               gen_dir: str, recorded: int) -> SWSTIndex:
-    """Open one shard's page file, falling back to its base.
-
-    What both backends run for every shard they open.  ``recorded`` is
-    the manifest's generation for the shard:
-
-    * ``0`` — the shard never committed, so its durable state is
-      "empty": a file that does not open (or has no catalog yet) is
-      replaced by a fresh one.
-    * otherwise a base failing :func:`base_is_valid` is first rewritten
-      if the page file sits at ``recorded`` (the copy a crash after the
-      flip never made), and a page file storage recovery refuses — a
-      mid-session crash left evicted pages past the committed
-      generation — is replaced by its valid base.  With no valid base
-      the refusal is a typed :class:`ShardOpenError`.
-    """
-    path = os.path.join(gen_dir, _shard_file_name(shard_id))
-    if not base_is_valid(gen_dir, shard_id, recorded) \
-            and probe_committed_generation(path) == recorded:
-        write_bases(fops, gen_dir, [shard_id])
-    try:
-        return SWSTIndex.open(path, config)
-    except (StorageError, OSError) as exc:
-        if not recorded:
-            if os.path.exists(path):
-                fops.unlink(path)
-            return SWSTIndex(config, path)
-        if not base_is_valid(gen_dir, shard_id, recorded):
-            raise ShardOpenError(shard_id, path, exc) from exc
-    except Exception as exc:
-        raise ShardOpenError(shard_id, path, exc) from exc
-    restore_bases(fops, gen_dir, {shard_id: recorded})
-    try:
-        return SWSTIndex.open(path, config)
-    except Exception as exc:
-        raise ShardOpenError(shard_id, path, exc) from exc
-
-
-def check_wals_quiescent(directory: str, manifest: dict[str, Any],
-                         error: type[EngineError] = EngineError) -> None:
-    """Refuse WALs whose acknowledged records the page files lack.
-
-    A ``WorkerEngine`` acknowledges writes into per-shard WALs and
-    folds them into the page files only at a checkpoint; records at
-    the manifest epoch exist *nowhere else*, so anything that reads the
-    page files alone (the in-process open, a reshard) would silently
-    drop them.  Stale WALs (older epoch) are already folded in.
-    """
-    gen_dir = generation_dir(directory, manifest["generation"])
-    epoch: int = manifest["epoch"]
-    for shard_id in range(manifest["n_shards"]):
-        path = os.path.join(gen_dir, wal_file_name(shard_id))
-        if not os.path.exists(path):
-            continue
-        scan = read_wal(path)
-        if scan.epoch > epoch:
-            raise error(
-                f"write-ahead log {path!r} claims epoch {scan.epoch} past "
-                f"the manifest epoch {epoch}; open the directory with "
-                f"WorkerEngine first")
-        if scan.epoch == epoch and scan.records:
-            raise error(
-                f"write-ahead log {path!r} holds {len(scan.records)} "
-                f"acknowledged records not yet checkpointed into the page "
-                f"files; open the directory with WorkerEngine and save() "
-                f"first")
-
-
-def write_json_atomic(fops: FileOps, directory: str, path: str,
-                      blob: dict[str, Any]) -> None:
-    """Durable atomic JSON write: temp + fsync, rename, dir fsync."""
-    data = (json.dumps(blob, sort_keys=True) + "\n").encode()
-    tmp_path = path + ".tmp"
-    fops.write_file(tmp_path, data)
-    fops.replace(tmp_path, path)
-    fops.fsync_dir(directory)
-
-
-def probe_prepare_state(
-        prepare: dict[str, Any], shard_paths: list[str]
-) -> tuple[list[int | None], list[int], list[int]]:
-    """Classify shards against a PREPARE marker's expected generations.
-
-    Probes each shard's committed header generation passively (no open,
-    no commit) and splits the ids into ``committed`` (the shard reached
-    the generation the marker said its save would produce) and
-    ``pending`` (it did not, or the file is unreadable).  Shared by both
-    backends' marker resolution, so both recoveries classify
-    identically.
-    """
-    observed = [probe_committed_generation(path) for path in shard_paths]
-    committed = [sid for sid, gen in enumerate(observed)
-                 if gen is not None and gen >= prepare["expected"][sid]]
-    pending = [sid for sid in range(len(shard_paths))
-               if sid not in set(committed)]
-    return observed, committed, pending
-
-
-def load_manifest(manifest_path: str) -> dict[str, Any]:
-    """Read and validate an engine manifest.
-
-    Returns ``{"format", "n_shards", "epoch", "shards", "generation"}``
-    (``generation`` names the subdirectory the live shard files inhabit
-    — see :func:`generation_dir`).  Every failure is an
-    :class:`EngineError`; a retired ``"format": 1`` manifest chains an
-    :class:`UnsupportedFormatError` as its cause.
-    """
-    try:
-        with open(manifest_path) as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise EngineError(f"cannot read engine manifest "
-                          f"{manifest_path!r}: {exc}") from exc
-    if not isinstance(manifest, dict) \
-            or not isinstance(manifest.get("n_shards"), int) \
-            or manifest["n_shards"] < 1:
-        raise EngineError(f"engine manifest {manifest_path!r} is not a "
-                          f"recognised SWST engine manifest")
-    n_shards: int = manifest["n_shards"]
-    fmt = manifest.get("format")
-    if fmt != _MANIFEST_FORMAT:
-        retired = UnsupportedFormatError(
-            "pre-epoch manifest format 1 is no longer read") \
-            if fmt == 1 else None
-        raise EngineError(f"engine manifest {manifest_path!r} has "
-                          f"unsupported format {fmt!r}") from retired
-    epoch = manifest.get("epoch")
-    gens = manifest.get("shards")
-    generation = manifest.get("generation")
-    if not isinstance(epoch, int) or epoch < 0 \
-            or not isinstance(gens, list) or len(gens) != n_shards \
-            or not all(isinstance(g, int) and g >= 0 for g in gens) \
-            or not isinstance(generation, int) or generation < 0:
-        raise EngineError(f"engine manifest {manifest_path!r} is a "
-                          f"malformed format-{_MANIFEST_FORMAT} manifest")
-    return {"format": _MANIFEST_FORMAT, "n_shards": n_shards,
-            "epoch": epoch, "shards": list(gens), "generation": generation}
+                        shard_file_name(shard_id))
 
 
 def load_checked_manifest(directory: str, n_shards: int) -> dict[str, Any]:
     """Load ``directory``'s manifest, refusing a shard-count mismatch."""
-    manifest = load_manifest(os.path.join(directory, _MANIFEST_NAME))
+    manifest = load_manifest(os.path.join(directory, MANIFEST_NAME))
     if manifest["n_shards"] != n_shards:
         raise EngineError(
             f"directory {directory!r} holds {manifest['n_shards']} "
@@ -341,7 +132,7 @@ def load_checked_manifest(directory: str, n_shards: int) -> dict[str, Any]:
 
 
 def _fresh_manifest(n_shards: int) -> dict[str, Any]:
-    return {"format": _MANIFEST_FORMAT, "n_shards": n_shards, "epoch": 0,
+    return {"format": MANIFEST_FORMAT, "n_shards": n_shards, "epoch": 0,
             "shards": [0] * n_shards, "generation": 0}
 
 
@@ -358,108 +149,17 @@ def prepare_directory(directory: str, n_shards: int, fops: FileOps,
         raise EngineError(f"engine path {directory!r} exists and is "
                           f"not a directory")
     os.makedirs(directory, exist_ok=True)
-    if os.path.exists(os.path.join(directory, _PREPARE_NAME)):
+    if os.path.exists(os.path.join(directory, PREPARE_NAME)):
         raise EngineError(
             f"directory {directory!r} holds an interrupted save "
-            f"(marker {_PREPARE_NAME}); recover it with "
+            f"(marker {PREPARE_NAME}); recover it with "
             f"{opener}.open() first")
-    manifest_path = os.path.join(directory, _MANIFEST_NAME)
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
     if os.path.exists(manifest_path):
         return load_checked_manifest(directory, n_shards)
     manifest = _fresh_manifest(n_shards)
     write_json_atomic(fops, directory, manifest_path, manifest)
     return manifest
-
-
-def _load_prepare(prepare_path: str) -> dict[str, Any] | None:
-    """Read the PREPARE marker; ``None`` if absent, typed error if torn.
-
-    The marker is written atomically (temp file + fsync + rename + dir
-    fsync), so on a healthy filesystem it is either absent or valid; an
-    unreadable marker means external damage and recovery refuses to
-    guess.
-    """
-    try:
-        with open(prepare_path) as handle:
-            record = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        raise EngineError(f"cannot read save marker {prepare_path!r}: "
-                          f"{exc}") from exc
-    expected = record.get("expected") if isinstance(record, dict) else None
-    if not isinstance(record, dict) \
-            or record.get("format") != _MANIFEST_FORMAT \
-            or not isinstance(record.get("epoch"), int) \
-            or record["epoch"] < 1 \
-            or not isinstance(record.get("n_shards"), int) \
-            or not isinstance(expected, list) \
-            or len(expected) != record["n_shards"] \
-            or not all(isinstance(g, int) and g >= 1 for g in expected):
-        raise EngineError(f"save marker {prepare_path!r} is malformed")
-    return record
-
-
-def load_pending_prepare(directory: str, manifest: dict[str, Any],
-                         fops: FileOps) -> dict[str, Any] | None:
-    """The marker of an unresolved save, or ``None`` if there is none.
-
-    Handles the two cases that need no shard probing — no marker, and a
-    marker whose epoch the manifest already reached (the flip landed,
-    only the cleanup was lost: finish it) — and refuses markers that
-    cannot belong to this manifest.  What remains is a save interrupted
-    between PREPARE and FLIP, which each backend resolves its own way.
-    """
-    prepare_path = os.path.join(directory, _PREPARE_NAME)
-    prepare = _load_prepare(prepare_path)
-    if prepare is None:
-        return None
-    if prepare["n_shards"] != manifest["n_shards"]:
-        raise EngineError(
-            f"save marker in {directory!r} records "
-            f"{prepare['n_shards']} shards but the manifest holds "
-            f"{manifest['n_shards']}")
-    epoch: int = manifest["epoch"]
-    if prepare["epoch"] == epoch:
-        drop_prepare(directory, fops)
-        return None
-    if prepare["epoch"] != epoch + 1:
-        raise EngineError(
-            f"save marker epoch {prepare['epoch']} is inconsistent "
-            f"with manifest epoch {epoch} in {directory!r} "
-            f"(external tampering?)")
-    return prepare
-
-
-def drop_prepare(directory: str, fops: FileOps) -> None:
-    """Durably remove the save marker (last step of every resolution)."""
-    fops.unlink(os.path.join(directory, _PREPARE_NAME))
-    fops.fsync_dir(directory)
-
-
-def roll_manifest_forward(directory: str, manifest: dict[str, Any],
-                          prepare: dict[str, Any],
-                          observed: list[int | None],
-                          fops: FileOps) -> dict[str, Any]:
-    """Finish a save whose flip was lost: rewrite the manifest at the
-    marker's epoch, drop the marker.
-
-    A shard that committed is recorded at its observed generation.  One
-    that did not (workers roll forward over a rebased WAL) keeps its
-    previous generation: its durable state is still that commit, which
-    is exactly what its base holds (:func:`base_is_valid`).
-    """
-    gens = [gen if gen is not None and gen >= expected else previous
-            for gen, expected, previous in zip(
-                observed, prepare["expected"], manifest["shards"],
-                strict=True)]
-    rolled = {"format": _MANIFEST_FORMAT, "n_shards": manifest["n_shards"],
-              "epoch": prepare["epoch"], "shards": gens,
-              "generation": manifest["generation"]}
-    write_json_atomic(fops, directory,
-                      os.path.join(directory, _MANIFEST_NAME), rolled)
-    drop_prepare(directory, fops)
-    return rolled
 
 
 @dataclasses.dataclass
@@ -616,10 +316,10 @@ class InProcessBackend:
     Op batches are applied directly — the same
     :func:`~repro.engine.wal.apply_op` a WAL replay runs, with no
     encoding in between — and per-shard work goes through the
-    executor seam.  Recovery restores bases (see :meth:`recover`).  The
-    seams are :class:`ShardedEngine`'s, documented there; ``directory``
-    is ``None`` for memory devices and ``generation`` names the
-    manifest generation whose shard files are served.
+    executor seam.  The seams are :class:`ShardedEngine`'s, documented
+    there; ``directory`` is ``None`` for memory devices and
+    ``generation`` names the manifest generation whose shard files are
+    served.
     """
 
     def __init__(self, config: SWSTConfig, directory: str | None,
@@ -664,52 +364,32 @@ class InProcessBackend:
         return backend
 
     @classmethod
-    def recover(cls, directory: str, config: SWSTConfig, **seams: Any
-                ) -> tuple["InProcessBackend", dict[str, Any]]:
-        """Re-open a saved shard directory, recovering it as one unit.
-
-        Returns the backend and the manifest it recovered to.  A
-        directory whose WALs hold acknowledged records at the manifest
-        epoch is refused first (:func:`check_wals_quiescent`): only
-        ``WorkerEngine`` can replay them.  Then one state machine over
-        the PREPARE marker a crashed save left and the shards that
-        reached the header generation the marker expected — probed
-        passively, *before* any shard opens (opening itself commits a
-        header).  With ``E`` the manifest epoch:
-
-        * no marker — nothing to resolve; a marker at ``E`` lost only
-          its cleanup: drop it.
-        * marker ``E+1``, every shard committed — **roll forward**:
-          rewrite the manifest at ``E+1``, drop the marker.
-        * marker ``E+1``, no shard committed — **roll back**: drop the
-          marker.
-        * marker ``E+1``, some shards committed — **restore** every
-          shard's base (a shard recorded at generation 0, never saved,
-          is reset to empty), drop the marker; if any base fails
-          :func:`base_is_valid`, **refuse** with a typed
-          :class:`EpochTornError` naming both groups, touching no file.
-
-        Every save writes its bases, so the refusal is reached only when
-        a base was damaged from outside.  Then each shard opens through
-        :func:`open_shard`: one that storage recovery refuses (a
-        mid-session crash evicted uncommitted pages over its committed
-        state) restores its own base, else :class:`ShardOpenError` names
-        it.  The shards must agree on one clock and sit at or above
-        their recorded generations — disagreement means the directory
-        mixes copies and is refused with a typed error rather than
-        heuristically resynchronised.
-        """
-        backend = cls(config, directory, **seams)
+    def recover(cls, plan: RecoveryPlan, config: SWSTConfig,
+                **seams: Any) -> "InProcessBackend":
+        """Open every shard of a directory whose recovery plan has
+        executed (:func:`~repro.engine.recovery.execute`; the rules are
+        the table under "Two-phase epoch commit" in
+        ``docs/internals.md``), and check that together they sit at one
+        clock."""
+        assert plan.manifest is not None
+        backend = cls(config, plan.directory, plan.manifest["generation"],
+                      **seams)
+        gen_dir = generation_dir(plan.directory, backend.generation)
         try:
-            manifest = load_checked_manifest(directory, config.n_shards)
-            backend.generation = manifest["generation"]
-            check_wals_quiescent(directory, manifest)
-            manifest = backend._recover_epoch(manifest)
-            backend._open_shards(manifest)
+            for shard in plan.shards:
+                backend.shards.append(
+                    open_shard(shard, config, backend.fops, gen_dir))
+            clocks = {shard.now for shard in backend.shards}
+            if len(clocks) > 1:
+                raise EngineError(
+                    f"shard clocks disagree under manifest epoch "
+                    f"{plan.manifest['epoch']}: {sorted(clocks)}; the "
+                    f"directory mixes copies of different epochs "
+                    f"(restore from backup)")
         except BaseException:
             backend.close()
             raise
-        return backend, manifest
+        return backend
 
     def shard_path(self, shard_id: int) -> str:
         return shard_file_path(self.directory, self.generation, shard_id)
@@ -822,8 +502,7 @@ class InProcessBackend:
         capture uncommitted pages the buffer pool evicted over the
         committed state, and restoring it would reproduce the corruption
         instead of undoing it.  A crash in here leaves bases of the
-        previous epoch, which :func:`base_is_valid` refuses and
-        :func:`open_shard` rewrites.
+        previous epoch, which the next recovery plan refreshes.
         """
         assert self.directory is not None
         write_bases(self.fops, generation_dir(self.directory,
@@ -845,59 +524,6 @@ class InProcessBackend:
             except BaseException as exc:
                 errors.append(exc)
         return errors
-
-    # -- recovery on open ------------------------------------------------------
-
-    def _recover_epoch(self, manifest: dict[str, Any]) -> dict[str, Any]:
-        """Resolve a leftover PREPARE marker (the table in
-        :meth:`recover`); returns the manifest to use."""
-        assert self.directory is not None
-        prepare = load_pending_prepare(self.directory, manifest, self.fops)
-        if prepare is None:
-            return manifest
-        n_shards = self.config.n_shards
-        observed, committed, pending = probe_prepare_state(
-            prepare, [self.shard_path(sid) for sid in range(n_shards)])
-        if len(committed) == n_shards:
-            return roll_manifest_forward(self.directory, manifest, prepare,
-                                         observed, self.fops)
-        if committed:
-            # The committed shards overwrote epoch E in place; only the
-            # bases still hold it (a shard recorded at 0 is reset to
-            # empty).  Restore every shard (a pending one may also carry
-            # evicted pages) or, with any base not exactly epoch E's,
-            # refuse before touching a file.
-            gen_dir = generation_dir(self.directory, self.generation)
-            gens: list[int] = manifest["shards"]
-            if not all(base_is_valid(gen_dir, sid, gens[sid])
-                       for sid in range(n_shards)):
-                raise EpochTornError(prepare["epoch"], committed, pending)
-            restore_bases(self.fops, gen_dir, dict(enumerate(gens)))
-        drop_prepare(self.directory, self.fops)
-        return manifest
-
-    def _open_shards(self, manifest: dict[str, Any]) -> None:
-        """Open every shard (:func:`open_shard`) and verify that together
-        they sit at the manifest epoch."""
-        assert self.directory is not None
-        gen_dir = generation_dir(self.directory, self.generation)
-        gens: list[int] = manifest["shards"]
-        for shard_id in range(self.config.n_shards):
-            self.shards.append(open_shard(shard_id, self.config, self.fops,
-                                          gen_dir, gens[shard_id]))
-        for shard_id, shard in enumerate(self.shards):
-            if shard.pager.generation < gens[shard_id]:
-                raise EngineError(
-                    f"shard {shard_id} is behind the manifest: committed "
-                    f"generation {shard.pager.generation} < recorded "
-                    f"{gens[shard_id]} (page file replaced or restored "
-                    f"from an older backup?)")
-        clocks = {shard.now for shard in self.shards}
-        if len(clocks) > 1:
-            raise EngineError(
-                f"shard clocks disagree under manifest epoch "
-                f"{manifest['epoch']}: {sorted(clocks)}; the directory "
-                f"mixes copies of different epochs (restore from backup)")
 
 
 # -- the coordinator ---------------------------------------------------------
@@ -950,6 +576,9 @@ class Coordinator:
         self._cur: dict[int, tuple[int, int, int, int]] = {}
         self._clock = 0
         self._closed = False
+        #: The :class:`~repro.engine.recovery.RecoveryPlan` ``open()``
+        #: executed (``None`` for an engine a constructor built).
+        self.recovery: RecoveryPlan | None = None
         try:
             self._resync()
         except BaseException:
@@ -967,20 +596,14 @@ class Coordinator:
         Coordinator.__init__(engine, *args, **kwargs)
         return engine
 
-    def _gain_bases(self, manifest: dict[str, Any]) -> None:
-        """Last step of ``open()``: leave every shard a valid base.
-
-        A base that still fails :func:`base_is_valid` once every shard
-        is open — a directory older code wrote (its copies elsewhere;
-        ``snapshots/`` is never read), or a save whose base copy failed
-        with the process alive — cannot be copied from a page file that
-        has moved past its recorded generation.  One save (epoch
-        ``E+1``) writes them all, so a crash from here on restores.
-        """
-        assert self._dir is not None
-        gen_dir = generation_dir(self._dir, self._generation)
-        if all(base_is_valid(gen_dir, sid, gen)
-               for sid, gen in enumerate(manifest["shards"])):
+    def _recovered(self, plan: RecoveryPlan) -> None:
+        """Last step of ``open()``: keep the executed plan as
+        :attr:`recovery`, and save once if it left a shard without a
+        valid base (its page file moved past the recorded generation, so
+        no copy of it can pass the base rule; the save, epoch ``E+1``,
+        writes every base)."""
+        self.recovery = plan
+        if not plan.regains_bases:
             return
         try:
             self.save()
@@ -1667,14 +1290,14 @@ class Coordinator:
                         for generation, marked in backend.read("gen_info")]
             write_json_atomic(
                 self._fops, self._dir,
-                os.path.join(self._dir, _PREPARE_NAME),
-                {"format": _MANIFEST_FORMAT, "epoch": next_epoch,
+                os.path.join(self._dir, PREPARE_NAME),
+                {"format": MANIFEST_FORMAT, "epoch": next_epoch,
                  "n_shards": self.n_shards, "expected": expected})
             gens = backend.commit()
             write_json_atomic(
                 self._fops, self._dir,
-                os.path.join(self._dir, _MANIFEST_NAME),
-                {"format": _MANIFEST_FORMAT, "n_shards": self.n_shards,
+                os.path.join(self._dir, MANIFEST_NAME),
+                {"format": MANIFEST_FORMAT, "n_shards": self.n_shards,
                  "epoch": next_epoch, "shards": gens,
                  "generation": self._generation})
             drop_prepare(self._dir, self._fops)
@@ -1744,7 +1367,7 @@ class ShardedEngine(Coordinator):
     A disk-backed engine keeps one committed copy of every shard file
     (its base, written by each save), so a save torn between in-place
     shard commits, or a crash mid-session, rolls back on ``open()``
-    (:meth:`InProcessBackend.recover`).
+    (the recovery table in ``docs/internals.md``).
     """
 
     _backend: InProcessBackend
@@ -1775,16 +1398,22 @@ class ShardedEngine(Coordinator):
              breaker_factory: Callable[[], CircuitBreaker] | None
              = CircuitBreaker,
              file_ops: FileOps | None = None) -> "ShardedEngine":
-        """Re-open a saved shard directory, recovering it as one unit
-        (see :meth:`InProcessBackend.recover` for the rules); a shard
-        left without a valid base gets one (:meth:`_gain_bases`)."""
+        """Re-open a saved shard directory: plan its recovery
+        (:func:`~repro.engine.recovery.plan_recovery`), refuse — touching
+        no file — whatever the plan refuses or a replay of acknowledged
+        WAL records it would need, else execute it and open every
+        shard."""
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
-        backend, manifest = InProcessBackend.recover(
-            os.fspath(path), config, executor=executor,
-            retry_policy=retry_policy, breaker_factory=breaker_factory,
-            file_ops=fops)
-        engine = cls._adopt(config, backend, os.fspath(path), manifest, fops)
-        engine._gain_bases(manifest)
+        plan = plan_recovery(path, config)
+        refusal = plan.refusal or plan.in_process_refusal()
+        if refusal is not None:
+            raise refusal
+        manifest = execute(plan, fops)
+        backend = InProcessBackend.recover(
+            plan, config, executor=executor, retry_policy=retry_policy,
+            breaker_factory=breaker_factory, file_ops=fops)
+        engine = cls._adopt(config, backend, plan.directory, manifest, fops)
+        engine._recovered(plan)
         return engine
 
     def reopen(self, n_shards: int) -> "ShardedEngine":

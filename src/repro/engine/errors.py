@@ -11,8 +11,8 @@ small hierarchy rooted at :class:`EngineError`:
   breaker is open (no request was dispatched at all).
 * :class:`ClockFenceError` — a worker shard refused a query signed with
   a clock other than its own.
-* :class:`EpochTornError` — the refusal arm of
-  ``InProcessBackend.recover``: a save was interrupted between in-place
+* :class:`EpochTornError` — the refusal arm of the recovery plan
+  (:mod:`repro.engine.recovery`): a save was interrupted between in-place
   shard commits *and* some shard's base (``shard-NNN.pages.base``, which
   every save writes) no longer holds the previous epoch — damaged from
   outside — so neither the pre-save nor the post-save state exists on

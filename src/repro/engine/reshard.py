@@ -3,7 +3,7 @@
 ``reshard(directory, new_n_shards, config)`` rewrites a saved engine
 directory to a different shard count without ever modifying the live generation: the new shard
 files are built side-by-side under ``gen-<G+1>/`` (see
-:func:`~repro.engine.engine.generation_dir`) and the directory switches
+:func:`~repro.engine.recovery.generation_dir`) and the directory switches
 over in a single atomic manifest write.  Until that write lands the
 old generation is byte-for-byte untouched — a crash at *any* file
 operation of the protocol reopens as exactly the old directory; from
@@ -27,7 +27,7 @@ Protocol (all durable steps through the :class:`FileOps` seam):
    shard files, carry over the current-entry table and per-object
    retentions, then drop the source copies.  No manifest state changes.
 3. **FLIP** — save every new shard, copy each just-committed file to
-   its base next to it (:func:`~repro.engine.engine.write_bases`, whose
+   its base next to it (:func:`~repro.engine.recovery.write_bases`, whose
    one fsync of the generation directory covers the shard files too),
    then atomically rewrite ``engine.json`` with the new shard count,
    epoch ``E+1`` and generation ``G+1``.  This single rename is the
@@ -38,13 +38,12 @@ Protocol (all durable steps through the :class:`FileOps` seam):
 
 Preconditions (checked before anything is written, typed
 :class:`~repro.engine.errors.ReshardError` on violation): the
-directory holds a committed manifest (epoch >= 1), no
-unresolved save marker, and no write-ahead log with acknowledged
-records at the current epoch
-(:func:`~repro.engine.engine.check_wals_quiescent`) — those records
-live only in the WAL, so resharding from the page files alone would
-drop them; a ``WorkerEngine`` checkpoint (``save()``) folds them in
-first.
+directory holds a committed manifest (epoch >= 1) and its recovery plan
+(:func:`~repro.engine.recovery.plan_recovery`) is clean — no refusal,
+no interrupted save, and no write-ahead log with acknowledged records
+at the current epoch.  Those records live only in the WAL, so
+resharding from the page files alone would drop them; a
+``WorkerEngine`` checkpoint (``save()``) folds them in first.
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ from ..core.config import SWSTConfig
 from ..core.index import SWSTIndex
 from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
-from .engine import (_MANIFEST_FORMAT, _MANIFEST_NAME, _PREPARE_NAME,
-                     InProcessBackend, ShardedEngine, _shard_file_name,
-                     check_wals_quiescent, generation_dir, load_manifest,
-                     write_bases, write_json_atomic)
+from .engine import InProcessBackend, ShardedEngine
+from .recovery import (CLEAN, MANIFEST_FORMAT, MANIFEST_NAME,
+                       generation_dir, plan_recovery, shard_file_name,
+                       write_bases, write_json_atomic)
 from .errors import ReshardError
 from .sharding import GridShardMap
 from .wal import base_file_name, wal_file_name
@@ -140,16 +139,20 @@ class GenerationBuild:
         self._dir = os.fspath(directory)
         self._fops: FileOps = file_ops if file_ops is not None \
             else DURABLE_FILE_OPS
-        manifest = load_manifest(os.path.join(self._dir, _MANIFEST_NAME))
+        plan = plan_recovery(self._dir)
+        manifest = plan.manifest
+        refusal = plan.refusal or plan.in_process_refusal()
+        if refusal is not None:
+            raise ReshardError(str(refusal)) from refusal
+        assert manifest is not None
+        if plan.action != CLEAN:
+            raise ReshardError(
+                f"directory {self._dir!r} needs recovery ({plan.action}: "
+                f"{plan.reason}); open it once before resharding")
         if manifest["epoch"] < 1:
             raise ReshardError(
                 f"directory {self._dir!r} has never completed an epoch "
                 f"save; save it once first")
-        if os.path.exists(os.path.join(self._dir, _PREPARE_NAME)):
-            raise ReshardError(
-                f"directory {self._dir!r} holds an interrupted save "
-                f"(marker {_PREPARE_NAME}); recover it with "
-                f"ShardedEngine.open() before resharding")
         self._old_n: int = manifest["n_shards"]
         self._epoch: int = manifest["epoch"]
         self._old_generation: int = manifest["generation"]
@@ -157,7 +160,6 @@ class GenerationBuild:
         self._old_config = dataclasses.replace(config, n_shards=self._old_n)
         self._new_config = dataclasses.replace(config,
                                                n_shards=new_n_shards)
-        check_wals_quiescent(self._dir, manifest, ReshardError)
         self._gen_dir = generation_dir(self._dir, self._new_generation)
         self._old_gen_dir = generation_dir(self._dir, self._old_generation)
         self._sources: list[SWSTIndex] = []
@@ -197,7 +199,7 @@ class GenerationBuild:
         self._clear_debris()
         for shard_id in range(self._old_n):
             src = os.path.join(self._old_gen_dir,
-                               _shard_file_name(shard_id))
+                               shard_file_name(shard_id))
             dst = os.path.join(self._gen_dir,
                                _source_file_name(shard_id))
             fops.copy_file(src, dst)
@@ -252,7 +254,7 @@ class GenerationBuild:
         fops = self._fops
         cleared = False
         names = [_source_file_name(sid) for sid in range(self._old_n)]
-        names += [_shard_file_name(sid)
+        names += [shard_file_name(sid)
                   for sid in range(self._new_config.n_shards)]
         for name in names:
             path = os.path.join(self._gen_dir, name)
@@ -309,8 +311,8 @@ class GenerationBuild:
         gens = backend.commit()
         write_bases(fops, self._gen_dir, range(self._new_config.n_shards))
         write_json_atomic(
-            fops, self._dir, os.path.join(self._dir, _MANIFEST_NAME),
-            {"format": _MANIFEST_FORMAT,
+            fops, self._dir, os.path.join(self._dir, MANIFEST_NAME),
+            {"format": MANIFEST_FORMAT,
              "n_shards": self._new_config.n_shards,
              "epoch": self._epoch + 1, "shards": gens,
              "generation": self._new_generation})
@@ -336,7 +338,7 @@ class GenerationBuild:
         """
         fops = self._fops
         for shard_id in range(self._old_n):
-            for name in (_shard_file_name(shard_id),
+            for name in (shard_file_name(shard_id),
                          wal_file_name(shard_id),
                          base_file_name(shard_id)):
                 path = os.path.join(self._old_gen_dir, name)

@@ -361,29 +361,3 @@ class WalWriter:
 def _parent_dir(path: str) -> str:
     return os.path.dirname(os.path.abspath(path))
 
-
-def rebase_wal(path: str, fops: FileOps | None, epoch: int) -> bool:
-    """Rewrite ``path``'s header to claim ``epoch``, keeping its records.
-
-    Epoch-commit recovery uses this to roll a *pending* shard forward:
-    the shard's page file never committed the new epoch, so its WAL tail
-    (written against the old epoch's base) still holds every
-    acknowledged op — the records stay valid, only the epoch label
-    moves.  The rewrite is atomic (temp + replace + dir fsync) and
-    idempotent; a torn tail is dropped in passing (it was never
-    acknowledged).  Returns False if the file does not exist or already
-    claims ``epoch``.
-    """
-    ops = fops if fops is not None else DURABLE_FILE_OPS
-    if not os.path.exists(path):
-        return False
-    scan = read_wal(path)
-    if scan.epoch == epoch:
-        return False
-    blob = _HEADER.pack(_MAGIC, _VERSION, 0, epoch) \
-        + b"".join(record.encode() for record in scan.records)
-    tmp = path + ".tmp"
-    ops.write_file(tmp, blob)
-    ops.replace(tmp, path)
-    ops.fsync_dir(_parent_dir(path))
-    return True

@@ -29,19 +29,13 @@ by wrapping, before the fork, the functions it inherits.
 
 **Recovery (worker start).**  :meth:`WorkerBackend.start` forks every
 worker before it collects any handshake (in shard order), so the
-shards' WAL replays overlap; a restart of one shard is unchanged.
-
-1. Open the shard exactly as the in-process backend does
-   (:func:`~repro.engine.engine.open_shard`): the page file, or — if
-   storage recovery refuses it (a crash left evicted pages past the
-   committed generation) — the shard's *base*, the byte copy of the
-   page file taken right after the epoch commit, provided its
-   generation is the one the manifest records.  The base and the WAL
-   therefore always describe the same starting state.
-2. Read the WAL once: epoch behind the manifest -> stale (its ops are
-   inside the committed state), reset it; epoch equal -> replay every
-   record; epoch ahead -> refuse (typed
-   :class:`~repro.engine.errors.WalCorruptError`).
+shards' recoveries overlap; a restart of one shard is unchanged.  Each
+worker plans its own shard and executes the plan
+(:func:`_recover_shard`; the rules are the per-shard table under
+"Two-phase epoch commit" in ``docs/internals.md``): open the page file
+or restore its base,
+then replay the WAL, decoded once, or reset a stale one.  The ready
+handshake reports the shard's plan, with its replayed and torn counts.
 
 **Supervision.**  The backend detects worker death three ways: the
 pipe reports EOF (process exited or was SIGKILLed), a request overruns
@@ -78,14 +72,11 @@ layout, ``d = None`` as the ``CURRENT_DURATION`` sentinel).
 expected header generation in the PREPARE marker, saves every shard
 (in-worker ``SWSTIndex.save``), flips the manifest, unlinks the marker,
 then checkpoints each worker (refresh base, reset WAL to the new
-epoch).  A failure anywhere kills every worker and runs the same
-marker resolution ``open()`` uses, so no worker can keep acknowledging
-into a stale-epoch WAL.  Unlike the in-process backend, a crash
-*between* shard commits never restores bases: pending shards' WALs are
-rebased to the new epoch (their acknowledged tails replay over their
-old base), so ``EpochTornError`` cannot happen here — the WAL upgrades
-the two-phase commit from "atomic or typed refusal" to "always roll
-forward".
+epoch).  A failure anywhere kills every worker and executes the same
+recovery plan ``open()`` would, so no worker can keep acknowledging
+into a stale-epoch WAL.  A save torn between shard commits restores
+every base, as in process: each WAL still holds its shard's whole
+acknowledged tail at the old epoch and replays over the base.
 """
 
 from __future__ import annotations
@@ -105,18 +96,16 @@ from ..core.overlap import classify_interval as classify_interval
 from ..core.plan import QueryPlan, build_query_plan as build_query_plan
 from ..core.records import ReportLike
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
-from .engine import (_MANIFEST_NAME, SHARD_FAILURE_ERRORS, Coordinator,
-                     FanOut, Signature, drop_prepare, generation_dir,
-                     load_checked_manifest, load_manifest,
-                     load_pending_prepare, open_shard, prepare_directory,
-                     probe_prepare_state, read_shard, roll_manifest_forward,
-                     shard_file_path, write_bases)
+from .engine import (SHARD_FAILURE_ERRORS, Coordinator, FanOut, Signature,
+                     prepare_directory, read_shard, shard_file_path)
 from .errors import (CircuitOpenError, ClockFenceError, EngineError,
-                     ShardFailure, WalCorruptError, WorkerCrashError,
-                     WorkerRecoveryError)
+                     ShardFailure, WorkerCrashError, WorkerRecoveryError)
+from .recovery import (MANIFEST_NAME, REPLAY, ShardPlan, execute,
+                       generation_dir, load_manifest, open_shard,
+                       plan_directory, plan_shard, write_bases)
 from .retry import CircuitBreaker, RetryPolicy
 from .wal import (OP_ADVANCE, Op, WalWriter, apply_op, apply_record,
-                  read_wal, rebase_wal, run_op, wal_file_name)
+                  run_op, wal_file_name)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from multiprocessing.connection import Connection
@@ -148,48 +137,36 @@ def _mp_context() -> "BaseContext":
 
 
 def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
-                   fops: FileOps,
-                   generation: int) -> tuple[SWSTIndex, WalWriter, int]:
-    """Rebuild one shard from page file (or base) + WAL.
+                   fops: FileOps, generation: int
+                   ) -> tuple[SWSTIndex, WalWriter, ShardPlan]:
+    """Plan one shard (:func:`~repro.engine.recovery.plan_shard`) and
+    execute the plan: open the page file or restore its base, then
+    replay the WAL (decoded once, by the plan) or reset it.
 
-    Returns ``(shard, wal_writer, replayed_record_count)``.  Raises
+    Returns ``(shard, wal_writer, plan)``.  A planned refusal raises its
     :class:`~repro.engine.errors.ShardOpenError` or
-    :class:`WalCorruptError` when no recovery path exists (terminal —
-    restarting again cannot help).
-
-    The base is left alone when :func:`~repro.engine.engine.open_shard`
-    finds it valid: it already holds the committed state the WAL
-    replays over, and a copy of the page file taken after opening it
-    would sit at a later header generation (opening commits a clean
-    mark), which the base rule then refuses.
+    :class:`~repro.engine.errors.WalCorruptError` before any file is
+    touched (terminal — restarting again cannot help).
     """
     gen_dir = generation_dir(directory, generation)
     wal_path = os.path.join(gen_dir, wal_file_name(shard_id))
-    manifest = load_manifest(os.path.join(directory, _MANIFEST_NAME))
+    manifest = load_manifest(os.path.join(directory, MANIFEST_NAME))
     epoch: int = manifest["epoch"]
-    shard = open_shard(shard_id, config, fops, gen_dir,
-                       manifest["shards"][shard_id])
+    plan, scan = plan_shard(gen_dir, shard_id, manifest["shards"][shard_id],
+                            epoch)
+    shard = open_shard(plan, config, fops, gen_dir)
     try:
-        replayed = 0
-        if os.path.exists(wal_path):
-            scan = read_wal(wal_path)
-            if scan.epoch > epoch:
-                raise WalCorruptError(
-                    wal_path, f"claims epoch {scan.epoch} ahead of "
-                              f"manifest epoch {epoch}")
-            if scan.epoch == epoch:
-                writer, _ = WalWriter.resume(wal_path, fops, scan)
-                for record in scan.records:
-                    apply_record(shard, record)
-                    replayed += 1
-            else:
-                writer = WalWriter.reset(wal_path, fops, epoch=epoch)
+        if plan.wal == REPLAY:
+            assert scan is not None
+            writer, _ = WalWriter.resume(wal_path, fops, scan)
+            for record in scan.records:
+                apply_record(shard, record)
         else:
             writer = WalWriter.reset(wal_path, fops, epoch=epoch)
     except BaseException:
         shard.abort()
         raise
-    return shard, writer, replayed
+    return shard, writer, plan
 
 
 def _apply_batch(shard: SWSTIndex, writer: WalWriter,
@@ -237,14 +214,14 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
     for parent_end in inherited:
         parent_end.close()
     try:
-        shard, writer, replayed = _recover_shard(shard_id, directory,
-                                                 config, fops, generation)
+        shard, writer, plan = _recover_shard(shard_id, directory, config,
+                                             fops, generation)
     except BaseException as exc:
         _exit_fatal(conn, exc)
     conn.send(("ready", {"now": shard.now,
                          "current": shard.current_objects(),
-                         "replayed": replayed,
-                         "next_seq": writer.next_seq}))
+                         "replayed": plan.replayed, "torn": plan.torn,
+                         "plan": plan, "next_seq": writer.next_seq}))
     while True:
         try:
             message = conn.recv()
@@ -533,9 +510,10 @@ class WorkerBackend:
     then collect — one WAL group commit per shard per dispatch), dead
     workers restart under the retry policy with a per-shard breaker
     gating the attempts, and a dispatch whose acknowledgement a crash
-    swallowed is re-delivered seq-exactly.  Recovery rolls forward from
-    the WALs (:meth:`heal`), never by restoring every base.  The seams are
-    :class:`WorkerEngine`'s, documented there.
+    swallowed is re-delivered seq-exactly.  Recovery executes the plan
+    of :mod:`repro.engine.recovery`, the directory half here and each
+    shard's half in its worker.  The seams are :class:`WorkerEngine`'s,
+    documented there.
     """
 
     epoch_commit = True
@@ -574,6 +552,8 @@ class WorkerBackend:
         #: against the restarted worker's replayed cursor to re-deliver
         #: exactly the records that never became durable.
         self._inflight: dict[int, tuple[int, list[Op]]] = {}
+        #: Each shard's plan, as its worker's last handshake reported it.
+        self.shard_plans: dict[int, ShardPlan] = {}
         self.needs_resync = False
 
     @property
@@ -642,6 +622,7 @@ class WorkerBackend:
         batch has been settled first.
         """
         self._next_seq[shard_id] = info["next_seq"]
+        self.shard_plans[shard_id] = info["plan"]
         worker_now: int = info["now"]
         inflight = self._inflight.pop(shard_id, None)
         if inflight is not None:
@@ -817,11 +798,14 @@ class WorkerBackend:
                 for sid in range(self.n_shards)]
 
     def abort_commit(self) -> dict[str, Any]:
-        """Kill every worker and resolve the marker exactly as ``open()``
-        would — a worker must never keep acknowledging writes into a WAL
-        of a superseded epoch."""
+        """Kill every worker and execute the directory's recovery plan
+        exactly as ``open()`` would — a worker must never keep
+        acknowledging writes into a WAL of a superseded epoch.  Each
+        respawn then plans and recovers its own shard."""
         self.pool.kill_all()
-        manifest = self.heal()
+        manifest = execute(plan_directory(self.directory, self.config),
+                           self.fops)
+        self.pool.generation = manifest["generation"]
         self.needs_resync = True
         return manifest
 
@@ -842,42 +826,6 @@ class WorkerBackend:
         every acknowledged op is in the WALs and ``open()`` replays
         them)."""
         return self.pool.stop_all()
-
-    # -- recovery --------------------------------------------------------------
-
-    def heal(self) -> dict[str, Any]:
-        """Resolve a leftover PREPARE marker (open-time and post-failure).
-
-        Like the in-process backend's recovery, with the WAL upgrade: a
-        *partially* committed epoch rolls forward instead of restoring
-        every base — pending shards' WALs are rebased to the new epoch
-        so their acknowledged tails replay over their old bases (the
-        manifest keeps their previous generations, see
-        :func:`~repro.engine.engine.roll_manifest_forward`), while
-        committed shards' stale WALs are simply reset by their workers
-        on respawn.  Returns the manifest the directory resolved to.
-        """
-        manifest = load_checked_manifest(self.directory, self.n_shards)
-        self.pool.generation = manifest["generation"]
-        prepare = load_pending_prepare(self.directory, manifest, self.fops)
-        if prepare is None:
-            return manifest
-        observed, committed, pending = probe_prepare_state(
-            prepare, [self.shard_path(sid) for sid in range(self.n_shards)])
-        if not committed:
-            # Roll back: no shard committed; every page file (or its
-            # base) still holds the last epoch and every acknowledged op
-            # since then still lives in the shards' WALs.
-            drop_prepare(self.directory, self.fops)
-            return manifest
-        # Roll forward: rebase the pending shards' logs onto the new
-        # epoch (idempotent, atomic per shard), then flip the manifest.
-        gen_dir = generation_dir(self.directory, self.pool.generation)
-        for sid in pending:
-            rebase_wal(os.path.join(gen_dir, wal_file_name(sid)),
-                       self.fops, prepare["epoch"])
-        return roll_manifest_forward(self.directory, manifest, prepare,
-                                     observed, self.fops)
 
 
 class WorkerEngine(Coordinator):
@@ -930,25 +878,24 @@ class WorkerEngine(Coordinator):
              = CircuitBreaker,
              heartbeat_timeout: float | None = None,
              file_ops: FileOps | None = None) -> "WorkerEngine":
-        """Re-open a shard directory, recovering marker and WALs.
-
-        Marker resolution runs first (roll back, roll forward with WAL
-        rebase, or finish a lost cleanup); then one worker per shard is
-        spawned, each replaying its WAL tail, and the coordinator
-        resynchronises its mirror from the recovered workers.  A shard
-        left without a valid base gets one
-        (:meth:`~repro.engine.engine.Coordinator._gain_bases`).
+        """Re-open a shard directory: execute the directory half of its
+        recovery plan (:func:`~repro.engine.recovery.plan_directory`),
+        then spawn one worker per shard, each planning and recovering
+        its own shard (:func:`_recover_shard`) side by side.  The
+        plan kept as :attr:`recovery` is the directory's, with the
+        shard plans the workers reported.
         """
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
-        directory = os.fspath(path)
+        plan = plan_directory(path, config)
+        manifest = execute(plan, fops)
         backend = WorkerBackend(
-            config, directory, retry_policy=retry_policy,
+            config, plan.directory, retry_policy=retry_policy,
             breaker_factory=breaker_factory,
             heartbeat_timeout=heartbeat_timeout, file_ops=fops)
-        manifest = backend.heal()
         backend.start(manifest)
-        engine = cls._adopt(config, backend, directory, manifest, fops)
-        engine._gain_bases(manifest)
+        engine = cls._adopt(config, backend, plan.directory, manifest, fops)
+        engine._recovered(dataclasses.replace(plan, shards=tuple(
+            backend.shard_plans[sid] for sid in range(config.n_shards))))
         return engine
 
     def reopen(self, n_shards: int) -> "WorkerEngine":

@@ -85,6 +85,10 @@ class ServeApp:
                                              retry_after=retry_after,
                                              rng=rng)
         self.request_timeout = request_timeout
+        #: The recovery plan the served engine opened with (``None`` for
+        #: an engine a constructor built), as ``/stats`` shows it.
+        plan = engine.engine.recovery
+        self.recovery = plan.summary() if plan is not None else None
         self._routes: dict[tuple[str, str], Handler] = {
             (method, path): handler for method, path, handler in ROUTES}
         self._paths = {path for _, path, _ in ROUTES}
@@ -100,9 +104,11 @@ class ServeApp:
         return Response(200, payload)
 
     def stats_snapshot(self) -> dict[str, Any]:
-        """Counters plus live gauges (gate, coalescer, admission)."""
+        """Counters plus live gauges (gate, coalescer, admission) and
+        the recovery plan the server opened with."""
         snapshot = self.stats.snapshot()
         snapshot["gate"] = self.engine.gate.state
+        snapshot["recovery"] = self.recovery
         snapshot["admission_capacity"] = self.admission.capacity
         snapshot.update(self.coalescer.stats_view())
         return snapshot

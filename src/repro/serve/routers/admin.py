@@ -66,7 +66,9 @@ async def healthz(app: "ServeApp", request: Request) -> Response:
 
 
 async def stats(app: "ServeApp", request: Request) -> Response:
-    """Cumulative serving counters plus live gauges."""
+    """Cumulative serving counters, live gauges, and ``recovery``: the
+    plan the served engine opened with — its directory action and, per
+    shard, the action, replayed WAL records and torn bytes dropped."""
     return Response(200, app.stats_snapshot())
 
 

@@ -14,7 +14,7 @@ import os
 
 from .errors import StorageError
 from .page import FilePageDevice, read_superblock
-from .pager import read_header_slots
+from .pager import PagerHeader, read_header_slots
 
 
 @dataclasses.dataclass
@@ -97,11 +97,58 @@ def probe_committed_generation(path: str | os.PathLike[str]) -> int | None:
         return None
     device = FilePageDevice(path, page_size)
     try:
-        valid = read_header_slots(device)
+        head = _newest_header(device)
     finally:
         device.close()
-    return max((header.generation for header in valid.values()),
-               default=None)
+    return head.generation if head is not None else None
+
+
+def probe_open(path: str | os.PathLike[str]) -> tuple[int | None,
+                                                     str | None]:
+    """What opening ``path`` would find, probed passively.
+
+    Returns the newest committed header generation (``None`` when no
+    committed state is observable) and why ``SWSTIndex.open`` would
+    refuse the file (``None`` when it opens).  These are the checks of
+    recovery-on-open, made without committing anything: a valid header
+    slot, every committed page on disk, after an unclean shutdown every
+    committed page checksum-valid and stamped no newer than the header
+    — and a stored blob (the catalog), which a never-saved file lacks.
+    """
+    path = os.fspath(path)
+    try:
+        page_size = probe_page_file(path)
+    except (OSError, StorageError) as exc:
+        return None, str(exc)
+    device = FilePageDevice(path, page_size)
+    try:
+        head = _newest_header(device)
+        if head is None:
+            return None, "neither header slot holds a valid committed header"
+        generation = head.generation
+        if device.page_count() < head.page_count:
+            return generation, (f"file truncated: {device.page_count()} "
+                                f"pages on disk, {head.page_count} "
+                                f"committed")
+        for page_id in range(2, 2 if head.clean else head.page_count):
+            try:
+                stamp = device.check_page(page_id)
+            except StorageError as exc:
+                return generation, str(exc)
+            if stamp > generation:
+                return generation, (
+                    f"page {page_id} holds uncommitted data from "
+                    f"generation {stamp} (committed {generation})")
+        if not int.from_bytes(head.meta, "little"):
+            return generation, "no saved catalog (never committed)"
+        return generation, None
+    finally:
+        device.close()
+
+
+def _newest_header(device: FilePageDevice) -> PagerHeader | None:
+    return max(read_header_slots(device).values(),
+               key=lambda header: header.generation, default=None)
 
 
 def scrub_page_file(path: str | os.PathLike[str]) -> ScrubReport:

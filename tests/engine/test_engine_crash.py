@@ -14,10 +14,10 @@ from repro.cli import main as run_cli
 from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (EngineCloseError, EpochTornError, SerialExecutor,
                           ShardedEngine, ShardOpenError)
-from repro.engine.engine import base_is_valid
 from repro.storage import (FaultInjectingFileOps, InjectedFault,
                            StorageError, crash_devices,
-                           per_path_device_factory)
+                           per_path_device_factory,
+                           probe_committed_generation)
 
 
 def make_config(n_shards=3, **overrides):
@@ -208,8 +208,15 @@ def recorded_gens(path):
     return json.loads((path / "engine.json").read_text())["shards"]
 
 
+def base_valid(path, sid, gen):
+    """The base rule, probed from outside: a base holds exactly the
+    manifest's generation (a never-committed shard needs none)."""
+    return gen == 0 or probe_committed_generation(
+        path / f"shard-{sid:03d}.pages.base") == gen
+
+
 def bases_valid(path):
-    return [base_is_valid(str(path), sid, gen)
+    return [base_valid(path, sid, gen)
             for sid, gen in enumerate(recorded_gens(path))]
 
 

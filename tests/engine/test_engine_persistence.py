@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import Rect, SWSTConfig
 from repro.engine import EngineError, SerialExecutor, ShardedEngine
-from repro.engine.engine import open_shard
+from repro.engine.recovery import RESET, open_shard, plan_shard
 from repro.storage.fault import FaultInjectingFileOps
 
 
@@ -140,7 +140,9 @@ class TestOpenShard:
         path = tmp_path / "shard-000.pages"
         path.write_bytes(b"not a page file" * 64)
         ops = FaultInjectingFileOps()
-        shard = open_shard(0, make_config(n_shards=1), ops, str(tmp_path), 0)
+        plan, _ = plan_shard(str(tmp_path), 0, 0, 0)
+        assert plan.pages == RESET
+        shard = open_shard(plan, make_config(n_shards=1), ops, str(tmp_path))
         try:
             assert len(shard) == 0
         finally:

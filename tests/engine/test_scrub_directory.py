@@ -75,6 +75,20 @@ class TestProblems:
         assert sum(1 for shard in report.reports if not shard.ok) == 1
         assert "CORRUPT" in report.render()
 
+    def test_bit_flip_in_a_base_fails_the_directory(self, saved_dir):
+        """A base is what recovery restores after a crash: damage in it
+        fails the scrub before a crash needs it."""
+        base = saved_dir / "shard-001.pages.base"
+        device = FaultInjectingPageDevice(FilePageDevice(base, 512))
+        device.flip_stored_bit(device.page_count() - 1, 9, 0x20)
+        device.close()
+        report = scrub_directory(saved_dir)
+        assert not report.ok
+        assert report.problems == [
+            "shard file shard-001.pages.base is damaged"]
+        assert all(shard.ok for shard in report.reports)
+        assert len(report.base_reports) == N_SHARDS
+
     def test_missing_shard_file_is_reported(self, saved_dir):
         (saved_dir / "shard-002.pages").unlink()
         report = scrub_directory(saved_dir)

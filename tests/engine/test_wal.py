@@ -1,4 +1,4 @@
-"""WAL unit tests: codec, writer, reader, torn tails, resume, rebase."""
+"""WAL unit tests: codec, writer, reader, torn tails, resume."""
 
 import os
 import pathlib
@@ -11,7 +11,7 @@ from repro.engine.errors import WalCorruptError
 from repro.engine.wal import (HEADER_SIZE, NONE_ARG, OP_ADVANCE, OP_CLOSE,
                               OP_INSERT, OP_RETAIN, OP_RUN, WalRecord,
                               WalReport, WalWriter, base_file_name,
-                              read_wal, rebase_wal, replay, wal_file_name)
+                              read_wal, replay, wal_file_name)
 from repro.storage import FaultInjectingFileOps, InjectedFault
 
 
@@ -182,31 +182,6 @@ class TestResumeAndRebase:
         WalWriter.reset(path, epoch=2)
         scan = read_wal(path)
         assert (scan.epoch, scan.records) == (2, ())
-
-    def test_rebase_moves_epoch_and_keeps_records(self, tmp_path):
-        path = str(tmp_path / "w.wal")
-        writer = WalWriter.reset(path, epoch=3)
-        writer.log(OP_INSERT, (1, 2, 3, 4, 5))
-        writer.commit()
-        assert rebase_wal(path, None, 4)
-        scan = read_wal(path)
-        assert scan.epoch == 4
-        assert scan.records == (WalRecord(0, OP_INSERT, (1, 2, 3, 4, 5)),)
-
-    def test_rebase_is_idempotent_and_drops_torn_tails(self, tmp_path):
-        path = str(tmp_path / "w.wal")
-        writer = WalWriter.reset(path, epoch=3)
-        writer.log(OP_ADVANCE, (1,))
-        writer.commit()
-        with open(path, "ab") as handle:
-            handle.write(b"\xff\xff")
-        assert rebase_wal(path, None, 4)
-        assert not rebase_wal(path, None, 4)  # already claims epoch 4
-        scan = read_wal(path)
-        assert not scan.torn and len(scan.records) == 1
-
-    def test_rebase_missing_file_is_false(self, tmp_path):
-        assert not rebase_wal(str(tmp_path / "absent.wal"), None, 1)
 
 
 class TestDurabilityBarrier:

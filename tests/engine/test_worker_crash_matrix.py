@@ -34,8 +34,7 @@ import pytest
 from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           WorkerCrashError, WorkerEngine)
-from repro.engine.engine import base_is_valid
-from repro.storage import StorageError
+from repro.storage import StorageError, probe_committed_generation
 
 from .worker_faults import WorkerFaults
 
@@ -387,9 +386,16 @@ class TestInterop:
         assert reopened_state(str(path)) == oracle["final"]
 
 
+def base_valid(path, sid, gen):
+    """The base rule, probed from outside: a base holds exactly the
+    manifest's generation (a never-committed shard needs none)."""
+    return gen == 0 or probe_committed_generation(
+        path / f"shard-{sid:03d}.pages.base") == gen
+
+
 def bases_valid(path):
     gens = json.loads((path / "engine.json").read_text())["shards"]
-    return [base_is_valid(str(path), sid, gen)
+    return [base_valid(path, sid, gen)
             for sid, gen in enumerate(gens)]
 
 

@@ -115,10 +115,10 @@ def test_the_test_process_is_never_faulted(tmp_path, monkeypatch):
         worker._apply_batch(shard, writer, [run_op(now, [R(1, 5, 5, now)])])
     finally:
         shard.abort()
-    shard, writer, replayed = worker._recover_shard(0, directory, config,
-                                                    fops, 0)
+    shard, writer, plan = worker._recover_shard(0, directory, config, fops,
+                                                0)
     try:
-        assert replayed == 1
+        assert plan.replayed == 1
         shard.save()
         worker._checkpoint(0, directory, fops, epoch, 0)
     finally:

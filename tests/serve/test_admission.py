@@ -212,3 +212,32 @@ def test_degraded_result_maps_to_206(engine):
     assert response.status == 206
     assert response.payload["degraded"] is True
     assert response.payload["failures"][0]["shard_id"] == 1
+
+
+def test_stats_show_the_recovery_plan_the_server_opened_with(tmp_path,
+                                                             engine):
+    """``/stats`` carries the plan ``open()`` executed: here a save
+    interrupted before any shard committed, rolled back."""
+    path = tmp_path / "index.d"
+    with ShardedEngine(make_config(), path,
+                       executor=SerialExecutor()) as eng:
+        eng.insert(1, 5, 5, 0)
+        eng.save()
+    manifest = json.loads((path / "engine.json").read_text())
+    (path / "engine.prepare.json").write_text(json.dumps({
+        "format": 2, "epoch": manifest["epoch"] + 1, "n_shards": 2,
+        "expected": [gen + 5 for gen in manifest["shards"]]}))
+
+    async def main(app):
+        return (await app.handle(get("/stats"))).payload["recovery"]
+
+    with ShardedEngine.open(path, make_config(),
+                            executor=SerialExecutor()) as eng:
+        recovery = run_app(eng, main)
+    assert recovery["action"] == "roll back"
+    assert recovery["epoch"] == manifest["epoch"]
+    assert recovery["shards"] == [
+        {"shard": sid, "action": "open, no WAL", "replayed": 0, "torn": 0}
+        for sid in range(2)]
+    # An engine a constructor built opened nothing.
+    assert run_app(engine, main) is None
