@@ -1,19 +1,21 @@
 """Project-specific static analysis (``repro lint``).
 
-The previous PRs each established invariants that ordinary linters cannot
-see: logical node-access counters must match the paper's cost model, the
-storage layer owns all raw page I/O, errors cross module boundaries only
-through the typed hierarchies, and the executor fan-out must stay free of
-shared-state races.  This package machine-checks them.
+Earlier PRs established invariants that ordinary linters cannot see:
+node-access counts must be reproducible (no clocks or RNG in the index
+stack), acquired resources must be released on every path, corruption
+errors must not be swallowed, cached query plans must stay immutable,
+the event loop must never block or await under a sync lock, and durable
+writes must be fsynced before they are acknowledged.  This package
+machine-checks them; ``docs/internals.md`` lists each rule with the seam
+it guards and the defect it caught.
 
-Rules come in two shapes.  Per-file rules (R001-R007) see one parsed
-module at a time through :class:`FileContext`.  Project rules
-(R008-R010, plus any rule with ``project = True``) see the whole tree at
-once through :class:`ProjectContext` — a symbol table and call graph
-built once per run by :mod:`repro.analysis.callgraph` — because the
-concurrency and durability invariants (lock-order cycles, blocking calls
-reachable from coroutines, fsync-before-acknowledgement) are properties
-of call *paths*, not of single files.
+Rules come in two shapes.  Per-file rules (R002, R004, R006, R007,
+R011) see one parsed module at a time through :class:`FileContext`.
+Project rules (R009, R010) see the whole tree at once through
+:class:`ProjectContext` — a symbol table and call graph built once per
+run by :mod:`repro.analysis.callgraph` — because blocking calls
+reachable from coroutines and fsync-before-acknowledgement are
+properties of call *paths*, not of single files.
 
 Entry points:
 
@@ -21,8 +23,7 @@ Entry points:
 * ``repro lint`` — the same runner wired into the main CLI,
 * :func:`lint_paths` — programmatic API used by the test suite.
 
-Any finding fails the run; a deliberate exception is an inline
-``# repro-lint: ignore[R00X]`` comment on the offending line.
+Any finding fails the run; there is no suppression comment.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from __future__ import annotations
 from .callgraph import ClassInfo, FunctionInfo, ProjectContext
 from .findings import Finding
 from .registry import Rule, all_rules, get_rule, register
-from .runner import (FileContext, lint_file, lint_paths, lint_source,
-                     lint_sources)
+from .runner import FileContext, lint_paths, lint_source, lint_sources
 
 __all__ = [
     "ClassInfo",
@@ -42,7 +42,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "get_rule",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",

@@ -1,11 +1,11 @@
 """Interprocedural layer: symbol table + call graph (``ProjectContext``).
 
-The per-file rules (R001-R007) are intraprocedural: each looks at one
-parsed module.  The concurrency and durability invariants (R008-R011)
-are properties of *call paths* — a blocking call is only a bug if a
-coroutine can reach it, a lock order is only a cycle across the
-functions that nest the acquisitions.  This module builds, once per
-lint run, the project-wide structures those rules share:
+The per-file rules are intraprocedural: each looks at one parsed
+module.  R009 and R010 check properties of *call paths* — a blocking
+call is only a bug if a coroutine can reach it, a WAL append only if no
+fsync follows it on the way to the acknowledgement.  This module
+builds, once per lint run, the project-wide structures those rules
+share:
 
 * a **symbol table** of module-qualified functions, methods and
   classes (``serve.app.ServeApp.handle``), each tagged ``async`` or
@@ -25,7 +25,7 @@ callees conservatively in the non-flagging direction (no finding), so
 the analyzer stays quiet rather than wrong.  Dynamic dispatch,
 ``getattr``, reassigned attributes and inheritance overrides are out of
 scope; the known seams the rules care about (Executor, FileOps,
-WalWriter, SlideGate) are additionally matched by receiver-name
+WalWriter) are additionally matched by receiver-name
 heuristics inside the rules themselves so they survive aliasing.
 """
 
@@ -76,7 +76,7 @@ def _strip_repro(dotted: str) -> str:
     return dotted
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionInfo:
     """One function or method, with everything the rules ask about."""
 
@@ -101,14 +101,8 @@ class FunctionInfo:
     def subpackage(self) -> str:
         return subpackage_of(self.module)
 
-    def __hash__(self) -> int:
-        return id(self)
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-
-@dataclass
+@dataclass(eq=False)
 class ClassInfo:
     """One class: its methods and inferred attribute types."""
 
@@ -120,12 +114,6 @@ class ClassInfo:
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
     #: ``self.attr = KnownClass(...)`` assignments seen in any method.
     attr_types: dict[str, "ClassInfo"] = field(default_factory=dict)
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
@@ -159,8 +147,12 @@ def _import_map(tree: ast.Module, module: str) -> dict[str, str]:
     return imports
 
 
-def _direct_region(fn: _FuncNode) -> Iterator[ast.AST]:
-    """Walk a function body, stopping at nested defs and lambdas."""
+def direct_region(fn: _FuncNode) -> Iterator[ast.AST]:
+    """Walk a function body, stopping at nested defs and lambdas.
+
+    Statements inside a nested ``def``/``lambda`` execute when the
+    closure is *called*, not where it is defined.
+    """
     stack: list[ast.AST] = list(fn.body)
     while stack:
         node = stack.pop()
@@ -175,17 +167,13 @@ class ProjectContext:
     """Project-wide view handed to ``check_project`` rules.
 
     Built once per lint run from every parsed file; exposes the symbol
-    table, the call graph and the per-file contexts (rules still need
-    those for suppression comments and subpackage scoping).
+    table and the call graph.
     """
 
     def __init__(self, contexts: Iterable[FileContext]) -> None:
-        self.files: dict[str, FileContext] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.imports: dict[str, dict[str, str]] = {}
-        self._module_of: dict[str, str] = {}
-        self._by_node: dict[ast.AST, FunctionInfo] = {}
         for ctx in contexts:
             self._add_file(ctx)
         self._infer_types()
@@ -194,8 +182,6 @@ class ProjectContext:
 
     def _add_file(self, ctx: FileContext) -> None:
         module = module_name_of(ctx.package_parts)
-        self.files[ctx.path] = ctx
-        self._module_of[ctx.path] = module
         self.imports[module] = _import_map(ctx.tree, module)
         for stmt in ctx.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -224,10 +210,9 @@ class ProjectContext:
             is_async=isinstance(node, ast.AsyncFunctionDef),
             node=node, ctx=ctx)
         self.functions[info.qualname] = info
-        self._by_node[node] = info
         if class_info is not None:
             class_info.methods[node.name] = info
-        for child in _direct_region(node):
+        for child in direct_region(node):
             if isinstance(child, ast.Call):
                 info.direct_calls.append(child)
             elif isinstance(child, ast.Await) \
@@ -267,10 +252,6 @@ class ProjectContext:
                         owner.attr_types[dest.attr] = target
 
     # -- lookups -----------------------------------------------------------
-
-    def function_of(self, node: ast.AST) -> FunctionInfo | None:
-        """The :class:`FunctionInfo` for a def node, if registered."""
-        return self._by_node.get(node)
 
     def iter_functions(self) -> Iterator[FunctionInfo]:
         yield from self.functions.values()

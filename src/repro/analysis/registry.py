@@ -25,8 +25,8 @@ class Rule:
     derive everything from ``ctx`` rather than instance state.
     """
 
-    #: Stable identifier, e.g. ``"R001"`` — referenced by baselines,
-    #: suppression comments and docs; never renumber.
+    #: Stable identifier, e.g. ``"R002"`` — referenced by the docs and
+    #: CI; never renumber (deleted ids stay retired).
     rule_id: ClassVar[str] = ""
     #: One-line summary shown by ``--list-rules``.
     title: ClassVar[str] = ""

@@ -2,27 +2,19 @@
 
 from __future__ import annotations
 
-from .r001_raw_page_io import RawPageIO
 from .r002_nondeterminism import Nondeterminism
-from .r003_typed_errors import TypedErrors
 from .r004_resource_guard import ResourceGuard
-from .r005_executor_closures import ExecutorClosures
 from .r006_swallowed_errors import SwallowedErrors
 from .r007_plan_purity import PlanPurity
-from .r008_lock_order import LockOrder
 from .r009_async_blocking import AsyncBlocking
 from .r010_fsync_discipline import FsyncDiscipline
 from .r011_await_lock import AwaitHoldingLock
 
 __all__ = [
-    "RawPageIO",
     "Nondeterminism",
-    "TypedErrors",
     "ResourceGuard",
-    "ExecutorClosures",
     "SwallowedErrors",
     "PlanPurity",
-    "LockOrder",
     "AsyncBlocking",
     "FsyncDiscipline",
     "AwaitHoldingLock",

@@ -65,3 +65,23 @@ def chain_root(node: ast.AST) -> ast.Name | None:
             return current
         else:
             return None
+
+
+#: Name tokens (underscores stripped) that mark a synchronous lock.
+_LOCK_TOKENS = frozenset({"lock", "rlock", "mutex", "cond", "condition"})
+
+
+def sync_lock_token(node: ast.AST) -> str | None:
+    """The lock token of a plain Name/Attribute chain, if lock-ish.
+
+    Locks are identified by receiver name (``threading.Lock`` instances
+    called ``*mutex*``/``*lock*``), which survives aliasing such as
+    ``mutex = self._mutex`` that defeats type-based resolution.
+    """
+    if not isinstance(node, (ast.Name, ast.Attribute)):
+        return None
+    tokens = name_tokens(node)
+    if tokens and (tokens[-1] in _LOCK_TOKENS
+                   or tokens[-1].endswith(("lock", "mutex"))):
+        return tokens[-1]
+    return None

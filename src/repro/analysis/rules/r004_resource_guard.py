@@ -35,7 +35,6 @@ from ._util import callee_simple_name, chain_root
 _ACQUIRER_NAMES = frozenset({
     "open",
     "Pager", "FilePageDevice", "MemoryPageDevice", "BufferPool",
-    "FaultInjectingPageDevice",
     "SWSTIndex", "ShardedEngine", "WorkerEngine", "MV3RTree",
     "AsyncEngine",
     "resolve_executor", "open_engine",

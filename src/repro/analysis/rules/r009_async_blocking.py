@@ -38,8 +38,7 @@ from typing import Iterator
 from ..callgraph import FunctionInfo, ProjectContext
 from ..findings import Finding
 from ..registry import Rule, register
-from ._locks import sync_lock_token
-from ._util import dotted_name, name_tokens
+from ._util import dotted_name, name_tokens, sync_lock_token
 
 _ENTRY_SUBPACKAGE = "serve"
 

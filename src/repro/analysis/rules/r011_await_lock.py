@@ -13,7 +13,7 @@ the pool thread*); coroutine bodies coordinate with the
 which is built to suspend.
 
 Flagged: an ``await`` anywhere inside a synchronous ``with`` whose
-context expression is a sync lock (name heuristics shared with R008),
+context expression is a sync lock (name heuristics shared with R009),
 in any ``async def`` under ``serve/`` or ``engine/``.  Nested
 ``def``/``lambda`` bodies are skipped — code inside them does not run
 while the ``with`` frame holds the lock.  ``async with`` on the gate
@@ -25,10 +25,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from ..callgraph import direct_region
 from ..findings import Finding
 from ..registry import Rule, register
 from ..runner import FileContext
-from ._locks import direct_region, with_lock_items
+from ._util import sync_lock_token
 
 _SCOPE = frozenset({"serve", "engine"})
 
@@ -45,6 +46,15 @@ def _awaits_under(node: ast.With) -> Iterator[ast.Await]:
                                     ast.Lambda)):
                 continue
             stack.extend(ast.iter_child_nodes(current))
+
+
+def _lock_of(item: ast.withitem) -> str | None:
+    """The lock token of ``with <lock>`` or ``with <lock>.acquire()``."""
+    expr = item.context_expr
+    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute) \
+            and expr.func.attr == "acquire":
+        expr = expr.func.value
+    return sync_lock_token(expr)
 
 
 @register
@@ -65,7 +75,7 @@ class AwaitHoldingLock(Rule):
             for stmt in direct_region(node):
                 if not isinstance(stmt, ast.With):
                     continue
-                tokens = [token for token, _ in with_lock_items(stmt)
+                tokens = [token for token in map(_lock_of, stmt.items)
                           if token is not None]
                 if not tokens:
                     continue

@@ -1,16 +1,15 @@
-"""Walk files, parse them once, run every rule, honour suppressions.
+"""Walk files, parse them once, run every rule.
 
 The runner owns everything rules share: the parsed AST, a child->parent
-map (rules climb it to classify the context of a node), the source lines
-(for ``# repro-lint: ignore[...]`` suppression comments) and the file's
+map (rules climb it to classify the context of a node) and the file's
 position inside the package (rules scope themselves to subpackages).
+There is no suppression comment: a finding is fixed, not silenced.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Iterable, Iterator, Sequence
@@ -18,20 +17,12 @@ from typing import Iterable, Iterator, Sequence
 from .findings import Finding
 from .registry import Rule, all_rules
 
-#: Inline suppression: ``# repro-lint: ignore[R001]`` silences one rule on
-#: that line, ``# repro-lint: ignore`` silences every rule.  Use sparingly
-#: and justify in a neighbouring comment.
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*ignore(?:\[(?P<rules>[A-Z0-9, ]+)\])?")
-
-
 @dataclass
 class FileContext:
     """Everything a rule may want to know about one file."""
 
     path: str                       # posix-style path used in findings
     tree: ast.Module
-    source_lines: Sequence[str]
     package_parts: tuple[str, ...]  # path inside the repro package
     _parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
 
@@ -48,16 +39,9 @@ class FileContext:
                    if "repro" in parts else parts)
         return cls(path=str(posix),
                    tree=ast.parse(source, filename=str(posix)),
-                   source_lines=source.splitlines(),
                    package_parts=tuple(package))
 
     # -- helpers rules lean on --------------------------------------------
-
-    @property
-    def module(self) -> str:
-        """Dotted module name inside the package ("serve.app")."""
-        from .callgraph import module_name_of
-        return module_name_of(self.package_parts)
 
     @property
     def subpackage(self) -> str:
@@ -94,18 +78,6 @@ class FileContext:
             current = parent
         return current
 
-    def is_suppressed(self, finding: Finding) -> bool:
-        index = finding.line - 1
-        if not 0 <= index < len(self.source_lines):
-            return False
-        match = _SUPPRESS_RE.search(self.source_lines[index])
-        if match is None:
-            return False
-        rules = match.group("rules")
-        if rules is None:
-            return True
-        return finding.rule_id in {r.strip() for r in rules.split(",")}
-
 
 def _check_files(contexts: Sequence[FileContext],
                  rules: Sequence[Rule]) -> list[Finding]:
@@ -114,8 +86,7 @@ def _check_files(contexts: Sequence[FileContext],
     return [finding
             for ctx in contexts
             for rule in per_file
-            for finding in rule.check(ctx)
-            if not ctx.is_suppressed(finding)]
+            for finding in rule.check(ctx)]
 
 
 def _check_project(contexts: Sequence[FileContext],
@@ -123,21 +94,15 @@ def _check_project(contexts: Sequence[FileContext],
     """Run the project-level rules over one shared ``ProjectContext``.
 
     The symbol table and call graph are built exactly once per run,
-    however many project rules are active; suppression comments still
-    apply at the finding's own file/line.
+    however many project rules are active.
     """
     project_rules = [rule for rule in rules if rule.project]
     if not project_rules:
         return []
     from .callgraph import ProjectContext
     project = ProjectContext(contexts)
-    findings = []
-    for rule in project_rules:
-        for finding in rule.check_project(project):
-            ctx = project.files.get(finding.path)
-            if ctx is None or not ctx.is_suppressed(finding):
-                findings.append(finding)
-    return findings
+    return [finding for rule in project_rules
+            for finding in rule.check_project(project)]
 
 
 def lint_sources(sources: dict[str, str],
@@ -174,18 +139,6 @@ def _shown_path(path: Path, root: str | Path | None) -> str:
             pass
     return str(path)
 
-
-def lint_file(path: str | Path, *, root: str | Path | None = None,
-              rules: Iterable[Rule] | None = None) -> list[Finding]:
-    """Lint one file; finding paths are relative to ``root`` if given.
-
-    Files outside ``root`` keep their given spelling — relativisation is
-    best-effort so finding paths stay stable however the tree is named
-    on the command line (absolute, relative, symlinked).
-    """
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"),
-                       _shown_path(path, root), rules=rules)
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:

@@ -319,12 +319,6 @@ class HRTree:
         self.pool.close()
         self.pager.close()
 
-    def __enter__(self) -> "HRTree":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 def _enlarge(rect: Rect, x: int, y: int) -> tuple[int, int]:
     grown = Rect(min(rect.x_lo, x), min(rect.y_lo, y),

@@ -39,9 +39,6 @@ class R3DIndex:
     def stats(self) -> IOStats:
         return self.pool.stats
 
-    def __len__(self) -> int:
-        return self._size
-
     @staticmethod
     def _box(x: int, y: int, s: int, d: int | None) -> Box:
         end = _ALIVE if d is None else s + d - 1

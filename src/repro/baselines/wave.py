@@ -160,10 +160,6 @@ class WaveIndex:
                     results.append(entry)
         return results
 
-    def query_timeslice(self, area: Rect, t: int,
-                        window: int | None = None) -> list[Entry]:
-        return self.query_interval(area, t, t, window)
-
     # -- maintenance ----------------------------------------------------------
 
     def vacuum(self) -> int:
@@ -190,8 +186,3 @@ class WaveIndex:
         self.pool.close()
         self.pager.close()
 
-    def __enter__(self) -> "WaveIndex":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .analysis.main import add_lint_arguments
 
     lint = commands.add_parser(
-        "lint", help="run the project-invariant lint (rules R001-R011)")
+        "lint", help="run the project-invariant lint (see docs/internals.md)")
     add_lint_arguments(lint)
     lint.set_defaults(func=cmd_lint)
     return parser

@@ -5,13 +5,10 @@ from .grid import CellOverlap, SpatialGrid
 from .index import SWSTIndex
 from .keys import DecodedKey, KeyCodec
 from .memo import CellMemo
-from .merge import classify_interval_merge
 from .overlap import ColumnOverlap, classify_interval, classify_timeslice
 from .plan import PlanCache, PlanEntry, QueryPlan, build_query_plan
 from .records import CURRENT_DURATION, Entry, RECORD_SIZE, Rect
 from .results import MultiQueryResult, QueryResult, QueryStats
-from .tuning import (TuningAdvice, memo_bytes_per_cell, memo_bytes_total,
-                     suggest_config)
 
 __all__ = [
     "CURRENT_DURATION",
@@ -32,12 +29,7 @@ __all__ = [
     "SWSTConfig",
     "SWSTIndex",
     "SpatialGrid",
-    "TuningAdvice",
     "build_query_plan",
     "classify_interval",
-    "classify_interval_merge",
     "classify_timeslice",
-    "memo_bytes_per_cell",
-    "memo_bytes_total",
-    "suggest_config",
 ]

@@ -59,9 +59,9 @@ class SWSTConfig:
             on-disk shard directory.
         device_factory: optional ``(path, page_size) -> PageDevice``
             callable; when set, the index builds its pager on the returned
-            device instead of opening ``path`` directly.  Used to plug a
-            :class:`repro.storage.fault.FaultInjectingPageDevice` (or any
-            custom device) under the whole stack.  Excluded from equality
+            device instead of opening ``path`` directly.  The tests plug
+            their fault-injecting device (``tests/storage/fault.py``), or
+            any custom device, under the whole stack this way.  Excluded from equality
             and repr — it is plumbing, not an index parameter.
     """
 

@@ -28,8 +28,8 @@ For a column with physical starts ``[s1, s2)``, qualifying starts
 
 The test suite checks the result against brute-force enumeration of
 representable ``(s, d)`` pairs, against the per-partition loops this closed
-form replaced, and against the paper's merge algorithm
-(``repro.core.merge``).
+form replaced, and against the paper's merge algorithm (kept as a test
+oracle in ``tests/core/merge.py``).
 
 An entry ``(s, d)`` qualifies for interval query ``[tl, th]`` under queriable
 period ``[q_lo, q_hi]`` iff::

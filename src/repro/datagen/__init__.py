@@ -1,7 +1,6 @@
 """Synthetic data: the GSTD stream generator and query workloads."""
 
 from .gstd import GSTDConfig, GSTDGenerator, Report
-from .roadnet import RoadNetConfig, RoadNetGenerator
 from .workloads import Query, WorkloadConfig, generate_queries
 
 __all__ = [
@@ -9,8 +8,6 @@ __all__ = [
     "GSTDGenerator",
     "Query",
     "Report",
-    "RoadNetConfig",
-    "RoadNetGenerator",
     "WorkloadConfig",
     "generate_queries",
 ]

@@ -517,6 +517,8 @@ class WorkerBackend:
     """
 
     epoch_commit = True
+    #: A close never saves: every acknowledged op is already in a WAL.
+    unsaved = False
 
     def __init__(self, config: SWSTConfig, directory: str, *,
                  retry_policy: RetryPolicy | None = None,

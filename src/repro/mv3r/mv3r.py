@@ -52,10 +52,6 @@ class MV3RTree:
         self._size = 0
 
     @property
-    def now(self) -> int:
-        return self.mvr.now
-
-    @property
     def stats(self) -> IOStats:
         return self.pool.stats
 
@@ -67,13 +63,6 @@ class MV3RTree:
     def report(self, oid: int, x: int, y: int, t: int) -> None:
         """Position report: one update (close previous) + one insertion."""
         self.mvr.report(oid, x, y, t)
-        self._size += 1
-
-    def insert(self, oid: int, x: int, y: int, s: int,
-               d: int | None = None) -> None:
-        """Insert a closed entry (``d`` given) or a current entry."""
-        te = INF if d is None else s + d
-        self.mvr.insert(oid, x, y, s, te)
         self._size += 1
 
     # -- queries --------------------------------------------------------------------
@@ -156,8 +145,3 @@ class MV3RTree:
         self.pool.close()
         self.pager.close()
 
-    def __enter__(self) -> "MV3RTree":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

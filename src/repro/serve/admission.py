@@ -53,11 +53,6 @@ class AdmissionController:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def depth(self) -> int:
-        """Requests currently holding an admission slot."""
-        return self._stats.queue_depth
-
     def _retry_hint(self) -> float:
         if self._rng is None:
             return self._retry_after

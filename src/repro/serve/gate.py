@@ -65,11 +65,6 @@ class SlideGate:
         return len(self._read_waiters)
 
     @property
-    def waiting_writers(self) -> int:
-        """Writers queued for the exclusive side."""
-        return len(self._write_waiters)
-
-    @property
     def writer_active(self) -> bool:
         """True while the exclusive side is held."""
         return self._writer

@@ -5,17 +5,17 @@ paper's primary cost metric — node accesses — is counted at the
 :class:`BufferPool` boundary.  Crash safety lives below it: checksummed
 pages (:mod:`repro.storage.page`), the dual-slot header commit protocol
 (:mod:`repro.storage.pager`), durable small-file operations for
-directory-level commits (:mod:`repro.storage.fileops`), fault injection
-for testing all of it (:mod:`repro.storage.fault`) and the offline
-integrity sweep (:mod:`repro.storage.scrub`).
+directory-level commits (:mod:`repro.storage.fileops`) and the offline
+integrity sweep (:mod:`repro.storage.scrub`).  The fault-injecting
+doubles that test all of it live with the tests
+(``tests/storage/fault.py``).
 """
 
 from .buffer import DEFAULT_CAPACITY, BufferPool
 from .errors import (ChecksumError, CorruptPageFileError,
                      NoCatalogError, PageError, PagerClosedError,
-                     StorageError, TornWriteError, UnsupportedFormatError)
-from .fault import (FaultInjectingFileOps, FaultInjectingPageDevice,
-                    InjectedFault, crash_devices, per_path_device_factory)
+                     StaleBlobError, StorageError, TornWriteError,
+                     UnsupportedFormatError)
 from .fileops import DURABLE_FILE_OPS, DurableFileOps, FileOps
 from .page import DEFAULT_PAGE_SIZE, FilePageDevice, MemoryPageDevice
 from .pager import MEMORY, Pager
@@ -31,12 +31,9 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "DURABLE_FILE_OPS",
     "DurableFileOps",
-    "FaultInjectingFileOps",
-    "FaultInjectingPageDevice",
     "FileOps",
     "FilePageDevice",
     "IOStats",
-    "InjectedFault",
     "MEMORY",
     "MemoryPageDevice",
     "NoCatalogError",
@@ -44,12 +41,11 @@ __all__ = [
     "Pager",
     "PagerClosedError",
     "ScrubReport",
+    "StaleBlobError",
     "StatsRecorder",
     "StorageError",
     "TornWriteError",
     "UnsupportedFormatError",
-    "crash_devices",
-    "per_path_device_factory",
     "probe_committed_generation",
     "probe_page_file",
     "scrub_page_file",

@@ -22,6 +22,12 @@ class PagerClosedError(StorageError):
     """An operation was attempted on a closed pager or buffer pool."""
 
 
+class StaleBlobError(StorageError):
+    """A clean close was refused: pages changed after the owner's last
+    stored blob was committed, so a clean header would publish them under
+    a blob (a catalog) that does not describe them."""
+
+
 class CorruptPageFileError(StorageError):
     """The on-disk page file failed a structural sanity check."""
 

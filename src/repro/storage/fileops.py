@@ -6,9 +6,9 @@ operations being *durable* and *ordered*: write a temp file and fsync it
 the target (atomic on POSIX), fsync the containing directory (so the
 rename itself survives power loss), unlink a marker file.  This module
 wraps those four operations behind the :class:`FileOps` protocol so the
-crash-matrix harness can substitute
-:class:`repro.storage.fault.FaultInjectingFileOps` and kill the protocol
-at every step.
+crash-matrix harness can substitute a fault-injecting implementation
+(``FaultInjectingFileOps`` in ``tests/storage/fault.py``) and kill the
+protocol at every step.
 
 Page-level IO has its own seam (``SWSTConfig.device_factory``); this one
 is for the *metadata* files that live next to the page files.

@@ -24,7 +24,12 @@ generation of the *next* commit.  :meth:`sync` and :meth:`close` commit:
 data is fsynced, the header (naming that generation) is written to the
 older slot, and the file is fsynced again.  The first mutation of a
 session first commits a header with the *dirty* flag, so recovery knows a
-write window was open; :meth:`close` commits with the *clean* flag.
+write window was open; :meth:`close` commits with the *clean* flag.  For
+an owner that stores a blob, :meth:`close` refuses that clean commit when
+pages changed after the last stored blob was committed
+(:class:`~repro.storage.errors.StaleBlobError`): the blob names the
+owner's structure, and a clean header over pages it does not describe
+would reopen as clean and wrong.
 
 Recovery on open: pick the newest valid header slot; pages
 beyond its committed ``page_count`` are uncommitted extends and are
@@ -47,7 +52,8 @@ import struct
 import zlib
 from typing import NamedTuple
 
-from .errors import CorruptPageFileError, PageError, PagerClosedError
+from .errors import (CorruptPageFileError, PageError, PagerClosedError,
+                     StaleBlobError)
 from .page import (DEFAULT_PAGE_SIZE, FilePageDevice, MemoryPageDevice,
                    PageDevice)
 
@@ -107,8 +113,8 @@ class Pager:
         path: file path, or :data:`MEMORY` for an in-memory device.
         page_size: page size in bytes (must match an existing file).
         device: pre-built page device to use instead of constructing one
-            from ``path`` (e.g. a
-            :class:`repro.storage.fault.FaultInjectingPageDevice`).
+            from ``path`` (e.g. the tests' fault-injecting wrapper,
+            ``FaultInjectingPageDevice`` in ``tests/storage/fault.py``).
     """
 
     #: Lowest page id available to callers (the header slots come first).
@@ -129,6 +135,9 @@ class Pager:
         self._closed = False
         self._mutated = False        # any mutation since the last commit
         self._marked = False         # dirty header committed this session
+        self._blob_owner = False     # the owner stores/loads a blob
+        self._blob_staged = False    # store_blob since the last commit
+        self._blob_behind = False    # pages changed since the blob's commit
         self._freed: set[int] = set()
         self._meta = b""
         self._free_head = 0
@@ -266,14 +275,19 @@ class Pager:
         self._slot = slot
         self._generation = generation
         self._mutated = False
+        if self._blob_staged:
+            self._blob_staged = self._blob_behind = False
         if self._checksums:
             self._device.set_write_generation(self._generation + 1)
 
     def _ensure_marked(self) -> None:
-        """Commit a dirty header before the session's first mutation."""
+        """Commit a dirty header before the session's first mutation, and
+        note a mutation the stored blob (if any) does not cover yet."""
         if not self._marked:
             self._marked = True
             self._commit_header(clean=False)
+        if not self._blob_staged:
+            self._blob_behind = True
 
     # -- meta ----------------------------------------------------------------
 
@@ -316,9 +330,13 @@ class Pager:
             next_page, _ = _PAGE_CHAIN.unpack_from(self.read(old_head))
             self.free(old_head)
             old_head = next_page
+        # Writes from here to the next commit belong to the owner's save
+        # (it flushes the pages the blob names before it syncs).
+        self._blob_owner = self._blob_staged = True
 
     def load_blob(self) -> bytes | None:
         """The blob last stored, or ``None`` if none ever was."""
+        self._blob_owner = True
         head = int.from_bytes(self.meta, "little")
         if not head:
             return None
@@ -432,8 +450,22 @@ class Pager:
             self._device.sync()
 
     def close(self) -> None:
+        """Commit a clean header and release the device.
+
+        Raises :class:`~repro.storage.errors.StaleBlobError`, after
+        releasing the device as :meth:`abort` does, if the owner stores
+        or loads a blob and pages changed after that blob was last
+        committed (and no new one is staged).
+        """
         if self._closed:
             return
+        if self._blob_owner and self._blob_behind \
+                and not self._blob_staged:
+            self.abort()
+            raise StaleBlobError(
+                "pages changed after the last stored blob was committed; "
+                "store and sync a new blob (the owner's save) before "
+                "closing, or abort")
         self._closed = True
         try:
             if self._marked:

@@ -3,7 +3,7 @@
 Each rule gets at least three snippets it must flag and three
 closely-related snippets it must pass.  Single-module fixtures go
 through :func:`lint_source`; the call chains that span modules (the
-whole point of R008/R009's interprocedural reach) go through
+whole point of R009's interprocedural reach) go through
 :func:`lint_sources` with a dict of fake in-repo paths.
 """
 
@@ -26,117 +26,6 @@ def lint_many(sources: dict[str, str], rule_id: str):
 
 def rule_ids(findings):
     return [f.rule_id for f in findings]
-
-
-# -- R008: lock-acquisition order is cycle-free -------------------------------
-
-
-class TestR008LockOrder:
-    def test_must_flag_opposite_nesting_cycle(self):
-        source = """\
-            class Engine:
-                def read(self):
-                    with self._mutex:
-                        with self._cache_lock:
-                            return self._data
-
-                def refresh(self):
-                    with self._cache_lock:
-                        with self._mutex:
-                            self._data = {}
-            """
-        findings = lint(source, "src/repro/engine/cache.py", "R008")
-        assert rule_ids(findings) == ["R008"]
-        assert "lock-order cycle" in findings[0].message
-
-    def test_must_flag_interprocedural_self_deadlock(self):
-        source = """\
-            class Engine:
-                def save(self):
-                    with self._mutex:
-                        self._flush()
-
-                def _flush(self):
-                    self._mutex.acquire()
-            """
-        findings = lint(source, "src/repro/engine/store.py", "R008")
-        assert rule_ids(findings) == ["R008"]
-        assert "re-acquired while already held" in findings[0].message
-
-    def test_must_flag_engine_lock_under_gate_exclusive(self):
-        findings = lint_many({
-            "src/repro/engine/state.py": """\
-                def flush_state(state):
-                    with state.flush_lock:
-                        state.sync()
-                """,
-            "src/repro/serve/app.py": """\
-                from repro.engine.state import flush_state
-
-                class App:
-                    async def slide(self, state):
-                        async with self._gate.write():
-                            flush_state(state)
-                """,
-        }, "R008")
-        assert rule_ids(findings) == ["R008"]
-        assert "gate's exclusive side" in findings[0].message
-        assert findings[0].path == "src/repro/serve/app.py"
-
-    def test_must_pass_consistent_order(self):
-        source = """\
-            class Engine:
-                def read(self):
-                    with self._mutex:
-                        with self._cache_lock:
-                            return self._data
-
-                def refresh(self):
-                    with self._mutex:
-                        with self._cache_lock:
-                            self._data = {}
-            """
-        assert lint(source, "src/repro/engine/cache.py", "R008") == []
-
-    def test_must_pass_reentrant_reacquire(self):
-        source = """\
-            class Engine:
-                def save(self):
-                    with self._rlock:
-                        self._flush()
-
-                def _flush(self):
-                    with self._rlock:
-                        pass
-            """
-        assert lint(source, "src/repro/engine/store.py", "R008") == []
-
-    def test_must_pass_engine_lock_under_gate_shared(self):
-        findings = lint_many({
-            "src/repro/engine/state.py": """\
-                def snapshot(state):
-                    with state.snap_lock:
-                        return state.data
-                """,
-            "src/repro/serve/app.py": """\
-                from repro.engine.state import snapshot
-
-                class App:
-                    async def read(self, state):
-                        async with self._gate.read():
-                            return snapshot(state)
-                """,
-        }, "R008")
-        assert findings == []
-
-    def test_must_pass_unknown_callee_under_lock(self):
-        source = """\
-            class Engine:
-                def save(self, conn):
-                    with self._mutex:
-                        conn.execute("flush")
-            """
-        assert lint(source, "src/repro/engine/store.py", "R008") == []
 
 
 # -- R009: no blocking call reachable from a serve/ coroutine -----------------

@@ -12,7 +12,7 @@ from repro.analysis.registry import _REGISTRY
 
 def make_finding(**overrides):
     base = dict(path="src/repro/core/x.py", line=3, col=4,
-                rule_id="R001", message="raw page I/O")
+                rule_id="R006", message="swallowed error")
     base.update(overrides)
     return Finding(**base)
 
@@ -20,7 +20,8 @@ def make_finding(**overrides):
 class TestFinding:
     def test_render_parse_roundtrip(self):
         finding = make_finding()
-        assert finding.render() == "src/repro/core/x.py:3:4: R001 raw page I/O"
+        assert finding.render() == \
+            "src/repro/core/x.py:3:4: R006 swallowed error"
         assert Finding.parse(finding.render()) == finding
 
     def test_ordering_is_positional(self):
@@ -32,8 +33,8 @@ class TestFinding:
 class TestRegistry:
     def test_builtin_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
-        assert ids == ["R001", "R002", "R003", "R004", "R005", "R006",
-                       "R007", "R008", "R009", "R010", "R011"]
+        assert ids == ["R002", "R004", "R006", "R007", "R009", "R010",
+                       "R011"]
         assert ids == sorted(ids)
 
     def test_every_rule_documented(self):
@@ -42,17 +43,17 @@ class TestRegistry:
             assert rule.rationale, rule.rule_id
 
     def test_get_rule(self):
-        assert get_rule("R003").rule_id == "R003"
+        assert get_rule("R004").rule_id == "R004"
         with pytest.raises(KeyError):
             get_rule("R999")
 
     def test_duplicate_id_rejected(self):
         class Clash(Rule):
-            rule_id = "R001"
+            rule_id = "R002"
 
         with pytest.raises(ValueError, match="duplicate rule id"):
             register(Clash)
-        assert _REGISTRY["R001"] is not Clash
+        assert _REGISTRY["R002"] is not Clash
 
     def test_missing_id_rejected(self):
         class Anonymous(Rule):
@@ -89,7 +90,7 @@ class TestRunLint:
 
     def test_select_restricts_rules(self, tmp_path):
         src = self.write_tree(tmp_path)
-        args = parse_lint_args([str(src), "--select", "R001"])
+        args = parse_lint_args([str(src), "--select", "R002"])
         assert run_lint(args) == 0
 
     def test_verbose_reports_wall_time(self, tmp_path, capsys):
@@ -101,8 +102,8 @@ class TestRunLint:
     def test_list_rules(self, capsys):
         assert run_lint(parse_lint_args(["--list-rules"])) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006",
-                        "R007", "R008", "R009", "R010", "R011"):
+        for rule_id in ("R002", "R004", "R006", "R007", "R009", "R010",
+                        "R011"):
             assert rule_id in out
 
 

@@ -21,43 +21,6 @@ def rule_ids(findings):
     return [f.rule_id for f in findings]
 
 
-# -- R001: raw page I/O stays inside storage/ ---------------------------------
-
-
-class TestR001RawPageIO:
-    FLAGGED = """\
-        class Catalog:
-            def load(self):
-                data = self.pager.read(7)
-                self.pager.write(7, data)
-        """
-
-    def test_must_flag_outside_storage(self):
-        findings = lint(self.FLAGGED, "src/repro/core/catalog.py", "R001")
-        assert rule_ids(findings) == ["R001", "R001"]
-        assert findings[0].line == 3
-        assert "self.pager.read" in findings[0].message
-
-    def test_must_pass_inside_storage(self):
-        findings = lint(self.FLAGGED, "src/repro/storage/catalog.py", "R001")
-        assert findings == []
-
-    def test_must_pass_buffer_pool_io(self):
-        source = """\
-            def load(pool):
-                return pool.read(7)
-            """
-        assert lint(source, "src/repro/core/catalog.py", "R001") == []
-
-    def test_device_receiver_flagged(self):
-        source = """\
-            def dump(device):
-                return device.read(0)
-            """
-        findings = lint(source, "src/repro/engine/dump.py", "R001")
-        assert rule_ids(findings) == ["R001"]
-
-
 # -- R002: no nondeterminism in the index stack -------------------------------
 
 
@@ -113,46 +76,6 @@ class TestR002Nondeterminism:
                 return asyncio.get_running_loop().time()
             """
         assert lint(source, "src/repro/serve/timing.py", "R002") == []
-
-
-# -- R003: typed errors only in storage/ and engine/ --------------------------
-
-
-class TestR003TypedErrors:
-    FLAGGED = """\
-        def commit(ok):
-            if not ok:
-                raise RuntimeError("commit failed")
-        """
-
-    def test_must_flag_in_storage(self):
-        findings = lint(self.FLAGGED, "src/repro/storage/commit.py", "R003")
-        assert rule_ids(findings) == ["R003"]
-        assert "RuntimeError" in findings[0].message
-
-    def test_must_pass_outside_scope(self):
-        assert lint(self.FLAGGED, "src/repro/bench/commit.py", "R003") == []
-
-    def test_must_pass_typed_and_validation_raises(self):
-        source = """\
-            from .errors import ChecksumError
-
-            def check(page, size):
-                if size <= 0:
-                    raise ValueError("size must be positive")
-                raise ChecksumError(page)
-            """
-        assert lint(source, "src/repro/storage/check.py", "R003") == []
-
-    def test_bare_reraise_allowed(self):
-        source = """\
-            def passthrough(fn):
-                try:
-                    fn()
-                except KeyError:
-                    raise
-            """
-        assert lint(source, "src/repro/engine/x.py", "R003") == []
 
 
 # -- R004: acquisitions lifecycle-managed -------------------------------------
@@ -225,71 +148,6 @@ class TestR004ResourceGuard:
             """
         findings = lint(source, "src/repro/bench/build.py", "R004")
         assert rule_ids(findings) == ["R004"]
-
-
-# -- R005: executor tasks must not mutate closed-over state -------------------
-
-
-class TestR005ExecutorClosures:
-    def test_must_flag_mutating_lambda(self):
-        source = """\
-            def gather(executor, shard):
-                results = []
-                executor.submit(lambda: results.append(shard.count()))
-                return results
-            """
-        findings = lint(source, "src/repro/serve/gather.py", "R005")
-        assert rule_ids(findings) == ["R005"]
-        assert "results" in findings[0].message
-
-    def test_must_pass_pure_lambda(self):
-        # ``map`` runs inline on the calling thread: not a trigger.
-        source = """\
-            def gather(executor, shards, q):
-                seen = []
-                executor.map(lambda s: seen.append(s), shards)
-                return executor.submit(lambda: shards[0].query(q))
-            """
-        assert lint(source, "src/repro/serve/gather.py", "R005") == []
-
-    def test_must_flag_nested_def_nonlocal(self):
-        source = """\
-            def gather(executor, shard):
-                total = 0
-
-                def task():
-                    nonlocal total
-                    total += shard.count()
-
-                executor.submit(task)
-                return total
-            """
-        findings = lint(source, "src/repro/serve/gather.py", "R005")
-        assert rule_ids(findings) == ["R005"]
-
-    def test_must_pass_local_mutation_in_task(self):
-        source = """\
-            def gather(executor, shard):
-                def task():
-                    rows = []
-                    rows.append(shard.count())
-                    return rows
-
-                return executor.submit(task)
-            """
-        assert lint(source, "src/repro/serve/gather.py", "R005") == []
-
-    def test_must_flag_attribute_store(self):
-        source = """\
-            def gather(self, executor, shard):
-                executor.submit(lambda: shard.close())
-                def task():
-                    self.last = shard
-                executor.submit(task)
-            """
-        findings = lint(source, "src/repro/serve/gather.py", "R005")
-        assert rule_ids(findings) == ["R005"]
-        assert "'self'" in findings[0].message
 
 
 # -- R006: no broad except swallowing corruption errors -----------------------
@@ -445,31 +303,3 @@ class TestR007PlanPurity:
                 plan.column_of[3] = None
             """
         assert lint(source, "src/repro/storage/pager.py", "R007") == []
-
-
-# -- suppression comments -----------------------------------------------------
-
-
-class TestSuppression:
-    def test_targeted_suppression(self):
-        source = """\
-            class Catalog:
-                def load(self):
-                    return self.pager.read(7)  # repro-lint: ignore[R001]
-            """
-        assert lint(source, "src/repro/core/catalog.py") == []
-
-    def test_suppression_is_rule_specific(self):
-        source = """\
-            class Catalog:
-                def load(self):
-                    return self.pager.read(7)  # repro-lint: ignore[R006]
-            """
-        findings = lint(source, "src/repro/core/catalog.py")
-        assert rule_ids(findings) == ["R001"]
-
-    def test_blanket_suppression(self):
-        source = """\
-            import time  # repro-lint: ignore
-            """
-        assert lint(source, "src/repro/core/clock.py") == []

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SWSTConfig, classify_interval, classify_interval_merge
+from repro.core import SWSTConfig, classify_interval
+
+from .merge import classify_interval_merge
 
 CFG = SWSTConfig(window=40, slide=10, d_max=12, duration_interval=4)
 

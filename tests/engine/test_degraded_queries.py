@@ -13,7 +13,7 @@ from repro.core import Rect, SWSTConfig
 from repro.engine import (CircuitBreaker, CircuitOpenError, EngineCloseError,
                           PartialResult, RetryPolicy, SerialExecutor,
                           ShardQueryError, ShardedEngine)
-from repro.storage import InjectedFault, per_path_device_factory
+from tests.storage.fault import InjectedFault, per_path_device_factory
 
 N_SHARDS = 3
 
@@ -244,9 +244,12 @@ class TestCloseAggregation:
                                                    registry=devices))
         eng = ShardedEngine.open(path, config, executor=SerialExecutor())
         assert len(devices) == N_SHARDS
-        # Dirty every shard so close() has state to flush, then crash
-        # two devices: both flush failures must surface.
+        # Write every shard and save, so close() has a clean header to
+        # commit on each shard (a close with unsaved changes would save
+        # first, and fail once), then crash two devices: both commit
+        # failures must surface.
         eng.extend(workload(seed=7, count=60, t0=eng.now))
+        eng.save()
         for device in devices[:2]:
             device.crashed = True
         with pytest.raises(EngineCloseError) as excinfo:

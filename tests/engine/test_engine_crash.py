@@ -14,10 +14,9 @@ from repro.cli import main as run_cli
 from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (EngineCloseError, EpochTornError, SerialExecutor,
                           ShardedEngine, ShardOpenError)
-from repro.storage import (FaultInjectingFileOps, InjectedFault,
-                           StorageError, crash_devices,
-                           per_path_device_factory,
-                           probe_committed_generation)
+from repro.storage import StorageError, probe_committed_generation
+from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
+                                 crash_devices, per_path_device_factory)
 
 
 def make_config(n_shards=3, **overrides):
@@ -145,8 +144,9 @@ class TestShardOpenFailure:
                 with pytest.raises(OSError):
                     eng.save()
             finally:
-                with pytest.raises(OSError):
-                    eng.close()
+                # After a failed save, close releases the shard the save
+                # did not reach as a crash would (no flush to fail on).
+                eng.close()
 
         # Bases intact: the tear reopens as exactly the pre-save state.
         intact = tmp_path / "intact.d"

@@ -10,7 +10,7 @@ import pytest
 from repro.core import Rect, SWSTConfig
 from repro.engine import EngineError, SerialExecutor, ShardedEngine
 from repro.engine.recovery import RESET, open_shard, plan_shard
-from repro.storage.fault import FaultInjectingFileOps
+from tests.storage.fault import FaultInjectingFileOps
 
 
 def make_config(n_shards=3, **overrides):

@@ -19,8 +19,8 @@ import pytest
 from repro.core import Rect, SWSTConfig
 from repro.engine import (CircuitBreaker, PartialResult, RetryPolicy,
                           ShardedEngine)
-from repro.storage import (FaultInjectingPageDevice, FilePageDevice,
-                           InjectedFault)
+from repro.storage import FilePageDevice
+from tests.storage.fault import FaultInjectingPageDevice, InjectedFault
 
 N_SHARDS = 2
 BATCH = 64          # one /extend-sized batch

@@ -13,7 +13,7 @@ import pytest
 from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineCloseError, PartialResult, RetryPolicy,
                           SerialExecutor, ShardedEngine)
-from repro.storage import InjectedFault, per_path_device_factory
+from tests.storage.fault import InjectedFault, per_path_device_factory
 
 N_SHARDS = 3
 
@@ -159,6 +159,9 @@ class TestEngineEpochFence:
             assert clocks == [before, before, eng.now]
             for result in (first, again, post):
                 assert result.stats.plan_cache_hits == 0
+            # Leave the shared directory as saved: a close would save
+            # the slide.
+            eng.abort()
         with ShardedEngine.open(saved_dir, cfg,
                                 executor=SerialExecutor()) as fresh:
             fresh.advance_time(fresh.now + cfg.slide)

@@ -27,8 +27,8 @@ from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           WorkerRecoveryError, plan_recovery, reshard)
 from repro.engine import recovery, worker
 from repro.engine.wal import read_wal
-from repro.storage import (FaultInjectingFileOps, InjectedFault,
-                           crash_devices, per_path_device_factory)
+from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
+                                 crash_devices, per_path_device_factory)
 from repro.storage.scrub import probe_open
 
 from .worker_faults import WorkerFaults
@@ -102,8 +102,9 @@ def tear_save(path, damage=None):
         with pytest.raises(OSError):
             eng.save()
     finally:
-        with pytest.raises(OSError):
-            eng.close()
+        # After a failed save, close releases the shard the save did not
+        # reach as a crash would (no flush to fail on the dead device).
+        eng.close()
 
 
 def poison(path):

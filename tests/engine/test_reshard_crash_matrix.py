@@ -30,8 +30,8 @@ from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           reshard)
 from repro.engine.scrub import scrub_directory
-from repro.storage import (FaultInjectingFileOps, InjectedFault,
-                           crash_devices, per_path_device_factory)
+from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
+                                 crash_devices, per_path_device_factory)
 
 OLD_SHARDS = 3
 NEW_SHARDS = 5

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import Rect, SWSTConfig
 from repro.engine import SerialExecutor, ShardedEngine, reshard
-from repro.storage import crash_devices, per_path_device_factory
+from tests.storage.fault import crash_devices, per_path_device_factory
 
 
 def make_config(n_shards):

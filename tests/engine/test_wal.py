@@ -12,7 +12,7 @@ from repro.engine.wal import (HEADER_SIZE, NONE_ARG, OP_ADVANCE, OP_CLOSE,
                               OP_INSERT, OP_RETAIN, OP_RUN, WalRecord,
                               WalReport, WalWriter, base_file_name,
                               read_wal, replay, wal_file_name)
-from repro.storage import FaultInjectingFileOps, InjectedFault
+from tests.storage.fault import FaultInjectingFileOps, InjectedFault
 
 
 def make_config(**overrides):

@@ -10,7 +10,7 @@ from repro.core import Rect, SWSTConfig
 from repro.engine import (CircuitBreaker, CircuitOpenError, PartialResult,
                           RetryPolicy, ShardQueryError, WorkerCrashError,
                           WorkerEngine)
-from repro.storage.fault import FaultInjectingFileOps
+from tests.storage.fault import FaultInjectingFileOps
 
 from .worker_faults import WorkerFaults
 

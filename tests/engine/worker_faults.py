@@ -51,7 +51,7 @@ import pytest
 from repro.core.index import SWSTIndex
 from repro.engine import worker
 from repro.engine.wal import WalWriter
-from repro.storage.fault import FaultInjectingFileOps
+from tests.storage.fault import FaultInjectingFileOps
 
 #: ``wal_*`` script key -> ``FaultInjectingFileOps`` keyword.
 WAL_KEYS = {"wal_fail_op": "fail_op", "wal_op_errors": "op_errors",

@@ -14,7 +14,7 @@ from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineCloseError, SerialExecutor,
                           ShardQueryError, ShardedEngine)
 from repro.serve import AsyncEngine, Coalescer, ServeStats
-from repro.storage import per_path_device_factory
+from tests.storage.fault import per_path_device_factory
 
 N_SHARDS = 3
 

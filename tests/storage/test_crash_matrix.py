@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Rect, SWSTConfig, SWSTIndex
-from repro.storage import (FaultInjectingPageDevice, FilePageDevice,
-                           StorageError)
+from repro.storage import FilePageDevice, StorageError
+from tests.storage.fault import FaultInjectingPageDevice
 
 EVERYWHERE = Rect(0, 0, 199, 199)
 

@@ -5,9 +5,10 @@ import pathlib
 import pytest
 
 from repro.storage import (ChecksumError, CorruptPageFileError,
-                           FaultInjectingFileOps, FaultInjectingPageDevice,
-                           FilePageDevice, InjectedFault, Pager,
-                           StorageError, crash_devices)
+                           FilePageDevice, Pager)
+from tests.storage.fault import (FaultInjectingFileOps,
+                                 FaultInjectingPageDevice, InjectedFault,
+                                 crash_devices)
 
 PAGE_SIZE = 1024
 

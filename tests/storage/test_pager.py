@@ -224,7 +224,8 @@ class TestDualSlotHeader:
             assert pager.generation >= first + 1
 
     def test_corrupt_newest_slot_falls_back_to_older(self, tmp_path):
-        from repro.storage import FaultInjectingPageDevice, FilePageDevice
+        from repro.storage import FilePageDevice
+        from tests.storage.fault import FaultInjectingPageDevice
         path = tmp_path / "dual.db"
         with Pager(path, page_size=1024) as pager:
             page = pager.allocate()
@@ -245,7 +246,8 @@ class TestDualSlotHeader:
             assert pager.meta == b"state-1"
 
     def test_both_slots_corrupt_is_a_typed_error(self, tmp_path):
-        from repro.storage import FaultInjectingPageDevice, FilePageDevice
+        from repro.storage import FilePageDevice
+        from tests.storage.fault import FaultInjectingPageDevice
         path = tmp_path / "dual.db"
         with Pager(path, page_size=1024) as pager:
             pager.allocate()

@@ -193,7 +193,8 @@ class TestScrub:
         assert "0 corrupt page(s)" in out
 
     def test_bit_flip_reports_exact_page(self, tmp_path, capsys):
-        from repro.storage import FaultInjectingPageDevice, FilePageDevice
+        from repro.storage import FilePageDevice
+        from tests.storage.fault import FaultInjectingPageDevice
         index = self._build(tmp_path)
         device = FaultInjectingPageDevice(FilePageDevice(index, 1024))
         victim = device.page_count() - 1
@@ -227,7 +228,8 @@ class TestScrubDirectory:
         assert "directory verdict: clean" in out
 
     def test_corrupt_shard_fails_directory_scrub(self, tmp_path, capsys):
-        from repro.storage import FaultInjectingPageDevice, FilePageDevice
+        from repro.storage import FilePageDevice
+        from tests.storage.fault import FaultInjectingPageDevice
         index = self._build_dir(tmp_path)
         shard = index / "shard-001.pages"
         device = FaultInjectingPageDevice(FilePageDevice(shard, 1024))

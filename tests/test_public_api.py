@@ -1,5 +1,9 @@
 """The package's public surface: imports, re-exports, docstrings."""
 
+import ast
+import sys
+from pathlib import Path
+
 import repro
 
 
@@ -46,3 +50,23 @@ class TestSurface:
                      "set_retention", "save", "open", "close_object"):
             method = getattr(SWSTIndex, name)
             assert method.__doc__ and method.__doc__.strip(), name
+
+    def test_src_imports_only_the_stdlib(self):
+        """``dependencies = []`` in pyproject.toml, enforced: every
+        absolute import in ``src/repro`` names a stdlib module or repro."""
+        package = Path(repro.__file__).parent
+        foreign = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                foreign += [f"{path.relative_to(package)}: {name}"
+                            for name in names
+                            if name.split(".")[0] != "repro"
+                            and name.split(".")[0]
+                            not in sys.stdlib_module_names]
+        assert not foreign, foreign
