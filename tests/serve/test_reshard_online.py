@@ -19,12 +19,15 @@ the reshard is mid-build, not before or after.
 """
 
 import asyncio
+import importlib
 import json
 import os
 import threading
 
+import pytest
+
 from repro.core import Rect, SWSTConfig
-from repro.engine import SerialExecutor, ShardedEngine
+from repro.engine import EngineError, SerialExecutor, ShardedEngine
 from repro.engine.reshard import GenerationBuild
 from repro.serve import Request
 from repro.serve.main import ServeOptions, serve
@@ -223,3 +226,54 @@ def test_save_and_second_reshard_get_409_mid_flight(tmp_path, monkeypatch):
     state = run_online_reshard(tmp_path, monkeypatch, body)
     assert state["stats"].reshards == 1
     assert state["stats"].saves >= 1
+
+
+def fail(*args, **kwargs):
+    raise EngineError("injected reshard failure")
+
+
+@pytest.mark.parametrize("point, flipped", [
+    ("write_bases", False),             # before the manifest rewrite
+    ("cleanup", True),                  # inside commit, after it
+    ("reopen", True),                   # after commit returned
+])
+def test_failed_flip_never_saves_the_dropped_generation(tmp_path,
+                                                        monkeypatch,
+                                                        point, flipped):
+    """Writes absorbed mid-build reach the generation the manifest names
+    at shutdown, wherever the flip failed: the old one if the manifest
+    was never rewritten, the new one if it was."""
+    if point == "write_bases":
+        # (``repro.engine.reshard`` as an attribute is the function.)
+        monkeypatch.setattr(importlib.import_module("repro.engine.reshard"),
+                            "write_bases", fail)
+    elif point == "cleanup":
+        monkeypatch.setattr(GenerationBuild, "_cleanup_old_generation",
+                            fail)
+    else:
+        monkeypatch.setattr(ShardedEngine, "reopen", fail)
+
+    async def body(app, gate, state):
+        reshard_task = asyncio.create_task(
+            app.handle(post("/reshard", {"n_shards": NEW_SHARDS})))
+        await gate.entered_async()
+        for i in range(WRITES_DURING_BUILD):
+            reports = [[100 + i, 60 + i, 60 + i, 0]]
+            assert (await app.handle(
+                post("/extend", {"reports": reports}))).status == 200
+        gate.release.set()
+        assert (await reshard_task).status == 500
+        if not flipped:
+            # The old generation serves on, and its close saves this.
+            assert (await app.handle(post("/extend", {
+                "reports": [[200, 70, 70, 1]]}))).status == 200
+
+    run_online_reshard(tmp_path, monkeypatch, body)
+    n_shards = NEW_SHARDS if flipped else OLD_SHARDS
+    with ShardedEngine.open(str(tmp_path / "online.d"),
+                            make_config(n_shards),
+                            executor=SerialExecutor()) as eng:
+        assert eng.recovery.action == "clean"
+        eng.check_integrity()
+        assert eng.generation == (1 if flipped else 0)
+        assert len(eng) == 20 + WRITES_DURING_BUILD + (0 if flipped else 1)
