@@ -45,12 +45,14 @@ _CATALOG_COUNT = struct.Struct("<I")           # section item count
 _CATALOG_RETENTION = struct.Struct("<QQ")      # oid, retention
 
 
-def _build_pager(config: SWSTConfig, path: str) -> Pager:
+def _build_pager(config: SWSTConfig, path: str,
+                 generation: int | None) -> Pager:
     """Open the page store, honouring ``config.device_factory``."""
     if config.device_factory is None:
-        return Pager(path, config.page_size)
+        return Pager(path, config.page_size, generation=generation)
     device = config.device_factory(path, config.page_size)
-    return Pager(device=device, page_size=config.page_size)
+    return Pager(device=device, page_size=config.page_size,
+                 generation=generation)
 
 
 class SWSTIndex:
@@ -61,6 +63,10 @@ class SWSTIndex:
         path: page file path, or ``":memory:"`` (default) for an in-memory
             page device — identical logical behaviour and identical node
             accesses, without filesystem noise.
+        generation: for an engine shard, the committed generation its
+            manifest records; the page file keeps that generation intact
+            until ``pager.retain()`` (see :class:`~repro.storage.pager.
+            Pager`).  ``None`` (a single file) retains every save.
 
     Typical use::
 
@@ -71,9 +77,10 @@ class SWSTIndex:
     """
 
     def __init__(self, config: SWSTConfig | None = None,
-                 path: str = MEMORY) -> None:
+                 path: str = MEMORY, *,
+                 generation: int | None = None) -> None:
         self.config = config if config is not None else SWSTConfig()
-        self.pager = _build_pager(self.config, path)
+        self.pager = _build_pager(self.config, path, generation)
         try:
             self.pool = BufferPool(self.pager, self.config.buffer_capacity)
         except BaseException:
@@ -1163,13 +1170,15 @@ class SWSTIndex:
         self._unsaved = False
 
     @classmethod
-    def open(cls, path: str, config: SWSTConfig) -> "SWSTIndex":
+    def open(cls, path: str, config: SWSTConfig, *,
+             generation: int | None = None) -> "SWSTIndex":
         """Re-open a saved index, validating its on-disk structure.
 
-        Opening runs a bounded recovery pass: the pager itself recovers its
-        committed header and free list; on top of that the catalog page
-        chain is walked with a cycle check and every tree root must point
-        at a live in-range page.  Structural damage raises
+        The pager opens the committed ``generation`` (default: the newest,
+        which for a single file is its last save) with its page map;
+        nothing written after that commit is read.  On top of that the
+        catalog page chain is walked with a cycle check and every tree
+        root must point at a live in-range page.  Structural damage raises
         :class:`~repro.storage.errors.CorruptPageFileError` rather than
         producing an index that answers queries from garbage.
 
@@ -1180,7 +1189,7 @@ class SWSTIndex:
         """
         index = cls.__new__(cls)
         index.config = config
-        index.pager = _build_pager(config, path)
+        index.pager = _build_pager(config, path, generation)
         try:
             index.pool = BufferPool(index.pager, config.buffer_capacity)
             index.codec = KeyCodec(config)
@@ -1294,10 +1303,10 @@ class SWSTIndex:
         """Release the index; a close is a save or nothing.
 
         A file-backed index that changed since it was opened or last
-        saved (:attr:`unsaved`) saves first — closing never leaves tree
-        pages on disk under a catalog that does not name them.  If that
-        save fails, the index is released as by :meth:`abort` and the
-        error re-raised.  An in-memory index keeps nothing, so one with
+        saved (:attr:`unsaved`) saves first, so a close keeps what an
+        :meth:`abort` drops.  If that save fails, the index is released
+        as by :meth:`abort` (the file keeps its last save) and the error
+        re-raised.  An in-memory index keeps nothing, so one with
         changes is simply discarded.
         """
         if self._closed:
@@ -1321,18 +1330,18 @@ class SWSTIndex:
         """Release the index without flushing or committing anything.
 
         Crash-equivalent shutdown: dirty buffered pages are dropped and
-        the pager's on-disk header keeps its last durable state.  Warm
-        workers always stop this way — between :meth:`save` calls their
-        durable record is the shard's write-ahead log, so a graceful
-        stop and a SIGKILL must leave the file in the same state for
-        replay to be correct.
+        the page file keeps its last commit (nothing written since is
+        named by it).  Warm workers always stop this way — between
+        :meth:`save` calls their durable record is the shard's
+        write-ahead log, so a graceful stop and a SIGKILL must leave the
+        file in the same state for replay to be correct.
         """
         if not self._closed:
             self._closed = True
             try:
                 self.pool.discard()
             finally:
-                self.pager.abort()
+                self.pager.close()
 
     def __enter__(self) -> "SWSTIndex":
         return self

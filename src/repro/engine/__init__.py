@@ -26,8 +26,8 @@ from ..core.config import SWSTConfig
 from .engine import (Coordinator, PartialResult, ShardBackend, ShardedEngine,
                      load_manifest)
 from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
-                     EngineCloseError, EngineError, EpochTornError,
-                     ReshardError, ReshardInProgressError, ShardFailure,
+                     EngineCloseError, EngineError, ReshardError,
+                     ReshardInProgressError, ShardFailure,
                      ShardOpenError, ShardQueryError, WalCorruptError,
                      WalError, WorkerCrashError, WorkerRecoveryError)
 from .executor import (Executor, SerialExecutor, ThreadedExecutor,
@@ -76,7 +76,6 @@ __all__ = [
     "EngineCloseError",
     "EngineClosedError",
     "EngineError",
-    "EpochTornError",
     "Executor",
     "GenerationBuild",
     "GridShardMap",

@@ -29,23 +29,23 @@ On disk an engine is a *directory*::
     index.d/
       engine.json          # manifest: {"format": 2, "n_shards": N,
       shard-000.pages      #            "epoch": E, "shards": [gen...],
-      shard-000.pages.base #            "generation": G}
-      shard-001.pages      # one crash-safe page file per shard, plus
-      shard-001.pages.base # its base: the copy committed at epoch E
-      ...
+      shard-001.pages      #            "generation": G}
+      ...                  # one shadow-paged page file per shard; it
+                           # keeps the generation E recorded intact
       shard-000.wal        # worker backend only: ops since epoch E
-      engine.prepare.json  # transient save marker (two-phase commit)
       gen-001/             # the same files for manifest generation 1
                            # (resharded directories; generation 0 lives
                            # at the directory root)
 
 **Two-phase epoch commit.**  ``save()`` makes the whole directory one
-atomic unit: PREPARE marker, shard commits, manifest FLIP, marker
-cleanup (see :meth:`Coordinator.save`), then each shard's base is
-refreshed from its just-committed page file (:func:`write_bases`).
-``open()`` on either backend executes one read-only
-:class:`~repro.engine.recovery.RecoveryPlan`; the table of directory
-states, actions and typed errors is under "Two-phase epoch commit" in
+atomic unit: every shard commits a new page-file generation, then the
+manifest FLIP names them all (see :meth:`Coordinator.save`).  A shard's
+pager never overwrites the generation the manifest records, so until
+the flip lands that generation is still whole on disk; after it, each
+shard retains its new one.  ``open()`` on either backend executes one
+read-only :class:`~repro.engine.recovery.RecoveryPlan`: every shard
+opens at the generation the manifest records; the table of outcomes
+and typed errors is under "Two-phase epoch commit" in
 ``docs/internals.md``.
 A pre-epoch ``"format": 1`` manifest is refused with
 :class:`~repro.storage.errors.UnsupportedFormatError` (chained under the
@@ -88,10 +88,9 @@ from .errors import (CircuitOpenError, ClockFenceError, EngineClosedError,
                      EngineCloseError, EngineError, ShardFailure,
                      ShardQueryError)
 from .executor import Executor, resolve_executor
-from .recovery import (MANIFEST_FORMAT, MANIFEST_NAME, PREPARE_NAME,
-                       RecoveryPlan, drop_prepare, execute, generation_dir,
-                       load_manifest, open_shard, plan_recovery,
-                       shard_file_name, write_bases, write_json_atomic)
+from .recovery import (MANIFEST_FORMAT, MANIFEST_NAME, RecoveryPlan,
+                       generation_dir, load_manifest, open_shard,
+                       plan_recovery, shard_file_name, write_json_atomic)
 from .retry import CircuitBreaker, RetryPolicy
 from .sharding import GridShardMap
 from .wal import (NONE_ARG, OP_CLOSE, OP_DELETE, OP_FORGET, OP_INSERT,
@@ -136,24 +135,18 @@ def _fresh_manifest(n_shards: int) -> dict[str, Any]:
             "shards": [0] * n_shards, "generation": 0}
 
 
-def prepare_directory(directory: str, n_shards: int, fops: FileOps,
-                      opener: str) -> dict[str, Any]:
+def prepare_directory(directory: str, n_shards: int,
+                      fops: FileOps) -> dict[str, Any]:
     """Create (or adopt) an engine directory for a constructor.
 
     Returns the manifest the new engine starts from: the existing one
     when the directory was saved before, else a freshly written epoch-0
-    manifest.  An interrupted save is refused — constructors build on
-    committed state; ``<opener>.open()`` is what recovers.
+    manifest.
     """
     if os.path.exists(directory) and not os.path.isdir(directory):
         raise EngineError(f"engine path {directory!r} exists and is "
                           f"not a directory")
     os.makedirs(directory, exist_ok=True)
-    if os.path.exists(os.path.join(directory, PREPARE_NAME)):
-        raise EngineError(
-            f"directory {directory!r} holds an interrupted save "
-            f"(marker {PREPARE_NAME}); recover it with "
-            f"{opener}.open() first")
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     if os.path.exists(manifest_path):
         return load_checked_manifest(directory, n_shards)
@@ -212,8 +205,6 @@ def read_shard(shard: SWSTIndex, kind: str, payload: Any = None) -> Any:
         return len(shard)
     if kind == "stats":
         return shard.stats.snapshot()
-    if kind == "gen_info":
-        return (shard.pager.generation, shard.pager.session_marked)
     raise ValueError(f"unknown shard request {kind!r}")
 
 
@@ -287,14 +278,15 @@ class ShardBackend(Protocol):
         """Save every shard; returns the committed header generations."""
         ...  # pragma: no cover - protocol
 
-    def abort_commit(self) -> dict[str, Any] | None:
+    def abort_commit(self) -> dict[str, Any]:
         """A step of the epoch commit failed with the process alive:
-        make the directory continuable.  Returns the manifest to adopt
-        if the backend resolved the marker itself."""
+        settle the shards on the manifest now on disk, which it
+        returns."""
         ...  # pragma: no cover - protocol
 
     def after_flip(self, epoch: int) -> None:
-        """Post-commit hook, once the manifest names ``epoch``."""
+        """Post-commit hook, once the manifest names ``epoch``: every
+        shard retains the generation it just committed."""
         ...  # pragma: no cover - protocol
 
     def close(self) -> list[BaseException]:
@@ -363,8 +355,10 @@ class InProcessBackend:
         backend = cls(config, directory, manifest["generation"], **seams)
         try:
             for shard_id in range(config.n_shards):
-                backend.shards.append(
-                    SWSTIndex(config, backend.shard_path(shard_id)))
+                backend.shards.append(SWSTIndex(
+                    config, backend.shard_path(shard_id),
+                    generation=None if directory is None
+                    else manifest["shards"][shard_id]))
         except BaseException:
             backend.close()
             raise
@@ -373,11 +367,9 @@ class InProcessBackend:
     @classmethod
     def recover(cls, plan: RecoveryPlan, config: SWSTConfig,
                 **seams: Any) -> "InProcessBackend":
-        """Open every shard of a directory whose recovery plan has
-        executed (:func:`~repro.engine.recovery.execute`; the rules are
-        the table under "Two-phase epoch commit" in
-        ``docs/internals.md``), and check that together they sit at one
-        clock."""
+        """Execute every shard's part of a recovery plan (the table
+        under "Two-phase epoch commit" in ``docs/internals.md``) and
+        check that together they sit at one clock."""
         assert plan.manifest is not None
         backend = cls(config, plan.directory, plan.manifest["generation"],
                       **seams)
@@ -501,37 +493,34 @@ class InProcessBackend:
             shard.save()
         return [shard.pager.generation for shard in self.shards]
 
-    def abort_commit(self) -> None:
-        """Nothing to do: the process is alive, so calling ``save()``
-        again simply completes the epoch (``open()`` recovers a crash)."""
-        return None
+    def abort_commit(self) -> dict[str, Any]:
+        """Keep whatever the manifest now names.  Shards whose commit
+        the manifest does not name keep retaining the generation it
+        does, so calling ``save()`` again is safe; if the flip did land
+        (a failure after the rename), they retain their new one."""
+        assert self.directory is not None
+        manifest = load_manifest(os.path.join(self.directory,
+                                              MANIFEST_NAME))
+        if manifest["shards"] == [shard.pager.generation
+                                  for shard in self.shards]:
+            self.after_flip(manifest["epoch"])
+        return manifest
 
     def after_flip(self, epoch: int) -> None:
-        """Refresh every shard's base from its just-committed page file.
-
-        The copy runs *after* the commit, while every page file sits at
-        exactly its recorded generation — a copy taken mid-session could
-        capture uncommitted pages the buffer pool evicted over the
-        committed state, and restoring it would reproduce the corruption
-        instead of undoing it.  A crash in here leaves bases of the
-        previous epoch, which the next recovery plan refreshes.
-        """
-        assert self.directory is not None
-        write_bases(self.fops, generation_dir(self.directory,
-                                              self.generation),
-                    range(self.config.n_shards))
+        for shard in self.shards:
+            shard.pager.retain()
 
     def close(self) -> list[BaseException]:
-        """Close every shard and (if owned) the executor.
+        """Release every shard and (if owned) the executor.
 
-        A shard with unsaved changes is released as by a crash
-        (``SWSTIndex.abort``), never saved on its own: a per-shard save
-        is the torn epoch ``open()`` rolls back.  The coordinator saves
-        the whole epoch first when it can.  Every resource is closed
-        even if an earlier one fails.
+        Shards are released as by a crash (``SWSTIndex.abort``): a page
+        file keeps the generation its last flip retained, never a
+        per-shard save.  The coordinator saves the whole epoch first
+        when it can.  Every resource is closed even if an earlier one
+        fails.
         """
-        closers = [shard.abort if shard.unsaved else shard.close
-                   for shard in self.shards]
+        closers: list[Callable[[], None]] = [shard.abort
+                                             for shard in self.shards]
         if self.owns_executor:
             closers.append(self.executor.close)
         errors: list[BaseException] = []
@@ -613,22 +602,6 @@ class Coordinator:
         engine = cls.__new__(cls)
         Coordinator.__init__(engine, *args, **kwargs)
         return engine
-
-    def _recovered(self, plan: RecoveryPlan) -> None:
-        """Last step of ``open()``: keep the executed plan as
-        :attr:`recovery`, and save once if it left a shard without a
-        valid base (its page file moved past the recorded generation, so
-        no copy of it can pass the base rule; the save, epoch ``E+1``,
-        writes every base)."""
-        self.recovery = plan
-        if not plan.regains_bases:
-            return
-        try:
-            self.save()
-        except BaseException:
-            self._closed = True
-            self._backend.close()
-            raise
 
     def reopen(self, n_shards: int) -> "Coordinator":
         """Open this engine's directory again at ``n_shards`` shards.
@@ -1252,24 +1225,22 @@ class Coordinator:
 
         Protocol (each file step durable: fsync + directory fsync):
 
-        1. **PREPARE** — atomically write ``engine.prepare.json``
-           recording the next epoch and the exact header generation each
-           shard's pager will reach when its commit lands (the storage
-           layer's commit arithmetic is deterministic: one commit for
-           the sync, plus one if this session's dirty mark is pending).
-        2. **COMMIT** — save every shard, in shard order.
-        3. **FLIP** — atomically rewrite the manifest with the new epoch
-           and the observed generations, then unlink the marker.
-        4. The backend's post-commit hook: every shard's base is
-           refreshed (:func:`write_bases`); workers also reset their
-           WALs to the new epoch.
+        1. **COMMIT** — save every shard, in shard order: each commits a
+           new page-file generation beside the one the manifest records,
+           which stays whole on disk.
+        2. **FLIP** — atomically rewrite the manifest with the new epoch
+           and the committed generations.  This rename is the commit
+           point of the whole directory.
+        3. The backend's post-commit hook: every shard retains its new
+           generation; workers also reset their WALs to the new epoch.
 
-        A crash in steps 1-3 leaves a directory that ``open()``
-        classifies deterministically from the marker (the backend's
-        recovery).  A *failure* with the process still alive hands the
-        directory back to the backend (``abort_commit``) and re-raises.
-        Memory-backed engines skip the protocol and save each shard
-        directly.
+        A crash before the flip lands leaves the old manifest, and every
+        shard reopens at the generation it names; there is nothing to
+        finish or undo.  A *failure* with the process still alive hands
+        the shards back to the backend (``abort_commit``, which settles
+        them on whatever manifest is on disk) and re-raises; calling
+        ``save()`` again is safe.  Memory-backed engines skip the
+        protocol and save each shard directly.
         """
         self._settled()
         backend = self._backend
@@ -1279,13 +1250,6 @@ class Coordinator:
         assert self._dir is not None
         next_epoch = self._epoch + 1
         try:
-            expected = [generation + (1 if marked else 2)
-                        for generation, marked in backend.read("gen_info")]
-            write_json_atomic(
-                self._fops, self._dir,
-                os.path.join(self._dir, PREPARE_NAME),
-                {"format": MANIFEST_FORMAT, "epoch": next_epoch,
-                 "n_shards": self.n_shards, "expected": expected})
             gens = backend.commit()
             write_json_atomic(
                 self._fops, self._dir,
@@ -1293,12 +1257,9 @@ class Coordinator:
                 {"format": MANIFEST_FORMAT, "n_shards": self.n_shards,
                  "epoch": next_epoch, "shards": gens,
                  "generation": self._generation})
-            drop_prepare(self._dir, self._fops)
         except BaseException:
             self._save_failed = True
-            manifest = backend.abort_commit()
-            if manifest is not None:
-                self._epoch = manifest["epoch"]
+            self._epoch = backend.abort_commit()["epoch"]
             raise
         self._save_failed = False
         self._epoch = next_epoch
@@ -1318,8 +1279,8 @@ class Coordinator:
         saves first, as one two-phase :meth:`save` — never shard by
         shard.  Workers stop as ever: their WALs hold every acknowledged
         op.  If that save fails, or the last one did, the shards are
-        released as by a crash (``open()`` rolls back to the last epoch)
-        and any error is raised.
+        released as by a crash (``open()`` reopens at the manifest) and
+        any error is raised.
 
         Every resource is closed even if an earlier one fails.  A single
         failure re-raises as itself; several raise an
@@ -1338,7 +1299,7 @@ class Coordinator:
 
     def abort(self) -> None:
         """Release every shard without saving — what a crash leaves
-        (``open()`` restores the last epoch).  For an engine whose
+        (``open()`` reopens at the manifest).  For an engine whose
         directory has moved on, as after an online reshard's flip."""
         if not self._closed:
             self._release([])
@@ -1383,10 +1344,10 @@ class ShardedEngine(Coordinator):
         file_ops: durable filesystem seam for the manifest protocol;
             tests substitute a fault-injecting implementation.
 
-    A disk-backed engine keeps one committed copy of every shard file
-    (its base, written by each save), so a save torn between in-place
-    shard commits, or a crash mid-session, rolls back on ``open()``
-    (the recovery table in ``docs/internals.md``).
+    A disk-backed engine's shard files never overwrite the generation
+    the manifest records, so a save torn between shard commits, or a
+    crash mid-session, reopens at the manifest on ``open()`` (the
+    recovery table in ``docs/internals.md``).
     """
 
     _backend: InProcessBackend
@@ -1402,8 +1363,7 @@ class ShardedEngine(Coordinator):
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         directory = None if os.fspath(path) == MEMORY else os.fspath(path)
         manifest = _fresh_manifest(config.n_shards) if directory is None \
-            else prepare_directory(directory, config.n_shards, fops,
-                                   "ShardedEngine")
+            else prepare_directory(directory, config.n_shards, fops)
         backend = InProcessBackend.create(
             config, directory, manifest, executor=executor,
             retry_policy=retry_policy, breaker_factory=breaker_factory,
@@ -1420,19 +1380,20 @@ class ShardedEngine(Coordinator):
         """Re-open a saved shard directory: plan its recovery
         (:func:`~repro.engine.recovery.plan_recovery`), refuse — touching
         no file — whatever the plan refuses or a replay of acknowledged
-        WAL records it would need, else execute it and open every
-        shard."""
+        WAL records it would need, else open every shard at the
+        generation the manifest records."""
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         plan = plan_recovery(path, config)
         refusal = plan.refusal or plan.in_process_refusal()
         if refusal is not None:
             raise refusal
-        manifest = execute(plan, fops)
+        assert plan.manifest is not None
         backend = InProcessBackend.recover(
             plan, config, executor=executor, retry_policy=retry_policy,
             breaker_factory=breaker_factory, file_ops=fops)
-        engine = cls._adopt(config, backend, plan.directory, manifest, fops)
-        engine._recovered(plan)
+        engine = cls._adopt(config, backend, plan.directory, plan.manifest,
+                            fops)
+        engine.recovery = plan
         return engine
 
     def reopen(self, n_shards: int) -> "ShardedEngine":

@@ -11,12 +11,6 @@ small hierarchy rooted at :class:`EngineError`:
   breaker is open (no request was dispatched at all).
 * :class:`ClockFenceError` — a worker shard refused a query signed with
   a clock other than its own.
-* :class:`EpochTornError` — the refusal arm of the recovery plan
-  (:mod:`repro.engine.recovery`): a save was interrupted between in-place
-  shard commits *and* some shard's base (``shard-NNN.pages.base``, which
-  every save writes) no longer holds the previous epoch — damaged from
-  outside — so neither the pre-save nor the post-save state exists on
-  disk.  The error names the committed and the pending shards.
 * :class:`EngineCloseError` — aggregate raised when *several* resources
   fail during :meth:`ShardedEngine.close`; every underlying error is
   kept (``errors`` attribute plus exception notes), none are dropped.
@@ -88,34 +82,6 @@ class ClockFenceError(EngineError):
     window.  It refuses instead; the shard fails (``ShardFailure``) and
     the coordinator resynchronises before its next call.
     """
-
-
-class EpochTornError(EngineError):
-    """A crashed save left shards split across two manifest epochs.
-
-    Shards that committed the new epoch overwrote pages of the old
-    epoch in place (the storage layer commits per shard, not per
-    directory), the shards that never committed lost the new data with
-    the process, and the shards' bases — the clean copies recovery
-    restores from — do not all hold epoch ``epoch - 1``.  Detected
-    deterministically from the PREPARE record; never silently served.
-
-    Attributes:
-        epoch: the epoch the interrupted save was committing.
-        committed: shard ids that committed the new epoch.
-        pending: shard ids still on the previous epoch.
-    """
-
-    def __init__(self, epoch: int, committed: list[int],
-                 pending: list[int]) -> None:
-        super().__init__(
-            f"save of epoch {epoch} was interrupted between shard "
-            f"commits: shards {committed} committed it, shards "
-            f"{pending} did not; not every base holds the previous "
-            f"epoch (restore the directory from backup)")
-        self.epoch = epoch
-        self.committed = committed
-        self.pending = pending
 
 
 class EngineCloseError(EngineError):

@@ -1,19 +1,25 @@
 """Recovery decided once: a read-only plan that ``open()`` executes.
 
 :func:`plan_recovery` reads everything an ``open()`` depends on — the
-manifest, the PREPARE marker a crashed save left, passive header probes
-of every page file and base (:mod:`repro.storage.scrub`; opening a page
-file commits a header, which would destroy the evidence), and the
-write-ahead logs — and decides the whole recovery without writing a
-byte: one directory action, and per shard a page-file action and a WAL
-action.  :func:`execute` then does the directory's writes and
-:func:`open_shard` each shard's.  ``ShardedEngine.open``,
-``WorkerEngine.open`` (each worker plans and opens its own shard, so
-every WAL is decoded once, in parallel), the worker backend's
-``abort_commit`` and the reshard precondition all go through here, and
-``repro scrub`` prints the same plan.  The rules — directory state,
-action, typed error — are the tables under "Two-phase epoch commit" in
-``docs/internals.md``; this module is their only implementation.
+manifest, passive header probes of every page file
+(:func:`repro.storage.scrub.probe_open`; opening may truncate
+uncommitted extends, which a plan must not do) and the write-ahead
+logs — and decides the whole recovery without writing a byte: per
+shard a page-file action and a WAL action.  :func:`open_shard` executes
+one shard's.  ``ShardedEngine.open``, ``WorkerEngine.open`` (each
+worker plans and opens its own shard, so every WAL is decoded once, in
+parallel) and the reshard precondition all go through here, and ``repro
+scrub`` prints the same plan.
+
+There is one rule: every shard opens at the generation the manifest
+records for it.  Shard pagers never overwrite that generation (shadow
+paging, :mod:`repro.storage.pager`) until the manifest names a newer
+one, so a crash anywhere — mid-session, mid-save, between a shard's
+commit and the manifest flip, in a retried save — reopens at exactly
+the manifest, with no copy and no marker.  A shard recorded at 0 never
+committed and resets to empty.  The table of outcomes and typed errors
+is under "Two-phase epoch commit" in ``docs/internals.md``; this module
+is its only implementation.
 """
 
 from __future__ import annotations
@@ -21,33 +27,25 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.config import SWSTConfig
 from ..core.index import SWSTIndex
-from ..storage.errors import CorruptPageFileError, UnsupportedFormatError
+from ..storage.errors import UnsupportedFormatError
 from ..storage.fileops import FileOps
-from ..storage.scrub import probe_committed_generation, probe_open
-from .errors import (EngineError, EpochTornError, ShardOpenError,
-                     WalCorruptError)
-from .wal import WalScan, base_file_name, read_wal, wal_file_name
+from ..storage.scrub import probe_open
+from .errors import EngineError, ShardOpenError, WalCorruptError
+from .wal import WalScan, read_wal, wal_file_name
 
 MANIFEST_NAME = "engine.json"
-PREPARE_NAME = "engine.prepare.json"
 MANIFEST_FORMAT = 2
 GEN_DIR_PREFIX = "gen-"
 
 # Directory actions.
 CLEAN = "clean"
-FINISH_CLEANUP = "finish the lost cleanup"
-ROLL_FORWARD = "roll forward"
-ROLL_BACK = "roll back"
-RESTORE_ROLL_BACK = "restore bases and roll back"
 REFUSE = "refuse"
 # Page-file actions (plus REFUSE).
 OPEN = "open"
-REFRESH = "refresh base, open"
-RESTORE = "restore base"
 RESET = "reset to empty"
 # WAL actions (plus REFUSE).
 NO_WAL = "no WAL"
@@ -75,26 +73,6 @@ def write_json_atomic(fops: FileOps, directory: str, path: str,
     fops.write_file(tmp_path, data)
     fops.replace(tmp_path, path)
     fops.fsync_dir(directory)
-
-
-def drop_prepare(directory: str, fops: FileOps) -> None:
-    """Durably remove the save marker (last step of every resolution)."""
-    fops.unlink(os.path.join(directory, PREPARE_NAME))
-    fops.fsync_dir(directory)
-
-
-def write_bases(fops: FileOps, gen_dir: str,
-                shard_ids: Iterable[int]) -> None:
-    """Copy each shard's page file over its base, then one dir fsync.
-
-    Only called while those page files sit at exactly the generation the
-    manifest records (or is about to record) for them: right after a
-    commit, or when the plan refreshes a base.
-    """
-    for sid in shard_ids:
-        fops.copy_file(os.path.join(gen_dir, shard_file_name(sid)),
-                       os.path.join(gen_dir, base_file_name(sid)))
-    fops.fsync_dir(gen_dir)
 
 
 def load_manifest(manifest_path: str) -> dict[str, Any]:
@@ -138,43 +116,6 @@ def load_manifest(manifest_path: str) -> dict[str, Any]:
             "epoch": epoch, "shards": list(gens), "generation": generation}
 
 
-def _load_prepare(prepare_path: str) -> dict[str, Any] | None:
-    """Read the PREPARE marker; ``None`` if absent, typed error if torn.
-
-    The marker is written atomically, so on a healthy filesystem it is
-    either absent or valid; an unreadable one means external damage and
-    recovery refuses to guess.
-    """
-    try:
-        with open(prepare_path) as handle:
-            record = json.load(handle)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        raise EngineError(f"cannot read save marker {prepare_path!r}: "
-                          f"{exc}") from exc
-    expected = record.get("expected") if isinstance(record, dict) else None
-    if not isinstance(record, dict) \
-            or record.get("format") != MANIFEST_FORMAT \
-            or not isinstance(record.get("epoch"), int) \
-            or record["epoch"] < 1 \
-            or not isinstance(record.get("n_shards"), int) \
-            or not isinstance(expected, list) \
-            or len(expected) != record["n_shards"] \
-            or not all(isinstance(g, int) and g >= 1 for g in expected):
-        raise EngineError(f"save marker {prepare_path!r} is malformed")
-    return record
-
-
-def _base_valid(gen_dir: str, shard_id: int, recorded: int) -> bool:
-    """The base rule: a base is restorable only if its committed header
-    generation, probed passively, is exactly the manifest's ``recorded``
-    one (an older base is a superseded epoch's).  A shard recorded at
-    ``0`` never committed; its durable state is empty and needs none."""
-    return recorded == 0 or probe_committed_generation(
-        os.path.join(gen_dir, base_file_name(shard_id))) == recorded
-
-
 @dataclasses.dataclass(frozen=True)
 class ShardPlan:
     """What recovery does to one shard (the per-shard table in
@@ -182,9 +123,10 @@ class ShardPlan:
 
     ``pages`` and ``wal`` are the page-file and WAL actions; ``replayed``
     counts the WAL records replayed and ``torn`` the torn-tail bytes
-    dropped.  ``regain`` marks a base that fails the rule and cannot be
-    copied from its page file (which moved past ``recorded``): the
-    ``open()`` saves once.  A refusing shard carries its typed ``error``.
+    dropped.  ``uncommitted`` is the page file's newest header
+    generation when a commit the manifest never named sits above
+    ``recorded`` (a save that did not reach its flip); the open leaves
+    it behind.  A refusing shard carries its typed ``error``.
     """
 
     shard_id: int
@@ -193,21 +135,24 @@ class ShardPlan:
     wal: str = NO_WAL
     replayed: int = 0
     torn: int = 0
-    regain: bool = False
+    uncommitted: int | None = None
     error: EngineError | None = dataclasses.field(
         default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         if self.error is not None:
             return f"refuse: {self.error}"
+        pages = self.pages if self.pages != OPEN else \
+            f"open generation {self.recorded}"
+        if self.uncommitted is not None:
+            pages += f", drop uncommitted generation {self.uncommitted}"
         wal = self.wal if self.wal != REPLAY else \
             f"replay {self.replayed}"
         if self.wal == STALE:
             wal += ", 0 replayed"
         if self.torn:
             wal += f", drop {self.torn} torn byte(s)"
-        regain = "; open() saves once to regain it" if self.regain else ""
-        return f"{self.pages}, {wal}{regain}"
+        return f"{pages}, {wal}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,10 +198,6 @@ class RecoveryPlan:
                     f"and save() first")
         return None
 
-    @property
-    def regains_bases(self) -> bool:
-        return any(shard.regain for shard in self.shards)
-
     def render(self) -> str:
         lines = [f"recovery plan: {self.action} ({self.reason})"]
         lines.extend(f"  shard {shard.shard_id}: {shard.describe()}"
@@ -284,13 +225,9 @@ class RecoveryPlan:
 
 def plan_directory(directory: str | os.PathLike[str],
                    config: SWSTConfig | None = None) -> RecoveryPlan:
-    """The directory half of :func:`plan_recovery` (no shard plans).
-
-    Reads the manifest and the marker and, for an interrupted save,
-    probes every page file's committed header — plus every base's, if
-    only some committed.  With ``config`` a shard-count mismatch
-    refuses.
-    """
+    """The directory half of :func:`plan_recovery` (no shard plans):
+    read the manifest and, with ``config``, refuse a shard-count
+    mismatch."""
     directory = os.fspath(directory)
 
     def refuse(error: EngineError,
@@ -307,93 +244,36 @@ def plan_directory(directory: str | os.PathLike[str],
         return refuse(EngineError(
             f"directory {directory!r} holds {n_shards} shards but "
             f"config.n_shards is {config.n_shards}"), manifest)
-    try:
-        prepare = _load_prepare(os.path.join(directory, PREPARE_NAME))
-    except EngineError as exc:
-        return refuse(exc, manifest)
-    if prepare is None:
-        return RecoveryPlan(directory, CLEAN, "no interrupted save",
-                            manifest)
-    epoch: int = manifest["epoch"]
-    marker = prepare["epoch"]
-    if prepare["n_shards"] != n_shards or marker not in (epoch, epoch + 1):
-        return refuse(EngineError(
-            f"save marker {PREPARE_NAME} in {directory!r} (epoch {marker}, "
-            f"{prepare['n_shards']} shard(s)) is inconsistent with the "
-            f"manifest (epoch {epoch}, {n_shards} shard(s)); external "
-            f"tampering?"), manifest)
-    if marker == epoch:
-        return RecoveryPlan(
-            directory, FINISH_CLEANUP, f"save marker {PREPARE_NAME} "
-            f"outlived its committed epoch {epoch}", manifest)
-    gen_dir = generation_dir(directory, manifest["generation"])
-    observed = [probe_committed_generation(
-        os.path.join(gen_dir, shard_file_name(sid)))
-        for sid in range(n_shards)]
-    committed = [sid for sid, gen in enumerate(observed)
-                 if gen is not None and gen >= prepare["expected"][sid]]
-    pending = [sid for sid in range(n_shards) if sid not in committed]
-    if not pending:
-        return RecoveryPlan(
-            directory, ROLL_FORWARD, f"interrupted save marker for epoch "
-            f"{marker}: every shard committed it",
-            dict(manifest, epoch=marker, shards=observed))
-    if not committed:
-        return RecoveryPlan(
-            directory, ROLL_BACK, f"interrupted save marker for epoch "
-            f"{marker}: no shard committed it", manifest)
-    gens: list[int] = manifest["shards"]
-    invalid = [sid for sid in range(n_shards)
-               if not _base_valid(gen_dir, sid, gens[sid])]
-    torn = (f"torn save of epoch {marker}: shards {committed} committed "
-            f"it, shards {pending} did not")
-    if invalid:
-        error = EpochTornError(marker, committed, pending)
-        return RecoveryPlan(
-            directory, REFUSE, f"{torn}, and the bases of shards "
-            f"{invalid} do not hold epoch {epoch} (restore the directory "
-            f"from backup)", manifest, error=error)
     return RecoveryPlan(
-        directory, RESTORE_ROLL_BACK, f"{torn}; RECOVERABLE: every shard "
-        f"passes the base rule at epoch {epoch}", manifest)
+        directory, CLEAN, f"manifest epoch {manifest['epoch']}: every "
+        f"shard opens at its recorded generation", manifest)
 
 
-def plan_shard(gen_dir: str, shard_id: int, recorded: int, epoch: int, *,
-               restored: bool = False) -> tuple[ShardPlan, WalScan | None]:
+def plan_shard(gen_dir: str, shard_id: int, recorded: int, epoch: int,
+               ) -> tuple[ShardPlan, WalScan | None]:
     """Plan one shard from its files; also returns the WAL scan a replay
-    applies (the log is decoded once).
-
-    ``restored`` plans the shard as it will be once the directory's
-    "restore bases" step has copied its base over the page file.
-    """
+    applies (the log is decoded once)."""
     path = os.path.join(gen_dir, shard_file_name(shard_id))
-    base_ok = _base_valid(gen_dir, shard_id, recorded)
-    if not restored:
-        generation, refusal = probe_open(path)
-    elif recorded:  # the page file will be a byte copy of the base
-        generation, refusal = probe_open(
-            os.path.join(gen_dir, base_file_name(shard_id)))
-    else:  # the restore unlinks a never-committed page file
-        generation, refusal = None, "unlinked by the restore"
     error: EngineError | None = None
-    regain = False
+    uncommitted: int | None = None
     if not recorded:
-        pages = OPEN if refusal is None else RESET
-    elif refusal is not None:
-        pages = RESTORE if base_ok else REFUSE
-        if not base_ok:
-            error = ShardOpenError(shard_id, path, CorruptPageFileError(
-                f"{refusal}; its base does not hold generation "
-                f"{recorded}"))
-    elif generation is not None and generation < recorded:
-        pages = REFUSE
-        error = ShardOpenError(shard_id, path, EngineError(
-            f"committed generation {generation} is behind the manifest's "
-            f"{recorded} (page file replaced or restored from an older "
-            f"backup?)"))
+        pages = RESET
     else:
-        pages = OPEN if base_ok or generation != recorded else REFRESH
-        regain = not base_ok and generation != recorded
+        newest, refusal = probe_open(path, recorded)
+        if refusal is None:
+            pages = OPEN
+            if newest is not None and newest > recorded:
+                uncommitted = newest
+        else:
+            pages = REFUSE
+            cause: Exception = refusal
+            if newest is not None and newest < recorded:
+                cause = EngineError(
+                    f"committed generation {newest} is behind the "
+                    f"manifest's {recorded} (page file replaced or "
+                    f"restored from an older backup?)")
+            error = ShardOpenError(shard_id, path, cause)
+            error.__cause__ = cause
     wal_path = os.path.join(gen_dir, wal_file_name(shard_id))
     scan: WalScan | None = None
     wal, replayed, torn = NO_WAL, 0, 0
@@ -414,59 +294,24 @@ def plan_shard(gen_dir: str, shard_id: int, recorded: int, epoch: int, *,
                 wal, replayed = REPLAY, len(scan.records)
                 torn = scan.total_bytes - scan.valid_bytes
     return ShardPlan(shard_id, recorded, pages, wal, replayed, torn,
-                     regain, error), scan
+                     uncommitted, error), scan
 
 
 def plan_recovery(directory: str | os.PathLike[str],
                   config: SWSTConfig | None = None) -> RecoveryPlan:
     """Read the directory and decide its whole recovery; writes nothing.
 
-    The directory action (:func:`plan_directory`) plus one
-    :func:`plan_shard` per shard, planned against the manifest the
-    directory opens at.
+    The directory half (:func:`plan_directory`) plus one
+    :func:`plan_shard` per shard, planned against the manifest.
     """
     plan = plan_directory(directory, config)
     manifest = plan.manifest
     if manifest is None or plan.error is not None:
         return plan
     gen_dir = generation_dir(plan.directory, manifest["generation"])
-    restored = plan.action == RESTORE_ROLL_BACK
     return dataclasses.replace(plan, shards=tuple(
-        plan_shard(gen_dir, sid, recorded, manifest["epoch"],
-                   restored=restored)[0]
+        plan_shard(gen_dir, sid, recorded, manifest["epoch"])[0]
         for sid, recorded in enumerate(manifest["shards"])))
-
-
-def execute(plan: RecoveryPlan, fops: FileOps) -> dict[str, Any]:
-    """Do the directory's writes; returns the manifest to open at.
-
-    Raises the plan's directory-level error first.  Restoring bases
-    comes before the marker is dropped (each copy is atomic, so a crash
-    in between re-plans the same restore), and both come before any
-    shard opens — opening commits a header, which could make a restored
-    shard look committed to a re-plan.
-    """
-    if plan.error is not None:
-        raise plan.error
-    manifest = plan.manifest
-    assert manifest is not None
-    directory = plan.directory
-    if plan.action == RESTORE_ROLL_BACK:
-        gen_dir = generation_dir(directory, manifest["generation"])
-        for sid, recorded in enumerate(manifest["shards"]):
-            path = os.path.join(gen_dir, shard_file_name(sid))
-            if recorded:
-                fops.copy_file(os.path.join(gen_dir, base_file_name(sid)),
-                               path)
-            else:
-                fops.unlink(path)
-        fops.fsync_dir(gen_dir)
-    elif plan.action == ROLL_FORWARD:
-        write_json_atomic(fops, directory,
-                          os.path.join(directory, MANIFEST_NAME), manifest)
-    if plan.action != CLEAN:
-        drop_prepare(directory, fops)
-    return manifest
 
 
 def open_shard(plan: ShardPlan, config: SWSTConfig, fops: FileOps,
@@ -475,7 +320,8 @@ def open_shard(plan: ShardPlan, config: SWSTConfig, fops: FileOps,
 
     Raises the shard's planned error before touching a file; an open the
     plan expected to succeed that fails anyway is a
-    :class:`ShardOpenError`.
+    :class:`ShardOpenError`.  The shard keeps its recorded generation
+    intact until the engine retains a newer commit.
     """
     if plan.error is not None:
         raise plan.error
@@ -483,14 +329,9 @@ def open_shard(plan: ShardPlan, config: SWSTConfig, fops: FileOps,
     path = os.path.join(gen_dir, shard_file_name(sid))
     if plan.pages == RESET:
         if os.path.exists(path):
-            fops.unlink(path)
-        return SWSTIndex(config, path)
-    if plan.pages == REFRESH:
-        write_bases(fops, gen_dir, [sid])
-    elif plan.pages == RESTORE:
-        fops.copy_file(os.path.join(gen_dir, base_file_name(sid)), path)
-        fops.fsync_dir(gen_dir)
+            fops.truncate_file(path, 0)
+        return SWSTIndex(config, path, generation=0)
     try:
-        return SWSTIndex.open(path, config)
+        return SWSTIndex.open(path, config, generation=plan.recorded)
     except Exception as exc:
         raise ShardOpenError(sid, path, exc) from exc

@@ -12,10 +12,10 @@ crash matrix proves both arms op-by-op).
 
 The build reads from *copies* of the committed shard files, not the
 files themselves.  That keeps the protocol read-only with respect to
-the old generation (even opening a page file commits a header) and
-lets an online caller keep serving from its live engine while the
-build streams in the background: the copies freeze the save-point
-state, so nothing races the pagers the serving engine holds open.
+the old generation (opening a page file may truncate it) and lets an
+online caller keep serving from its live engine while the build
+streams in the background: the copies freeze the save-point state, so
+nothing races the pagers the serving engine holds open.
 
 Protocol (all durable steps through the :class:`FileOps` seam):
 
@@ -26,24 +26,22 @@ Protocol (all durable steps through the :class:`FileOps` seam):
    physical entry through the *new* :class:`GridShardMap` into fresh
    shard files, carry over the current-entry table and per-object
    retentions, then drop the source copies.  No manifest state changes.
-3. **FLIP** — save every new shard, copy each just-committed file to
-   its base next to it (:func:`~repro.engine.recovery.write_bases`, whose
-   one fsync of the generation directory covers the shard files too),
-   then atomically rewrite ``engine.json`` with the new shard count,
-   epoch ``E+1`` and generation ``G+1``.  This single rename is the
-   commit point, and the generation it names is whole: every shard
-   already has its base.
-4. **CLEANUP** — unlink the old generation's shard/WAL/base files.  A
+3. **FLIP** — save every new shard (each commit fsyncs its file; the
+   build already made their directory entries durable), then
+   atomically rewrite ``engine.json`` with the new shard count, epoch ``E+1``, generation
+   ``G+1`` and the new shards' committed generations.  This single
+   rename is the commit point, and the generation it names is whole.
+4. **CLEANUP** — unlink the old generation's shard and WAL files.  A
    crash in here costs disk space only.
 
 Preconditions (checked before anything is written, typed
 :class:`~repro.engine.errors.ReshardError` on violation): the
-directory holds a committed manifest (epoch >= 1) and its recovery plan
-(:func:`~repro.engine.recovery.plan_recovery`) is clean — no refusal,
-no interrupted save, and no write-ahead log with acknowledged records
-at the current epoch.  Those records live only in the WAL, so
-resharding from the page files alone would drop them; a
-``WorkerEngine`` checkpoint (``save()``) folds them in first.
+directory holds a committed manifest (epoch >= 1), its recovery plan
+(:func:`~repro.engine.recovery.plan_recovery`) refuses nothing, and no
+write-ahead log holds acknowledged records at the current epoch.  Those
+records live only in the WAL, so resharding from the page files alone
+would drop them; a ``WorkerEngine`` checkpoint (``save()``) folds them
+in first.
 """
 
 from __future__ import annotations
@@ -57,12 +55,11 @@ from ..core.index import SWSTIndex
 from ..storage.errors import StorageError
 from ..storage.fileops import DURABLE_FILE_OPS, FileOps
 from .engine import InProcessBackend, ShardedEngine
-from .recovery import (CLEAN, MANIFEST_FORMAT, MANIFEST_NAME,
-                       generation_dir, plan_recovery, shard_file_name,
-                       write_bases, write_json_atomic)
+from .recovery import (MANIFEST_FORMAT, MANIFEST_NAME, generation_dir,
+                       plan_recovery, shard_file_name, write_json_atomic)
 from .errors import ReshardError
 from .sharding import GridShardMap
-from .wal import base_file_name, wal_file_name
+from .wal import wal_file_name
 
 
 def _source_file_name(shard_id: int) -> str:
@@ -145,10 +142,6 @@ class GenerationBuild:
         if refusal is not None:
             raise ReshardError(str(refusal)) from refusal
         assert manifest is not None
-        if plan.action != CLEAN:
-            raise ReshardError(
-                f"directory {self._dir!r} needs recovery ({plan.action}: "
-                f"{plan.reason}); open it once before resharding")
         if manifest["epoch"] < 1:
             raise ReshardError(
                 f"directory {self._dir!r} has never completed an epoch "
@@ -156,6 +149,7 @@ class GenerationBuild:
         self._old_n: int = manifest["n_shards"]
         self._epoch: int = manifest["epoch"]
         self._old_generation: int = manifest["generation"]
+        self._old_shards: list[int] = manifest["shards"]
         self._new_generation = self._old_generation + 1
         self._old_config = dataclasses.replace(config, n_shards=self._old_n)
         self._new_config = dataclasses.replace(config,
@@ -213,9 +207,10 @@ class GenerationBuild:
         fops = self._fops
         source_paths = self._source_paths
         try:
-            for path in source_paths:
-                self._sources.append(
-                    SWSTIndex.open(path, self._old_config))
+            for path, recorded in zip(source_paths, self._old_shards,
+                                      strict=True):
+                self._sources.append(SWSTIndex.open(
+                    path, self._old_config, generation=recorded))
         except BaseException:
             for source in self._sources:
                 with contextlib.suppress(StorageError, OSError):
@@ -233,7 +228,8 @@ class GenerationBuild:
         # refuses — and only then put the coordinator on top: its
         # mirror and clock are derived from the loaded shards.
         manifest = {"epoch": self._epoch,
-                    "generation": self._new_generation}
+                    "generation": self._new_generation,
+                    "shards": [0] * self._new_config.n_shards}
         self._backend = InProcessBackend.create(
             self._new_config, self._dir, manifest, executor="serial",
             file_ops=fops)
@@ -293,22 +289,17 @@ class GenerationBuild:
     # -- stage 3+4: flip and cleanup ------------------------------------------
 
     def commit(self) -> ReshardReport:
-        """Save the new shards and their bases, flip the manifest, drop
-        the old files.
+        """Save the new shards, flip the manifest, drop the old files.
 
         The manifest rewrite is the single commit point: the old
-        generation is untouched before it, the new one is durable — and
-        has its bases — when it lands.  No PREPARE marker is written — a
-        marker names a shard count, and a reopen mid-flip must classify
-        against whichever manifest survived, not against a count that
-        may not match it.
+        generation is untouched before it, the new one is durable when
+        it lands.
         """
         engine = self.engine
         backend = self._backend
         assert backend is not None
         fops = self._fops
         gens = backend.commit()
-        write_bases(fops, self._gen_dir, range(self._new_config.n_shards))
         write_json_atomic(
             fops, self._dir, os.path.join(self._dir, MANIFEST_NAME),
             {"format": MANIFEST_FORMAT,
@@ -339,8 +330,7 @@ class GenerationBuild:
         fops = self._fops
         for shard_id in range(self._old_n):
             for name in (shard_file_name(shard_id),
-                         wal_file_name(shard_id),
-                         base_file_name(shard_id)):
+                         wal_file_name(shard_id)):
                 path = os.path.join(self._old_gen_dir, name)
                 if os.path.exists(path):
                     fops.unlink(path)

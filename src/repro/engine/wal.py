@@ -1,14 +1,13 @@
 """Per-shard write-ahead log for warm worker processes.
 
 Between two epoch commits (``save()`` calls) a warm worker mutates its
-shard's page file freely: the buffer pool evicts dirty pages mid-session
-and the pager rewrites free-list links in place, so a SIGKILL leaves the
-file unusable until the *next* commit — by design (PR 2's recovery sweep
-refuses generation-ahead pages).  The WAL is what makes acknowledged
-writes survive anyway: every mutation is appended here and fsynced
-*before* it is acknowledged, and on restart the worker rebuilds the
-shard from its last committed state (the page file, or its base copy)
-plus a replay of this log.
+shard's page file freely, but only into slots the committed generation
+does not name (shadow paging, :mod:`repro.storage.pager`): a SIGKILL
+loses every write since the last commit and nothing else.  The WAL is
+what makes acknowledged writes survive anyway: every mutation is
+appended here and fsynced *before* it is acknowledged, and on restart
+the worker reopens the shard at the generation the manifest records
+and replays this log over it.
 
 The sliding-window workload makes this log unusually cheap to reason
 about: entry start times are non-decreasing (the same increasing-ending-
@@ -94,19 +93,6 @@ Op = tuple[int, tuple[int, ...]]
 def wal_file_name(shard_id: int) -> str:
     """WAL file name of one shard (lives next to its page file)."""
     return f"shard-{shard_id:03d}.wal"
-
-
-def base_file_name(shard_id: int) -> str:
-    """Base file name of one shard (lives next to its page file).
-
-    The base is a byte copy of the shard's page file taken right after
-    the epoch commit (:func:`~repro.engine.engine.write_bases`), kept
-    by both backends: the state a shard reopens from when a crash leaves
-    the live page file unrecoverable (mid-session evictions stamp pages
-    past the committed generation, which recovery-on-open rightly
-    refuses), and the state this log replays over.
-    """
-    return f"shard-{shard_id:03d}.pages.base"
 
 
 @functools.lru_cache(maxsize=1024)

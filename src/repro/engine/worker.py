@@ -13,16 +13,17 @@ table and the clock), and ships each shard a batch of
 **Durability.**  A worker acknowledges a mutation batch only after the
 ops are appended to the shard's write-ahead log and fsynced (one fsync
 per batch — group commit) *and* applied to the in-memory index.  The
-page file itself is only made consistent at epoch commits
-(``WorkerEngine.save()``, the coordinator's two-phase PREPARE/FLIP
-protocol); between commits the WAL is the durable record.  A worker
+page file only gains a generation at epoch commits (``WorkerEngine.
+save()``, the coordinator's two-phase COMMIT/FLIP protocol), and keeps
+the generation the manifest records intact in between; between commits
+the WAL is the durable record.  A worker
 therefore *always* shuts its shard down with
 :meth:`~repro.core.index.SWSTIndex.abort` — a graceful stop and a
 SIGKILL leave the same on-disk state, and restart recovery is one code
 path, not two.
 
 **I/O.**  A worker does all its file I/O — WAL appends, fsyncs and
-resets, base copies — through the
+resets — through the
 :class:`~repro.storage.fileops.FileOps` its engine was given, handed
 over at the fork.  There are no fault hooks here: tests kill a worker
 by wrapping, before the fork, the functions it inherits.
@@ -33,8 +34,8 @@ shards' recoveries overlap; a restart of one shard is unchanged.  Each
 worker plans its own shard and executes the plan
 (:func:`_recover_shard`; the rules are the per-shard table under
 "Two-phase epoch commit" in ``docs/internals.md``): open the page file
-or restore its base,
-then replay the WAL, decoded once, or reset a stale one.  The ready
+at the generation the manifest records, then replay the WAL, decoded
+once, or reset a stale one.  The ready
 handshake reports the shard's plan, with its replayed and torn counts.
 
 **Supervision.**  The backend detects worker death three ways: the
@@ -68,15 +69,14 @@ and never answers from a plan of another window.  Answers come back as
 as one packed blob of ``RECORD_SIZE``-byte records (the page payload
 layout, ``d = None`` as the ``CURRENT_DURATION`` sentinel).
 
-**Epoch commit.**  The coordinator's ``save()`` records each worker's
-expected header generation in the PREPARE marker, saves every shard
-(in-worker ``SWSTIndex.save``), flips the manifest, unlinks the marker,
-then checkpoints each worker (refresh base, reset WAL to the new
-epoch).  A failure anywhere kills every worker and executes the same
-recovery plan ``open()`` would, so no worker can keep acknowledging
-into a stale-epoch WAL.  A save torn between shard commits restores
-every base, as in process: each WAL still holds its shard's whole
-acknowledged tail at the old epoch and replays over the base.
+**Epoch commit.**  The coordinator's ``save()`` saves every shard
+(in-worker ``SWSTIndex.save``), flips the manifest, then checkpoints
+each worker (retain the new generation, reset the WAL to the new
+epoch).  A failure before the flip kills every worker, and each
+respawn recovers as ``open()`` would, so no worker can keep
+acknowledging into a stale-epoch WAL: each reopens at the generation
+the manifest still records, and its WAL — still at the old epoch —
+replays the whole acknowledged tail over it.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ from .engine import (SHARD_FAILURE_ERRORS, Coordinator, FanOut, Signature,
                      prepare_directory, read_shard, shard_file_path)
 from .errors import (CircuitOpenError, ClockFenceError, EngineError,
                      ShardFailure, WorkerCrashError, WorkerRecoveryError)
-from .recovery import (MANIFEST_NAME, REPLAY, ShardPlan, execute,
-                       generation_dir, load_manifest, open_shard,
-                       plan_directory, plan_shard, write_bases)
+from .recovery import (MANIFEST_NAME, REPLAY, ShardPlan, generation_dir,
+                       load_manifest, open_shard, plan_directory,
+                       plan_shard)
 from .retry import CircuitBreaker, RetryPolicy
 from .wal import (OP_ADVANCE, Op, WalWriter, apply_op, apply_record,
                   run_op, wal_file_name)
@@ -140,8 +140,8 @@ def _recover_shard(shard_id: int, directory: str, config: SWSTConfig,
                    fops: FileOps, generation: int
                    ) -> tuple[SWSTIndex, WalWriter, ShardPlan]:
     """Plan one shard (:func:`~repro.engine.recovery.plan_shard`) and
-    execute the plan: open the page file or restore its base, then
-    replay the WAL (decoded once, by the plan) or reset it.
+    execute the plan: open the page file at its recorded generation,
+    then replay the WAL (decoded once, by the plan) or reset it.
 
     Returns ``(shard, wal_writer, plan)``.  A planned refusal raises its
     :class:`~repro.engine.errors.ShardOpenError` or
@@ -183,13 +183,13 @@ def _apply_batch(shard: SWSTIndex, writer: WalWriter,
     return [apply_op(shard, op, args) for op, args in batch]
 
 
-def _checkpoint(shard_id: int, directory: str, fops: FileOps,
-                epoch: int, generation: int) -> WalWriter:
-    """Refresh the base from the just-committed page file, reset the WAL."""
-    gen_dir = generation_dir(directory, generation)
-    write_bases(fops, gen_dir, [shard_id])
-    return WalWriter.reset(os.path.join(gen_dir, wal_file_name(shard_id)),
-                           fops, epoch=epoch)
+def _checkpoint(shard_id: int, shard: SWSTIndex, directory: str,
+                fops: FileOps, epoch: int, generation: int) -> WalWriter:
+    """Retain the generation the manifest now records, reset the WAL."""
+    shard.pager.retain()
+    return WalWriter.reset(
+        os.path.join(generation_dir(directory, generation),
+                     wal_file_name(shard_id)), fops, epoch=epoch)
 
 
 def _exit_fatal(conn: "Connection", exc: BaseException) -> NoReturn:
@@ -238,8 +238,8 @@ def _worker_main(shard_id: int, directory: str, config: SWSTConfig,
                 shard.save()
                 value = shard.pager.generation
             elif kind == "checkpoint":
-                writer = _checkpoint(shard_id, directory, fops, payload,
-                                     generation)
+                writer = _checkpoint(shard_id, shard, directory, fops,
+                                     payload, generation)
                 value = writer.next_seq
             elif kind == "stop":
                 conn.send(("ok", None))
@@ -293,7 +293,7 @@ class WorkerPool:
         directory: the engine's shard directory.
         config: shared index configuration.
         fops: the engine's durable-file seam, handed to every worker
-            it forks (WAL and base I/O).
+            it forks (WAL I/O).
         heartbeat_timeout: seconds a request (or a spawn handshake) may
             take before the worker is declared dead and killed; ``None``
             waits forever.
@@ -796,23 +796,28 @@ class WorkerBackend:
         return states
 
     def commit(self) -> list[int]:
+        """Restart dead workers first (each replays its WAL), then save
+        every shard in order."""
+        for sid in range(self.n_shards):
+            self._ensure(sid)
         return [self.pool.request(sid, "save")
                 for sid in range(self.n_shards)]
 
     def abort_commit(self) -> dict[str, Any]:
-        """Kill every worker and execute the directory's recovery plan
-        exactly as ``open()`` would — a worker must never keep
-        acknowledging writes into a WAL of a superseded epoch.  Each
-        respawn then plans and recovers its own shard."""
+        """Kill every worker and adopt the manifest on disk — a worker
+        must never keep acknowledging writes into a WAL of a superseded
+        epoch.  Each respawn then plans and recovers its own shard at
+        the generation that manifest records."""
         self.pool.kill_all()
-        manifest = execute(plan_directory(self.directory, self.config),
-                           self.fops)
+        manifest = load_manifest(os.path.join(self.directory,
+                                              MANIFEST_NAME))
         self.pool.generation = manifest["generation"]
         self.needs_resync = True
         return manifest
 
     def after_flip(self, epoch: int) -> None:
-        """Checkpoint each worker: refresh base, reset WAL to ``epoch``."""
+        """Checkpoint each worker: retain the new generation, reset the
+        WAL to ``epoch``."""
         for sid in range(self.n_shards):
             try:
                 self._next_seq[sid] = self.pool.request(
@@ -837,7 +842,7 @@ class WorkerEngine(Coordinator):
     *is* the same coordinator — but every shard lives in its own
     process and every acknowledged mutation is WAL-durable.  A saved
     directory is interchangeable with ``ShardedEngine``'s (same
-    manifest, page files and bases; the ``.wal`` files are additive,
+    manifest and page files; the ``.wal`` files are additive,
     and ``ShardedEngine.open`` refuses WALs holding records it cannot
     replay).
 
@@ -846,7 +851,7 @@ class WorkerEngine(Coordinator):
     across restarts), one ``breaker_factory`` breaker per shard gates
     them; ``heartbeat_timeout`` is the :class:`WorkerPool`'s;
     ``file_ops`` is the durable filesystem seam of the manifest
-    protocol and of every worker's WAL and base I/O.
+    protocol and of every worker's WAL I/O.
     """
 
     _backend: WorkerBackend
@@ -864,8 +869,7 @@ class WorkerEngine(Coordinator):
         config = config if config is not None else SWSTConfig()
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         directory = os.fspath(path)
-        manifest = prepare_directory(directory, config.n_shards, fops,
-                                     "WorkerEngine")
+        manifest = prepare_directory(directory, config.n_shards, fops)
         backend = WorkerBackend(
             config, directory, retry_policy=retry_policy,
             breaker_factory=breaker_factory,
@@ -880,24 +884,27 @@ class WorkerEngine(Coordinator):
              = CircuitBreaker,
              heartbeat_timeout: float | None = None,
              file_ops: FileOps | None = None) -> "WorkerEngine":
-        """Re-open a shard directory: execute the directory half of its
-        recovery plan (:func:`~repro.engine.recovery.plan_directory`),
-        then spawn one worker per shard, each planning and recovering
-        its own shard (:func:`_recover_shard`) side by side.  The
-        plan kept as :attr:`recovery` is the directory's, with the
+        """Re-open a shard directory: plan its directory half
+        (:func:`~repro.engine.recovery.plan_directory`, refusing what it
+        refuses), then spawn one worker per shard, each planning and
+        recovering its own shard (:func:`_recover_shard`) side by side.
+        The plan kept as :attr:`recovery` is the directory's, with the
         shard plans the workers reported.
         """
         fops = file_ops if file_ops is not None else DURABLE_FILE_OPS
         plan = plan_directory(path, config)
-        manifest = execute(plan, fops)
+        if plan.error is not None:
+            raise plan.error
+        manifest = plan.manifest
+        assert manifest is not None
         backend = WorkerBackend(
             config, plan.directory, retry_policy=retry_policy,
             breaker_factory=breaker_factory,
             heartbeat_timeout=heartbeat_timeout, file_ops=fops)
         backend.start(manifest)
         engine = cls._adopt(config, backend, plan.directory, manifest, fops)
-        engine._recovered(dataclasses.replace(plan, shards=tuple(
-            backend.shard_plans[sid] for sid in range(config.n_shards))))
+        engine.recovery = dataclasses.replace(plan, shards=tuple(
+            backend.shard_plans[sid] for sid in range(config.n_shards)))
         return engine
 
     def reopen(self, n_shards: int) -> "WorkerEngine":

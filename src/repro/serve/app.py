@@ -28,7 +28,7 @@ Failure model (every row tested):
     server closing              503     ``error: closed``
     deadline elapsed            504     ``error: deadline_exceeded``
     strict shard failure        500     ``error: shard_failure`` + shard
-    unexpected engine error     500     ``error: internal`` + type name
+    any other failure           500     ``error: internal`` + type name
     ==========================  ======  ===================================
 """
 
@@ -37,8 +37,8 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable
 
-from ..engine.errors import (EngineClosedError, EngineError,
-                             ReshardInProgressError, ShardQueryError)
+from ..engine.errors import (EngineClosedError, ReshardInProgressError,
+                             ShardQueryError)
 from .admission import AdmissionController
 from .async_engine import AsyncEngine
 from .coalesce import Coalescer, Timer
@@ -174,11 +174,12 @@ class ServeApp:
         except (ServeClosedError, EngineClosedError) as exc:
             response = Response(503, {"error": "closed",
                                       "detail": str(exc)})
-        except (EngineError, ValueError) as exc:
-            # Engine-level invariant violations (bad domain values the
-            # wire checks missed, circuit-open strict paths, ...) are
-            # server errors, reported by type so clients can tell them
-            # apart without parsing prose.
+        except Exception as exc:
+            # Anything else — engine invariant violations, bad domain
+            # values the wire checks missed, circuit-open strict paths,
+            # an OSError from a full disk mid-commit — is a server
+            # error, reported by type so clients can tell them apart
+            # without parsing prose.  The connection stays up.
             response = Response(
                 500, {"error": "internal",
                       "type": type(exc).__name__, "detail": str(exc)})

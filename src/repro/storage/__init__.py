@@ -3,8 +3,8 @@
 This package is the "disk" every index in the repository runs on.  The
 paper's primary cost metric — node accesses — is counted at the
 :class:`BufferPool` boundary.  Crash safety lives below it: checksummed
-pages (:mod:`repro.storage.page`), the dual-slot header commit protocol
-(:mod:`repro.storage.pager`), durable small-file operations for
+pages (:mod:`repro.storage.page`), shadow-paged commits under a
+dual-slot header (:mod:`repro.storage.pager`), durable small-file operations for
 directory-level commits (:mod:`repro.storage.fileops`) and the offline
 integrity sweep (:mod:`repro.storage.scrub`).  The fault-injecting
 doubles that test all of it live with the tests
@@ -14,13 +14,12 @@ doubles that test all of it live with the tests
 from .buffer import DEFAULT_CAPACITY, BufferPool
 from .errors import (ChecksumError, CorruptPageFileError,
                      NoCatalogError, PageError, PagerClosedError,
-                     StaleBlobError, StorageError, TornWriteError,
+                     StorageError, TornWriteError,
                      UnsupportedFormatError)
 from .fileops import DURABLE_FILE_OPS, DurableFileOps, FileOps
 from .page import DEFAULT_PAGE_SIZE, FilePageDevice, MemoryPageDevice
 from .pager import MEMORY, Pager
-from .scrub import (ScrubReport, probe_committed_generation,
-                    probe_page_file, scrub_page_file)
+from .scrub import ScrubReport, probe_page_file, scrub_page_file
 from .stats import IOStats, StatsRecorder
 
 __all__ = [
@@ -41,12 +40,10 @@ __all__ = [
     "Pager",
     "PagerClosedError",
     "ScrubReport",
-    "StaleBlobError",
     "StatsRecorder",
     "StorageError",
     "TornWriteError",
     "UnsupportedFormatError",
-    "probe_committed_generation",
     "probe_page_file",
     "scrub_page_file",
 ]

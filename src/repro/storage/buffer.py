@@ -207,8 +207,7 @@ class BufferPool:
         The crash-equivalent shutdown.  A warm worker closes its shard
         this way on purpose — its write-ahead log, not the page file, is
         the durable record between epoch commits, so flushing here would
-        only smear uncommitted page mutations over the last committed
-        state (exactly what recovery must then undo).
+        only write pages that no commit names and no open reads.
         """
         self._closed = True
         self._slots.clear()

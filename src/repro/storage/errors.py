@@ -22,12 +22,6 @@ class PagerClosedError(StorageError):
     """An operation was attempted on a closed pager or buffer pool."""
 
 
-class StaleBlobError(StorageError):
-    """A clean close was refused: pages changed after the owner's last
-    stored blob was committed, so a clean header would publish them under
-    a blob (a catalog) that does not describe them."""
-
-
 class CorruptPageFileError(StorageError):
     """The on-disk page file failed a structural sanity check."""
 
@@ -45,9 +39,9 @@ class NoCatalogError(CorruptPageFileError):
 class UnsupportedFormatError(CorruptPageFileError):
     """The file is a well-formed SWST file of a format no longer read.
 
-    Raised for a page file that starts with the retired v1 pager magic
-    instead of a superblock, and for an engine manifest declaring
-    ``"format": 1``.  Nothing is written to a refused file.
+    Raised for a page file of a retired format (v1: no superblock; v2:
+    pages overwritten in place, no page map) and for an engine manifest
+    declaring ``"format": 1``.  Nothing is written to a refused file.
     """
 
 

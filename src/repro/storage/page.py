@@ -11,22 +11,22 @@ nothing about their contents.  Two implementations are provided:
 
 On-disk format::
 
-    superblock (512 bytes): magic "SWSTDV2\\0", page_size, trailer_size, crc32
-    page slot i at offset 512 + i * (page_size + 16):
+    superblock (512 bytes): magic "SWSTDV3\\0", page_size, trailer_size, crc32
+    page slot i at offset 512 + i * (page_size + 8):
         page data (page_size bytes)
-        trailer (16 bytes): crc32, format tag "SWP2", write generation
+        trailer (8 bytes): crc32, format tag "SWP3"
 
 The trailer lives *outside* the logical page, so the page size seen by every
 layer above (pager, buffer pool, B+ tree fan-out) is identical with and
 without checksums.  Reads verify the trailer: a wrong format tag raises
 :class:`TornWriteError` (the write never completed), a CRC mismatch raises
-:class:`ChecksumError`.  The write generation is stamped by the pager and
-lets crash recovery detect pages written after the last committed header.
+:class:`ChecksumError`.
 
 This is the only format: a non-empty file without the superblock magic is
 refused with :class:`CorruptPageFileError`, or with its subclass
-:class:`UnsupportedFormatError` when it starts with the retired
-superblock-less v1 pager magic.  A refused file is never written to.
+:class:`UnsupportedFormatError` when it is a retired format — the
+superblock-less v1 file, or the v2 file whose pager overwrote committed
+pages in place (no page map).  A refused file is never written to.
 """
 
 from __future__ import annotations
@@ -44,29 +44,34 @@ DEFAULT_PAGE_SIZE = 8192
 
 #: Size of the superblock that prefixes the page slots.
 SUPERBLOCK_SIZE = 512
-SUPERBLOCK_MAGIC = b"SWSTDV2\x00"
-#: First bytes of a retired format-v1 file (its pager header sat at offset 0).
-_RETIRED_V1_MAGIC = b"SWSTPGR1"
+SUPERBLOCK_MAGIC = b"SWSTDV3\x00"
+#: First bytes of the retired formats: v1 (its pager header sat at offset
+#: 0) and v2 (in-place pages, write-generation trailers, no page map).
+_RETIRED_MAGICS = {b"SWSTPGR1": "format-v1 page file (no superblock)",
+                   b"SWSTDV2\x00": "format-v2 page file (no page map)"}
 _SUPERBLOCK = struct.Struct("<8sIII")  # magic, page_size, trailer_size, crc32
 
-#: Per-page trailer: crc32, format tag, write generation.
-PAGE_TRAILER = struct.Struct("<IIQ")
-TRAILER_TAG = 0x53575032  # "SWP2" little-endian
+#: Per-page trailer: crc32, format tag.
+PAGE_TRAILER = struct.Struct("<II")
+TRAILER_TAG = 0x53575033  # "SWP3" little-endian
+_TAG_BYTES = struct.pack("<I", TRAILER_TAG)
 
 
 def read_superblock(path: str, handle: BinaryIO) -> int:
     """Page size named by the superblock of page file ``path``.
 
-    Raises :class:`UnsupportedFormatError` for the retired v1 pager magic
+    Raises :class:`UnsupportedFormatError` for a retired format's magic
     and :class:`CorruptPageFileError` for anything else that is not a
     valid superblock.
     """
     handle.seek(0)
     head = handle.read(_SUPERBLOCK.size)
-    if head[:8] == _RETIRED_V1_MAGIC:
+    retired = _RETIRED_MAGICS.get(head[:8])
+    if retired is not None:
         raise UnsupportedFormatError(
-            f"{path}: format-v1 page file (no superblock); this version "
-            f"reads only the checksummed format")
+            f"{path}: {retired}; this version reads only format v3 "
+            f"(open and save it with the release that wrote it, then "
+            f"rebuild)")
     if len(head) < _SUPERBLOCK.size or head[:8] != SUPERBLOCK_MAGIC:
         raise CorruptPageFileError(
             f"{path}: not a recognised SWST page file")
@@ -117,7 +122,6 @@ class FilePageDevice:
         mode = "r+b" if os.path.exists(self.path) else "w+b"
         self._file = open(self.path, mode)
         self._closed = False
-        self._write_generation = 0
         try:
             size = os.fstat(self._file.fileno()).st_size
             if size == 0:
@@ -158,29 +162,22 @@ class FilePageDevice:
 
     # -- trailer helpers -----------------------------------------------------
 
-    def set_write_generation(self, generation: int) -> None:
-        """Generation stamped into the trailer of every subsequent write."""
-        self._write_generation = generation
-
     def _make_trailer(self, data: bytes) -> bytes:
-        tail = PAGE_TRAILER.pack(0, TRAILER_TAG, self._write_generation)
-        crc = zlib.crc32(tail, zlib.crc32(data))
-        return PAGE_TRAILER.pack(crc, TRAILER_TAG, self._write_generation)
+        return PAGE_TRAILER.pack(zlib.crc32(_TAG_BYTES, zlib.crc32(data)),
+                                 TRAILER_TAG)
 
     def _verify_trailer(self, page_id: int, data: bytes,
-                        trailer: bytes) -> int:
-        crc, tag, generation = PAGE_TRAILER.unpack(trailer)
+                        trailer: bytes) -> None:
+        crc, tag = PAGE_TRAILER.unpack(trailer)
         if tag != TRAILER_TAG:
             raise TornWriteError(
                 f"page {page_id}: invalid trailer (torn or never-completed "
                 f"write)")
-        probe = PAGE_TRAILER.pack(0, tag, generation)
-        expected = zlib.crc32(probe, zlib.crc32(data))
+        expected = zlib.crc32(_TAG_BYTES, zlib.crc32(data))
         if crc != expected:
             raise ChecksumError(
                 f"page {page_id}: checksum mismatch (stored {crc:#010x}, "
                 f"computed {expected:#010x})")
-        return generation
 
     # -- device API ----------------------------------------------------------
 
@@ -203,20 +200,6 @@ class FilePageDevice:
         data, trailer = blob[:self.page_size], blob[self.page_size:]
         self._verify_trailer(page_id, data, trailer)
         return data
-
-    def check_page(self, page_id: int) -> int:
-        """Verify one page's trailer; returns its write generation.
-
-        Raises :class:`TornWriteError`/:class:`ChecksumError` on corruption.
-        """
-        self._check_open()
-        self._check_id(page_id)
-        self._file.seek(self._offset(page_id))
-        blob = self._file.read(self._slot_size)
-        if len(blob) != self._slot_size:
-            raise TornWriteError(f"page {page_id}: short slot on disk")
-        return self._verify_trailer(page_id, blob[:self.page_size],
-                                    blob[self.page_size:])
 
     def _write_at(self, page_id: int, data: bytes) -> None:
         self._file.seek(self._offset(page_id))
@@ -308,11 +291,6 @@ class MemoryPageDevice:
         self._check_open()
         self._check_id(page_id)
         return self._pages[page_id]
-
-    def check_page(self, page_id: int) -> int:
-        self._check_open()
-        self._check_id(page_id)
-        return 0
 
     def write(self, page_id: int, data: bytes) -> None:
         self._check_open()

@@ -1,10 +1,17 @@
 """Offline integrity sweep over a page file (the ``repro scrub`` command).
 
-:func:`scrub_page_file` checksum-verifies every page slot and parses the
-pager's header slots without loading the index, reporting the exact ids
-and reasons for any corrupt pages.  It never repairs anything — a clean
-report means "every byte checks out", a non-empty ``corrupt`` list names
-what to restore from backup.
+:func:`scrub_page_file` checksum-verifies every page slot a committed
+generation names — both header slots, its page map and every mapped
+page — without loading the index, reporting the exact ids and reasons
+for any corrupt slots.  Slots the generation does not name are free:
+they may hold anything a crash left, and nothing reads them.  It never
+repairs anything — a clean report means "every byte the generation
+names checks out", a non-empty ``corrupt`` list names what to restore
+from backup.
+
+:func:`probe_open` is the passive half of an open, for a recovery plan
+that must not write: it answers whether a page file opens at a given
+generation, reading only the header slots and the page map.
 """
 
 from __future__ import annotations
@@ -12,9 +19,10 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from .errors import StorageError
+from .errors import CorruptPageFileError, NoCatalogError, StorageError
 from .page import FilePageDevice, read_superblock
-from .pager import PagerHeader, read_header_slots
+from .pager import (PagerHeader, decode_map, read_chain, read_header_slots,
+                    select_header)
 
 
 @dataclasses.dataclass
@@ -25,18 +33,23 @@ class HeaderSlot:
     valid: bool
     generation: int = 0
     page_count: int = 0
-    clean: bool = False
 
 
 @dataclasses.dataclass
 class ScrubReport:
-    """Result of a full integrity sweep."""
+    """Result of a full integrity sweep.
+
+    ``generation`` is the committed generation swept (``None`` when no
+    header slot could be opened) and ``mapped`` the slots it names.
+    """
 
     path: str
     page_size: int
     pages: int
     corrupt: list[tuple[int, str]]
     header_slots: list[HeaderSlot]
+    generation: int | None = None
+    mapped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -44,10 +57,10 @@ class ScrubReport:
 
     @property
     def committed(self) -> HeaderSlot | None:
-        """The newest valid header slot, if any."""
-        valid = [slot for slot in self.header_slots if slot.valid]
-        return max(valid, key=lambda slot: slot.generation) if valid \
-            else None
+        """The header slot of the generation swept, if any."""
+        return next((slot for slot in self.header_slots
+                     if slot.valid and slot.generation == self.generation),
+                    None)
 
     def render(self) -> str:
         lines = [f"{self.path}: page size {self.page_size}, "
@@ -56,10 +69,9 @@ class ScrubReport:
         if head is None:
             lines.append("  header: NO VALID SLOT")
         else:
-            state = "clean" if head.clean else "dirty"
             lines.append(f"  header: slot {head.slot} generation "
-                         f"{head.generation}, {head.page_count} "
-                         f"committed pages, {state}")
+                         f"{head.generation}, {head.page_count} committed "
+                         f"pages, {self.mapped} in use")
         for page_id, reason in self.corrupt:
             lines.append(f"  page {page_id}: {reason}")
         lines.append(f"  {len(self.corrupt)} corrupt page(s)")
@@ -71,105 +83,77 @@ def probe_page_file(path: str | os.PathLike[str]) -> int:
 
     Raises :class:`CorruptPageFileError` if the file does not start with
     a valid superblock (:class:`UnsupportedFormatError` for a retired
-    format-v1 file).
+    format).
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
         return read_superblock(path, handle)
 
 
-def probe_committed_generation(path: str | os.PathLike[str]) -> int | None:
-    """Newest committed header generation of a page file, probed passively.
+def _committed_map(device: FilePageDevice, head: PagerHeader,
+                   ) -> tuple[list[int], list[int]]:
+    """The map and chain slots of one committed header."""
+    if device.page_count() < head.page_count:
+        raise CorruptPageFileError(
+            f"file truncated: {device.page_count()} pages on disk, "
+            f"{head.page_count} committed")
+    payload, chain = read_chain(device.read, head.map_head,
+                                device.page_size, head.page_count)
+    slots, _ = decode_map(payload, head.page_count, chain)
+    return slots, chain
 
-    The engine's epoch recovery must learn how far each shard got
-    *without opening it* — ``Pager`` open itself commits a header
-    (recovery + clean mark), which would advance the generation and
-    destroy the evidence.  This reads the two header slots directly
-    and returns the highest valid generation.
 
-    Returns ``None`` when no committed state is observable at all: the
-    file is missing, unrecognisable, or neither header slot checks out.
+def probe_open(path: str | os.PathLike[str], generation: int,
+               ) -> tuple[int | None, StorageError | None]:
+    """What opening ``path`` at ``generation`` would find, passively.
+
+    Returns the newest valid header generation (``None`` when no header
+    slot is valid) and the error ``SWSTIndex.open`` would raise (``None``
+    when it opens): a retired format, no header slot at ``generation``,
+    a truncated file, an unreadable page map — or no stored blob (the
+    catalog), which a never-saved file lacks.  Reads the header slots
+    and the page map, nothing else, and commits nothing.
     """
     path = os.fspath(path)
     try:
         page_size = probe_page_file(path)
-    except (OSError, StorageError):
-        return None
+    except FileNotFoundError as exc:
+        return None, CorruptPageFileError(f"{path}: missing ({exc})")
+    except OSError as exc:
+        return None, CorruptPageFileError(f"{path}: {exc}")
+    except StorageError as exc:
+        return None, exc
     device = FilePageDevice(path, page_size)
     try:
-        head = _newest_header(device)
-    finally:
-        device.close()
-    return head.generation if head is not None else None
-
-
-def probe_open(path: str | os.PathLike[str]) -> tuple[int | None,
-                                                     str | None]:
-    """What opening ``path`` would find, probed passively.
-
-    Returns the newest committed header generation (``None`` when no
-    committed state is observable) and why ``SWSTIndex.open`` would
-    refuse the file (``None`` when it opens).  These are the checks of
-    recovery-on-open, made without committing anything: a valid header
-    slot, every committed page on disk, after an unclean shutdown every
-    committed page checksum-valid and stamped no newer than the header
-    — and a stored blob (the catalog), which a never-saved file lacks.
-    """
-    path = os.fspath(path)
-    try:
-        page_size = probe_page_file(path)
-    except (OSError, StorageError) as exc:
-        return None, str(exc)
-    device = FilePageDevice(path, page_size)
-    try:
-        head = _newest_header(device)
-        if head is None:
-            return None, "neither header slot holds a valid committed header"
-        generation = head.generation
-        if device.page_count() < head.page_count:
-            return generation, (f"file truncated: {device.page_count()} "
-                                f"pages on disk, {head.page_count} "
-                                f"committed")
-        for page_id in range(2, 2 if head.clean else head.page_count):
-            try:
-                stamp = device.check_page(page_id)
-            except StorageError as exc:
-                return generation, str(exc)
-            if stamp > generation:
-                return generation, (
-                    f"page {page_id} holds uncommitted data from "
-                    f"generation {stamp} (committed {generation})")
+        valid = read_header_slots(device)
+        newest = max((head.generation for head in valid.values()),
+                     default=None)
+        try:
+            _, head = select_header(valid, generation)
+            _committed_map(device, head)
+        except StorageError as exc:
+            return newest, exc
         if not int.from_bytes(head.meta, "little"):
-            return generation, "no saved catalog (never committed)"
-        return generation, None
+            return newest, NoCatalogError(
+                "no saved catalog (never committed)")
+        return newest, None
     finally:
         device.close()
 
 
-def _newest_header(device: FilePageDevice) -> PagerHeader | None:
-    return max(read_header_slots(device).values(),
-               key=lambda header: header.generation, default=None)
-
-
-def scrub_page_file(path: str | os.PathLike[str]) -> ScrubReport:
-    """Checksum-verify every page of ``path`` and parse its headers."""
+def scrub_page_file(path: str | os.PathLike[str],
+                    generation: int | None = None) -> ScrubReport:
+    """Checksum-verify every slot committed ``generation`` (default: the
+    newest valid one) names, and parse both header slots."""
     path = os.fspath(path)
     page_size = probe_page_file(path)
     device = FilePageDevice(path, page_size)
     corrupt: list[tuple[int, str]] = []
     header_slots: list[HeaderSlot] = []
+    swept: int | None = None
+    mapped = 0
     try:
         pages = device.page_count()
-        generations: dict[int, int] = {}
-        for page_id in range(pages):
-            try:
-                generations[page_id] = device.check_page(page_id)
-            except StorageError as exc:
-                reason = str(exc)
-                prefix = f"page {page_id}: "
-                if reason.startswith(prefix):
-                    reason = reason[len(prefix):]
-                corrupt.append((page_id, reason))
         valid = read_header_slots(device)
         for slot in (0, 1):
             header = valid.get(slot)
@@ -177,31 +161,27 @@ def scrub_page_file(path: str | os.PathLike[str]) -> ScrubReport:
                 HeaderSlot(slot, valid=False) if header is None
                 else HeaderSlot(slot, valid=True,
                                 generation=header.generation,
-                                page_count=header.page_count,
-                                clean=header.clean))
-        best = max(valid.values(), key=lambda header: header.generation,
-                   default=None)
-        if best is None:
-            corrupt.append((0, "no valid committed header slot"))
+                                page_count=header.page_count))
+        try:
+            _, head = select_header(valid, generation)
+            swept = head.generation
+            slots, chain = _committed_map(device, head)
+        except StorageError as exc:
+            corrupt.append((0, str(exc)))
         else:
-            if best.page_count > pages:
-                corrupt.append(
-                    (0, f"header claims {best.page_count} pages but "
-                        f"only {pages} are on disk"))
-            # A committed page stamped newer than the committed
-            # header is an in-place overwrite from a crashed write
-            # window: the committed snapshot did not survive, and
-            # recovery-on-open will refuse the file the same way.
-            for page_id in range(2, min(best.page_count, pages)):
-                generation = generations.get(page_id)
-                if generation is not None \
-                        and generation > best.generation:
-                    corrupt.append(
-                        (page_id,
-                         f"uncommitted data from generation "
-                         f"{generation} overwrites the committed "
-                         f"snapshot (generation {best.generation})"))
+            named = sorted({*slots, *chain} - {0})
+            mapped = len(named)
+            for slot in named:
+                try:
+                    device.read(slot)
+                except StorageError as exc:
+                    reason = str(exc)
+                    prefix = f"page {slot}: "
+                    if reason.startswith(prefix):
+                        reason = reason[len(prefix):]
+                    corrupt.append((slot, reason))
     finally:
         device.close()
     return ScrubReport(path=path, page_size=page_size, pages=pages,
-                       corrupt=corrupt, header_slots=header_slots)
+                       corrupt=corrupt, header_slots=header_slots,
+                       generation=swept, mapped=mapped)

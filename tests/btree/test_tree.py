@@ -214,6 +214,7 @@ class TestPersistence:
             tree.insert(key, value(key))
         root = tree.root_page
         pool.close()
+        pager.sync()
         pager.close()
         pager = Pager(path, page_size=512)
         pool = BufferPool(pager, capacity=64)

@@ -108,6 +108,7 @@ class TestSaveOpen:
         index.close()
         with Pager(path, page_size=CFG.page_size) as pager:
             pager.store_blob(damage(pager.load_blob()))
+            pager.sync()
         with pytest.raises(CorruptPageFileError):
             SWSTIndex.open(path, CFG)
 

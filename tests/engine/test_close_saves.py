@@ -1,9 +1,10 @@
-"""A close is a save or an abort, never a clean header over a stale catalog.
+"""A close is a save or an abort, never a page file under a stale catalog.
 
 Each scenario saves the first 200 reports of one stream, reopens with a
 4-page buffer pool (so tree pages are evicted to disk), takes 300 more
 reports and closes *without* ``save()``.  The reopened index must equal
-an in-memory model fed all 500 reports and pass ``check_integrity``.
+an in-memory model fed all 500 reports and pass ``check_integrity`` —
+or, after an abort, the model of the 200 saved reports.
 """
 
 import asyncio
@@ -12,13 +13,12 @@ import http.client
 import json
 import random
 
-import pytest
-
 from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import SerialExecutor, ShardedEngine
+from repro.engine.recovery import OPEN
 from repro.serve import ServeOptions
 from repro.serve.main import serve
-from repro.storage import CorruptPageFileError, Pager, StaleBlobError
+from tests.storage.fault import InjectedFault, per_path_device_factory
 
 CONFIG = SWSTConfig(window=200, slide=20, x_partitions=4, y_partitions=4,
                     d_max=40, duration_interval=10,
@@ -117,20 +117,64 @@ def test_close_of_an_unchanged_engine_writes_nothing(tmp_path):
         assert engine.epoch == epoch
 
 
-def test_pager_refuses_a_clean_header_over_a_stale_blob(tmp_path):
-    path = tmp_path / "pages.db"
-    with Pager(path, page_size=512) as pager:
-        page = pager.allocate()
-        pager.store_blob(b"catalog naming page %d" % page)
-        pager.sync()
-    pager = Pager(path, page_size=512)
-    assert pager.load_blob().startswith(b"catalog")
-    pager.write(page, b"\x01" * 512)
-    with pytest.raises(StaleBlobError):
-        pager.close()
-    # Released as by abort(): the last commit stands, nothing leaked.
-    with pytest.raises(CorruptPageFileError, match="uncommitted"):
-        Pager(path, page_size=512)
+def test_single_file_abort_reopens_at_the_last_save(tmp_path):
+    """A kill mid-session (``abort()``) after evictions: the reopen is
+    exactly the last save.  Shadow paging never overwrote a page that
+    save names, so there is nothing to detect, sweep or restore."""
+    path = str(tmp_path / "swst.db")
+    reports = stream()
+    with SWSTIndex(CONFIG, path=path) as index:
+        index.extend(reports[:SAVED])
+        index.save()
+        saved_state = state_of(index)
+    index = SWSTIndex.open(path, small_pool(CONFIG))
+    index.extend(reports[SAVED:])
+    assert index.stats.physical_writes > 0   # evictions reached the file
+    index.abort()
+    with SWSTIndex.open(path, CONFIG) as reopened:
+        reopened.check_integrity()
+        assert state_of(reopened) == saved_state
+    model = SWSTIndex(CONFIG)
+    model.extend(reports[:SAVED])
+    assert saved_state == state_of(model)
+
+
+def test_close_after_two_failed_saves_reopens_at_the_last_save(tmp_path):
+    """Retrying a failed save cannot tear the directory.  The first save
+    dies at shard 1 after shard 0 committed; the retry dies at shard 0
+    before it commits again.  Shard 0's commit is one the manifest never
+    named, so every shard reopens at the last good save."""
+    config = dataclasses.replace(CONFIG, n_shards=3)
+    reports = stream(2 * SAVED)
+    with ShardedEngine(config, tmp_path / "eng",
+                       executor=SerialExecutor()) as engine:
+        engine.extend(reports[:SAVED])
+        engine.save()
+        saved_epoch = engine.epoch
+    devices = []
+    faulty = dataclasses.replace(config, device_factory=(
+        per_path_device_factory("shard", registry=devices)))
+    engine = ShardedEngine.open(tmp_path / "eng", faulty,
+                                executor=SerialExecutor())
+    engine.extend(reports[SAVED:])
+    for victim in (1, 0):
+        devices[victim].fail_write = devices[victim].writes_seen + 1
+        try:
+            engine.save()
+        except InjectedFault:
+            continue
+        raise AssertionError("save() on a dead device succeeded")
+    engine.close()
+    with ShardedEngine.open(tmp_path / "eng", config,
+                            executor=SerialExecutor()) as reopened:
+        assert reopened.epoch == saved_epoch
+        reopened.check_integrity()
+        model = SWSTIndex(CONFIG)
+        model.extend(reports[:SAVED])
+        assert state_of(reopened) == state_of(model)
+        assert [shard.pages for shard in reopened.recovery.shards] \
+            == [OPEN] * 3
+        assert reopened.recovery.shards[0].uncommitted is not None
 
 
 def test_served_directory_keeps_unsaved_extends_at_shutdown(tmp_path):

@@ -244,14 +244,21 @@ class TestCloseAggregation:
                                                    registry=devices))
         eng = ShardedEngine.open(path, config, executor=SerialExecutor())
         assert len(devices) == N_SHARDS
-        # Write every shard and save, so close() has a clean header to
-        # commit on each shard (a close with unsaved changes would save
-        # first, and fail once), then crash two devices: both commit
-        # failures must surface.
+        # Write every shard and save (a close with unsaved changes would
+        # save first, and fail once); a close after it commits nothing,
+        # so fail two devices' release instead: both failures must
+        # surface.
         eng.extend(workload(seed=7, count=60, t0=eng.now))
         eng.save()
+
+        def failing(close):
+            def release():
+                close()
+                raise InjectedFault("device release failed")
+            return release
+
         for device in devices[:2]:
-            device.crashed = True
+            device.close = failing(device.close)
         with pytest.raises(EngineCloseError) as excinfo:
             eng.close()
         assert len(excinfo.value.errors) == 2

@@ -1,8 +1,8 @@
 """Crash behaviour: fault-inject a single shard's device — the healthy
 siblings reopen cleanly, the failing shard raises a typed error naming
-it, and a save torn between shard commits rolls back from the shards'
-bases or, with a base at the wrong generation, is refused untouched.
-A shard poisoned mid-session restores its own base and nothing else."""
+it, and a save torn between shard commits reopens at the manifest.  A
+shard killed mid-session reopens at the generation the manifest records
+for it, and no save, reshard or open writes a base or a marker."""
 
 import dataclasses
 import json
@@ -12,11 +12,10 @@ import pytest
 
 from repro.cli import main as run_cli
 from repro.core import Rect, SWSTConfig, SWSTIndex
-from repro.engine import (EngineCloseError, EpochTornError, SerialExecutor,
-                          ShardedEngine, ShardOpenError)
-from repro.storage import StorageError, probe_committed_generation
-from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
-                                 crash_devices, per_path_device_factory)
+from repro.engine import (SerialExecutor, ShardedEngine, ShardOpenError,
+                          WorkerEngine, plan_recovery, reshard)
+from repro.storage import UnsupportedFormatError
+from tests.storage.fault import InjectedFault, per_path_device_factory
 
 
 def make_config(n_shards=3, **overrides):
@@ -65,18 +64,16 @@ def file_bytes(path):
             for file in path.rglob("*") if file.is_file()}
 
 
-def poison(path, config):
-    """A mid-session crash on one shard file: evicted pages stamped past
-    its committed generation, which storage recovery refuses."""
+def kill_mid_session(path, config, generation):
+    """A mid-session crash on one shard file: the buffer pool evicts
+    uncommitted pages into it, then the process dies."""
     small = dataclasses.replace(config, buffer_capacity=2)
-    shard = SWSTIndex.open(path, small)
+    shard = SWSTIndex.open(path, small, generation=generation)
     t = shard.now + 1
     for oid in range(200):
         shard.report(1000 + oid, (oid * 7) % 100, (oid * 11) % 100, t)
     assert shard.stats.physical_writes > 0  # evictions reached the file
     shard.abort()
-    with pytest.raises(StorageError):
-        SWSTIndex.open(path, config)
 
 
 class TestShardOpenFailure:
@@ -122,58 +119,36 @@ class TestShardOpenFailure:
     def test_fault_between_shard_commits_is_detected_as_torn(self,
                                                              tmp_path):
         config = make_config()
-
-        def tear_save(path, damage=None):
-            # Crash shard-002's device at its next write: save() commits
-            # shards 0 and 1 to the new epoch, then fails on shard 2.
-            # The storage layer commits in place, so the only whole copy
-            # of the old epoch is the shards' bases — which ``damage``,
-            # run mid-session, breaks.
-            faulty = dataclasses.replace(
-                config,
-                device_factory=per_path_device_factory("shard-002",
-                                                       fail_write=1))
-            eng = ShardedEngine.open(path, faulty,
-                                     executor=SerialExecutor())
-            try:
-                if damage:
-                    damage()
-                t = eng.now
-                for oid in range(20):
-                    eng.report(oid, (oid * 13) % 100, (oid * 29) % 100, t)
-                with pytest.raises(OSError):
-                    eng.save()
-            finally:
-                # After a failed save, close releases the shard the save
-                # did not reach as a crash would (no flush to fail on).
-                eng.close()
-
-        # Bases intact: the tear reopens as exactly the pre-save state.
-        intact = tmp_path / "intact.d"
-        build_saved_engine(intact, config)
-        oracle = state(intact, config)
-        tear_save(intact)
-        assert run_cli(["scrub", str(intact)]) == 0
-        assert state(intact, config) == oracle
-        # One base put back from an older epoch (damage from outside):
-        # its generation is not the manifest's, so reopen refuses the mix
-        # with a typed error naming both shard groups — deterministically,
-        # on every attempt, touching no file — and scrub calls it
-        # unrecoverable.
-        path = tmp_path / "damaged.d"
+        path = tmp_path / "index.d"
         build_saved_engine(path, config)
-        base = path / "shard-001.pages.base"
-        stale = base.read_bytes()
-        save_more(path, config)
-        tear_save(path, damage=lambda: base.write_bytes(stale))
-        before = file_bytes(path)
+        oracle = state(path, config)
+        recorded = recorded_gens(path)
+        # Crash shard-002's device at its next write: save() commits
+        # shards 0 and 1, then fails on shard 2 before the manifest flip.
+        faulty = dataclasses.replace(
+            config,
+            device_factory=per_path_device_factory("shard-002",
+                                                   fail_write=1))
+        eng = ShardedEngine.open(path, faulty, executor=SerialExecutor())
+        try:
+            t = eng.now
+            for oid in range(20):
+                eng.report(oid, (oid * 13) % 100, (oid * 29) % 100, t)
+            with pytest.raises(OSError):
+                eng.save()
+        finally:
+            # After a failed save, close releases every shard as a crash
+            # would (no flush to fail on the dead device).
+            eng.close()
+        # The plan names the two commits the flip never reached, and
+        # reopening leaves them behind: exactly the pre-save state.
+        plan = plan_recovery(path, config)
+        assert [shard.uncommitted for shard in plan.shards] == [
+            recorded[0] + 1, recorded[1] + 1, None]
+        assert recorded_gens(path) == recorded
+        assert run_cli(["scrub", str(path)]) == 0
         for _ in range(2):
-            with pytest.raises(EpochTornError) as excinfo:
-                ShardedEngine.open(path, config, executor=SerialExecutor())
-            assert excinfo.value.committed == [0, 1]
-            assert excinfo.value.pending == [2]
-        assert run_cli(["scrub", str(path)]) == 1
-        assert file_bytes(path) == before
+            assert state(path, config) == oracle
 
     def test_transient_save_fault_is_retryable_in_process(self, tmp_path):
         config = make_config()
@@ -208,103 +183,60 @@ def recorded_gens(path):
     return json.loads((path / "engine.json").read_text())["shards"]
 
 
-def base_valid(path, sid, gen):
-    """The base rule, probed from outside: a base holds exactly the
-    manifest's generation (a never-committed shard needs none)."""
-    return gen == 0 or probe_committed_generation(
-        path / f"shard-{sid:03d}.pages.base") == gen
+def leftovers(path):
+    """Files no protocol step may leave: bases, markers, temp files."""
+    return sorted(str(file.relative_to(path)) for file in path.rglob("*")
+                  if file.name.endswith((".base", ".prepare.json", ".tmp")))
 
 
-def bases_valid(path):
-    return [base_valid(path, sid, gen)
-            for sid, gen in enumerate(recorded_gens(path))]
+class TestShadowPaging:
+    """One committed copy per shard: the page file itself, opened at the
+    generation the manifest records."""
 
-
-class TestBaseRule:
-    """One committed copy per shard, restored only at the manifest's
-    generation, and only for the shard that needs it."""
-
-    def test_poisoned_shard_restores_only_its_own_base(self, tmp_path):
+    def test_killed_shard_reopens_at_its_recorded_generation(
+            self, tmp_path):
         config = make_config()
         path = tmp_path / "index.d"
         build_saved_engine(path, config)
         oracle = state(path, config)
-        poison(path / "shard-001.pages", config)
+        kill_mid_session(path / "shard-001.pages", config,
+                         recorded_gens(path)[1])
         before = file_bytes(path)
+        plan = plan_recovery(path, config)
+        assert [shard.describe() for shard in plan.shards] == [
+            f"open generation {gen}, no WAL" for gen in recorded_gens(path)]
         assert state(path, config) == oracle
         after = file_bytes(path)
-        for name in ("shard-000.pages", "shard-002.pages",
-                     "shard-000.pages.base", "shard-001.pages.base",
-                     "shard-002.pages.base", "engine.json"):
+        for name in ("shard-000.pages", "shard-002.pages", "engine.json"):
             assert after[path / name] == before[path / name], name
-        assert after[path / "shard-001.pages"] \
-            != before[path / "shard-001.pages"]
         assert state(path, config) == oracle
 
-    def test_base_at_wrong_generation_is_never_restored(self, tmp_path):
+    def test_no_protocol_step_leaves_a_base_or_a_marker(self, tmp_path):
         config = make_config()
         path = tmp_path / "index.d"
         build_saved_engine(path, config)
-        base = path / "shard-001.pages.base"
-        stale = base.read_bytes()
         save_more(path, config)
-        base.write_bytes(stale)
-        poison(path / "shard-001.pages", config)
+        reshard(str(path), 4, config)
+        with WorkerEngine.open(path, make_config(n_shards=4)) as eng:
+            eng.advance_time(eng.now + 1)
+            eng.save()
+        assert leftovers(path) == []
+        assert sorted(file.name for file in path.rglob("*.pages")) == [
+            f"shard-{sid:03d}.pages" for sid in range(4)]
+
+    def test_old_format_shard_file_is_refused_typed_and_untouched(
+            self, tmp_path):
+        config = make_config()
+        path = tmp_path / "index.d"
+        build_saved_engine(path, config)
+        shard = path / "shard-001.pages"
+        blob = bytearray(shard.read_bytes())
+        blob[:8] = b"SWSTDV2\x00"       # a format-v2 superblock magic
+        shard.write_bytes(bytes(blob))
         before = file_bytes(path)
-        for _ in range(2):
-            with pytest.raises(ShardOpenError) as excinfo:
-                ShardedEngine.open(path, config, executor=SerialExecutor())
-            assert excinfo.value.shard_id == 1
+        with pytest.raises(ShardOpenError) as excinfo:
+            ShardedEngine.open(path, config, executor=SerialExecutor())
+        assert excinfo.value.shard_id == 1
+        assert isinstance(excinfo.value.__cause__, UnsupportedFormatError)
+        assert run_cli(["scrub", str(path)]) == 1
         assert file_bytes(path) == before
-
-    def test_crash_before_the_base_copy_regains_bases_at_open(self,
-                                                             tmp_path):
-        config = make_config()
-        path = tmp_path / "index.d"
-        build_saved_engine(path, config)
-        devices = []
-        faulty = dataclasses.replace(
-            config, device_factory=per_path_device_factory(
-                "shard", registry=devices))
-        # Ops 1-8 are the manifest protocol; op 9 is the first base copy.
-        ops = FaultInjectingFileOps(fail_op=9)
-        eng = ShardedEngine.open(path, faulty, executor=SerialExecutor(),
-                                 file_ops=ops)
-        try:
-            t = eng.now + 1
-            for oid in range(20):
-                eng.report(oid, (oid * 13) % 100, (oid * 29) % 100, t)
-            with pytest.raises(InjectedFault):
-                eng.save()
-            expected = (eng.epoch, eng.now, sorted(map(repr, eng.scan())))
-        finally:
-            crash_devices(devices)
-            with pytest.raises(EngineCloseError):
-                eng.close()
-        assert bases_valid(path) == [False] * 3
-        assert state(path, config) == expected
-        assert bases_valid(path) == [True] * 3
-
-    def test_directory_without_bases_opens_and_gains_them(self, tmp_path):
-        """The layout older code left: a ``snapshots/<E>/`` copy set and
-        no bases.  Its page files were closed past the recorded
-        generation, so no valid base can be copied from them: ``open()``
-        serves the saved state and saves it once, as epoch ``E+1``,
-        which writes every base.  ``snapshots/`` is never read or
-        touched, and a crash right after that open restores."""
-        config = make_config()
-        path = tmp_path / "index.d"
-        build_saved_engine(path, config)
-        epoch, now, scan = state(path, config)
-        snapshots = path / "snapshots" / f"{epoch:06d}"
-        snapshots.mkdir(parents=True)
-        for sid in range(3):
-            (path / f"shard-{sid:03d}.pages.base").rename(
-                snapshots / f"shard-{sid:03d}.pages")
-        copies = file_bytes(path / "snapshots")
-        assert bases_valid(path) == [False] * 3
-        assert state(path, config) == (epoch + 1, now, scan)
-        assert bases_valid(path) == [True] * 3
-        poison(path / "shard-001.pages", config)
-        assert state(path, config) == (epoch + 1, now, scan)
-        assert file_bytes(path / "snapshots") == copies

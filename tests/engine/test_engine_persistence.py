@@ -50,12 +50,10 @@ class TestDirectoryLayout:
             eng.extend(random_reports(100))
             eng.save()
         names = sorted(os.listdir(path))
-        # Each page file has one base next to it: the copy of its
-        # just-committed state at epoch 1.
-        assert names == ["engine.json",
-                         "shard-000.pages", "shard-000.pages.base",
-                         "shard-001.pages", "shard-001.pages.base",
-                         "shard-002.pages", "shard-002.pages.base"]
+        # One page file per shard and nothing else: no base copy, no
+        # save marker.
+        assert names == ["engine.json", "shard-000.pages",
+                         "shard-001.pages", "shard-002.pages"]
         manifest = json.loads((path / "engine.json").read_text())
         assert manifest["format"] == 2
         assert manifest["n_shards"] == 3
@@ -132,11 +130,11 @@ class TestRoundtrip:
 
 
 class TestOpenShard:
-    def test_garbage_never_committed_file_is_unlinked_through_file_ops(
+    def test_garbage_never_committed_file_is_reset_through_file_ops(
             self, tmp_path):
-        """A shard the manifest records at generation 0 whose file does
-        not open is replaced by a fresh one — and the seam sees the
-        unlink, like every other file change a shard open makes."""
+        """A shard the manifest records at generation 0 is reset to a
+        fresh file, whatever its file holds — and the seam sees the
+        truncation, like every other file change a shard open makes."""
         path = tmp_path / "shard-000.pages"
         path.write_bytes(b"not a page file" * 64)
         ops = FaultInjectingFileOps()
@@ -147,4 +145,4 @@ class TestOpenShard:
             assert len(shard) == 0
         finally:
             shard.close()
-        assert ops.ops == [("unlink", str(path))]
+        assert ops.ops == [("truncate_file", str(path))]

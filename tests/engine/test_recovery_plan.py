@@ -25,11 +25,10 @@ from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           WorkerCrashError, WorkerEngine,
                           WorkerRecoveryError, plan_recovery, reshard)
-from repro.engine import recovery, worker
+from repro.engine import recovery
 from repro.engine.wal import read_wal
 from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
                                  crash_devices, per_path_device_factory)
-from repro.storage.scrub import probe_open
 
 from .worker_faults import WorkerFaults
 
@@ -107,15 +106,18 @@ def tear_save(path, damage=None):
         eng.close()
 
 
-def poison(path):
-    """A mid-session crash on one shard file: evicted pages stamped
-    past its committed generation."""
-    shard = SWSTIndex.open(path, make_config(buffer_capacity=2))
+def poison(path, shard_id):
+    """A mid-session crash on one shard file: the buffer pool evicts
+    uncommitted pages into it, then the process dies."""
+    recorded = json.loads((path / "engine.json").read_text())["shards"]
+    shard = SWSTIndex.open(path / f"shard-{shard_id:03d}.pages",
+                           make_config(buffer_capacity=2),
+                           generation=recorded[shard_id])
     t = shard.now + 1
     for oid in range(200):
         shard.report(1000 + oid, (oid * 7) % 100, (oid * 11) % 100, t)
+    assert shard.stats.physical_writes > 0, "nothing reached the file"
     shard.abort()
-    assert probe_open(path)[1] is not None, "no committed page overwritten"
 
 
 def crash_save(path, *, fail_op=None, kill_shard=None, first=False):
@@ -146,20 +148,6 @@ def crash_save(path, *, fail_op=None, kill_shard=None, first=False):
             pass
 
 
-def stale_base(path, then):
-    saved(path)
-    base = path / "shard-001.pages.base"
-    stale = base.read_bytes()
-    save_more(path)
-    then(lambda: base.write_bytes(stale))
-
-
-def no_bases(path):
-    saved(path)
-    for sid in range(N_SHARDS):
-        (path / f"shard-{sid:03d}.pages.base").unlink()
-
-
 def crashed_reshard(path, fail_op):
     saved(path)
     with pytest.raises(InjectedFault):
@@ -169,19 +157,12 @@ def crashed_reshard(path, fail_op):
 
 IN_PROCESS_STATES = {
     "clean": saved,
-    "poisoned-shard": lambda p: (saved(p), save_more(p),
-                                 poison(p / "shard-001.pages")),
+    "poisoned-shard": lambda p: (saved(p), save_more(p), poison(p, 1)),
     "torn-save": lambda p: (saved(p), tear_save(p)),
-    "torn-save-stale-base": lambda p: stale_base(
-        p, lambda damage: tear_save(p, damage)),
-    "poisoned-stale-base": lambda p: stale_base(
-        p, lambda damage: (damage(), poison(p / "shard-001.pages"))),
-    "no-bases": no_bases,
-    # Save file-op kills: 3 marker written (roll back), 4 and 5 every
-    # shard committed (roll forward), 7 flip landed (finish cleanup),
-    # 9 and 12 before/after the base copies.
+    # Save file-op kills, every shard committed: 1 and 2 before the
+    # manifest replace (the old manifest stands), 3 after it.
     **{f"save-op-{op}": (lambda p, op=op: crash_save(p, fail_op=op))
-       for op in (3, 4, 5, 7, 9, 12)},
+       for op in (1, 2, 3)},
     **{f"save-device-{sid}-{which}": (
         lambda p, sid=sid, first=(which == "first"): crash_save(
             p, kill_shard=sid, first=first))
@@ -189,7 +170,7 @@ IN_PROCESS_STATES = {
     # Reshard kills: staging, the last op before the flip, the flip,
     # cleanup.
     **{f"reshard-op-{op}": (lambda p, op=op: crashed_reshard(p, op))
-       for op in (4, 17, 18, 26)},
+       for op in (4, 11, 12, 17)},
 }
 
 
@@ -219,9 +200,9 @@ def worker_session(path, faults, monkeypatch, *, buffer_capacity=None,
         else:
             eng.extend(workload(23, 150, t0=eng.now))
         if save_kill is not None:
-            # The coordinator dies with the save: nothing resolves it.
-            monkeypatch.setattr(worker.WorkerBackend, "abort_commit",
-                                lambda backend: backend.pool.kill_all())
+            # A failed save resolves nothing on disk (its abort only
+            # kills the workers), so it leaves what a coordinator that
+            # died with the save would.
             sid, script = save_kill
             faults.arm(sid, **script)
             eng.pool.kill(sid)
@@ -313,8 +294,9 @@ def test_both_openers_execute_the_plan(tmp_path, monkeypatch, capsys,
 
 
 def test_torn_save_reopens_at_the_last_save_on_both_backends(tmp_path):
-    """Both openers restore every base: the 198 entries saved before
-    the torn save are back, none of its 20 reports is."""
+    """Both openers open every shard at the generation the manifest
+    records: the 198 entries saved before the torn save are back, none
+    of its 20 reports is."""
     path = tmp_path / "index.d"
     saved(path)
     shutil.copytree(path, tmp_path / "oracle.d")
@@ -322,7 +304,8 @@ def test_torn_save_reopens_at_the_last_save_on_both_backends(tmp_path):
         oracle = (eng.epoch, eng.now, sorted(map(repr, eng.scan())))
     assert len(oracle[2]) == 198
     tear_save(path)
-    assert plan_recovery(path).action == recovery.RESTORE_ROLL_BACK
+    assert [shard.uncommitted is not None
+            for shard in plan_recovery(path).shards] == [True, True, False]
     shutil.copytree(path, tmp_path / "copy.d")
     for opener, where in ((sharded_open, path),
                           (worker_open, tmp_path / "copy.d")):
@@ -338,10 +321,12 @@ def test_mid_session_kill_scrubs_clean_and_plans_replay(
     capsys.readouterr()
     assert run_cli(["scrub", str(path)]) == 0
     out = capsys.readouterr().out
+    recorded = json.loads((path / "engine.json").read_text())["shards"]
     for sid in range(N_SHARDS):
         acked = len(read_wal(str(path / f"shard-{sid:03d}.wal")).records)
         assert acked
-        assert f"shard {sid}: restore base, replay {acked}" in out
+        assert (f"shard {sid}: open generation {recorded[sid]}, "
+                f"replay {acked}") in out
     with worker_open(path) as eng:
         assert [shard.replayed for shard in eng.recovery.shards] == [
             len(read_wal(str(path / f"shard-{sid:03d}.wal")).records)
@@ -355,7 +340,7 @@ def test_scrub_names_each_openers_action_on_a_torn_worker_save(
     capsys.readouterr()
     assert run_cli(["scrub", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "restore bases and roll back" in out
+    assert "drop uncommitted generation" in out
     assert "ShardedEngine.open() refuses" in out
     assert "WorkerEngine.open() executes this plan" in out
     before = file_bytes(path)
@@ -363,8 +348,10 @@ def test_scrub_names_each_openers_action_on_a_torn_worker_save(
         sharded_open(path)
     assert file_bytes(path) == before
     with worker_open(path) as eng:
-        assert eng.recovery.action == recovery.RESTORE_ROLL_BACK
-        assert all(shard.wal == recovery.REPLAY and shard.replayed
+        assert [shard.uncommitted is not None
+                for shard in eng.recovery.shards] == [True, True, False]
+        assert all(shard.pages == recovery.OPEN
+                   and shard.wal == recovery.REPLAY and shard.replayed
                    for shard in eng.recovery.shards)
 
 
@@ -380,8 +367,8 @@ def test_a_stale_wal_with_records_is_reset_not_replayed(
     assert (shard.wal, shard.replayed) == (recovery.STALE, 0)
     capsys.readouterr()
     assert run_cli(["scrub", str(path)]) == 0
-    assert f"shard 1: {shard.pages}, reset stale WAL, 0 replayed" \
-        in capsys.readouterr().out
+    assert shard.describe().endswith("reset stale WAL, 0 replayed")
+    assert f"shard 1: {shard.describe()}" in capsys.readouterr().out
 
 
 def test_worker_open_decodes_each_wal_once(tmp_path, monkeypatch):

@@ -9,15 +9,13 @@ Two atomicity claims, proved op-by-op:
   *exactly* the new one (from the replace on) — same data either way,
   never a mix, never an error.
 
-* ``save()`` has **no** unrecoverable window: each shard's base — the
-  copy of its page file written right after the save that committed
-  the *previous* epoch, or the empty state before a directory's first
-  save — lets recovery restore all shards and roll the whole directory
-  back.  Device kills at *every* in-place shard commit
-  — including the mixed middle, a typed :class:`EpochTornError` only
-  once a base is damaged (tests/engine/test_engine_crash.py) — must
-  reopen as exactly the pre-save state, and a file-op kill matrix over
-  the protocol must land on the pre/post boundary deterministically.
+* ``save()`` has **no** unrecoverable window: every shard's page file
+  keeps the generation the manifest records (or, before a directory's
+  first save, the empty state) intact until the manifest flip names a
+  newer one, so recovery opens every shard there.  Device kills at
+  *every* shard commit — including the mixed middle — must reopen as
+  exactly the pre-save state, and a file-op kill matrix over the
+  protocol must land on the pre/post boundary deterministically.
 """
 
 import dataclasses
@@ -35,23 +33,21 @@ from tests.storage.fault import (FaultInjectingFileOps, InjectedFault,
 
 OLD_SHARDS = 3
 NEW_SHARDS = 5
-#: One reshard of a 3-shard directory to 5 shards = 26 durable file
-#: operations (stage 6, build 4, flip 9 including the five new bases,
-#: cleanup 7 for three old page files and their bases); pinned by the
-#: probe below.
-RESHARD_FILE_OPS = 26
-#: The manifest replace — the single commit point — is op 18 of 26.
-RESHARD_FLIP_OP = 18
-#: A 3-shard save = the 8-op manifest protocol + 3 base copies + one
-#: fsync of the directory holding them.
-SAVE_FILE_OPS = 12
-#: Last file op before the save's point of no return: the in-place
-#: shard commits land between the PREPARE fsync (op 3) and the FLIP
-#: write (op 4), so a file-op kill from 4 on finds every shard
-#: committed and recovery rolls *forward*.
-SAVE_COMMIT_BOUNDARY = 3
+#: One reshard of a 3-shard directory to 5 shards = 17 durable file
+#: operations (stage 6, build 4, flip 3, cleanup 4 for the three old
+#: page files); pinned by the probe below.
+RESHARD_FILE_OPS = 17
+#: The manifest replace — the single commit point — is op 12 of 17.
+RESHARD_FLIP_OP = 12
+#: A 3-shard save = the 3-op manifest FLIP; the shard commits before it
+#: are page-file writes, not file ops.
+SAVE_FILE_OPS = 3
 #: Ordinal of the FLIP's manifest replace in the op stream.
-SAVE_FLIP_OP = 5
+SAVE_FLIP_OP = 2
+#: Last file op a kill can land on with the old manifest still in
+#: place (the replace itself dies before its syscall); a kill from the
+#: following directory fsync on finds the new manifest.
+SAVE_COMMIT_BOUNDARY = SAVE_FLIP_OP
 
 
 def make_config(n_shards=OLD_SHARDS, **overrides):
@@ -152,8 +148,8 @@ class TestReshardFileOpKillMatrix:
             f"fault point {fail_op}: reopened data diverged")
 
     def test_protocol_length_matches_matrix(self, tmp_path):
-        """The matrix covers every op: a fault-free reshard is 26 ops,
-        with the manifest replace at ordinal 18."""
+        """The matrix covers every op: a fault-free reshard is 17 ops,
+        with the manifest replace at ordinal 12."""
         path = tmp_path / "probe.d"
         build_phase1(path, make_config())
         ops = FaultInjectingFileOps()
@@ -164,20 +160,18 @@ class TestReshardFileOpKillMatrix:
             ["mkdir", "fsync_dir"]                    # STAGE: gen dir
             + ["copy_file"] * OLD_SHARDS + ["fsync_dir"]
             + ["unlink"] * OLD_SHARDS + ["fsync_dir"]  # BUILD: drop copies
-            + ["copy_file"] * NEW_SHARDS + ["fsync_dir"]  # FLIP: bases
             + ["write_file", "replace", "fsync_dir"]   # FLIP: manifest
-            + ["unlink"] * 2 * OLD_SHARDS + ["fsync_dir"])  # CLEANUP
+            + ["unlink"] * OLD_SHARDS + ["fsync_dir"])  # CLEANUP
         assert names[RESHARD_FLIP_OP - 1] == "replace"
-        # The new generation has its bases before it goes live; the old
-        # generation's files (bases included) are gone afterwards.
-        assert [op_path.rsplit("/", 1)[1]
-                for name, op_path in ops.ops[:RESHARD_FLIP_OP]
-                if name == "copy_file" and "gen-001" in op_path
-                and op_path.endswith(".base")] \
-            == [f"shard-{sid:03d}.pages.base" for sid in range(NEW_SHARDS)]
+        # The only copies are the stage's read snapshots; the old
+        # generation's files are gone afterwards.
+        assert [op_path.rsplit("/", 1)[1] for name, op_path in ops.ops
+                if name == "copy_file"] \
+            == [f"source-{sid:03d}.pages" for sid in range(OLD_SHARDS)]
         assert sorted(file.name for file in path.iterdir()) \
             == ["engine.json", "gen-001"]
-        assert len(list((path / "gen-001").iterdir())) == 2 * NEW_SHARDS
+        assert sorted(file.name for file in (path / "gen-001").iterdir()) \
+            == [f"shard-{sid:03d}.pages" for sid in range(NEW_SHARDS)]
 
     def test_crashed_reshard_then_retry_succeeds(self, tmp_path, oracle):
         """Debris from a mid-build crash never blocks the next attempt."""
@@ -221,9 +215,9 @@ def save_oracles(tmp_path_factory):
 
 
 class TestSaveDeviceKillMatrix:
-    """Device kills at every in-place shard commit of a save: always a
-    clean rollback, never EpochTornError — for a directory's first save
-    too, where the state rolled back to is "empty"."""
+    """Device kills at every shard commit of a save: always a clean
+    rollback — for a directory's first save too, where the state rolled
+    back to is "empty"."""
 
     @pytest.mark.parametrize("first_save", [False, True],
                              ids=["second-save", "first-save"])
@@ -247,7 +241,7 @@ class TestSaveDeviceKillMatrix:
             eng.extend(phase())
             # Arm after ingestion so the kill lands on this shard's
             # first write of the commit phase — i.e. after every
-            # earlier shard already committed the new epoch in place.
+            # earlier shard already committed its new generation.
             device = devices[kill_shard]
             device.fail_write = device.writes_seen + 1
             with pytest.raises(OSError):
@@ -258,9 +252,9 @@ class TestSaveDeviceKillMatrix:
                 eng.close()
             except (EngineError, OSError):
                 pass
-        # The previous epoch's bases (written right after its commit) —
-        # or, before any save, the empty state — make every arm,
-        # including the mixed middle, a rollback, and scrub says so.
+        # Every shard reopens at the generation the old manifest records
+        # — or, before any save, the empty state — so every arm,
+        # including the mixed middle, is a rollback, and scrub says so.
         assert scrub_directory(path).ok
         first = snapshot(path, OLD_SHARDS)
         assert first == save_oracles[pre], (
@@ -316,11 +310,15 @@ class TestSaveFileOpKillMatrix:
         path = tmp_path / "victim.d"
         self.crash_save_at(path, SAVE_FLIP_OP)  # dies mid-FLIP
         first = snapshot(path, OLD_SHARDS)
-        assert first == snapshot(path, OLD_SHARDS) == save_oracles["post"]
-        assert not (path / "engine.prepare.json").exists()
+        assert first == snapshot(path, OLD_SHARDS) == save_oracles["pre"]
+        # Only the dead FLIP's temp file is left over: no marker, no
+        # base, nothing a reopen has to resolve.
+        assert sorted(file.name for file in path.iterdir()) == [
+            "engine.json", "engine.json.tmp",
+            *(f"shard-{sid:03d}.pages" for sid in range(OLD_SHARDS))]
 
     def test_protocol_length_matches_matrix(self, tmp_path):
-        """Manifest protocol (8) + bases (3 copies, 1 fsync) = 12 ops."""
+        """The manifest FLIP alone: 3 ops, no marker, no copies."""
         path = tmp_path / "probe.d"
         build_phase1(path, make_config())
         ops = FaultInjectingFileOps()
@@ -331,9 +329,5 @@ class TestSaveFileOpKillMatrix:
             eng.save()
         names = [name for name, _ in ops.ops]
         assert len(names) == SAVE_FILE_OPS
-        assert names == (
-            ["write_file", "replace", "fsync_dir"]           # PREPARE
-            + ["write_file", "replace", "fsync_dir"]         # FLIP
-            + ["unlink", "fsync_dir"]                        # cleanup
-            + ["copy_file"] * OLD_SHARDS + ["fsync_dir"])    # bases
+        assert names == ["write_file", "replace", "fsync_dir"]  # FLIP
         assert names[SAVE_FLIP_OP - 1] == "replace"

@@ -1,4 +1,4 @@
-"""Property tests: resharding and base restore preserve state.
+"""Property tests: resharding and torn-save recovery preserve state.
 
 Random interleaved workloads (the PR 3 equivalence-oracle strategy)
 drive two invariants:
@@ -6,8 +6,8 @@ drive two invariants:
 * an ``n -> m`` reshard — any pair, including identity and repeated
   flips — changes *nothing* observable: every query result, the scan,
   the length and the clock come back identical;
-* a save torn at a random shard commit recovers (via the shards' bases)
-  to exactly the pre-save state.
+* a save torn at a random shard commit recovers (every shard reopens at
+  the generation the manifest records) to exactly the pre-save state.
 """
 
 import dataclasses

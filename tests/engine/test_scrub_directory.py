@@ -1,5 +1,5 @@
-"""Directory-level scrub: manifest validation, per-shard sweeps,
-generation cross-checks, and marker reporting."""
+"""Directory-level scrub: manifest validation, per-shard sweeps at the
+recorded generation, generation cross-checks, and staged debris."""
 
 import json
 import random
@@ -75,20 +75,6 @@ class TestProblems:
         assert sum(1 for shard in report.reports if not shard.ok) == 1
         assert "CORRUPT" in report.render()
 
-    def test_bit_flip_in_a_base_fails_the_directory(self, saved_dir):
-        """A base is what recovery restores after a crash: damage in it
-        fails the scrub before a crash needs it."""
-        base = saved_dir / "shard-001.pages.base"
-        device = FaultInjectingPageDevice(FilePageDevice(base, 512))
-        device.flip_stored_bit(device.page_count() - 1, 9, 0x20)
-        device.close()
-        report = scrub_directory(saved_dir)
-        assert not report.ok
-        assert report.problems == [
-            "shard file shard-001.pages.base is damaged"]
-        assert all(shard.ok for shard in report.reports)
-        assert len(report.base_reports) == N_SHARDS
-
     def test_missing_shard_file_is_reported(self, saved_dir):
         (saved_dir / "shard-002.pages").unlink()
         report = scrub_directory(saved_dir)
@@ -141,22 +127,6 @@ class TestProblems:
         assert len(report.problems) == N_SHARDS
 
 
-class TestNotes:
-    def test_leftover_save_marker_is_a_note_not_a_problem(self, saved_dir):
-        marker = saved_dir / "engine.prepare.json"
-        manifest = json.loads((saved_dir / "engine.json").read_text())
-        marker.write_text(json.dumps({
-            "format": 2, "epoch": manifest["epoch"] + 1,
-            "n_shards": N_SHARDS,
-            "expected": [gen + 1 for gen in manifest["shards"]]}) + "\n")
-        report = scrub_directory(saved_dir)
-        assert any("interrupted save marker" in note
-                   for note in report.notes)
-        # The marker alone does not fail the scrub: open() resolves it.
-        assert report.ok
-        assert "note:" in report.render()
-
-
 def tear_save(path):
     """Crash shard-002's device mid-save, leaving a torn epoch behind."""
     import dataclasses
@@ -180,30 +150,23 @@ def tear_save(path):
 
 
 class TestTornEpochClassification:
-    def test_torn_epoch_with_snapshot_is_recoverable_note(self, saved_dir):
+    def test_torn_epoch_is_recoverable_at_the_manifest(self, saved_dir):
         manifest = json.loads((saved_dir / "engine.json").read_text())
         tear_save(saved_dir)
         report = scrub_directory(saved_dir)
-        # The bases written by the save before the crashed one make the
-        # tear recoverable: a note naming the epoch they hold, not a
-        # problem, and the scrub exits clean.
+        # Every shard still holds the generation the manifest records:
+        # the tear is a clean scrub whose plan names the two commits the
+        # flip never reached, swept at the recorded generations.
         assert report.ok
-        note = next(note for note in report.notes if "RECOVERABLE" in note)
-        assert f"passes the base rule at epoch {manifest['epoch']}" in note
+        assert [shard.uncommitted for shard in report.plan.shards] == [
+            manifest["shards"][0] + 1, manifest["shards"][1] + 1, None]
+        assert [shard.generation for shard in report.reports] \
+            == manifest["shards"]
+        assert "drop uncommitted generation" in report.render()
         with ShardedEngine.open(saved_dir, make_config(),
                                 executor=SerialExecutor()) as eng:
             eng.check_integrity()
-
-    def test_torn_epoch_without_snapshot_is_a_problem(self, saved_dir):
-        tear_save(saved_dir)
-        # Damage from outside: one base is gone.
-        (saved_dir / "shard-000.pages.base").unlink()
-        report = scrub_directory(saved_dir)
-        assert not report.ok
-        problem = next(problem for problem in report.problems
-                       if "EpochTornError" in problem)
-        assert "bases of shards [0]" in problem
-        assert "PROBLEM" in report.render()
+            assert eng.epoch == manifest["epoch"]
 
 
 class TestGenerations:

@@ -10,8 +10,8 @@ from repro.core import Rect, SWSTConfig, SWSTIndex
 from repro.engine.errors import WalCorruptError
 from repro.engine.wal import (HEADER_SIZE, NONE_ARG, OP_ADVANCE, OP_CLOSE,
                               OP_INSERT, OP_RETAIN, OP_RUN, WalRecord,
-                              WalReport, WalWriter, base_file_name,
-                              read_wal, replay, wal_file_name)
+                              WalReport, WalWriter, read_wal, replay,
+                              wal_file_name)
 from tests.storage.fault import FaultInjectingFileOps, InjectedFault
 
 
@@ -24,9 +24,9 @@ def make_config(**overrides):
 
 
 class TestNames:
-    def test_wal_and_base_names_are_per_shard(self):
+    def test_wal_names_are_per_shard(self):
         assert wal_file_name(3) == "shard-003.wal"
-        assert base_file_name(12) == "shard-012.pages.base"
+        assert wal_file_name(12) == "shard-012.wal"
 
 
 class TestCodec:

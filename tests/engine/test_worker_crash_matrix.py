@@ -27,14 +27,12 @@ land around slides as well as plain ingest.
 import dataclasses
 import json
 import random
-import shutil
 
 import pytest
 
-from repro.core import Rect, SWSTConfig, SWSTIndex
+from repro.core import Rect, SWSTConfig
 from repro.engine import (EngineError, SerialExecutor, ShardedEngine,
                           WorkerCrashError, WorkerEngine)
-from repro.storage import StorageError, probe_committed_generation
 
 from .worker_faults import WorkerFaults
 
@@ -339,9 +337,9 @@ class TestWalDeviceFaults:
 
     def test_short_wal_append_tears_only_the_unacked_tail(self, tmp_path,
                                                           oracle, faults):
-        # Op ordinal 2: an epoch-0 respawn finds its never-committed
-        # page file without a catalog and unlinks it (op 1; there is no
-        # base to refresh yet), so 2 is the first WAL append.
+        # Op ordinal 2: an epoch-0 respawn resets its never-committed
+        # page file to empty (op 1 truncates it), so 2 is the first WAL
+        # append.
         path = str(tmp_path / "victim.d")
         final, crashes = run_victim(
             path, faults, {1: [(1, {"wal_short_writes": {2: 9}})]})
@@ -386,48 +384,28 @@ class TestInterop:
         assert reopened_state(str(path)) == oracle["final"]
 
 
-def base_valid(path, sid, gen):
-    """The base rule, probed from outside: a base holds exactly the
-    manifest's generation (a never-committed shard needs none)."""
-    return gen == 0 or probe_committed_generation(
-        path / f"shard-{sid:03d}.pages.base") == gen
-
-
-def bases_valid(path):
-    gens = json.loads((path / "engine.json").read_text())["shards"]
-    return [base_valid(path, sid, gen)
-            for sid, gen in enumerate(gens)]
-
-
-class TestBaseRule:
-    def test_bases_past_the_manifest_are_regained_at_open(self, tmp_path,
-                                                          oracle):
-        """Older code refreshed each base at every worker start, after
-        opening had moved the page file past the manifest's generation,
-        so its bases fail the rule.  ``open()`` saves once, which writes
-        valid ones; a shard poisoned after that restores its base and
-        replays its WAL."""
+class TestShadowPaging:
+    def test_evicting_session_reopens_at_the_manifest_and_replays(
+            self, tmp_path, oracle):
+        """A tiny buffer pool makes the session evict pages into every
+        page file; a worker stops like a crash, so the page files keep
+        the generation the manifest records and each WAL replays its
+        whole acknowledged tail over it — no copy, no restore."""
         config = make_config()
         path = tmp_path / "victim.d"
         with WorkerEngine(config, str(path)) as eng:
             drive(eng, PHASE_1())
             drive(eng, PHASE_2())
             eng.save()
-        for sid in range(N_SHARDS):
-            page = path / f"shard-{sid:03d}.pages"
-            SWSTIndex.open(str(page), config).close()
-            shutil.copyfile(page, path / f"shard-{sid:03d}.pages.base")
-        assert bases_valid(path) == [False] * N_SHARDS
-        # A tiny buffer pool makes the session evict pages past each
-        # committed generation; a worker stops like a crash, so storage
-        # recovery then refuses every page file.
+        recorded = json.loads((path / "engine.json").read_text())["shards"]
         small = dataclasses.replace(config, buffer_capacity=2)
         with WorkerEngine.open(str(path), small) as eng:
-            assert eng.epoch == 2
             assert state_of(eng) == oracle["saved"]
             drive(eng, PHASE_3())
-        assert bases_valid(path) == [True] * N_SHARDS
-        for sid in range(N_SHARDS):
-            with pytest.raises(StorageError):
-                SWSTIndex.open(str(path / f"shard-{sid:03d}.pages"), config)
-        assert reopened_state(str(path)) == oracle["final"]
+            assert sum(stats.physical_writes
+                       for stats in eng.shard_stats()) > 0
+        with WorkerEngine.open(str(path), config) as eng:
+            assert [(shard.pages, shard.recorded, shard.wal)
+                    for shard in eng.recovery.shards] == [
+                ("open", gen, "replay") for gen in recorded]
+            assert state_of(eng) == oracle["final"]

@@ -120,7 +120,7 @@ def test_the_test_process_is_never_faulted(tmp_path, monkeypatch):
     try:
         assert plan.replayed == 1
         shard.save()
-        worker._checkpoint(0, directory, fops, epoch, 0)
+        worker._checkpoint(0, shard, directory, fops, epoch, 0)
     finally:
         shard.abort()
     # The wrappers ran here (they counted) and never fired.

@@ -241,12 +241,11 @@ class TestFileOpsSeam:
                  for line in journal.read_text().splitlines())}
         for sid, pid in enumerate(pids):
             wal = str(path / f"shard-{sid:03d}.wal")
-            base = str(path / f"shard-{sid:03d}.pages.base")
             # The group commit: one append and one fsync of the WAL.
             assert (pid, "append_file", wal) in seen
             assert (pid, "fsync_file", wal) in seen
-            # The post-save checkpoint: base copy, then a fresh WAL.
-            assert (pid, "copy_file", base) in seen
+            # The post-save checkpoint: a fresh WAL (no copy of anything).
             assert (pid, "replace", wal) in seen
+        assert not any(name == "copy_file" for _, name, _ in seen)
         # The coordinator's manifest writes use the same object.
         assert (os.getpid(), "replace", str(path / "engine.json")) in seen

@@ -217,16 +217,17 @@ def test_degraded_result_maps_to_206(engine):
 def test_stats_show_the_recovery_plan_the_server_opened_with(tmp_path,
                                                              engine):
     """``/stats`` carries the plan ``open()`` executed: here a save
-    interrupted before any shard committed, rolled back."""
+    that died after shard 0 committed, before the manifest flip."""
     path = tmp_path / "index.d"
     with ShardedEngine(make_config(), path,
                        executor=SerialExecutor()) as eng:
         eng.insert(1, 5, 5, 0)
         eng.save()
     manifest = json.loads((path / "engine.json").read_text())
-    (path / "engine.prepare.json").write_text(json.dumps({
-        "format": 2, "epoch": manifest["epoch"] + 1, "n_shards": 2,
-        "expected": [gen + 5 for gen in manifest["shards"]]}))
+    eng = ShardedEngine.open(path, make_config(), executor=SerialExecutor())
+    eng.insert(2, 6, 6, 1)
+    eng.shards[0].save()      # one shard's commit; no flip names it
+    eng.abort()
 
     async def main(app):
         return (await app.handle(get("/stats"))).payload["recovery"]
@@ -234,10 +235,14 @@ def test_stats_show_the_recovery_plan_the_server_opened_with(tmp_path,
     with ShardedEngine.open(path, make_config(),
                             executor=SerialExecutor()) as eng:
         recovery = run_app(eng, main)
-    assert recovery["action"] == "roll back"
+    assert recovery["action"] == "clean"
     assert recovery["epoch"] == manifest["epoch"]
+    gens = manifest["shards"]
     assert recovery["shards"] == [
-        {"shard": sid, "action": "open, no WAL", "replayed": 0, "torn": 0}
-        for sid in range(2)]
+        {"shard": 0, "action": f"open generation {gens[0]}, drop "
+                               f"uncommitted generation {gens[0] + 1}, "
+                               f"no WAL", "replayed": 0, "torn": 0},
+        {"shard": 1, "action": f"open generation {gens[1]}, no WAL",
+         "replayed": 0, "torn": 0}]
     # An engine a constructor built opened nothing.
     assert run_app(engine, main) is None

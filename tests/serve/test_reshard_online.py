@@ -61,15 +61,12 @@ def wire_bytes(response):
 READ_QUERY = post("/query", {"area": [0, 0, 49, 49], "t_lo": 0, "t_hi": 0})
 
 
-def base_listing(directory):
-    """``{subdirectory: base file count}`` for every directory holding
-    shard bases (``"."`` is generation 0, at the root)."""
-    counts = {}
-    for root, _, names in os.walk(directory):
-        count = sum(name.endswith(".pages.base") for name in names)
-        if count:
-            counts[os.path.relpath(root, directory)] = count
-    return counts
+def copies(directory):
+    """Every file under ``directory`` that is a copy of a page file (a
+    stage snapshot left behind, or a base of an older format)."""
+    return sorted(name for _, _, names in os.walk(directory)
+                  for name in names
+                  if name.endswith(".base") or name.startswith("source-"))
 
 
 class BuildGate:
@@ -88,13 +85,6 @@ class BuildGate:
             return original(build)
 
         monkeypatch.setattr(GenerationBuild, "build", gated)
-        commit = GenerationBuild.commit
-
-        def watched(build):
-            self.bases_at_flip = base_listing(build._dir)
-            return commit(build)
-
-        monkeypatch.setattr(GenerationBuild, "commit", watched)
 
     async def entered_async(self):
         while not self.entered.is_set():
@@ -176,11 +166,9 @@ def test_reads_identical_and_writes_absorbed_mid_build(tmp_path,
         report = flip.payload
         assert report["old_n_shards"] == OLD_SHARDS
         assert report["n_shards"] == NEW_SHARDS
-        # The staged build left the frozen epoch's bases alone and wrote
-        # none of its own; the flip left exactly the new generation's.
-        assert gate.bases_at_flip == {".": OLD_SHARDS}
-        assert base_listing(str(tmp_path / "online.d")) \
-            == {"gen-001": NEW_SHARDS}
+        # The build dropped its stage copies; nothing else copies a
+        # page file.
+        assert copies(str(tmp_path / "online.d")) == []
 
         # Post-flip: the same entry set (merge order and physical stats
         # legitimately change with the shard count), and the journaled
@@ -232,8 +220,12 @@ def fail(*args, **kwargs):
     raise EngineError("injected reshard failure")
 
 
+def disk_full(*args, **kwargs):
+    raise OSError(28, "injected: no space left on device")
+
+
 @pytest.mark.parametrize("point, flipped", [
-    ("write_bases", False),             # before the manifest rewrite
+    ("manifest", False),                # the manifest rewrite itself
     ("cleanup", True),                  # inside commit, after it
     ("reopen", True),                   # after commit returned
 ])
@@ -243,10 +235,12 @@ def test_failed_flip_never_saves_the_dropped_generation(tmp_path,
     """Writes absorbed mid-build reach the generation the manifest names
     at shutdown, wherever the flip failed: the old one if the manifest
     was never rewritten, the new one if it was."""
-    if point == "write_bases":
+    if point == "manifest":
+        # A full disk at the commit point: an untyped OSError, which
+        # the app still answers with a 500 (and serves on).
         # (``repro.engine.reshard`` as an attribute is the function.)
         monkeypatch.setattr(importlib.import_module("repro.engine.reshard"),
-                            "write_bases", fail)
+                            "write_json_atomic", disk_full)
     elif point == "cleanup":
         monkeypatch.setattr(GenerationBuild, "_cleanup_old_generation",
                             fail)
@@ -262,7 +256,11 @@ def test_failed_flip_never_saves_the_dropped_generation(tmp_path,
             assert (await app.handle(
                 post("/extend", {"reports": reports}))).status == 200
         gate.release.set()
-        assert (await reshard_task).status == 500
+        response = await reshard_task
+        assert response.status == 500
+        assert response.payload["error"] == "internal"
+        assert response.payload["type"] == (
+            "OSError" if point == "manifest" else "EngineError")
         if not flipped:
             # The old generation serves on, and its close saves this.
             assert (await app.handle(post("/extend", {

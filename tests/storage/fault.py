@@ -21,7 +21,7 @@ and plugs under :class:`repro.storage.pager.Pager` either directly
 :class:`FaultInjectingFileOps` is the same idea one level up: it wraps
 the engine's durable-file seam (:class:`repro.storage.fileops.FileOps`)
 so the *manifest protocol* — temp-file writes, ``os.replace`` flips,
-directory fsyncs, marker unlinks — can be killed at any single step.
+directory fsyncs, unlinks — can be killed at any single step.
 The engine-level crash matrix iterates ``fail_op`` over every ordinal of
 a ``save()`` and proves each prefix leaves a recoverable directory.
 """
@@ -146,14 +146,6 @@ class FaultInjectingPageDevice:
     @property
     def checksums(self) -> bool:
         return getattr(self._inner, "checksums", False)
-
-    def set_write_generation(self, generation: int) -> None:
-        setter = getattr(self._inner, "set_write_generation", None)
-        if setter is not None:
-            setter(generation)
-
-    def check_page(self, page_id: int) -> int:
-        return self._inner.check_page(page_id)
 
     def page_count(self) -> int:
         return self._inner.page_count()

@@ -1,6 +1,7 @@
-"""Page checksums: trailers, refusal of the retired v1 format, scrub."""
+"""Page checksums: trailers, refusal of the retired formats, scrub."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -38,12 +39,20 @@ def _make_v1_file(path, pages: list[bytes], meta: bytes = b"",
     path.write_bytes(blob)
 
 
+def _v2_superblock() -> bytes:
+    """The superblock of a retired format-v2 page file."""
+    fixed = struct.pack("<8sIII", b"SWSTDV2\x00", PAGE_SIZE, 16, 0)
+    return struct.pack("<8sIII", b"SWSTDV2\x00", PAGE_SIZE, 16,
+                       zlib.crc32(fixed)).ljust(SUPERBLOCK_SIZE, b"\x00")
+
+
 class TestV2RoundTrip:
     def test_data_survives_reopen(self, tmp_path):
         path = tmp_path / "v2.db"
         with Pager(path, page_size=PAGE_SIZE) as pager:
             pid = pager.allocate()
             pager.write(pid, b"\xa5" * PAGE_SIZE)
+            pager.sync()
         with Pager(path, page_size=PAGE_SIZE) as pager:
             assert pager.read(pid) == b"\xa5" * PAGE_SIZE
 
@@ -80,6 +89,22 @@ class TestUnsupportedFormats:
         assert "format-v1 page file" in capsys.readouterr().err
         assert path.read_bytes() == before
 
+    def test_v2_file_is_refused_untouched(self, tmp_path, capsys):
+        # Format v2 overwrote committed pages in place and kept no page
+        # map; its superblock magic is refused, typed, before any write.
+        path = tmp_path / "v2.db"
+        path.write_bytes(_v2_superblock() + b"\x00" * 3 * (PAGE_SIZE + 16))
+        before = path.read_bytes()
+        for opener in (lambda: Pager(path, page_size=PAGE_SIZE),
+                       lambda: SWSTIndex.open(str(path),
+                                              SWSTConfig(page_size=PAGE_SIZE)),
+                       lambda: scrub_page_file(path)):
+            with pytest.raises(UnsupportedFormatError, match="format-v2"):
+                opener()
+        assert cli_main(["scrub", str(path)]) == 2
+        assert "format-v2 page file" in capsys.readouterr().err
+        assert path.read_bytes() == before
+
     def test_probe_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.db"
         path.write_bytes(b"NOTAPAGEFILE" + b"\x00" * 100)
@@ -94,6 +119,7 @@ class TestCorruptionDetection:
         with Pager(path, page_size=PAGE_SIZE) as pager:
             pid = pager.allocate()
             pager.write(pid, bytes(range(256)) * (PAGE_SIZE // 256))
+            pager.sync()
         return path, pid
 
     def test_flipped_data_bit_raises_checksum_error_naming_page(
@@ -133,10 +159,11 @@ class TestScrub:
         with Pager(path, page_size=PAGE_SIZE) as pager:
             for _ in range(4):
                 pager.write(pager.allocate(), b"\x37" * PAGE_SIZE)
+            pager.sync()
         report = scrub_page_file(path)
         assert report.ok
         assert report.corrupt == []
-        assert report.committed is not None and report.committed.clean
+        assert report.committed is not None
 
     def test_scrub_names_the_corrupt_page(self, tmp_path):
         path = tmp_path / "v2.db"
@@ -144,31 +171,28 @@ class TestScrub:
             pids = [pager.allocate() for _ in range(4)]
             for pid in pids:
                 pager.write(pid, b"\x37" * PAGE_SIZE)
+            pager.sync()
         victim = pids[2]
         _flip_byte(path, _slot_offset(victim, 11), 0x80)
         report = scrub_page_file(path)
         assert not report.ok
         assert [pid for pid, _ in report.corrupt] == [victim]
 
-
-    def test_scrub_flags_uncommitted_overwrite_of_committed_page(
-            self, tmp_path):
-        # A committed page stamped with a newer generation than the
-        # committed header is a crashed session's in-place overwrite;
-        # recovery-on-open refuses such a file and scrub must agree.
-        path = tmp_path / "v2.db"
+    def test_scrub_sweeps_only_what_the_generation_names(self, tmp_path):
+        # A write after the commit lands in a slot the committed
+        # generation does not name; tearing it (a crash mid-write)
+        # damages nothing the file opens at, so scrub stays clean and
+        # the reopen reads the committed bytes.
+        path = tmp_path / "v3.db"
         with Pager(path, page_size=PAGE_SIZE) as pager:
-            pids = [pager.allocate() for _ in range(4)]
-            for pid in pids:
-                pager.write(pid, b"\x42" * PAGE_SIZE)
-        committed = scrub_page_file(path).committed.generation
-        device = FilePageDevice(path, PAGE_SIZE)
-        try:
-            device.set_write_generation(committed + 1)
-            device.write(pids[1], b"\x99" * PAGE_SIZE)
-        finally:
-            device.close()
+            pid = pager.allocate()
+            pager.write(pid, b"\x42" * PAGE_SIZE)
+            pager.sync()
+            pager.write(pid, b"\x99" * PAGE_SIZE)
+            shadow = pager._map[pid]
+        assert shadow != pid
+        _flip_byte(path, _slot_offset(shadow, PAGE_SIZE + 4), 0xFF)
         report = scrub_page_file(path)
-        assert not report.ok
-        assert [pid for pid, _ in report.corrupt] == [pids[1]]
-        assert "overwrites the committed snapshot" in report.corrupt[0][1]
+        assert report.ok and report.mapped == 2  # the page + its map
+        with Pager(path, page_size=PAGE_SIZE) as pager:
+            assert pager.read(pid) == b"\x42" * PAGE_SIZE

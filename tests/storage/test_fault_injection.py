@@ -136,19 +136,21 @@ class TestUnderThePager:
         # at the wrapper level but must not warn about leaked handles.
         device.close()
 
-    def test_uncommitted_overwrite_detected_on_reopen(self, tmp_path):
+    def test_uncommitted_overwrite_never_reaches_the_committed_page(
+            self, tmp_path):
         device = FilePageDevice(tmp_path / "f.db", PAGE_SIZE)
         pager = Pager(device=device, page_size=PAGE_SIZE)
         pid = pager.allocate()
         pager.write(pid, b"\x10" * PAGE_SIZE)
         pager.sync()
         # Overwrite after the commit, then "lose power" before the next
-        # commit: close the raw device under the pager.
+        # commit: close the raw device under the pager.  The overwrite
+        # went to a shadow slot, so the reopen reads the committed bytes.
         pager.write(pid, b"\x20" * PAGE_SIZE)
         device.sync()
         device.close()
-        with pytest.raises(CorruptPageFileError, match="uncommitted"):
-            Pager(tmp_path / "f.db", page_size=PAGE_SIZE)
+        with Pager(tmp_path / "f.db", page_size=PAGE_SIZE) as reopened:
+            assert reopened.read(pid) == b"\x10" * PAGE_SIZE
 
     def test_uncommitted_extend_is_truncated_on_reopen(self, tmp_path):
         device = FilePageDevice(tmp_path / "f.db", PAGE_SIZE)
@@ -156,7 +158,8 @@ class TestUnderThePager:
         pid = pager.allocate()
         pager.write(pid, b"\x10" * PAGE_SIZE)
         pager.sync()
-        committed_pages = device.page_count()
+        committed_slots = device.page_count()
+        committed_pages = pager.page_count()
         # Allocate (extend) after the commit, then crash.
         pager.allocate()
         device.sync()
@@ -164,6 +167,9 @@ class TestUnderThePager:
         with Pager(tmp_path / "f.db", page_size=PAGE_SIZE) as pager:
             assert pager.page_count() == committed_pages
             assert pager.read(pid) == b"\x10" * PAGE_SIZE
+        device = FilePageDevice(tmp_path / "f.db", PAGE_SIZE)
+        assert device.page_count() == committed_slots
+        device.close()
 
 
 class TestFileOpsSchedules:

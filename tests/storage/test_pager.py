@@ -232,7 +232,9 @@ class TestDualSlotHeader:
             pager.write(page, b"A" * 1024)
             pager.meta = b"state-1"
             pager.sync()
-        # The clean close committed the newest header; find and smash it.
+            pager.meta = b"state-1"
+            pager.sync()
+        # Both header slots name the same state; find and smash the newest.
         probe = Pager(path, page_size=1024)
         newest_slot = probe._slot
         probe.close()
